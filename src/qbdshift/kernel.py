@@ -1,5 +1,7 @@
 """Dense real-matrix primitives: norms, linear solves, spectral radius,
-Perron pairs, strongly connected components, Stein equation.
+Perron pairs (power iteration, one dense eigensolve as fallback), strongly
+connected components (scipy.sparse.csgraph), Stein equation (Smith
+doubling).
 
 Everything here works on plain ``numpy.ndarray`` matrices. Inputs are never
 mutated; all functions are pure and thread-safe.
@@ -12,6 +14,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 __all__ = [
     "ConvergenceError",
@@ -37,6 +40,11 @@ PIVOT_RTOL = 1e-14
 # Power/Collatz-Wielandt iteration gives up and falls back to a dense
 # eigendecomposition beyond this convergence ratio.
 SLOW_RATIO = 0.999
+
+# Cap on Smith-doubling steps in stein_solve: after k steps the sum covers
+# 2^k terms, and the divergence guard rho(G) rho(R) < 1 - 1e-12 needs at
+# most ~46.
+STEIN_MAX_DOUBLINGS = 64
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -151,23 +159,29 @@ def _power_vector(a, rtol, max_iter):
 
 
 def _dense_dominant(a):
-    """Dominant eigenvector of `a` by dense decomposition, sign-fixed.
+    """Right and left dominant eigenvectors of `a` from one dense
+    decomposition, sign-fixed and polished by power steps on a + I.
 
     Among eigenvalues of (numerically) maximal modulus the one with the
     largest real part is taken: for a nonnegative matrix that is the real
     Perron root even when a periodic block puts rotated copies on the
-    same circle.
+    same circle. Both vectors belong to that one eigenvalue.
     """
-    vals, vecs = np.linalg.eig(a)
+    vals, lefts, rights = scipy.linalg.eig(a, left=True, right=True)
     top = np.max(np.abs(vals))
-    near = np.abs(vals) >= (1.0 - 1e-9) * top
-    candidates = np.nonzero(near)[0]
+    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * top)
     i = candidates[int(np.argmax(np.real(vals[candidates])))]
-    v = np.real(vecs[:, i])
-    j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
-        v = -v
-    return v
+    shifted = a + np.eye(a.shape[0])
+    out = []
+    for v, mat in ((rights[:, i], shifted), (lefts[:, i], shifted.T)):
+        v = np.real(v)
+        if v[int(np.argmax(np.abs(v)))] < 0:
+            v = -v
+        for _ in range(8):
+            v = mat @ v
+            v /= np.max(np.abs(v))
+        out.append(v)
+    return tuple(out)
 
 
 def perron_pair(m, norm_rule="sum", rtol=LINALG_RTOL, max_iter=20000):
@@ -175,10 +189,11 @@ def perron_pair(m, norm_rule="sum", rtol=LINALG_RTOL, max_iter=20000):
     irreducible matrix.
 
     `norm_rule` is "sum" (entries sum to 1) or "max" (unit infinity norm)
-    and is applied to both vectors independently. Raises
-    ReducibleMatrixError when the pattern is reducible, and ValueError if
-    the computed vectors are not strictly positive (cannot happen for a
-    genuinely irreducible input).
+    and is applied to both vectors independently. Power iteration finds
+    each vector; when it converges too slowly the dense eigensolve of
+    dominant_pair takes over. Raises ReducibleMatrixError when the pattern
+    is reducible, and ValueError if the computed vectors are not strictly
+    positive (cannot happen for a genuinely irreducible input).
     """
     a = as_square(m)
     if np.any(a < 0.0):
@@ -187,11 +202,11 @@ def perron_pair(m, norm_rule="sum", rtol=LINALG_RTOL, max_iter=20000):
         raise ReducibleMatrixError("matrix pattern is reducible")
     radius = spectral_radius(a, rtol=rtol)
     right = _power_vector(a, rtol, max_iter)
-    if right is None:
-        right = _dense_dominant(a)
     left = _power_vector(a.T, rtol, max_iter)
-    if left is None:
-        left = _dense_dominant(a.T)
+    if right is None or left is None:
+        dense_right, dense_left = _dense_dominant(a)
+        right = dense_right if right is None else right
+        left = dense_left if left is None else left
     if np.min(right) <= 0.0 or np.min(left) <= 0.0:
         raise ValueError("Perron vectors not strictly positive")
     right, sr = _normalize(right, norm_rule)
@@ -216,24 +231,14 @@ def dominant_pair(m, rtol=LINALG_RTOL):
 
     Returns (radius, right, left) where the vectors are nonnegative
     (entries that are structurally zero may carry eigensolver noise up to
-    ~1e-14; callers threshold). Vectors have unit infinity norm.
+    ~1e-14; callers threshold). Vectors have unit infinity norm. Both come
+    from one dense eigendecomposition, polished by a few power steps.
     """
     a = as_square(m)
     radius = spectral_radius(a, rtol=rtol)
     if radius == 0.0:
         raise ValueError("dominant_pair undefined for a nilpotent matrix")
-
-    def refine(mat):
-        v = _dense_dominant(mat)
-        # A few power steps on (mat + I) polish the dense solution.
-        shifted = mat + np.eye(mat.shape[0])
-        for _ in range(8):
-            v = shifted @ v
-            v /= np.max(np.abs(v))
-        return v
-
-    right = refine(a)
-    left = refine(a.T)
+    right, left = _dense_dominant(a)
     scale = max(radius, 1.0)
     if inf_norm(a @ right - radius * right) > EIGEN_RTOL * scale:
         raise ConvergenceError("dominant right eigenvector did not converge")
@@ -279,58 +284,19 @@ def scc_partition(m, tol=0.0):
     """Strongly connected components of the graph with edge i -> j iff
     m[i, j] > tol, returned in topological order (sources first).
 
-    Iterative Tarjan; components come out in reverse topological order and
-    are flipped before returning.
+    scipy labels the components in reverse topological order (sinks
+    first), so they are walked from the highest label down.
     """
     a = as_square(m)
-    n = a.shape[0]
-    adj = [np.nonzero(a[i] > tol)[0].tolist() for i in range(n)]
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    pattern = a > tol
+    count, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(pattern), directed=True, connection="strong"
+    )
     components = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_i in range(pi, len(adj[v])):
-                w = adj[v][next_i]
-                if index[w] == -1:
-                    work[-1] = (v, next_i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                trivial = len(comp) == 1 and not a[comp[0], comp[0]] > tol
-                components.append(Scc(tuple(comp), trivial))
-    components.reverse()
+    for label in range(count - 1, -1, -1):
+        comp = tuple(int(v) for v in np.flatnonzero(labels == label))
+        trivial = len(comp) == 1 and not pattern[comp[0], comp[0]]
+        components.append(Scc(comp, trivial))
     return components
 
 
@@ -339,13 +305,15 @@ def is_irreducible(m):
     return len(scc_partition(m)) == 1
 
 
-def stein_solve(g, r, c, tol=LINALG_RTOL, kron_limit=64, max_terms=1_000_000):
+def stein_solve(g, r, c, tol=LINALG_RTOL):
     """Unique solution W of the Stein equation W - G W R = C.
 
     Requires rho(G) * rho(R) < 1 (raises ConvergenceError otherwise; the
-    product reaching 1 signals a divergent series). Solved through the
-    Kronecker system (I - R^T (x) G) vec(W) = vec(C) up to `kron_limit`,
-    by the truncated fixed-point sum W = sum_i G^i C R^i above it.
+    product reaching 1 signals a divergent series). Smith doubling sums
+    W = sum_i G^i C R^i in blocks of doubling length: W += G_k W R_k with
+    G_{k+1} = G_k^2, R_{k+1} = R_k^2, until the added block falls below
+    machine precision relative to W. The number of steps grows like
+    log2(1 / (1 - rho(G) rho(R))).
     """
     a = as_square(g, "G")
     b = as_square(r, "R")
@@ -360,20 +328,17 @@ def stein_solve(g, r, c, tol=LINALG_RTOL, kron_limit=64, max_terms=1_000_000):
             "(null-recurrent input; use the shifted route)",
             residual=product,
         )
-    if n <= kron_limit:
-        system = np.eye(n * n) - np.kron(b.T, a)
-        w = solve_linear(system, rhs.flatten(order="F")).reshape((n, n), order="F")
+    w = rhs.copy()
+    g_k, r_k = a, b
+    for _ in range(STEIN_MAX_DOUBLINGS):
+        term = g_k @ w @ r_k
+        w += term
+        if inf_norm(term) <= np.finfo(float).eps * inf_norm(w):
+            break
+        g_k = g_k @ g_k
+        r_k = r_k @ r_k
     else:
-        w = rhs.copy()
-        term = rhs.copy()
-        limit = tol * max(inf_norm(rhs), np.finfo(float).tiny)
-        for _ in range(max_terms):
-            term = a @ term @ b
-            w += term
-            if inf_norm(term) <= 0.25 * (1.0 - product) * limit:
-                break
-        else:
-            raise ConvergenceError("Stein series did not converge")
+        raise ConvergenceError("Stein doubling did not converge")
     residual = inf_norm(w - a @ w @ b - rhs)
     scale = inf_norm(rhs) + inf_norm(w) * (1.0 + inf_norm(a) * inf_norm(b))
     if residual > max(tol * scale, 100 * np.finfo(float).eps):

@@ -80,7 +80,8 @@ class ShiftTransform:
 
     q = u_G v^T and s = w v_R^T are idempotent under the unit pairings
     v^T u_G = 1 and v_R^T w = 1; q is present for right/double, s for
-    left/double.
+    left/double. u_g and v_r are the Perron vectors the shift was built
+    from, kept for every kind.
     """
 
     kind: ShiftKind
@@ -90,6 +91,8 @@ class ShiftTransform:
     xi_n1: float
     v: np.ndarray | None
     w: np.ndarray | None
+    u_g: np.ndarray
+    v_r: np.ndarray
     shifted: ShiftedTriple
 
 
@@ -128,7 +131,7 @@ def build_right(model, cls, perron, v=None):
     shifted.poly()
     return ShiftTransform(
         kind=ShiftKind.RIGHT, q=q, s=None, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=v_scaled, w=None, shifted=shifted,
+        v=v_scaled, w=None, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
     )
 
 
@@ -146,7 +149,7 @@ def build_left(model, cls, perron, w=None):
     shifted.poly()
     return ShiftTransform(
         kind=ShiftKind.LEFT, q=None, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=None, w=w_scaled, shifted=shifted,
+        v=None, w=w_scaled, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
     )
 
 
@@ -189,7 +192,7 @@ def build_double(model, cls, perron, v=None, w=None):
     shifted.poly()
     return ShiftTransform(
         kind=ShiftKind.DOUBLE, q=q, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=v_scaled, w=w_scaled, shifted=shifted,
+        v=v_scaled, w=w_scaled, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
     )
 
 
@@ -350,8 +353,7 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
     if kind is ShiftKind.DOUBLE:
         raise ValueError("no closed-form hats for a non-null double shift")
     if kind is ShiftKind.RIGHT:
-        u_g_vec = _transform_ug(transform)
-        val = transform.xi_n * float(transform.v @ sol.ghat @ u_g_vec)
+        val = transform.xi_n * float(transform.v @ sol.ghat @ transform.u_g)
         if abs(1.0 - val) < margin:
             raise ValueError(
                 f"inadmissible v: xi_n v^T Ghat u_G = {val:.12g} is within "
@@ -361,8 +363,7 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
         g_s = sol.g - transform.xi_n * transform.q
         r_s = sol.r
     else:
-        v_r_vec = _transform_vr(transform)
-        val = (1.0 / transform.xi_n1) * float(v_r_vec @ sol.rhat @ transform.w)
+        val = float(transform.v_r @ sol.rhat @ transform.w) / transform.xi_n1
         if abs(1.0 - val) < margin:
             raise ValueError(
                 f"inadmissible w: xi_n1^-1 v_R^T Rhat w = {val:.12g} is "
@@ -381,20 +382,6 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
         "Khat_s_form2": kernel.inf_norm(khat_s - (b0 + rhat_s @ bp)),
     }
     return NonNullHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, w=w_s, residuals=residuals)
-
-
-def _transform_ug(transform):
-    """Recover u_G (column direction of Q) with v^T u_G = 1 scaling."""
-    q = transform.q
-    j = int(np.argmax(np.abs(transform.v)))
-    return q[:, j] / transform.v[j]
-
-
-def _transform_vr(transform):
-    """Recover v_R (row direction of S) with v_R^T w = 1 scaling."""
-    s = transform.s
-    i = int(np.argmax(np.abs(transform.w)))
-    return s[i, :] / transform.w[i]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -106,3 +106,23 @@ def fixed_point_g(a_minus, a_zero, a_plus, sweeps):
     for _ in range(sweeps):
         x = a_minus + a_zero @ x + a_plus @ x @ x
     return x
+
+
+def kron_stein(g, r, c):
+    """W with W - G W R = C through the n^2 x n^2 Kronecker system
+    (I - R^T (x) G) vec(W) = vec(C), vec stacking columns."""
+    g, r, c = (np.asarray(x, dtype=float) for x in (g, r, c))
+    n = g.shape[0]
+    system = np.eye(n * n) - np.kron(r.T, g)
+    return np.linalg.solve(system, c.flatten(order="F")).reshape((n, n), order="F")
+
+
+def reachability(pattern):
+    """Reflexive-transitive closure of a boolean adjacency matrix by
+    repeated boolean squaring: reach[i, j] iff j is reachable from i."""
+    reach = np.asarray(pattern, dtype=bool) | np.eye(len(pattern), dtype=bool)
+    while True:
+        step = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        if np.array_equal(step, reach):
+            return reach
+        reach = step

@@ -183,6 +183,17 @@ class TestMain:
                          "--out", str(out)]) == 0
         assert cli.main(["solve", str(out), "--quiet"]) == 0
 
+    def test_gen_then_solve_near_null(self, tmp_path):
+        # root gap ~1e-6 at n = 65: a term-by-term Stein series needs ~10^6
+        # terms here, Smith doubling ~25 steps
+        model = tmp_path / "gen.json"
+        report = tmp_path / "report.json"
+        assert cli.main(["gen", "positive", "-n", "65", "--seed", "0",
+                         "--gamma", "1e-6", "--out", str(model)]) == 0
+        assert cli.main(["solve", str(model), "--json", str(report), "--quiet"]) == 0
+        certs = json.loads(report.read_text())["certificates"]
+        assert not [c["name"] for c in certs if c["status"] == "fail"]
+
     def test_bench_null(self, tmp_path):
         out = tmp_path / "bench.json"
         code = cli.main(["bench", "null", "-n", "4", "--count", "5",

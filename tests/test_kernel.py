@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from qbdshift import kernel
@@ -148,6 +150,27 @@ class TestSccPartition:
         }
         assert base == relabeled
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+    def test_matches_reachability_oracle(self, pattern):
+        m = pattern.astype(float)
+        comps = kernel.scc_partition(m)
+        reach = oracles.reachability(pattern)
+        mutual = reach & reach.T
+        assert {frozenset(c.vertices) for c in comps} == {
+            frozenset(np.flatnonzero(row).tolist()) for row in mutual
+        }
+        # topological order: no edge leads from a later component back
+        position = np.empty(len(m), dtype=int)
+        for k, c in enumerate(comps):
+            position[list(c.vertices)] = k
+        src, dst = np.nonzero(pattern)
+        assert np.all(position[src] <= position[dst])
+        for c in comps:
+            v = c.vertices[0]
+            assert c.trivial == (len(c.vertices) == 1 and not pattern[v, v])
+        assert kernel.is_irreducible(m) == bool(mutual.all())
+
 
 class TestSteinSolve:
     def test_g_zero_returns_c(self):
@@ -178,11 +201,32 @@ class TestSteinSolve:
         w_conj = kernel.stein_solve(p @ g @ p.T, p @ r @ p.T, p @ c @ p.T)
         np.testing.assert_allclose(w_conj, p @ w @ p.T, atol=1e-10)
 
-    def test_series_path_matches_kronecker(self):
-        rng = np.random.default_rng(11)
-        g = rng.uniform(0, 0.3, (3, 3))
-        r = rng.uniform(0, 0.3, (3, 3))
-        c = rng.standard_normal((3, 3))
-        direct = kernel.stein_solve(g, r, c)
-        series = kernel.stein_solve(g, r, c, kron_limit=0)
-        np.testing.assert_allclose(series, direct, atol=1e-11)
+    @pytest.mark.parametrize("seed", range(11, 19))
+    def test_matches_kronecker_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        g = rng.uniform(0, 1, (n, n))
+        r = rng.uniform(0, 1, (n, n))
+        g *= rng.uniform(0.1, 1.0) / oracles.naive_spectral_radius(g)
+        r *= rng.uniform(0.1, 0.9) / oracles.naive_spectral_radius(r)
+        c = rng.standard_normal((n, n))
+        ref = oracles.kron_stein(g, r, c)
+        np.testing.assert_allclose(
+            kernel.stein_solve(g, r, c), ref, rtol=0, atol=1e-12 * kernel.inf_norm(ref)
+        )
+
+    def test_near_null_matches_kronecker_oracle(self):
+        # rho(G) rho(R) = 1 - gap: W grows like 1/gap and both solves lose
+        # accuracy like eps/gap, so the tolerance scales with 1/gap
+        gap = 1e-8
+        rng = np.random.default_rng(5)
+        g = rng.uniform(0.1, 1, (4, 4))
+        r = rng.uniform(0.1, 1, (4, 4))
+        g /= g.sum(axis=1, keepdims=True)
+        r *= (1.0 - gap) / r.sum(axis=1, keepdims=True)
+        c = rng.standard_normal((4, 4))
+        ref = oracles.kron_stein(g, r, c)
+        tol = 1e2 * np.finfo(float).eps / gap
+        np.testing.assert_allclose(
+            kernel.stein_solve(g, r, c), ref, rtol=0, atol=tol * kernel.inf_norm(ref)
+        )
