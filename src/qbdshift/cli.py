@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import kernel, matpoly, model as model_mod, shift as shift_mod, solvers, verify
+from . import kernel, model as model_mod, shift as shift_mod, solvers, verify
 
 __all__ = [
     "EXIT_CERTIFICATE",
@@ -121,8 +121,10 @@ def read_model(path):
     for field in ("n", "a_minus", "a_zero", "a_plus"):
         if field not in raw:
             raise ParseError(f"{path}: missing field {field!r}")
+    n = raw["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f"{path}: n must be a positive integer, got {n!r}")
     try:
-        n = int(raw["n"])
         blocks = []
         for field in ("a_minus", "a_zero", "a_plus"):
             arr = np.asarray(raw[field], dtype=float)
@@ -167,7 +169,6 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
     route unless via='direct'), certify, assemble the report dict."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
-    rootset = matpoly.roots(triple.poly())
     direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
     report = {
         "schema": SCHEMA_VERSION,
@@ -178,7 +179,7 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
             "xi_n": cls.xi_n,
             "xi_n1": cls.xi_n1,
         },
-        "roots": _roots_payload(rootset),
+        "roots": _roots_payload(cls.roots),
         "via": via,
         "direct": _solution_payload(direct),
     }

@@ -1,5 +1,6 @@
 """QBD transition triples: validation against the standing assumptions,
-drift/spectral classification, and the Perron vector registry.
+drift/spectral classification carrying the roots of B(z), and the Perron
+vector registry.
 
 A level transition is described by three nonnegative n x n blocks
 A_-1, A_0, A_1 (one level down, same level, one level up) whose sum is
@@ -68,11 +69,11 @@ class QbdTriple:
         return QbdTriple(self.n, self.a_plus, self.a_zero, self.a_minus)
 
 
-def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL, check_unit_root=True):
+def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL):
     """Check nonnegativity, stochasticity of the sum, and irreducibility.
 
-    The single-final-class assumption is probed indirectly (warning only):
-    z = 1 should be the only root of B(z) on the unit circle.
+    No roots are computed here: `classify` warns when B(z) has
+    unit-circle roots away from z = 1.
     """
     blocks = []
     for name, raw in (("a_minus", a_minus), ("a_zero", a_zero), ("a_plus", a_plus)):
@@ -80,6 +81,8 @@ def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL, check_unit_root=T
             a = kernel.as_square(raw, name)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        if a.size == 0:
+            raise ValidationError(f"{name} is empty")
         if np.min(a) < 0.0:
             raise ValidationError(f"{name} has a negative entry (min {np.min(a)})")
         blocks.append(a)
@@ -95,23 +98,7 @@ def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL, check_unit_root=T
         )
     if not kernel.is_irreducible(a_m + a_0 + a_p):
         raise ValidationError("A_-1 + A_0 + A_1 is reducible")
-    triple = QbdTriple(n=n, a_minus=a_m, a_zero=a_0, a_plus=a_p)
-    if check_unit_root:
-        # Unit-circle roots away from z = 1 signal more than one final
-        # class (a double root at 1 itself is legitimate null recurrence).
-        rs = matpoly.roots(triple.poly())
-        extra = sum(
-            1
-            for z in rs.finite
-            if abs(abs(z) - 1.0) <= 1e-6 and abs(z - 1.0) > 1e-6
-        )
-        if extra:
-            warnings.warn(
-                f"{extra} unit-circle root(s) of B(z) away from z=1: the "
-                "chain may have more than one final class",
-                stacklevel=2,
-            )
-    return triple
+    return QbdTriple(n=n, a_minus=a_m, a_zero=a_0, a_plus=a_p)
 
 
 class Kind(str, enum.Enum):
@@ -122,12 +109,14 @@ class Kind(str, enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Classification:
-    """Drift sign and the two real splitting roots xi_n <= xi_{n+1}."""
+    """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, and
+    all 2n roots of B(z)."""
 
     kind: Kind
     drift: float
     xi_n: float
     xi_n1: float
+    roots: matpoly.RootSet
 
 
 def stationary_vector(a):
@@ -149,11 +138,17 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
     drift = theta^T A_1 e - theta^T A_-1 e for theta stationary in the
     phase process; negative drift is positive recurrence. xi_n and
     xi_{n+1} come from the sorted roots of B(z), with the unit root
-    snapped to exactly 1 in the classes where it is known a priori.
+    snapped to exactly 1 in the classes where it is known a priori. Warns
+    on unit-circle roots away from z = 1, a sign of several final classes.
     """
     theta = stationary_vector(model.a_sum())
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
     rs = matpoly.roots(model.poly())
+    on_circle = np.abs(np.abs(rs.finite) - 1.0) <= 1e-6
+    extra = int(np.count_nonzero(on_circle & (np.abs(rs.finite - 1.0) > 1e-6)))
+    if extra:
+        warnings.warn(f"{extra} unit-circle root(s) of B(z) away from z=1: the chain "
+                      "may have more than one final class", stacklevel=2)
     n = model.n
     if abs(drift) <= null_tol:
         kind = Kind.NULL_RECURRENT
@@ -166,7 +161,7 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
         kind = Kind.TRANSIENT
         xi_n = _real_positive_root(rs, n - 1)
         xi_n1 = 1.0
-    return Classification(kind=kind, drift=drift, xi_n=xi_n, xi_n1=xi_n1)
+    return Classification(kind=kind, drift=drift, xi_n=xi_n, xi_n1=xi_n1, roots=rs)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -293,13 +293,14 @@ def _base_certs(model, cls, sol, perron, samples):
     certs.append(
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
     )
-    rootset = matpoly.roots(model.poly())
-    eig_g = list(np.linalg.eigvals(g))
-    eig_r_recip = [np.inf if abs(z) == 0.0 else 1.0 / z for z in np.linalg.eigvals(r)]
+    eig_r = np.linalg.eigvals(r)
+    eig_r_recip = np.divide(1.0, eig_r, out=np.full_like(eig_r, np.inf), where=eig_r != 0)
     certs.append(
         _cert(
             "spec:eig(G)+1/eig(R)=roots(B)",
-            matpoly.multiset_distance(eig_g + eig_r_recip, rootset),
+            matpoly.multiset_distance(
+                np.concatenate([np.linalg.eigvals(g), eig_r_recip]), cls.roots
+            ),
             ROOT_MATCH_TOL,
         )
     )
@@ -358,10 +359,10 @@ def _base_certs(model, cls, sol, perron, samples):
         certs.append(
             _cert("W:Rhat-similarity", kernel.inf_norm(rhat_w - rhat), sim_tol)
         )
-    return certs, rootset
+    return certs
 
 
-def _transform_certs(model, cls, sol, perron, transform, rootset, samples,
+def _transform_certs(model, cls, sol, perron, transform, samples,
                      roundtrip, cr_tol, cr_max_iter, det_seed):
     kind = transform.kind.value
     shifted = transform.shifted
@@ -385,7 +386,7 @@ def _transform_certs(model, cls, sol, perron, transform, rootset, samples,
         _cert(
             f"{kind}:roots-surgery",
             matpoly.multiset_distance(
-                matpoly.roots(shifted.poly()), _surgery_expected(rootset, transform)
+                matpoly.roots(shifted.poly()), _surgery_expected(cls.roots, transform)
             ),
             ROOT_MATCH_TOL,
         ),
@@ -543,12 +544,12 @@ def check_identity_suite(model, cls=None, sol=None, perron=None,
         perron = model_mod.perron_data(model, cls)
     if perron.v_ghat is None:
         perron = model_mod.complete_perron_data(perron, sol)
-    certs, rootset = _base_certs(model, cls, sol, perron, samples)
+    certs = _base_certs(model, cls, sol, perron, samples)
     for kind in kinds:
         transform = shift_mod.build_transform(model, cls, perron, kind)
         certs.extend(
             _transform_certs(
-                model, cls, sol, perron, transform, rootset, samples,
+                model, cls, sol, perron, transform, samples,
                 roundtrip, cr_tol, cr_max_iter, det_seed,
             )
         )

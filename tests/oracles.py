@@ -4,6 +4,7 @@ null-recurrent instance, and naive dense helpers that bypass the package
 implementations."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -126,3 +127,28 @@ def reachability(pattern):
         if np.array_equal(step, reach):
             return reach
         reach = step
+
+
+def chordal_scalar(x, y):
+    """Chordal distance of two complex scalars on the Riemann sphere, one
+    case at a time; a value with an infinite part is the point at
+    infinity. Values are taken as numpy complex scalars, as the package
+    stores roots, whose abs() is the libm hypot."""
+    x, y = np.complex128(x), np.complex128(y)
+    x_inf, y_inf = cmath.isinf(x), cmath.isinf(y)
+    if x_inf and y_inf:
+        return 0.0
+    if x_inf or y_inf:
+        z = y if x_inf else x
+        return 1.0 / np.hypot(1.0, abs(z))
+    return abs(x - y) / np.hypot(1.0, abs(x)) / np.hypot(1.0, abs(y))
+
+
+def matching_costs(a, b):
+    """(sum, max) of the chordal distances of every perfect matching of
+    two equal-size multisets, by brute force over permutations."""
+    costs = []
+    for perm in itertools.permutations(b):
+        dist = [chordal_scalar(x, y) for x, y in zip(a, perm)]
+        costs.append((sum(dist), max(dist, default=0.0)))
+    return costs

@@ -77,6 +77,18 @@ class TestModelFiles:
         with pytest.raises(cli.ParseError, match="entries"):
             cli.read_model(path)
 
+    @pytest.mark.parametrize("n", [0, 2.7, True, "2"])
+    def test_bad_n(self, tmp_path, n):
+        # n = 0 used to crash in validate; n = 2.7 was truncated to 2
+        path = tmp_path / "m.json"
+        size = 4 if n == 2.7 else 0
+        payload = {"n": n, "a_minus": [0.25] * size, "a_zero": [0.25] * size,
+                   "a_plus": [0.0] * size}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(cli.ParseError, match="positive integer"):
+            cli.read_model(path)
+        assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
+
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
     path = tmp_path / name
@@ -168,6 +180,27 @@ class TestMain:
         path = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         monkeypatch.setattr(cli.solvers, "solve_all", boom)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_SOLVER
+
+    @pytest.mark.parametrize("kind, expected", [("positive", 4), ("null", 5)])
+    def test_roots_computed_once(self, tmp_path, monkeypatch, kind, expected):
+        # classify, then one pencil per shift kind; a null model adds the
+        # reversed model's classify in reference_solution
+        from qbdshift import matpoly
+
+        calls = []
+        real_roots = matpoly.roots
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_roots(*args, **kwargs)
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "4", "--seed", "1", "--out", str(path)]) == 0
+        monkeypatch.setattr(matpoly, "roots", counted)
+        cli.read_model(path)
+        assert not calls
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert len(calls) == expected
 
     def test_gen_writes_model(self, tmp_path):
         out = tmp_path / "gen.json"

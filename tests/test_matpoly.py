@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qbdshift import matpoly, solve_all
@@ -182,3 +183,63 @@ class TestMultisetDistance:
 
     def test_large_roots_compare_chordally(self):
         assert matpoly.multiset_distance([1e9], [1e9 * (1 + 1e-9)]) <= 1e-8
+
+    def test_matches_brute_force_oracle(self):
+        # the largest pair of the least-sum matching; on unrelated sets it
+        # can exceed the bottleneck optimum (least largest pair)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a = random_multiset(rng)
+            b = random_multiset(rng, len(a))
+            costs = oracles.matching_costs(a, b)
+            got = matpoly.multiset_distance(a, b)
+            assert got == pytest.approx(min(costs)[1], rel=1e-12)
+            assert got >= min(m for _, m in costs) * (1.0 - 1e-12)
+
+    def test_perturbed_sets_meet_bottleneck_oracle(self):
+        # a root set against a permuted copy moved by 1e-9 relative: the
+        # summed and the bottleneck optimum pick the same matching
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            a = random_multiset(rng)
+            noise = 1e-9 * (rng.normal(size=len(a)) + 1j * rng.normal(size=len(a)))
+            b = rng.permutation(np.where(np.isinf(a), a, a * (1.0 + noise)))
+            bottleneck = min(m for _, m in oracles.matching_costs(a, b))
+            assert matpoly.multiset_distance(a, b) == pytest.approx(bottleneck, rel=1e-12)
+
+
+def random_multiset(rng, size=None):
+    """1 to 6 complex values over several scales, about a fifth infinite."""
+    size = int(rng.integers(1, 7)) if size is None else size
+    scale = rng.choice([1e-3, 1.0, 1e3], size=size)
+    values = scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    return np.where(rng.random(size) < 0.2, complex(np.inf, 0.0), values)
+
+
+SPECIAL_VALUES = [
+    0j, complex(1e300, 0.0), complex(0.0, -1e300), complex(1e300, -1e300),
+    complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, np.inf),
+]
+COMPLEX_VALUES = st.one_of(
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIAL_VALUES),
+)
+
+
+class TestChordalDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COMPLEX_VALUES, min_size=1, max_size=6),
+           st.lists(COMPLEX_VALUES, min_size=1, max_size=6))
+    def test_broadcast_matches_scalar_oracle(self, xs, ys):
+        got = matpoly.chordal_distance(np.array(xs)[:, None], np.array(ys)[None, :])
+        want = np.array([[oracles.chordal_scalar(x, y) for y in ys] for x in xs])
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+    def test_scalar_inputs_give_scalars(self):
+        assert matpoly.chordal_distance(np.inf, np.inf) == 0.0
+        assert matpoly.chordal_distance(0.0, np.inf) == 1.0
+        assert np.ndim(matpoly.chordal_distance(1.0, 2.0j)) == 0
+
+    def test_large_finite_roots_stay_apart(self):
+        # the product of the two hypot factors would overflow to inf here
+        assert matpoly.chordal_distance(1e200, -1e200) == pytest.approx(2e-200)

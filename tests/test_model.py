@@ -41,6 +41,11 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate([[1.0]], np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_empty_blocks(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValidationError, match="empty"):
+            validate(empty, empty, empty)
+
 
 class TestClassify:
     def test_p1(self, p1):
@@ -163,7 +168,7 @@ class TestUnitRootWarning:
         flip = [[0.0, 0.5], [0.5, 0.0]]
         zero = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.warns(UserWarning, match="unit-circle"):
-            validate(flip, zero, flip)
+            classify(validate(flip, zero, flip))
 
     def test_clean_instances_do_not_warn(self, e2, n2):
         import warnings
@@ -171,7 +176,7 @@ class TestUnitRootWarning:
         for m in (e2, n2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                validate(m.a_minus, m.a_zero, m.a_plus)
+                classify(validate(m.a_minus, m.a_zero, m.a_plus))
 
 
 def test_pairing_scalars_recorded(e2):
