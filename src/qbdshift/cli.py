@@ -347,6 +347,16 @@ def _write_json(payload, path=None, out=None):
         print(text, file=out or sys.stdout)
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low, rejected at parse time (exit 2)."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qbdshift",
@@ -360,8 +370,8 @@ def _build_parser():
                          choices=("direct", "right", "left", "double", "auto"))
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.add_argument("--max-iter", type=int, default=solvers.CR_MAX_ITER)
-    p_solve.add_argument("--samples", type=int, default=16)
-    p_solve.add_argument("--seed", type=int, default=None,
+    p_solve.add_argument("--samples", type=_int_at_least(1), default=16)
+    p_solve.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="seed for the determinant spot-check points")
     p_solve.add_argument("--json", dest="json_out", metavar="PATH", default=None,
                          help="write the structured report here")
@@ -369,16 +379,16 @@ def _build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance")
     p_gen.add_argument("klass", metavar="class", choices=GEN_KINDS)
-    p_gen.add_argument("-n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("-n", type=_int_at_least(1), required=True)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.add_argument("--gamma", type=float, default=0.5)
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_bench = sub.add_parser("bench", help="direct vs shifted benchmark")
     p_bench.add_argument("klass", metavar="class", choices=GEN_KINDS)
-    p_bench.add_argument("-n", type=int, required=True)
-    p_bench.add_argument("--count", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("-n", type=_int_at_least(1), required=True)
+    p_bench.add_argument("--count", type=_int_at_least(1), default=20)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--tol", type=float, default=1e-8)
     p_bench.add_argument("--max-iter", type=int, default=solvers.CR_MAX_ITER)
     p_bench.add_argument("--gamma", type=float, default=0.5)

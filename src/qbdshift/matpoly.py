@@ -131,6 +131,12 @@ class RootSet:
         i = int(np.argmin(chordal_distance(self.finite, value)))
         return RootSet(np.delete(self.finite, i), self.n_infinite)
 
+    def reciprocals(self):
+        """Roots of z^2 B(1/z): 1/z for each root, 0 and infinity swapped."""
+        nonzero = self.finite[self.finite != 0]
+        finite = np.append(1.0 / nonzero, np.zeros(self.n_infinite, dtype=complex))
+        return RootSet(_sorted_roots(finite), len(self.finite) - len(nonzero))
+
     def with_value(self, value):
         """Add one root (possibly infinity), keeping the sorted order."""
         if np.isinf(value):
@@ -229,11 +235,6 @@ class Factorization:
             return "weak"
         raise ValueError("factor spectral radius exceeds one")
 
-    def eval(self, z):
-        n = self.left.shape[0]
-        eye = np.eye(n)
-        return (eye - z * self.left) @ self.middle @ (eye - self.right / z)
-
 
 def unit_circle_samples(count=16):
     """`count` equispaced points on |z| = 1 starting at z = 1 (z = -1 is
@@ -242,16 +243,26 @@ def unit_circle_samples(count=16):
 
 
 def factorization_residual(poly, fact, samples=16):
-    """Max over unit-circle samples of ||phi(z) - factorization(z)||_inf
-    (phi(z^-1) for the reversed direction)."""
+    """Max over unit-circle samples of the largest entry modulus of
+    phi(z) - factorization(z) (phi(z^-1) for the reversed direction).
+
+    The difference is the Laurent polynomial z^-1 C_-1 + C_0 + z C_1 with
+    C_-1 = B_-1 + M R, C_0 = B_0 - M - L M R and C_1 = B_1 + L M (B_-1 and
+    B_1 trade places for phi(z^-1)), so the three products are formed once
+    and each sample costs one elementwise pass. An empty sample set would
+    pass vacuously and raises ValueError.
+    """
     points = unit_circle_samples(samples) if isinstance(samples, int) else samples
-    reversed_dir = fact.direction == "z_inverse"
-    worst = 0.0
-    for z in points:
-        lhs = eval_phi(poly, z, reversed=reversed_dir)
-        diff = lhs - fact.eval(z)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    if len(points) == 0:
+        raise ValueError("factorization residual needs at least one sample point")
+    low, high = poly.b_minus, poly.b_plus
+    if fact.direction == "z_inverse":
+        low, high = high, low
+    lm = fact.left @ fact.middle
+    c_low = low + fact.middle @ fact.right
+    c_mid = poly.b_zero - fact.middle - lm @ fact.right
+    c_high = high + lm
+    return max(float(np.max(np.abs(c_low / z + c_mid + z * c_high))) for z in points)
 
 
 def chordal_distance(x, y):

@@ -118,6 +118,21 @@ class Classification:
     xi_n1: float
     roots: matpoly.RootSet
 
+    def reversed(self):
+        """Classification of the reversed triple (A_1, A_0, A_-1), derived
+        without an eigensolve: its B(z) is z^2 B(1/z), so the roots are the
+        reciprocals (0 and infinity trade places), the splitting roots are
+        1/xi_{n+1} <= 1/xi_n, the drift changes sign and positive
+        recurrence trades places with transience."""
+        kind = {
+            Kind.POSITIVE_RECURRENT: Kind.TRANSIENT,
+            Kind.TRANSIENT: Kind.POSITIVE_RECURRENT,
+        }.get(self.kind, self.kind)
+        return Classification(
+            kind=kind, drift=-self.drift, xi_n=1.0 / self.xi_n1, xi_n1=1.0 / self.xi_n,
+            roots=self.roots.reciprocals(),
+        )
+
 
 def stationary_vector(a):
     """Stationary row vector of an irreducible stochastic matrix."""

@@ -497,7 +497,7 @@ def reference_solution(model, cls=None, tol=solvers.CR_TOL,
     kind = ShiftKind.DOUBLE if null else pick_kind(cls)
     fwd = solve_via(model, cls, kind=kind, tol=tol, max_iter=max_iter)
     rev_model = model.reversed()
-    rev_cls = model_mod.classify(rev_model)
+    rev_cls = cls.reversed()
     rev_kind = ShiftKind.DOUBLE if null else pick_kind(rev_cls)
     rev = solve_via(rev_model, rev_cls, kind=rev_kind, tol=tol, max_iter=max_iter)
     b0 = model.b_zero()

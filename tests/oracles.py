@@ -152,3 +152,30 @@ def matching_costs(a, b):
         dist = [chordal_scalar(x, y) for x, y in zip(a, perm)]
         costs.append((sum(dist), max(dist, default=0.0)))
     return costs
+
+
+def det_replacement_residual(shifted, original, removed, points):
+    """Largest relative gap of det(zI - M_s)(z - removed) = z det(zI - M)
+    over `points`, with one LU determinant per matrix and point."""
+    eye = np.eye(np.asarray(shifted).shape[0])
+    worst = 0.0
+    for z in points:
+        lhs = np.linalg.det(z * eye - shifted) * (z - removed)
+        rhs = z * np.linalg.det(z * eye - original)
+        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
+    return worst
+
+
+def product_factorization_residual(b_minus, b_zero, b_plus, left, middle, right,
+                                   direction, points):
+    """Largest entry modulus of phi(z) - (I - zL) M (I - R/z) over `points`,
+    with phi(z^-1) in place of phi(z) for the "z_inverse" direction, by two
+    complex matrix products per point."""
+    eye = np.eye(np.asarray(middle).shape[0])
+    worst = 0.0
+    for z in points:
+        w = 1.0 / z if direction == "z_inverse" else z
+        lhs = b_minus / w + b_zero + w * b_plus
+        diff = lhs - (eye - z * left) @ middle @ (eye - right / z)
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst

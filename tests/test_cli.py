@@ -89,6 +89,25 @@ class TestModelFiles:
             cli.read_model(path)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("flags", [
+        ["solve", "{model}", "--samples", "0"],
+        ["solve", "{model}", "--samples", "-3"],
+        ["solve", "{model}", "--seed", "-1"],
+        ["gen", "positive", "-n", "0"],
+        ["gen", "positive", "-n", "2", "--seed", "-1"],
+        ["bench", "null", "-n", "2", "--count", "0"],
+        ["bench", "null", "-n", "2", "--seed", "-1"],
+    ], ids=["samples-0", "samples-neg", "solve-seed-neg", "gen-n-0", "gen-seed-neg",
+            "bench-count-0", "bench-seed-neg"])
+    def test_out_of_range_flags(self, tmp_path, capsys, flags):
+        # --samples 0 passed every factorization certificate vacuously;
+        # a negative seed, n or count exited 1 with a traceback
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([f.format(model=model) for f in flags])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "must be at least" in capsys.readouterr().err
+
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
     path = tmp_path / name
@@ -181,10 +200,10 @@ class TestMain:
         monkeypatch.setattr(cli.solvers, "solve_all", boom)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_SOLVER
 
-    @pytest.mark.parametrize("kind, expected", [("positive", 4), ("null", 5)])
+    @pytest.mark.parametrize("kind, expected", [("positive", 4), ("null", 4)])
     def test_roots_computed_once(self, tmp_path, monkeypatch, kind, expected):
-        # classify, then one pencil per shift kind; a null model adds the
-        # reversed model's classify in reference_solution
+        # classify, then one pencil per shift kind; the reversed model's
+        # classification in reference_solution is derived, not recomputed
         from qbdshift import matpoly
 
         calls = []
@@ -201,6 +220,43 @@ class TestMain:
         assert not calls
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert len(calls) == expected
+
+    def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
+        # replacement claims take one eigensolve per matrix; only the
+        # fixed-count determinant identity and singularity probes call det
+        calls = []
+        real_det = np.linalg.det
+
+        def counted(a):
+            calls.append(a.shape)
+            return real_det(a)
+
+        counts = []
+        for n in ("4", "16"):
+            path = tmp_path / f"gen{n}.json"
+            assert cli.main(["gen", "positive", "-n", n, "--seed", "1",
+                             "--out", str(path)]) == 0
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "det", counted)
+            assert cli.main(["solve", str(path), "--quiet"]) == 0
+            monkeypatch.setattr(np.linalg, "det", real_det)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_periodic_chain_warns_once(self, tmp_path):
+        # B(z) has a double root at -1 (see test_model); the reversed
+        # model's roots are not recomputed, so the warning is not repeated
+        import warnings
+
+        flip = [0.0, 0.5, 0.5, 0.0]
+        path = tmp_path / "flip.json"
+        path.write_text(json.dumps(
+            {"n": 2, "a_minus": flip, "a_zero": [0.0] * 4, "a_plus": flip}
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_CERTIFICATE
+        assert sum("unit-circle" in str(w.message) for w in caught) == 1
 
     def test_gen_writes_model(self, tmp_path):
         out = tmp_path / "gen.json"

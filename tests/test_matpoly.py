@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qbdshift import matpoly, solve_all
+from qbdshift import classify, matpoly, solve_all
 
 
 def scalar_poly(a_minus, a_zero, a_plus):
@@ -162,6 +162,63 @@ class TestFactorizationResidual:
             "z", np.array([[0.6]]), np.array([[-0.5]]), np.array([[0.5]])
         )
         assert matpoly.factorization_residual(poly, fact) >= 0.01
+
+    @pytest.mark.parametrize("direction", ["z", "z_inverse"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_product_oracle(self, direction, seed):
+        # random blocks and factors, odd seeds with zero rows and columns
+        rng = np.random.default_rng(seed)
+        n = (1, 3, 8)[seed % 3]
+        b_m, b_0, b_p, left, middle, right = (
+            rng.uniform(-1.0, 1.0, (n, n)) for _ in range(6)
+        )
+        if seed % 2:
+            dead = rng.choice(n, size=(n + 1) // 2, replace=False)
+            left[dead, :] = 0.0
+            right[:, dead] = 0.0
+            b_p[dead, :] = 0.0
+        poly = matpoly.QuadMatPoly(b_m, b_0, b_p)
+        fact = matpoly.Factorization(direction, left, middle, right)
+        expected = oracles.product_factorization_residual(
+            b_m, b_0, b_p, left, middle, right, direction,
+            matpoly.unit_circle_samples(16),
+        )
+        assert matpoly.factorization_residual(poly, fact) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+    def test_solved_factorizations_match_oracle(self, e2):
+        # B_-1 != B_1 here, so swapping them for phi(z^-1) is observable
+        sol = solve_all(e2, classify(e2))
+        poly = e2.poly()
+        points = matpoly.unit_circle_samples(16)
+        for direction, factors in (("z", (sol.r, sol.k, sol.g)),
+                                   ("z_inverse", (sol.rhat, sol.khat, sol.ghat))):
+            fact = matpoly.Factorization(direction, *factors)
+            got = matpoly.factorization_residual(poly, fact)
+            assert got <= 1e-14
+            assert got == pytest.approx(
+                oracles.product_factorization_residual(
+                    poly.b_minus, poly.b_zero, poly.b_plus, *factors, direction, points
+                ),
+                abs=1e-12,
+            )
+            other = "z" if direction == "z_inverse" else "z_inverse"
+            assert matpoly.factorization_residual(
+                poly, matpoly.Factorization(other, *factors)
+            ) >= 0.01
+            bumped = factors[2].copy()
+            bumped[0, 1] += 1e-6
+            wrong = matpoly.Factorization(direction, factors[0], factors[1], bumped)
+            assert matpoly.factorization_residual(poly, wrong) >= 1e-8
+
+    @pytest.mark.parametrize("samples", [0, -3, []])
+    def test_empty_sample_set_rejected(self, samples):
+        # an empty maximum would read 0 and pass every certificate
+        poly = scalar_poly(*oracles.P1)
+        fact = matpoly.Factorization("z", np.array([[0.6]]), np.array([[-0.5]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="sample"):
+            matpoly.factorization_residual(poly, fact, samples)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,26 @@ class TestUnitRootWarning:
                 classify(validate(m.a_minus, m.a_zero, m.a_plus))
 
 
+def test_reversed_classification_matches_classify(small_bank):
+    from qbdshift import cli
+
+    models = [m for rows in small_bank.values() for m, _ in rows]
+    models += [cli.generate(kind, 8, 2, gamma=gamma)[0]
+               for kind in ("positive", "transient") for gamma in (1e-3, 1e-4)]
+    # a zero row of A_1 and a zero column of A_-1: roots at infinity and 0
+    models.append(validate([[0.3, 0.0], [0.2, 0.0]], [[0.2, 0.2], [0.3, 0.5]],
+                           [[0.3, 0.0], [0.0, 0.0]]))
+    for m in models:
+        derived = classify(m).reversed()
+        direct = classify(m.reversed())
+        assert derived.kind is direct.kind
+        assert derived.drift == pytest.approx(direct.drift, rel=1e-9, abs=1e-15)
+        assert derived.xi_n == pytest.approx(direct.xi_n, rel=1e-8)
+        assert derived.xi_n1 == pytest.approx(direct.xi_n1, rel=1e-8)
+        assert derived.roots.n_infinite == direct.roots.n_infinite
+        assert matpoly.multiset_distance(derived.roots, direct.roots) <= 1e-9
+
+
 def test_pairing_scalars_recorded(e2):
     cls = classify(e2)
     sol = solve_all(e2, cls)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from qbdshift import (
     check_identity_suite,
     check_mmatrix,
@@ -12,9 +13,12 @@ from qbdshift import (
     perron_data,
     phase_partition,
     reference_solution,
+    shifted_gr,
     solve_all,
     validate,
 )
+from qbdshift import verify
+from qbdshift.shift import build_transform
 
 
 def solved(model):
@@ -191,6 +195,70 @@ class TestPatternedInstances:
         part = phase_partition(sol, pd)
         assert part.s1_tilde  # w picks up support beyond R's block
         assert part.sa & (part.s1 | part.s1_tilde)
+
+
+class TestSpectrumReplacement:
+    """The eigenvalue-product evaluation of det(zI - M) against one LU
+    determinant per point (oracles.det_replacement_residual)."""
+
+    @staticmethod
+    def residuals(shifted, original, removed):
+        n = shifted.shape[0]
+        cert = verify._spectrum_replacement_cert("spec:test", shifted, original, removed)
+        points = verify._det_points((removed,), count=max(verify.DET_POINT_COUNT, n + 2))
+        return cert, oracles.det_replacement_residual(shifted, original, removed, points)
+
+    @staticmethod
+    def rank_one_pair(seed, n, nilpotent):
+        """(M - rho u v^T, M, rho) for a random nonnegative M with Perron
+        pair (rho, u) and v^T u = 1; `nilpotent` phases only feed each
+        other in a chain, a defective zero cluster of that size."""
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(0.0, 1.0, (n, n)) / n
+        chain = rng.choice(n, size=nilpotent, replace=False)
+        m[chain, :] = 0.0
+        m[chain[:-1], chain[1:]] = 0.5
+        vals, vecs = np.linalg.eig(m)
+        top = int(np.argmax(vals.real))
+        rho, u = vals[top].real, vecs[:, top].real
+        v = rng.uniform(0.1, 1.0, n)
+        return m - rho * np.outer(u, v / (v @ u)), m, rho
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matches_oracle(self, seed):
+        n, nilpotent = (3, 6, 12)[seed % 3], (1, 3, 5)[seed % 3]
+        shifted, original, rho = self.rank_one_pair(seed, n, nilpotent)
+        cert, expected = self.residuals(shifted, original, rho)
+        assert cert.passed
+        assert cert.residual == pytest.approx(expected, abs=1e-12)
+        # a diagonal entry moves det(zI - M_s) by about 1e-6 z^(n-1)
+        bumped = shifted.copy()
+        bumped[0, 0] += 1e-6
+        cert, expected = self.residuals(bumped, original, rho)
+        assert cert.status == "fail"
+        assert cert.residual == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_patterned_shifts_match_oracle(self, seed):
+        m = TestPatternedInstances.patterned(seed)
+        cls, sol, pd = solved(m)
+        for kind in ("right", "left", "double"):
+            transform = build_transform(m, cls, pd, kind)
+            g_s, r_s, _ = shifted_gr(sol, transform)
+            claims = []
+            if transform.q is not None:
+                claims.append((g_s, sol.g, transform.xi_n))
+            if transform.s is not None:
+                claims.append((r_s, sol.r, 1.0 / transform.xi_n1))
+            for shifted, original, removed in claims:
+                cert, expected = self.residuals(shifted, original, removed)
+                assert cert.passed
+                assert cert.residual == pytest.approx(expected, abs=1e-12)
+                bumped = shifted.copy()
+                bumped[1, 1] += 1e-6
+                cert, expected = self.residuals(bumped, original, removed)
+                assert cert.status == "fail"
+                assert cert.residual == pytest.approx(expected, abs=1e-12)
 
 
 class TestNearNullRecurrent:
