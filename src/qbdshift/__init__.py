@@ -21,9 +21,7 @@ from .matpoly import (
     Factorization,
     QuadMatPoly,
     RootSet,
-    eval_phi,
     factorization_residual,
-    h_coefficients,
     multiset_distance,
     roots,
 )
@@ -41,35 +39,28 @@ from .model import (
 from .shift import (
     ShiftKind,
     ShiftTransform,
-    ShiftedSolutions,
-    build_double,
-    build_left,
-    build_right,
+    ShiftedHats,
+    build_transform,
     recover_gr,
     reference_solution,
     shifted_gr,
     shifted_hats_nonnull,
     shifted_hats_nullrec,
-    shifted_solutions,
     solve_via,
 )
 from .solvers import (
     SolutionSet,
     compute_w,
+    cyclic_reduction,
     derive_r_k,
     hats_from_w,
     solve_all,
-    solve_hat_pair,
-    solve_min_g,
-    solve_min_g_oracle,
 )
 from .verify import (
     Certificate,
-    PhasePartition,
     check_identity_suite,
     check_mmatrix,
     check_sign_property,
-    phase_partition,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -32,7 +33,6 @@ __all__ = [
     "generate",
     "main",
     "read_model",
-    "write_model",
 ]
 
 EXIT_PARSE = 2
@@ -101,12 +101,6 @@ def model_payload(triple, meta=None):
     return payload
 
 
-def write_model(path, triple, meta=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_payload(triple, meta), fh, indent=1)
-        fh.write("\n")
-
-
 def read_model(path):
     """Parse and validate a model file; returns (QbdTriple, meta)."""
     try:
@@ -165,8 +159,9 @@ def _solution_payload(sol):
 
 def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MAX_ITER,
                  samples=16, kinds=("right", "left", "double"), seed=None):
-    """Full pipeline on one model: classify, solve (direct, plus the shift
-    route unless via='direct'), certify, assemble the report dict."""
+    """Full pipeline on one model: classify, solve directly, solve through
+    each certified shift kind (the report's shift route is the picked
+    kind's, omitted for via='direct'), certify, assemble the report dict."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
     direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
@@ -183,13 +178,35 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
         "via": via,
         "direct": _solution_payload(direct),
     }
+    # Certify against the most accurate solution available: the direct
+    # route is only ~1e-7 accurate at null recurrence, which would show up
+    # as transport-residual noise rather than genuine identity failures.
+    reference = direct
+    if cls.kind is model_mod.Kind.NULL_RECURRENT:
+        reference = shift_mod.reference_solution(triple, cls)
+    perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
+    # one shifted solve per kind serves both the report's route and the
+    # kind's round-trip certificate; a failed round trip is a certificate
+    # failure, a failed route a solver failure
+    solved = [shift_mod.ShiftKind(k) for k in kinds]
+    route_kind = None
     if via != "direct":
-        route_kind = shift_mod.pick_kind(cls).value if via == "auto" else via
-        route = shift_mod.solve_via(triple, cls, kind=route_kind)
+        route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
+        solved.insert(0, route_kind)
+    routes = {}
+    for kind in dict.fromkeys(solved):
+        try:
+            routes[kind] = shift_mod.solve_via(triple, cls, kind, perron=perron)
+        except kernel.ConvergenceError as exc:
+            if kind is route_kind:
+                raise
+            routes[kind] = exc
+    if route_kind is not None:
+        route = routes[route_kind]
         bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
         report["shift_route"] = {
-            "kind": route_kind,
-            "iterations": route.iterations,
+            "kind": route_kind.value,
+            "iterations": route.cr.iterations,
             "G": _flat(route.g),
             "R": _flat(route.r),
             "recovery_residual": max(
@@ -197,15 +214,10 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
                 solvers.residual_r(bm, b0, bp, route.r),
             ),
         }
-    # Certify against the most accurate solution available: the direct
-    # route is only ~1e-7 accurate at null recurrence, which would show up
-    # as transport-residual noise rather than genuine identity failures.
-    reference = direct
-    if cls.kind is model_mod.Kind.NULL_RECURRENT:
-        reference = shift_mod.reference_solution(triple, cls)
     det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(
-        triple, cls, reference, kinds=kinds, samples=samples, det_seed=det_seed
+        triple, cls, reference, perron=perron, kinds=kinds, samples=samples,
+        routes=routes, det_seed=det_seed,
     )
     report["certificates"] = [c.to_dict() for c in certificates]
     report["certificate_summary"] = {
@@ -278,26 +290,13 @@ def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gam
     """
     rows = []
     for i in range(count):
-        triple, meta = generate(kind, n, seed + i, gamma=gamma)
+        triple, _ = generate(kind, n, seed + i, gamma=gamma)
         cls = model_mod.classify(triple)
         bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
-        direct = solvers.cyclic_reduction(bm, b0, bp, tol=tol, max_iter=max_iter)
-        perron = model_mod.perron_data(triple, cls)
-        transform = shift_mod.build_transform(
-            triple, cls, perron, shift_mod.pick_kind(cls)
+        direct = solvers.cyclic_reduction(
+            bm, b0, bp, tol=tol, max_iter=max_iter, res_tol=np.inf
         )
-        sh = transform.shifted
-        shifted = solvers.cyclic_reduction(
-            sh.a_minus, sh.b_zero(), sh.a_plus, tol=tol, max_iter=max_iter
-        )
-        r_shifted, _ = solvers.derive_r_k(sh.b_zero(), sh.a_plus, shifted.g, nonneg=False)
-        g_rec, r_rec = shift_mod.recover_gr(
-            shifted.g, r_shifted, transform, triple, res_tol=max(1e-10, 10.0 * tol)
-        )
-        recovery_residual = max(
-            solvers.residual_g(bm, b0, bp, g_rec),
-            solvers.residual_r(bm, b0, bp, r_rec),
-        )
+        route = shift_mod.solve_via(triple, cls, tol=tol, max_iter=max_iter)
         rows.append({
             "seed": seed + i,
             "kind": cls.kind.value,
@@ -306,12 +305,15 @@ def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gam
             "direct_converged": direct.converged,
             "direct_rate_estimate": direct.rate_estimate,
             "direct_accuracy": _accuracy_probe(cls.kind.value, direct.g),
-            "shifted_kind": transform.kind.value,
-            "shifted_iterations": shifted.iterations,
-            "shifted_residual": shifted.residual,
-            "shifted_rate_estimate": shifted.rate_estimate,
-            "recovery_residual": recovery_residual,
-            "recovered_accuracy": _accuracy_probe(cls.kind.value, g_rec),
+            "shifted_kind": route.transform.kind.value,
+            "shifted_iterations": route.cr.iterations,
+            "shifted_residual": route.cr.residual,
+            "shifted_rate_estimate": route.cr.rate_estimate,
+            "recovery_residual": max(
+                solvers.residual_g(bm, b0, bp, route.g),
+                solvers.residual_r(bm, b0, bp, route.r),
+            ),
+            "recovered_accuracy": _accuracy_probe(cls.kind.value, route.g),
         })
     return rows
 
@@ -339,7 +341,8 @@ def bench_report(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER,
 
 
 def _write_json(payload, path=None, out=None):
-    text = json.dumps(payload, indent=1)
+    # compact output: json uses its C encoder only without indentation
+    text = json.dumps(payload)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -357,6 +360,19 @@ def _int_at_least(low):
     return integer
 
 
+def _finite_float(low, strict=False):
+    """argparse type: a finite float >= low (> low if strict), rejected at
+    parse time (exit 2)."""
+    bound = f"{'above' if strict else 'at least'} {low:g}"
+
+    def number(text):
+        value = float(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        return value
+    return number
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qbdshift",
@@ -368,8 +384,8 @@ def _build_parser():
     p_solve.add_argument("path", help="model file (JSON)")
     p_solve.add_argument("--via", default="auto",
                          choices=("direct", "right", "left", "double", "auto"))
-    p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=solvers.CR_MAX_ITER)
+    p_solve.add_argument("--tol", type=_finite_float(0.0), default=None)
+    p_solve.add_argument("--max-iter", type=_int_at_least(1), default=solvers.CR_MAX_ITER)
     p_solve.add_argument("--samples", type=_int_at_least(1), default=16)
     p_solve.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="seed for the determinant spot-check points")
@@ -381,7 +397,7 @@ def _build_parser():
     p_gen.add_argument("klass", metavar="class", choices=GEN_KINDS)
     p_gen.add_argument("-n", type=_int_at_least(1), required=True)
     p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_gen.add_argument("--gamma", type=float, default=0.5)
+    p_gen.add_argument("--gamma", type=_finite_float(0.0, strict=True), default=0.5)
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_bench = sub.add_parser("bench", help="direct vs shifted benchmark")
@@ -389,9 +405,9 @@ def _build_parser():
     p_bench.add_argument("-n", type=_int_at_least(1), required=True)
     p_bench.add_argument("--count", type=_int_at_least(1), default=20)
     p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_bench.add_argument("--tol", type=float, default=1e-8)
-    p_bench.add_argument("--max-iter", type=int, default=solvers.CR_MAX_ITER)
-    p_bench.add_argument("--gamma", type=float, default=0.5)
+    p_bench.add_argument("--tol", type=_finite_float(0.0), default=1e-8)
+    p_bench.add_argument("--max-iter", type=_int_at_least(1), default=solvers.CR_MAX_ITER)
+    p_bench.add_argument("--gamma", type=_finite_float(0.0, strict=True), default=0.5)
     p_bench.add_argument("--out", default=None)
     return parser
 

@@ -1,6 +1,6 @@
 """Quadratic matrix polynomials B(z) = B_-1 + z B_0 + z^2 B_1 and the
 Laurent polynomial phi(z) = z^-1 B(z): evaluation, roots through the
-companion pencil, inverse-series coefficients, factorization residuals.
+companion pencil, factorization residuals.
 
 Roots of B(z) are the zeros of det B(z), with k roots at infinity when
 the degree of det B(z) is 2n - k. They are kept sorted by modulus, with
@@ -24,9 +24,7 @@ __all__ = [
     "QuadMatPoly",
     "RootSet",
     "chordal_distance",
-    "eval_phi",
     "factorization_residual",
-    "h_coefficients",
     "multiset_distance",
     "roots",
     "unit_circle_samples",
@@ -74,23 +72,11 @@ class QuadMatPoly:
         a0 = kernel.as_square(a_zero, "a_zero")
         return cls.new(a_minus, a0 - np.eye(a0.shape[0]), a_plus)
 
-    def reversed(self):
-        """z^2 B(1/z): coefficients swapped end for end."""
-        return QuadMatPoly(self.b_plus, self.b_zero, self.b_minus)
-
     def eval_b(self, z):
         return self.b_minus + z * self.b_zero + z * z * self.b_plus
 
     def det_b(self, z):
         return complex(np.linalg.det(self.eval_b(z)))
-
-
-def eval_phi(poly, z, reversed=False):
-    """phi(z) = z^-1 b_minus + b_zero + z b_plus, or phi(z^-1) if reversed."""
-    if z == 0:
-        raise ValueError("phi(z) is undefined at z = 0")
-    w = 1.0 / z if reversed else z
-    return poly.b_minus / w + poly.b_zero + w * poly.b_plus
 
 
 def _is_real_positive(z, tol=TIE_RTOL):
@@ -111,14 +97,6 @@ class RootSet:
     def values(self):
         """All roots with infinities appended as complex inf."""
         return np.append(self.finite, np.full(self.n_infinite, complex(np.inf, 0.0)))
-
-    def split_counts(self, tol=1e-6):
-        """(inside, on, outside) counts relative to the unit circle;
-        infinite roots count as outside."""
-        mods = np.abs(self.finite)
-        inside = int(np.sum(mods < 1.0 - tol))
-        on = int(np.sum(np.abs(mods - 1.0) <= tol))
-        return inside, on, len(self.finite) - inside - on + self.n_infinite
 
     def without_closest(self, value):
         """Drop the single root closest to `value` (chordal metric)."""
@@ -190,27 +168,6 @@ def roots(poly, inf_rtol=INF_ROOT_RTOL):
     return RootSet(_sorted_roots(alpha[~at_inf] / beta[~at_inf]), int(at_inf.sum()))
 
 
-def h_coefficients(g, k, r, indices, tol=kernel.LINALG_RTOL):
-    """Laurent coefficients of phi(z)^-1 on the annulus between the
-    splitting roots: H_0 solves H - G H R = K^-1, H_-i = G^i H_0 and
-    H_i = H_0 R^i.
-
-    Returns {index: matrix}. Divergent (null recurrent) input raises
-    through the Stein solver.
-    """
-    k_inv = kernel.solve_linear(k, np.eye(k.shape[0]))
-    h0 = kernel.stein_solve(g, r, k_inv, tol=tol)
-    out = {}
-    for i in sorted(set(indices)):
-        if i == 0:
-            out[0] = h0
-        elif i < 0:
-            out[i] = np.linalg.matrix_power(g, -i) @ h0
-        else:
-            out[i] = h0 @ np.linalg.matrix_power(r, i)
-    return out
-
-
 @dataclasses.dataclass(frozen=True)
 class Factorization:
     """phi(z) = (I - z left) middle (I - z^-1 right), or the same form in
@@ -224,16 +181,6 @@ class Factorization:
     def __post_init__(self):
         if self.direction not in ("z", "z_inverse"):
             raise ValueError(f"unknown direction {self.direction!r}")
-
-    def strength(self, tol=1e-9):
-        """"canonical" when both factor radii are < 1 - tol, else "weak"."""
-        rl = kernel.spectral_radius(self.left)
-        rr = kernel.spectral_radius(self.right)
-        if max(rl, rr) < 1.0 - tol:
-            return "canonical"
-        if max(rl, rr) <= 1.0 + tol:
-            return "weak"
-        raise ValueError("factor spectral radius exceeds one")
 
 
 def unit_circle_samples(count=16):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import warnings
 
 import numpy as np
@@ -42,7 +43,11 @@ class ValidationError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QbdTriple:
-    """Validated blocks of one QBD level transition."""
+    """Blocks of one QBD level transition.
+
+    `validate` is the only gate for blocks from outside the program; the
+    shift builds unvalidated triples whose rows need not sum to one.
+    """
 
     n: int
     a_minus: np.ndarray
@@ -59,8 +64,9 @@ class QbdTriple:
     def b_zero(self):
         return self.a_zero - np.eye(self.n)
 
+    @functools.cached_property
     def poly(self):
-        """B(z) = A_-1 + z (A_0 - I) + z^2 A_1."""
+        """B(z) = A_-1 + z (A_0 - I) + z^2 A_1, built once per triple."""
         return matpoly.QuadMatPoly.from_triple(self.a_minus, self.a_zero, self.a_plus)
 
     def reversed(self):
@@ -158,7 +164,7 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
     """
     theta = stationary_vector(model.a_sum())
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
-    rs = matpoly.roots(model.poly())
+    rs = matpoly.roots(model.poly)
     on_circle = np.abs(np.abs(rs.finite) - 1.0) <= 1e-6
     extra = int(np.count_nonzero(on_circle & (np.abs(rs.finite - 1.0) > 1e-6)))
     if extra:
@@ -198,19 +204,14 @@ class PerronData:
     v_ghat: np.ndarray | None = None
     u_rhat: np.ndarray | None = None
 
-    def pairings(self):
-        """Pairing scalars of the canonical (unit-max) vectors; rank-one
-        shift updates rescale by exactly these factors."""
-        out = {}
-        if self.v_ghat is not None:
-            out["v_Ghat.u_G"] = float(self.v_ghat @ self.u_g)
-        if self.u_rhat is not None:
-            out["v_R.u_Rhat"] = float(self.v_r @ self.u_rhat)
-        if self.v_g is not None:
-            out["v_G.u_G"] = float(self.v_g @ self.u_g)
-        if self.u_r is not None:
-            out["v_R.u_R"] = float(self.v_r @ self.u_r)
-        return out
+    def reversed(self):
+        """Perron data of the reversed triple, derived without a solve:
+        A_rev(1/xi) = xi^-2 A(xi), so the reversed splitting points carry
+        the same vectors with G and Ghat, R and Rhat trading places."""
+        return PerronData(
+            u_g=self.u_ghat, v_rhat=self.v_r, u_ghat=self.u_g, v_r=self.v_rhat,
+            v_g=self.v_ghat, u_r=self.u_rhat, v_ghat=self.v_g, u_rhat=self.u_r,
+        )
 
 
 def _unit_max(vec):

@@ -18,26 +18,19 @@ import enum
 
 import numpy as np
 
-from . import kernel, matpoly, model as model_mod, solvers
+from . import kernel, model as model_mod, solvers
 
 __all__ = [
-    "NonNullHats",
-    "NullRecurrentHats",
     "ShiftKind",
     "ShiftRoute",
     "ShiftTransform",
-    "ShiftedSolutions",
-    "ShiftedTriple",
-    "build_double",
-    "build_left",
-    "build_right",
+    "ShiftedHats",
     "build_transform",
     "recover_gr",
     "reference_solution",
     "shifted_gr",
     "shifted_hats_nonnull",
     "shifted_hats_nullrec",
-    "shifted_solutions",
     "solve_via",
 ]
 
@@ -54,34 +47,14 @@ class ShiftKind(str, enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class ShiftedTriple:
-    """Coefficients of a shifted problem; rows need not sum to one."""
-
-    a_minus: np.ndarray
-    a_zero: np.ndarray
-    a_plus: np.ndarray
-
-    @property
-    def n(self):
-        return self.a_minus.shape[0]
-
-    def b_zero(self):
-        return self.a_zero - np.eye(self.n)
-
-    def poly(self):
-        # QuadMatPoly.new also runs the relaxed validity check
-        # (finite entries, det B(z) not identically zero).
-        return matpoly.QuadMatPoly.from_triple(self.a_minus, self.a_zero, self.a_plus)
-
-
-@dataclasses.dataclass(frozen=True)
 class ShiftTransform:
-    """One shift: projector(s), shift points, and the shifted coefficients.
+    """One shift: projector(s), shift points, and the shifted triple.
 
     q = u_G v^T and s = w v_R^T are idempotent under the unit pairings
     v^T u_G = 1 and v_R^T w = 1; q is present for right/double, s for
     left/double. u_g and v_r are the Perron vectors the shift was built
-    from, kept for every kind.
+    from, kept for every kind. The shifted triple's rows need not sum to
+    one.
     """
 
     kind: ShiftKind
@@ -93,116 +66,72 @@ class ShiftTransform:
     w: np.ndarray | None
     u_g: np.ndarray
     v_r: np.ndarray
-    shifted: ShiftedTriple
+    shifted: model_mod.QbdTriple
 
 
 def _paired(vec, against, name):
     p = float(vec @ against)
     if abs(p) < PAIRING_TOL:
         raise ValueError(f"pairing {name} is numerically zero ({p:.3e})")
-    return vec / p, p
-
-
-def _default_v(perron):
-    # v_ghat satisfies every admissibility condition when available;
-    # e works a priori and matches the recover path for any choice.
-    if perron.v_ghat is not None:
-        return perron.v_ghat
-    return np.ones_like(perron.u_g)
-
-
-def _default_w(perron):
-    if perron.u_rhat is not None:
-        return perron.u_rhat
-    return np.ones_like(perron.v_r)
-
-
-def build_right(model, cls, perron, v=None):
-    """Shift xi_n to zero: coefficients (A_-1 (I-Q), A_0 + xi_n A_1 Q, A_1)."""
-    v0 = np.asarray(v, dtype=float) if v is not None else _default_v(perron)
-    v_scaled, _ = _paired(v0, perron.u_g, "v^T u_G")
-    q = np.outer(perron.u_g, v_scaled)
-    eye = np.eye(model.n)
-    shifted = ShiftedTriple(
-        a_minus=model.a_minus @ (eye - q),
-        a_zero=model.a_zero + cls.xi_n * model.a_plus @ q,
-        a_plus=model.a_plus.copy(),
-    )
-    shifted.poly()
-    return ShiftTransform(
-        kind=ShiftKind.RIGHT, q=q, s=None, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=v_scaled, w=None, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
-    )
-
-
-def build_left(model, cls, perron, w=None):
-    """Shift xi_{n+1} to infinity: (A_-1, A_0 + xi_{n+1}^-1 S A_-1, (I-S) A_1)."""
-    w0 = np.asarray(w, dtype=float) if w is not None else _default_w(perron)
-    w_scaled, _ = _paired(w0, perron.v_r, "v_R^T w")
-    s = np.outer(w_scaled, perron.v_r)
-    eye = np.eye(model.n)
-    shifted = ShiftedTriple(
-        a_minus=model.a_minus.copy(),
-        a_zero=model.a_zero + (1.0 / cls.xi_n1) * s @ model.a_minus,
-        a_plus=(eye - s) @ model.a_plus,
-    )
-    shifted.poly()
-    return ShiftTransform(
-        kind=ShiftKind.LEFT, q=None, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=None, w=w_scaled, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
-    )
-
-
-def build_double(model, cls, perron, v=None, w=None):
-    """Both shifts at once.
-
-    The middle coefficient has two algebraically equal forms (their
-    equality encodes xi_n v_R^T A_1 u_G = xi_{n+1}^-1 v_R^T A_-1 u_G,
-    a consequence of A_1 G = R A_-1); both are computed and compared,
-    a mismatch means the Perron data does not belong to this model.
-    """
-    v0 = np.asarray(v, dtype=float) if v is not None else _default_v(perron)
-    w0 = np.asarray(w, dtype=float) if w is not None else _default_w(perron)
-    v_scaled, _ = _paired(v0, perron.u_g, "v^T u_G")
-    w_scaled, _ = _paired(w0, perron.v_r, "v_R^T w")
-    q = np.outer(perron.u_g, v_scaled)
-    s = np.outer(w_scaled, perron.v_r)
-    eye = np.eye(model.n)
-    inv_xi = 1.0 / cls.xi_n1
-    base = model.a_zero + cls.xi_n * model.a_plus @ q + inv_xi * s @ model.a_minus
-    cross_down = inv_xi * s @ model.a_minus @ q
-    cross_up = cls.xi_n * s @ model.a_plus @ q
-    form1 = base - cross_down
-    form2 = base - cross_up
-    gap = kernel.inf_norm(form1 - form2)
-    # equality of the forms holds to the accuracy of the Perron data and
-    # of the extracted shift points (~eps over the root gap near null
-    # recurrence); wrong vectors miss at the scale of the terms themselves
-    scale = kernel.inf_norm(cross_down) + kernel.inf_norm(cross_up) + 1.0
-    if gap > A0_FORMS_RTOL * scale:
-        raise ValueError(
-            f"the two forms of the double-shifted middle block differ by "
-            f"{gap:.3e}: wrong Perron data for this model"
-        )
-    shifted = ShiftedTriple(
-        a_minus=model.a_minus @ (eye - q),
-        a_zero=form1,
-        a_plus=(eye - s) @ model.a_plus,
-    )
-    shifted.poly()
-    return ShiftTransform(
-        kind=ShiftKind.DOUBLE, q=q, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
-        v=v_scaled, w=w_scaled, u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
-    )
+    return vec / p
 
 
 def build_transform(model, cls, perron, kind, v=None, w=None):
+    """Build the right, left or double shift of `model`.
+
+    right: (A_-1 (I-Q), A_0 + xi_n A_1 Q, A_1) moves xi_n to zero;
+    left: (A_-1, A_0 + xi_{n+1}^-1 S A_-1, (I-S) A_1) moves xi_{n+1} to
+    infinity; double does both. The free vectors default to v_Ghat and
+    u_Rhat when the Perron data is complete (they satisfy every
+    admissibility condition) and to e otherwise (admissible a priori).
+
+    The double middle coefficient has two algebraically equal forms
+    (their equality encodes xi_n v_R^T A_1 u_G = xi_{n+1}^-1 v_R^T A_-1
+    u_G, a consequence of A_1 G = R A_-1); both are computed and
+    compared, a mismatch means the Perron data does not belong to this
+    model.
+    """
     kind = ShiftKind(kind)
-    if kind is ShiftKind.RIGHT:
-        return build_right(model, cls, perron, v=v)
-    if kind is ShiftKind.LEFT:
-        return build_left(model, cls, perron, w=w)
-    return build_double(model, cls, perron, v=v, w=w)
+    eye = np.eye(model.n)
+    q = s = None
+    a_minus, a_zero, a_plus = model.a_minus, model.a_zero, model.a_plus
+    if kind is not ShiftKind.LEFT:
+        if v is None:
+            v = perron.v_ghat if perron.v_ghat is not None else np.ones_like(perron.u_g)
+        v = _paired(np.asarray(v, dtype=float), perron.u_g, "v^T u_G")
+        q = np.outer(perron.u_g, v)
+        a_minus = model.a_minus @ (eye - q)
+        a_zero = a_zero + cls.xi_n * model.a_plus @ q
+    if kind is not ShiftKind.RIGHT:
+        if w is None:
+            w = perron.u_rhat if perron.u_rhat is not None else np.ones_like(perron.v_r)
+        w = _paired(np.asarray(w, dtype=float), perron.v_r, "v_R^T w")
+        s = np.outer(w, perron.v_r)
+        a_zero = a_zero + (1.0 / cls.xi_n1) * s @ model.a_minus
+        a_plus = (eye - s) @ model.a_plus
+    if kind is ShiftKind.DOUBLE:
+        cross_down = (1.0 / cls.xi_n1) * s @ model.a_minus @ q
+        cross_up = cls.xi_n * s @ model.a_plus @ q
+        gap = kernel.inf_norm((a_zero - cross_down) - (a_zero - cross_up))
+        # equality of the forms holds to the accuracy of the Perron data and
+        # of the extracted shift points (~eps over the root gap near null
+        # recurrence); wrong vectors miss at the scale of the terms themselves
+        scale = kernel.inf_norm(cross_down) + kernel.inf_norm(cross_up) + 1.0
+        if gap > A0_FORMS_RTOL * scale:
+            raise ValueError(
+                f"the two forms of the double-shifted middle block differ by "
+                f"{gap:.3e}: wrong Perron data for this model"
+            )
+        a_zero = a_zero - cross_down
+    shifted = model_mod.QbdTriple(model.n, a_minus, a_zero, a_plus)
+    # building B_s(z) runs the relaxed validity check (finite entries,
+    # det B_s(z) not identically zero); the polynomial is kept for reuse
+    shifted.poly
+    return ShiftTransform(
+        kind=kind, q=q, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
+        v=v if q is not None else None, w=w if s is not None else None,
+        u_g=perron.u_g, v_r=perron.v_r, shifted=shifted,
+    )
 
 
 def shifted_gr(sol, transform):
@@ -243,27 +172,37 @@ def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
     return g, r
 
 
-def _khat_defining(shifted, ghat_s):
-    return shifted.b_zero() + shifted.a_minus @ ghat_s
-
-
 @dataclasses.dataclass(frozen=True)
-class NullRecurrentHats:
-    """Hat solutions of a shifted null-recurrent problem.
+class ShiftedHats:
+    """Hat solutions of a shifted problem with their equation residuals.
 
-    khat is the defining-relation value (A_0^s - I + A_-1^s Ghat_s),
-    which is what the reversed factorization of the shifted problem
-    actually uses; khat_rank_one is the closed-form rank-one expression.
-    The two agree for right/left shifts; for the double shift the compact
-    expression Khat - u_Rhat v_Ghat^T is inconsistent with the defining
-    relation and is kept only for the informational certificate.
+    khat is the defining-relation value A_0^s - I + A_-1^s Ghat_s, which
+    is what the reversed factorization of the shifted problem uses. At
+    null recurrence khat_rank_one is the closed-form rank-one expression:
+    it agrees with khat for right/left shifts, while for the double shift
+    the compact Khat - u_Rhat v_Ghat^T is inconsistent with the defining
+    relation and is kept only for the informational certificate. Off
+    null recurrence w is the transported inverse-series constant W_s.
     """
 
     ghat: np.ndarray
     rhat: np.ndarray
     khat: np.ndarray
-    khat_rank_one: np.ndarray
     residuals: dict
+    khat_rank_one: np.ndarray | None = None
+    w: np.ndarray | None = None
+
+
+def _shifted_hats(transform, ghat_s, rhat_s, **extra):
+    shifted = transform.shifted
+    bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
+    khat_s = b0 + bm @ ghat_s
+    residuals = {
+        "Ghat_s": solvers.residual_ghat(bm, b0, bp, ghat_s),
+        "Rhat_s": solvers.residual_rhat(bm, b0, bp, rhat_s),
+        "Khat_s_form2": kernel.inf_norm(khat_s - (b0 + rhat_s @ bp)),
+    }
+    return ShiftedHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, residuals=residuals, **extra)
 
 
 def shifted_hats_nullrec(model, sol, perron, transform):
@@ -291,13 +230,13 @@ def shifted_hats_nullrec(model, sol, perron, transform):
         )
     kind = transform.kind
     if kind is ShiftKind.RIGHT:
-        v_bar, _ = _paired(v_gh, perron.u_g, "v_Ghat^T u_G")
+        v_bar = _paired(v_gh, perron.u_g, "v_Ghat^T u_G")
         u_bar = u_rh / (-float(v_bar @ khat_inv @ u_rh))
         rhat_s = sol.rhat + np.outer(u_bar, v_bar) @ khat_inv
         ghat_s = sol.ghat + np.outer(perron.u_g + khat_inv @ u_bar, v_bar)
         khat_rank_one = sol.khat - np.outer(u_bar + sol.khat @ perron.u_g, v_bar)
     elif kind is ShiftKind.LEFT:
-        u_bar, _ = _paired(u_rh, perron.v_r, "v_R^T u_Rhat")
+        u_bar = _paired(u_rh, perron.v_r, "v_R^T u_Rhat")
         v_bar = v_gh / (-float(v_gh @ khat_inv @ u_bar))
         rhat_s = sol.rhat + np.outer(u_bar, perron.v_r + v_bar @ khat_inv)
         ghat_s = sol.ghat + khat_inv @ np.outer(u_bar, v_bar)
@@ -307,33 +246,7 @@ def shifted_hats_nullrec(model, sol, perron, transform):
         rhat_s = sol.rhat + rank_one @ khat_inv
         ghat_s = sol.ghat + khat_inv @ rank_one
         khat_rank_one = sol.khat - rank_one
-    shifted = transform.shifted
-    khat_s = _khat_defining(shifted, ghat_s)
-    bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
-    residuals = {
-        "Ghat_s": solvers.residual_ghat(bm, b0, bp, ghat_s),
-        "Rhat_s": solvers.residual_rhat(bm, b0, bp, rhat_s),
-        "Khat_s_form2": kernel.inf_norm(khat_s - (b0 + rhat_s @ bp)),
-    }
-    return NullRecurrentHats(
-        ghat=ghat_s,
-        rhat=rhat_s,
-        khat=khat_s,
-        khat_rank_one=khat_rank_one,
-        residuals=residuals,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class NonNullHats:
-    """Hat solutions of a shifted non-null-recurrent problem, built from
-    the transported inverse-series constant W_s."""
-
-    ghat: np.ndarray
-    rhat: np.ndarray
-    khat: np.ndarray
-    w: np.ndarray
-    residuals: dict
+    return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
 def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
@@ -373,67 +286,21 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
         g_s = sol.g
         r_s = sol.r - (1.0 / transform.xi_n1) * transform.s
     ghat_s, rhat_s = solvers.hats_from_w(w_s, g_s, r_s)
-    shifted = transform.shifted
-    khat_s = _khat_defining(shifted, ghat_s)
-    bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
-    residuals = {
-        "Ghat_s": solvers.residual_ghat(bm, b0, bp, ghat_s),
-        "Rhat_s": solvers.residual_rhat(bm, b0, bp, rhat_s),
-        "Khat_s_form2": kernel.inf_norm(khat_s - (b0 + rhat_s @ bp)),
-    }
-    return NonNullHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, w=w_s, residuals=residuals)
-
-
-@dataclasses.dataclass(frozen=True)
-class ShiftedSolutions:
-    """Everything the shifted problem's factorizations need in one place.
-
-    The hat side is None for a non-null double shift (no closed form);
-    w is the transported series constant where one exists.
-    """
-
-    g: np.ndarray
-    r: np.ndarray
-    k: np.ndarray
-    ghat: np.ndarray | None
-    rhat: np.ndarray | None
-    khat: np.ndarray | None
-    w: np.ndarray | None
-    residuals: dict
-
-
-def shifted_solutions(model, cls, sol, perron, transform):
-    """Assemble the full shifted solution set by the class-appropriate
-    transport (closed forms at null recurrence, W conjugation otherwise)."""
-    g_s, r_s, k_s = shifted_gr(sol, transform)
-    null = cls.kind is model_mod.Kind.NULL_RECURRENT
-    ghat = rhat = khat = w_s = None
-    residuals = {}
-    if null:
-        hats = shifted_hats_nullrec(model, sol, perron, transform)
-        ghat, rhat, khat = hats.ghat, hats.rhat, hats.khat
-        residuals = hats.residuals
-    elif transform.kind is not ShiftKind.DOUBLE:
-        hats = shifted_hats_nonnull(model, sol, transform)
-        ghat, rhat, khat, w_s = hats.ghat, hats.rhat, hats.khat, hats.w
-        residuals = hats.residuals
-    return ShiftedSolutions(
-        g=g_s, r=r_s, k=k_s, ghat=ghat, rhat=rhat, khat=khat, w=w_s,
-        residuals=residuals,
-    )
+    return _shifted_hats(transform, ghat_s, rhat_s, w=w_s)
 
 
 @dataclasses.dataclass(frozen=True)
 class ShiftRoute:
-    """Outcome of solve shifted + recover."""
+    """Outcome of solve shifted + recover: the transform, the shifted
+    problem's cyclic reduction (cr.g is G_s), R_s, K_s and the recovered
+    (G, R)."""
 
     transform: ShiftTransform
-    g_shifted: np.ndarray
+    cr: solvers.CrOutcome
     r_shifted: np.ndarray
     k_shifted: np.ndarray
     g: np.ndarray
     r: np.ndarray
-    iterations: int
 
 
 def pick_kind(cls):
@@ -458,19 +325,17 @@ def solve_via(model, cls=None, kind="auto", perron=None, v=None, w=None,
     kind = pick_kind(cls) if kind == "auto" else ShiftKind(kind)
     transform = build_transform(model, cls, perron, kind, v=v, w=w)
     shifted = transform.shifted
-    g_s, iters = solvers.solve_min_g(
-        shifted.a_minus, shifted.b_zero(), shifted.a_plus, tol=tol, max_iter=max_iter
+    b0 = shifted.b_zero()
+    cr = solvers.cyclic_reduction(
+        shifted.a_minus, b0, shifted.a_plus, tol=tol, max_iter=max_iter
     )
-    r_s, k_s = solvers.derive_r_k(shifted.b_zero(), shifted.a_plus, g_s, nonneg=False)
+    r_s, k_s = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
     g, r = recover_gr(
-        g_s, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
+        cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(
-        transform=transform, g_shifted=g_s, r_shifted=r_s, k_shifted=k_s,
-        g=g, r=r, iterations=iters,
-    )
+    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, k_shifted=k_s, g=g, r=r)
 
 
 # Root gap below which the direct route visibly loses forward accuracy
@@ -486,8 +351,9 @@ def reference_solution(model, cls=None, tol=solvers.CR_TOL,
     Null-recurrent ones go through the double shift; nearly-null ones
     through the class-matched single shift, whose shift point is the unit
     root and therefore known exactly. Both routes run the reversed model
-    for (Ghat, Rhat) and restore accuracy the direct route loses as the
-    splitting roots coalesce.
+    for (Ghat, Rhat), with its classification and Perron data derived
+    from the forward ones, and restore accuracy the direct route loses as
+    the splitting roots coalesce.
     """
     if cls is None:
         cls = model_mod.classify(model)
@@ -495,11 +361,12 @@ def reference_solution(model, cls=None, tol=solvers.CR_TOL,
     if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
         return solvers.solve_all(model, cls, max_iter=max_iter)
     kind = ShiftKind.DOUBLE if null else pick_kind(cls)
-    fwd = solve_via(model, cls, kind=kind, tol=tol, max_iter=max_iter)
-    rev_model = model.reversed()
+    perron = model_mod.perron_data(model, cls)
+    fwd = solve_via(model, cls, kind=kind, perron=perron, tol=tol, max_iter=max_iter)
     rev_cls = cls.reversed()
     rev_kind = ShiftKind.DOUBLE if null else pick_kind(rev_cls)
-    rev = solve_via(rev_model, rev_cls, kind=rev_kind, tol=tol, max_iter=max_iter)
+    rev = solve_via(model.reversed(), rev_cls, kind=rev_kind, perron=perron.reversed(),
+                    tol=tol, max_iter=max_iter)
     b0 = model.b_zero()
     _, k = solvers.derive_r_k(b0, model.a_plus, fwd.g)
     r = fwd.r
@@ -516,6 +383,6 @@ def reference_solution(model, cls=None, tol=solvers.CR_TOL,
         k=k,
         khat=khat,
         w=w,
-        iterations={"G": fwd.iterations, "Ghat": rev.iterations},
+        iterations={"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
         residuals=solvers.equation_residuals(model, fwd.g, r, ghat, rhat),
     )

@@ -7,7 +7,7 @@ For coefficients (B_-1, B_0, B_1), B_0 = A_0 - I, the equations are
     (3) B_-1 X^2 + B_0 X + B_1 = 0        minimal solution Ghat
     (4) B_-1 + X B_0 + X^2 B_1 = 0        minimal solution Rhat
 
-Cyclic reduction is the primary solver: each sweep squares the spectral
+Cyclic reduction is the one solver: each sweep squares the spectral
 ratio of the splitting roots, so convergence is quadratic whenever the
 n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
 (rate 1/2) exactly at null recurrence. Equation (3) is equation (1) for
@@ -35,9 +35,6 @@ __all__ = [
     "residual_r",
     "residual_rhat",
     "solve_all",
-    "solve_hat_pair",
-    "solve_min_g",
-    "solve_min_g_oracle",
 ]
 
 CR_TOL = 1e-14
@@ -66,23 +63,29 @@ def residual_rhat(bm, b0, bp, x):
 
 @dataclasses.dataclass(frozen=True)
 class CrOutcome:
-    """Full cyclic-reduction outcome (solve_min_g returns the short form)."""
+    """Cyclic-reduction result with its convergence record."""
 
     g: np.ndarray
     iterations: int
     converged: bool
-    min_norm: float
     residual: float
     rate_estimate: float
 
 
-def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER):
-    """Cyclic reduction for the minimal-spectral-radius solution of (1).
+def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
+                     res_tol=None):
+    """Minimal solution of (1) by cyclic reduction.
 
     Sweeps L <- -L D^-1 L, U <- -U D^-1 U, D <- D - L D^-1 U - U D^-1 L
     while accumulating Dh <- Dh - U D^-1 L, until min(||L||, ||U||) <= tol
     (the off-term that dies decides which splitting side converged);
     then G = -Dh^-1 B_-1. Dh converges to B_0 + B_1 G.
+
+    The trailing iterate is accepted whenever its equation residual is at
+    most res_tol (default max(tol, 1e-12)), converged or not; otherwise
+    ConvergenceError is raised with the iterate attached. Unshifted
+    null-recurrent coefficients driven at a tolerance they cannot reach
+    are the expected case. res_tol=inf only reports.
     """
     low = kernel.as_square(b_minus, "b_minus").copy()
     diag = kernel.as_square(b_zero, "b_zero").copy()
@@ -116,63 +119,22 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER):
     res = residual_g(
         np.asarray(b_minus, float), np.asarray(b_zero, float), np.asarray(b_plus, float), g
     )
-    steps = max(k, 1)
-    rate = (history[-1] / first) ** (1.0 / steps) if first > 0 else 0.0
+    bound = res_tol if res_tol is not None else max(tol, 1e-12)
+    if res > bound:
+        raise kernel.ConvergenceError(
+            f"cyclic reduction stalled after {k} sweeps "
+            f"(residual {res:.3e} > {bound:.1e})",
+            iterations=k,
+            residual=res,
+            solution=g,
+        )
+    rate = (history[-1] / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
     return CrOutcome(
         g=g,
         iterations=k,
         converged=history[-1] <= tol,
-        min_norm=history[-1],
         residual=res,
         rate_estimate=float(rate),
-    )
-
-
-def solve_min_g(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
-                res_tol=None):
-    """Minimal solution of (1) by cyclic reduction; returns (G, iterations).
-
-    Raises ConvergenceError (with the trailing iterate attached) when the
-    equation residual stays above res_tol (default: max(tol, 1e-12)); this
-    is expected only for unshifted null-recurrent coefficients driven at a
-    tolerance they cannot reach.
-    """
-    outcome = cyclic_reduction(b_minus, b_zero, b_plus, tol=tol, max_iter=max_iter)
-    bound = res_tol if res_tol is not None else max(tol, 1e-12)
-    if outcome.residual > bound:
-        raise kernel.ConvergenceError(
-            f"cyclic reduction stalled after {outcome.iterations} sweeps "
-            f"(residual {outcome.residual:.3e} > {bound:.1e})",
-            iterations=outcome.iterations,
-            residual=outcome.residual,
-            solution=outcome.g,
-        )
-    return outcome.g, outcome.iterations
-
-
-def solve_min_g_oracle(b_minus, b_zero, b_plus, tol=1e-12, max_iter=2_000_000):
-    """Independent oracle for (1): the natural fixed point
-
-        X_0 = 0,   X_{k+1} = B_-1 + (B_0 + I) X_k + B_1 X_k^2,
-
-    which for substochastic coefficients increases monotonically to the
-    minimal nonnegative solution. Stops at entrywise increment <= tol.
-    Linearly convergent, O(1/k) at a double unit root; returns
-    (G, iterations).
-    """
-    bm = np.asarray(b_minus, dtype=float)
-    a0 = np.asarray(b_zero, dtype=float) + np.eye(bm.shape[0])
-    bp = np.asarray(b_plus, dtype=float)
-    x = np.zeros_like(bm)
-    for k in range(1, max_iter + 1):
-        nxt = bm + a0 @ x + bp @ x @ x
-        if np.max(np.abs(nxt - x)) <= tol:
-            return nxt, k
-        x = nxt
-    raise kernel.ConvergenceError(
-        f"fixed-point oracle did not converge in {max_iter} iterations",
-        iterations=max_iter,
-        solution=x,
     )
 
 
@@ -199,20 +161,6 @@ def derive_r_k(b_zero, b_plus, g, clamp=NEG_CLAMP, nonneg=True):
             raise ValueError(f"R has an entry below -{clamp:g}: {np.min(r):.3e}")
         r = np.maximum(r, 0.0)
     return r, k
-
-
-def solve_hat_pair(model, tol=CR_TOL, max_iter=CR_MAX_ITER, res_tol=None):
-    """(Ghat, Rhat, Khat, iterations): minimal solutions of (3) and (4).
-
-    Ghat is the minimal solution of (1) for the reversed polynomial;
-    Khat = B_0 + A_-1 Ghat and Rhat = -A_-1 Khat^-1.
-    """
-    b0 = model.b_zero()
-    ghat, iters = solve_min_g(
-        model.a_plus, b0, model.a_minus, tol=tol, max_iter=max_iter, res_tol=res_tol
-    )
-    rhat, khat = derive_r_k(b0, model.a_minus, ghat)
-    return ghat, rhat, khat, iters
 
 
 def compute_w(g, k, r, ghat=None, tol=1e-10):
@@ -284,21 +232,12 @@ def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER, stall_res_tol=1e-
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     cr_tol = tol if tol is not None else (CR_TOL_NULL if null else CR_TOL)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-
-    def run(bminus, bplus):
-        try:
-            return solve_min_g(
-                bminus, b0, bplus, tol=cr_tol, max_iter=max_iter,
-                res_tol=stall_res_tol if null else None,
-            )
-        except kernel.ConvergenceError as exc:
-            if null and exc.solution is not None and exc.residual <= stall_res_tol:
-                return exc.solution, exc.iterations
-            raise
-
-    g, it_g = run(bm, bp)
+    res_tol = stall_res_tol if null else None
+    g_cr = cyclic_reduction(bm, b0, bp, tol=cr_tol, max_iter=max_iter, res_tol=res_tol)
+    g = g_cr.g
     r, k = derive_r_k(b0, bp, g)
-    ghat, it_gh = run(bp, bm)
+    ghat_cr = cyclic_reduction(bp, b0, bm, tol=cr_tol, max_iter=max_iter, res_tol=res_tol)
+    ghat = ghat_cr.g
     rhat, khat = derive_r_k(b0, bm, ghat)
     w = None
     if not null:
@@ -311,6 +250,6 @@ def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER, stall_res_tol=1e-
         k=k,
         khat=khat,
         w=w,
-        iterations={"G": it_g, "Ghat": it_gh},
+        iterations={"G": g_cr.iterations, "Ghat": ghat_cr.iterations},
         residuals=equation_residuals(model, g, r, ghat, rhat),
     )

@@ -1,6 +1,6 @@
 """Machine-checkable certificates: equation residuals, coupling identities,
 M-matrix and sign properties, factorization residuals, root surgery, and
-the phase-partition sign table.
+the round trip through each shift.
 
 Certificates are deterministic (same inputs give identical residuals) and
 carry one of four verdicts: pass, fail, n/a (prerequisite absent, e.g. W
@@ -18,11 +18,9 @@ from . import kernel, matpoly, model as model_mod, shift as shift_mod, solvers
 
 __all__ = [
     "Certificate",
-    "PhasePartition",
     "check_identity_suite",
     "check_mmatrix",
     "check_sign_property",
-    "phase_partition",
 ]
 
 EQ_TOL = 1e-11
@@ -34,7 +32,6 @@ MMATRIX_TOL = 1e-12
 SIGN_TOL = -1e-12  # pairing must sit at or below this (strictly negative)
 DET_POINT_COUNT = 8
 DET_RTOL = 1e-8
-ZERO_PATTERN_RTOL = 1e-9
 ROUNDTRIP_TOL = 1e-8
 
 
@@ -107,82 +104,6 @@ def check_sign_property(sol, perron, tol=SIGN_TOL):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class PhasePartition:
-    """Support structure of u = u_R, w = -K^-1 u, v = v_G.
-
-    s1 indexes the irreducible block of R (u > 0 exactly there), s1_tilde
-    the extra support w picks up, sa the irreducible block of G (v > 0
-    exactly there), and sb_tilde the phases where all three vanish. s1,
-    s1_tilde and sb_tilde are pairwise disjoint and together with sa cover
-    every phase; sa must intersect s1 union s1_tilde (that intersection is
-    the sign property v^T w > 0).
-    """
-
-    s1: frozenset
-    s1_tilde: frozenset
-    sb_tilde: frozenset
-    sa: frozenset
-    u: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-
-
-def _support(vec, rtol=ZERO_PATTERN_RTOL):
-    scale = float(np.max(np.abs(vec)))
-    return frozenset(int(i) for i in np.nonzero(np.abs(vec) > rtol * scale)[0])
-
-
-def _nontrivial_block(mat, what):
-    scale = max(kernel.inf_norm(mat), np.finfo(float).tiny)
-    comps = kernel.scc_partition(mat, tol=ZERO_PATTERN_RTOL * scale)
-    blocks = [c for c in comps if not c.trivial]
-    if len(blocks) != 1:
-        raise ValueError(
-            f"{what} pattern has {len(blocks)} nontrivial strongly connected "
-            "components, expected exactly one"
-        )
-    return frozenset(blocks[0].vertices)
-
-
-def phase_partition(sol, perron, rtol=ZERO_PATTERN_RTOL):
-    """Assemble the phase partition and assert its sign table.
-
-    Violations raise ValueError: they contradict structure every valid
-    instance must have (u > 0 exactly on R's irreducible block, v > 0
-    exactly on G's, w = -K^-1 u positive exactly on s1 and s1_tilde, and
-    nonempty s1, sa with sa meeting the support of w).
-    """
-    if perron.u_r is None or perron.v_g is None:
-        raise ValueError("solution-side Perron vectors missing")
-    n = sol.k.shape[0]
-    s1 = _nontrivial_block(sol.r, "R")
-    sa = _nontrivial_block(sol.g, "G")
-    u = perron.u_r
-    v = perron.v_g
-    w = -kernel.solve_linear(sol.k, u)
-    supp_u, supp_w, supp_v = _support(u, rtol), _support(w, rtol), _support(v, rtol)
-    if supp_u != s1:
-        raise ValueError(f"support of u_R {sorted(supp_u)} != s1 {sorted(s1)}")
-    if supp_v != sa:
-        raise ValueError(f"support of v_G {sorted(supp_v)} != sa {sorted(sa)}")
-    if not s1 <= supp_w:
-        raise ValueError("w = -K^-1 u_R must be positive on all of s1")
-    if not s1 or not sa:
-        raise ValueError("s1 and sa must be nonempty")
-    if not (sa & supp_w):
-        raise ValueError(
-            "sa does not meet the support of w: v^T K^-1 u_R would vanish"
-        )
-    s1_tilde = supp_w - s1
-    sb_tilde = frozenset(range(n)) - s1 - s1_tilde - sa
-    if not np.all(w >= -rtol * np.max(np.abs(w))):
-        raise ValueError("w = -K^-1 u_R has a negative entry")
-    return PhasePartition(
-        s1=s1, s1_tilde=s1_tilde, sb_tilde=sb_tilde, sa=sa, u=u, w=w, v=v
-    )
-
-
 DET_SEED = 20260808
 
 
@@ -197,18 +118,16 @@ def _det_points(xi_values, count=DET_POINT_COUNT, seed=DET_SEED):
     return points
 
 
-def _det_identity_cert(model, transform, tol=DET_RTOL, seed=DET_SEED, xi_amp=0.0):
-    """Spot check of the determinant surgery identity at random points:
-    right: det B_r(z) (z - xi_n) = z det B(z); left: det B_l(z)
-    (z - xi_{n+1}) = -xi_{n+1} det B(z) (det(I - z/(z-xi_{n+1}) S) =
-    -xi_{n+1}/(z - xi_{n+1}) for idempotent rank-one S); double: the
-    product of both."""
-    poly = model.poly()
-    poly_s = transform.shifted.poly()
+def _det_identity_cert(transform, det_b, tol=DET_RTOL, xi_amp=0.0):
+    """Spot check of the determinant surgery identity at the points of
+    `det_b`, pairs (z, det B(z)): right: det B_r(z) (z - xi_n) = z det B(z);
+    left: det B_l(z) (z - xi_{n+1}) = -xi_{n+1} det B(z) (det(I - z/(z -
+    xi_{n+1}) S) = -xi_{n+1}/(z - xi_{n+1}) for idempotent rank-one S);
+    double: the product of both."""
+    poly_s = transform.shifted.poly
     kind = transform.kind
     worst = 0.0
-    for z in _det_points((transform.xi_n, transform.xi_n1), seed=seed):
-        db = poly.det_b(z)
+    for z, db in det_b:
         dbs = poly_s.det_b(z)
         if kind is shift_mod.ShiftKind.RIGHT:
             lhs, rhs = dbs * (z - transform.xi_n), z * db
@@ -309,7 +228,7 @@ def _base_certs(model, cls, sol, perron, samples):
             ROOT_MATCH_TOL,
         )
     )
-    poly = model.poly()
+    poly = model.poly
     certs.append(
         _cert(
             "factor:phi",
@@ -367,8 +286,8 @@ def _base_certs(model, cls, sol, perron, samples):
     return certs
 
 
-def _transform_certs(model, cls, sol, perron, transform, samples,
-                     roundtrip, cr_tol, cr_max_iter, det_seed):
+def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_seed,
+                     route):
     kind = transform.kind.value
     shifted = transform.shifted
     bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
@@ -391,15 +310,15 @@ def _transform_certs(model, cls, sol, perron, transform, samples,
         _cert(
             f"{kind}:roots-surgery",
             matpoly.multiset_distance(
-                matpoly.roots(shifted.poly()), _surgery_expected(cls.roots, transform)
+                matpoly.roots(shifted.poly), _surgery_expected(cls.roots, transform)
             ),
             ROOT_MATCH_TOL,
         ),
-        _det_identity_cert(model, transform, seed=det_seed, xi_amp=xi_amp),
+        _det_identity_cert(transform, det_b, xi_amp=xi_amp),
         _cert(
             f"{kind}:factor:phi_s",
             matpoly.factorization_residual(
-                shifted.poly(), matpoly.Factorization("z", r_s, k_s, g_s), samples
+                shifted.poly, matpoly.Factorization("z", r_s, k_s, g_s), samples
             ),
             max(FACTOR_TOL, xi_amp),
         ),
@@ -429,10 +348,8 @@ def _transform_certs(model, cls, sol, perron, transform, samples,
                 f"hat transport unavailable: {exc}",
             )
         )
-    if roundtrip:
-        certs.append(
-            _roundtrip_cert(model, cls, sol, transform, cr_tol, cr_max_iter, xi_amp)
-        )
+    if route is not None:
+        certs.append(_roundtrip_cert(model, cls, sol, kind, route, xi_amp))
     return certs
 
 
@@ -497,7 +414,7 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp=0.0):
         _cert(
             f"{kind}:factor:phi_s-reversed",
             matpoly.factorization_residual(
-                shifted.poly(),
+                shifted.poly,
                 matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
                 samples,
             ),
@@ -507,28 +424,24 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp=0.0):
     return certs
 
 
-def _roundtrip_cert(model, cls, sol, transform, cr_tol, cr_max_iter, xi_amp=0.0):
-    kind = transform.kind.value
-    shifted = transform.shifted
-    bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
-    try:
-        g_cr, _ = solvers.solve_min_g(bm, b0, bp, tol=cr_tol, max_iter=cr_max_iter)
-        r_cr, _ = solvers.derive_r_k(b0, bp, g_cr, nonneg=False)
-        g_rec, r_rec = shift_mod.recover_gr(g_cr, r_cr, transform, model)
-    except kernel.ConvergenceError as exc:
+def _roundtrip_cert(model, cls, sol, kind, route, xi_amp=0.0):
+    """The shift route of one kind (solved shifted, recovered) against the
+    reference solution, or at null recurrence against the original
+    equations; `route` may be the ConvergenceError its solve raised."""
+    if isinstance(route, kernel.ConvergenceError):
         return Certificate(
-            f"{kind}:roundtrip", float("inf"), ROUNDTRIP_TOL, "fail", str(exc)
+            f"{kind}:roundtrip", float("inf"), ROUNDTRIP_TOL, "fail", str(route)
         )
     if cls.kind is model_mod.Kind.NULL_RECURRENT:
         res = max(
-            solvers.residual_g(model.a_minus, model.b_zero(), model.a_plus, g_rec),
-            solvers.residual_r(model.a_minus, model.b_zero(), model.a_plus, r_rec),
+            solvers.residual_g(model.a_minus, model.b_zero(), model.a_plus, route.g),
+            solvers.residual_r(model.a_minus, model.b_zero(), model.a_plus, route.r),
         )
         return _cert(f"{kind}:roundtrip", res, ROUNDTRIP_TOL,
                      "recovered pair vs original equations")
     gap = max(
-        float(np.max(np.abs(g_rec - sol.g))),
-        float(np.max(np.abs(r_rec - sol.r))),
+        float(np.max(np.abs(route.g - sol.g))),
+        float(np.max(np.abs(route.r - sol.r))),
     )
     return _cert(f"{kind}:roundtrip", gap, max(ROUNDTRIP_TOL, xi_amp),
                  "recovered pair vs direct solve")
@@ -536,11 +449,16 @@ def _roundtrip_cert(model, cls, sol, transform, cr_tol, cr_max_iter, xi_amp=0.0)
 
 def check_identity_suite(model, cls=None, sol=None, perron=None,
                          kinds=("right", "left", "double"), samples=16,
-                         roundtrip=True, cr_tol=solvers.CR_TOL,
-                         cr_max_iter=solvers.CR_MAX_ITER, det_seed=DET_SEED):
+                         routes=None, det_seed=DET_SEED):
     """Run every certificate on one instance: the coupling identities and
     factorizations of the base problem, then per shift kind the surgery,
-    transport, hat, and round-trip checks."""
+    transport and hat checks.
+
+    `routes` maps a shift kind to its solve_via route, built from the
+    completed Perron data, or to the ConvergenceError that solve raised.
+    A kind with a route is certified on the route's transform and gets a
+    round-trip certificate; the suite itself solves nothing.
+    """
     if cls is None:
         cls = model_mod.classify(model)
     if sol is None:
@@ -549,13 +467,15 @@ def check_identity_suite(model, cls=None, sol=None, perron=None,
         perron = model_mod.perron_data(model, cls)
     if perron.v_ghat is None:
         perron = model_mod.complete_perron_data(perron, sol)
+    routes = {shift_mod.ShiftKind(k): route for k, route in (routes or {}).items()}
+    det_b = [(z, model.poly.det_b(z))
+             for z in _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)]
     certs = _base_certs(model, cls, sol, perron, samples)
-    for kind in kinds:
-        transform = shift_mod.build_transform(model, cls, perron, kind)
-        certs.extend(
-            _transform_certs(
-                model, cls, sol, perron, transform, samples,
-                roundtrip, cr_tol, cr_max_iter, det_seed,
-            )
-        )
+    for kind in map(shift_mod.ShiftKind, kinds):
+        route = routes.get(kind)
+        transform = (route.transform if isinstance(route, shift_mod.ShiftRoute)
+                     else shift_mod.build_transform(model, cls, perron, kind))
+        certs.extend(_transform_certs(
+            model, cls, sol, perron, transform, samples, det_b, det_seed, route
+        ))
     return certs

@@ -1,7 +1,7 @@
 """Independent oracles for expected values: scalar closed forms via the
 quadratic formula, the symmetric-circulant closed form for the 2x2
-null-recurrent instance, and naive dense helpers that bypass the package
-implementations."""
+null-recurrent instance, the monotone fixed-point iteration for G, and
+naive dense helpers that bypass the package implementations."""
 
 import cmath
 import itertools
@@ -107,6 +107,29 @@ def fixed_point_g(a_minus, a_zero, a_plus, sweeps):
     for _ in range(sweeps):
         x = a_minus + a_zero @ x + a_plus @ x @ x
     return x
+
+
+def solve_min_g_oracle(b_minus, b_zero, b_plus, tol=1e-12, max_iter=2_000_000):
+    """Minimal solution of B_-1 + B_0 X + B_1 X^2 = 0 by the natural fixed
+    point
+
+        X_0 = 0,   X_{k+1} = B_-1 + (B_0 + I) X_k + B_1 X_k^2,
+
+    which for substochastic coefficients increases monotonically to the
+    minimal nonnegative solution. Stops at entrywise increment <= tol.
+    Linearly convergent, O(1/k) at a double unit root; returns
+    (G, iterations).
+    """
+    bm = np.asarray(b_minus, dtype=float)
+    a0 = np.asarray(b_zero, dtype=float) + np.eye(bm.shape[0])
+    bp = np.asarray(b_plus, dtype=float)
+    x = np.zeros_like(bm)
+    for k in range(1, max_iter + 1):
+        nxt = bm + a0 @ x + bp @ x @ x
+        if np.max(np.abs(nxt - x)) <= tol:
+            return nxt, k
+        x = nxt
+    raise RuntimeError(f"fixed-point oracle did not converge in {max_iter} iterations")
 
 
 def kron_stein(g, r, c):

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_bank
+from phase_partition import phase_partition
 from qbdshift import (
     check_identity_suite,
     classify,
@@ -16,7 +17,6 @@ from qbdshift import (
     kernel,
     matpoly,
     perron_data,
-    phase_partition,
     reference_solution,
     shifted_hats_nullrec,
     solve_all,
@@ -62,7 +62,7 @@ def subset_suites(subset):
     out = {}
     for kind, rows in subset.items():
         out[kind] = [
-            (m, cls, check_identity_suite(m, cls, roundtrip=False))
+            (m, cls, check_identity_suite(m, cls))
             for m, cls in rows
         ]
     return out
@@ -230,15 +230,15 @@ def test_criterion_9_khat_double_discrepancy(capsys, n1):
     cls = classify(n1)
     sol = reference_solution(n1, cls)
     pd = complete_perron_data(perron_data(n1, cls), sol)
-    transform = shift_mod.build_double(n1, cls, pd, v=[1.0], w=[1.0])
+    transform = shift_mod.build_transform(n1, cls, pd, "double", v=[1.0], w=[1.0])
     hats = shifted_hats_nullrec(n1, sol, pd, transform)
     gap = kernel.inf_norm(hats.khat_rank_one - hats.khat)
     factor_residual = matpoly.factorization_residual(
-        transform.shifted.poly(),
+        transform.shifted.poly,
         matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
         16,
     )
-    certs = check_identity_suite(n1, cls, sol, roundtrip=False)
+    certs = check_identity_suite(n1, cls, sol)
     info = [c for c in certs if c.name == "double:id:Khat_d-compact"]
     ok = (
         abs(gap - 0.4) <= 1e-10

@@ -51,7 +51,7 @@ class TestModelFiles:
     def test_round_trip_is_bit_faithful(self, tmp_path):
         triple, meta = cli.generate("transient", 3, seed=11)
         path = tmp_path / "m.json"
-        cli.write_model(path, triple, meta)
+        cli._write_json(cli.model_payload(triple, meta), path)
         loaded, loaded_meta = cli.read_model(path)
         np.testing.assert_array_equal(loaded.a_minus, triple.a_minus)
         np.testing.assert_array_equal(loaded.a_zero, triple.a_zero)
@@ -89,24 +89,44 @@ class TestModelFiles:
             cli.read_model(path)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
 
-    @pytest.mark.parametrize("flags", [
-        ["solve", "{model}", "--samples", "0"],
-        ["solve", "{model}", "--samples", "-3"],
-        ["solve", "{model}", "--seed", "-1"],
-        ["gen", "positive", "-n", "0"],
-        ["gen", "positive", "-n", "2", "--seed", "-1"],
-        ["bench", "null", "-n", "2", "--count", "0"],
-        ["bench", "null", "-n", "2", "--seed", "-1"],
+    @pytest.mark.parametrize("flags, message", [
+        (["solve", "{model}", "--samples", "0"], "must be at least 1"),
+        (["solve", "{model}", "--samples", "-3"], "must be at least 1"),
+        (["solve", "{model}", "--seed", "-1"], "must be at least 0"),
+        (["gen", "positive", "-n", "0"], "must be at least 1"),
+        (["gen", "positive", "-n", "2", "--seed", "-1"], "must be at least 0"),
+        (["bench", "null", "-n", "2", "--count", "0"], "must be at least 1"),
+        (["bench", "null", "-n", "2", "--seed", "-1"], "must be at least 0"),
+        (["solve", "{model}", "--tol", "-1"], "must be finite and at least 0"),
+        (["solve", "{model}", "--tol", "nan"], "must be finite and at least 0"),
+        (["solve", "{model}", "--tol", "inf"], "must be finite and at least 0"),
+        (["bench", "null", "-n", "2", "--tol", "-1"], "must be finite and at least 0"),
+        (["solve", "{model}", "--max-iter", "0"], "must be at least 1"),
+        (["solve", "{model}", "--max-iter", "-1"], "must be at least 1"),
+        (["bench", "null", "-n", "2", "--max-iter", "0"], "must be at least 1"),
+        (["gen", "positive", "-n", "2", "--gamma", "-1"], "must be finite and above 0"),
+        (["gen", "positive", "-n", "2", "--gamma", "nan"], "must be finite and above 0"),
+        (["gen", "positive", "-n", "2", "--gamma", "0"], "must be finite and above 0"),
+        (["bench", "null", "-n", "2", "--gamma", "inf"], "must be finite and above 0"),
     ], ids=["samples-0", "samples-neg", "solve-seed-neg", "gen-n-0", "gen-seed-neg",
-            "bench-count-0", "bench-seed-neg"])
-    def test_out_of_range_flags(self, tmp_path, capsys, flags):
-        # --samples 0 passed every factorization certificate vacuously;
-        # a negative seed, n or count exited 1 with a traceback
+            "bench-count-0", "bench-seed-neg", "solve-tol-neg", "solve-tol-nan",
+            "solve-tol-inf", "bench-tol-neg", "solve-max-iter-0", "solve-max-iter-neg",
+            "bench-max-iter-0", "gen-gamma-neg", "gen-gamma-nan", "gen-gamma-0",
+            "bench-gamma-inf"])
+    def test_out_of_range_flags(self, tmp_path, capsys, flags, message):
+        # --samples 0 passed every factorization certificate vacuously; a
+        # negative seed, n, count or tol exited 1 with a traceback; a nan or
+        # infinite tol and a max-iter below 1 exited 4 on a valid model; a
+        # gamma of 0 wrote a null-recurrent model labelled positive
         model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         with pytest.raises(SystemExit) as exc:
             cli.main([f.format(model=model) for f in flags])
         assert exc.value.code == cli.EXIT_PARSE
-        assert "must be at least" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_zero_tol_still_solves(self, tmp_path):
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        assert cli.main(["solve", str(model), "--tol", "0", "--quiet"]) == 0
 
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
@@ -220,6 +240,43 @@ class TestMain:
         assert not calls
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 4, "det_b": 32}),
+        ("null", {"cyclic_reduction": 7, "perron_data": 2, "new": 6, "det_b": 32}),
+    ])
+    def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
+        # one shifted solve per kind serves the route and its round trip,
+        # Perron data is computed once per triple (the null reference
+        # solution derives the reversed model's), each triple builds B(z)
+        # once, and det B(z) is taken once per determinant point (the pencil
+        # roots are counted by test_roots_computed_once)
+        from qbdshift import matpoly, model, solvers
+
+        counts = dict.fromkeys(expected, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "16", "--seed", "1", "--out", str(path)]) == 0
+        triple, _ = cli.read_model(path)
+        monkeypatch.setattr(solvers, "cyclic_reduction",
+                            counting("cyclic_reduction", solvers.cyclic_reduction))
+        monkeypatch.setattr(model, "perron_data", counting("perron_data", model.perron_data))
+        monkeypatch.setattr(matpoly.QuadMatPoly, "new", classmethod(
+            counting("new", matpoly.QuadMatPoly.new.__func__)))
+        monkeypatch.setattr(matpoly.QuadMatPoly, "det_b",
+                            counting("det_b", matpoly.QuadMatPoly.det_b))
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert counts == expected
+        if kind == "null":
+            counts["perron_data"] = 0
+            cli.shift_mod.reference_solution(triple, model.classify(triple))
+            assert counts["perron_data"] == 1
 
     def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
         # replacement claims take one eigensolve per matrix; only the

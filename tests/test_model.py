@@ -85,7 +85,9 @@ class TestClassify:
         expected_inside = {"positive": -1, "null": -1, "transient": 0}
         for kind, rows in small_bank.items():
             for m, cls in rows:
-                inside, on, outside = matpoly.roots(m.poly()).split_counts(tol=1e-6)
+                mods = np.abs(matpoly.roots(m.poly).finite)
+                inside = int(np.sum(mods < 1.0 - 1e-6))
+                on = int(np.sum(np.abs(mods - 1.0) <= 1e-6))
                 assert inside == m.n + expected_inside[kind], (kind, m.n)
                 assert on == (2 if kind == "null" else 1)
 
@@ -119,7 +121,7 @@ class TestPerronData:
         # u_G and v_Rhat at xi_n; u_Ghat and v_R at xi_{n+1}
         cls = classify(e2)
         pd = perron_data(e2, cls)
-        poly = e2.poly()
+        poly = e2.poly
         for xi, right, left in (
             (cls.xi_n, pd.u_g, pd.v_rhat),
             (cls.xi_n1, pd.u_ghat, pd.v_r),
@@ -199,10 +201,28 @@ def test_reversed_classification_matches_classify(small_bank):
         assert matpoly.multiset_distance(derived.roots, direct.roots) <= 1e-9
 
 
+def test_reversed_perron_data_matches_perron_data(small_bank):
+    from qbdshift import cli
+
+    models = [m for rows in small_bank.values() for m, _ in rows]
+    models += [cli.generate(kind, 8, 2, gamma=gamma)[0]
+               for kind in ("positive", "transient") for gamma in (1e-3, 1e-4)]
+    models.append(cli.generate("null", 8, 3)[0])
+    for m in models:
+        cls = classify(m)
+        derived = perron_data(m, cls).reversed()
+        direct = perron_data(m.reversed(), cls.reversed())
+        for field in ("u_g", "v_rhat", "u_ghat", "v_r"):
+            np.testing.assert_allclose(
+                getattr(derived, field), getattr(direct, field), rtol=0, atol=1e-10,
+                err_msg=field,
+            )
+
+
 def test_pairing_scalars_recorded(e2):
     cls = classify(e2)
     sol = solve_all(e2, cls)
     pd = complete_perron_data(perron_data(e2, cls), sol)
-    pairs = pd.pairings()
-    assert set(pairs) == {"v_Ghat.u_G", "v_R.u_Rhat", "v_G.u_G", "v_R.u_R"}
-    assert all(v > 0 for v in pairs.values())
+    # the rank-one shift updates rescale by exactly these pairings
+    pairs = (pd.v_ghat @ pd.u_g, pd.v_r @ pd.u_rhat, pd.v_g @ pd.u_g, pd.v_r @ pd.u_r)
+    assert all(v > 0 for v in pairs)

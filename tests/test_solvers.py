@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 import oracles
-from qbdshift import kernel, matpoly, solvers
+from oracles import solve_min_g_oracle
+from qbdshift import kernel, matpoly
 from qbdshift import (
     compute_w,
+    cyclic_reduction,
     derive_r_k,
     hats_from_w,
     reference_solution,
     solve_all,
-    solve_hat_pair,
-    solve_min_g,
-    solve_min_g_oracle,
 )
 
 
@@ -19,31 +18,39 @@ def scalar_b(a_minus, a_zero, a_plus):
     return (np.array([[a_minus]]), np.array([[a_zero - 1.0]]), np.array([[a_plus]]))
 
 
+def hat_pair(model, **cr_args):
+    """(Ghat, Rhat, Khat): Ghat solves (1) for the reversed polynomial."""
+    b0 = model.b_zero()
+    ghat = cyclic_reduction(model.a_plus, b0, model.a_minus, **cr_args).g
+    rhat, khat = derive_r_k(b0, model.a_minus, ghat)
+    return ghat, rhat, khat
+
+
 class TestSolveMinG:
     def test_p1_converges_fast(self):
-        g, iters = solve_min_g(*scalar_b(*oracles.P1))
-        assert g[0, 0] == pytest.approx(1.0, abs=1e-13)
-        assert iters <= 30
+        out = cyclic_reduction(*scalar_b(*oracles.P1))
+        assert out.g[0, 0] == pytest.approx(1.0, abs=1e-13)
+        assert out.iterations <= 30
 
     def test_t1(self):
-        g, _ = solve_min_g(*scalar_b(*oracles.T1))
+        g = cyclic_reduction(*scalar_b(*oracles.T1)).g
         assert g[0, 0] == pytest.approx(0.6, abs=1e-13)
 
     def test_right_shifted_null_coefficients(self):
         # right-shifted N1 triple (0, 0.6, 0.4): minimal root of
         # 0 + (0.6 - 1) g + 0.4 g^2 is g = 0
-        g, iters = solve_min_g(*scalar_b(0.0, 0.6, 0.4))
-        assert g[0, 0] == 0.0
-        assert iters == 0
+        out = cyclic_reduction(*scalar_b(0.0, 0.6, 0.4))
+        assert out.g[0, 0] == 0.0
+        assert out.iterations == 0
 
     def test_singular_pivot_reports_step(self):
         with pytest.raises(kernel.SingularMatrixError, match="step 0"):
-            solve_min_g(np.array([[0.5]]), np.array([[0.0]]), np.array([[0.5]]))
+            cyclic_reduction(np.array([[0.5]]), np.array([[0.0]]), np.array([[0.5]]))
 
     def test_null_recurrent_stall_raises_with_solution(self):
         # cap the sweeps well before the linear-rate iteration can finish
         with pytest.raises(kernel.ConvergenceError) as err:
-            solve_min_g(*scalar_b(*oracles.N1), tol=1e-14, max_iter=3)
+            cyclic_reduction(*scalar_b(*oracles.N1), tol=1e-14, max_iter=3)
         assert err.value.solution is not None
         assert err.value.iterations == 3
         assert err.value.residual > 1e-4
@@ -52,14 +59,14 @@ class TestSolveMinG:
         # at the double root the equation residual is quadratic in the
         # forward error: a deep run certifies the residual while the
         # iterate itself freezes around sqrt(eps) away from the truth
-        outcome = solvers.cyclic_reduction(*scalar_b(*oracles.N1), tol=1e-16, max_iter=40)
+        outcome = cyclic_reduction(*scalar_b(*oracles.N1), tol=1e-16, max_iter=40)
         assert outcome.residual <= 1e-12
         assert abs(outcome.g[0, 0] - 1.0) > 1e-10  # forward error remains
 
     def test_matches_scalar_oracle_on_families(self):
         for blocks in (oracles.P1, oracles.T1):
             expected = oracles.scalar_solutions(*blocks)["g"]
-            g, _ = solve_min_g(*scalar_b(*blocks))
+            g = cyclic_reduction(*scalar_b(*blocks)).g
             assert g[0, 0] == pytest.approx(expected, abs=1e-13)
 
 
@@ -92,12 +99,12 @@ class TestOracleIteration:
 
     def test_cr_and_oracle_agree(self, e2, n2):
         b_e2 = (e2.a_minus, e2.b_zero(), e2.a_plus)
-        g_cr, _ = solve_min_g(*b_e2)
+        g_cr = cyclic_reduction(*b_e2).g
         g_fp, _ = solve_min_g_oracle(*b_e2, tol=1e-13)
         np.testing.assert_allclose(g_cr, g_fp, atol=1e-7)
         # null recurrent: oracle increment 4e-9 gives ~1e-4 accuracy
         b_n2 = (n2.a_minus, n2.b_zero(), n2.a_plus)
-        g_cr2, _ = solve_min_g(*b_n2, tol=1e-9, max_iter=40, res_tol=1e-9)
+        g_cr2 = cyclic_reduction(*b_n2, tol=1e-9, max_iter=40, res_tol=1e-9).g
         g_fp2, _ = solve_min_g_oracle(*b_n2, tol=4e-9)
         np.testing.assert_allclose(g_cr2, g_fp2, atol=1e-4)
 
@@ -131,19 +138,19 @@ class TestDeriveRK:
 
 class TestHatPair:
     def test_p1(self, p1):
-        ghat, rhat, khat, _ = solve_hat_pair(p1)
+        ghat, rhat, khat = hat_pair(p1)
         assert ghat[0, 0] == pytest.approx(0.6, abs=1e-13)
         assert rhat[0, 0] == pytest.approx(1.0, abs=1e-13)
         assert khat[0, 0] == pytest.approx(-0.5, abs=1e-13)
 
     def test_n1_accuracy_capped_by_double_root(self, n1):
-        ghat, rhat, khat, _ = solve_hat_pair(n1, tol=1e-9, res_tol=1e-9)
+        ghat, rhat, khat = hat_pair(n1, tol=1e-9, res_tol=1e-9)
         assert ghat[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert rhat[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert khat[0, 0] == pytest.approx(-0.4, abs=1e-6)
 
     def test_t1(self, t1):
-        ghat, rhat, khat, _ = solve_hat_pair(t1)
+        ghat, rhat, khat = hat_pair(t1)
         assert ghat[0, 0] == pytest.approx(1.0, abs=1e-13)
         assert rhat[0, 0] == pytest.approx(0.6, abs=1e-13)
         assert khat[0, 0] == pytest.approx(-0.5, abs=1e-13)
@@ -221,7 +228,7 @@ class TestSolveAllProperties:
                 sol = reference_solution(m, cls)
                 eig_g = list(np.linalg.eigvals(sol.g))
                 recip = [np.inf if z == 0 else 1.0 / z for z in np.linalg.eigvals(sol.r)]
-                rs = matpoly.roots(m.poly())
+                rs = matpoly.roots(m.poly)
                 assert matpoly.multiset_distance(eig_g + recip, rs) <= 1e-7
 
     def test_w_identities(self, small_bank):

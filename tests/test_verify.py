@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 import oracles
+from phase_partition import phase_partition
 from qbdshift import (
+    ShiftKind,
+    build_transform,
     check_identity_suite,
     check_mmatrix,
     check_sign_property,
     classify,
     complete_perron_data,
     perron_data,
-    phase_partition,
     reference_solution,
     shifted_gr,
     solve_all,
+    solve_via,
     validate,
 )
-from qbdshift import verify
-from qbdshift.shift import build_transform
+from qbdshift import solvers, verify
 
 
 def solved(model):
@@ -26,6 +28,15 @@ def solved(model):
     sol = reference_solution(model, cls)
     pd = complete_perron_data(perron_data(model, cls), sol)
     return cls, sol, pd
+
+
+def full_suite(model, max_iter=solvers.CR_MAX_ITER):
+    """The suite as a certified solve runs it: every shift kind with the
+    route solved from the completed Perron data, round trips included."""
+    cls, sol, pd = solved(model)
+    routes = {kind: solve_via(model, cls, kind, perron=pd, max_iter=max_iter)
+              for kind in ShiftKind}
+    return check_identity_suite(model, cls, sol, perron=pd, routes=routes)
 
 
 class TestMMatrix:
@@ -117,14 +128,15 @@ class TestPhasePartition:
 
 class TestIdentitySuite:
     def test_p1_all_pass(self, p1):
-        certs = check_identity_suite(p1)
+        certs = full_suite(p1)
         failed = [c for c in certs if c.status == "fail"]
         assert not failed, failed
+        assert sum(c.name.endswith(":roundtrip") for c in certs) == 3
         # non-null double hats have no closed form
         assert sum(c.status == "n/a" for c in certs) == 1
 
     def test_n1_passes_with_info_discrepancy(self, n1):
-        certs = check_identity_suite(n1)
+        certs = full_suite(n1)
         assert not [c for c in certs if c.status == "fail"]
         infos = [c for c in certs if c.status == "info"]
         assert len(infos) == 1
@@ -137,23 +149,23 @@ class TestIdentitySuite:
         cls = classify(e2)
         sol = solve_all(e2, cls)
         broken = dataclasses.replace(sol, g=sol.g + 0.01)
-        certs = check_identity_suite(e2, cls, broken, roundtrip=False)
+        certs = check_identity_suite(e2, cls, broken)
         assert sum(c.status == "fail" for c in certs) >= 3
 
     def test_certificates_deterministic(self, t1):
-        first = check_identity_suite(t1)
-        second = check_identity_suite(t1)
+        first = full_suite(t1)
+        second = full_suite(t1)
         assert [(c.name, c.residual) for c in first] == [
             (c.name, c.residual) for c in second
         ]
 
     def test_pass_iff_residual_within_tolerance(self, e2):
-        for cert in check_identity_suite(e2):
+        for cert in full_suite(e2):
             if cert.status in ("pass", "fail"):
                 assert (cert.residual <= cert.tolerance) == (cert.status == "pass")
 
     def test_serializes(self, p1):
-        cert = check_identity_suite(p1, roundtrip=False)[0]
+        cert = check_identity_suite(p1)[0]
         payload = cert.to_dict()
         assert set(payload) == {"name", "residual", "tolerance", "status", "context"}
 
@@ -178,11 +190,7 @@ class TestPatternedInstances:
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_full_suite_green(self, seed):
-        m = self.patterned(seed)
-        cls = classify(m)
-        sol = reference_solution(m, cls)
-        pd = complete_perron_data(perron_data(m, cls), sol)
-        certs = check_identity_suite(m, cls, sol, perron=pd)
+        certs = full_suite(self.patterned(seed))
         assert not [c for c in certs if c.status == "fail"], [
             (c.name, c.residual) for c in certs if c.status == "fail"
         ]
@@ -271,8 +279,7 @@ class TestNearNullRecurrent:
         from qbdshift import cli
 
         m, _ = cli.generate("positive", 4, seed=1, gamma=gamma)
-        cls = classify(m)
-        certs = check_identity_suite(m, cls, cr_max_iter=128)
+        certs = full_suite(m, max_iter=128)
         fails = [(c.name, c.residual) for c in certs if c.status == "fail"]
         assert not fails, fails
 
@@ -280,8 +287,7 @@ class TestNearNullRecurrent:
         from qbdshift import cli
 
         m, _ = cli.generate("positive", 4, seed=0, gamma=1e-7)
-        cls = classify(m)
-        certs = check_identity_suite(m, cls, cr_max_iter=128)
+        certs = full_suite(m, max_iter=128)
         assert not [c for c in certs if c.status == "fail"]
         exhausted = [c for c in certs if c.status == "n/a" and "conditioning" in c.context]
         assert exhausted  # W transport has no verifiable digits here
@@ -305,7 +311,7 @@ class TestNearNullRecurrent:
 def test_null_spectral_certs_keep_strict_tolerance(n1):
     # the conditioning-aware scaling must not weaken exactly-null
     # instances, whose shift points are exact
-    certs = {c.name: c for c in check_identity_suite(n1)}
+    certs = {c.name: c for c in full_suite(n1)}
     for name in ("spec:rho(G)=xi_n", "spec:1/rho(R)=xi_n1",
                  "spec:rho(G)=rho(Rhat)", "spec:rho(R)=rho(Ghat)"):
         assert certs[name].tolerance == 1e-8
