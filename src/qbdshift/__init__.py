@@ -8,10 +8,8 @@ certifies every canonical-factorization identity along the way.
 
 from .kernel import (
     ConvergenceError,
-    PerronPair,
-    ReducibleMatrixError,
     SingularMatrixError,
-    perron_pair,
+    perron,
     scc_partition,
     solve_linear,
     spectral_radius,

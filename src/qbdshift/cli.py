@@ -64,6 +64,8 @@ def generate(kind, n, seed, gamma=0.5):
         raise ValueError(f"kind must be one of {GEN_KINDS}, got {kind!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and above 0, got {gamma}")
     rng = np.random.default_rng(seed)
     x_zero = rng.uniform(0.1, 1.0, (n, n))
     for i in range(n):
@@ -203,16 +205,12 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
             routes[kind] = exc
     if route_kind is not None:
         route = routes[route_kind]
-        bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
         report["shift_route"] = {
             "kind": route_kind.value,
             "iterations": route.cr.iterations,
             "G": _flat(route.g),
             "R": _flat(route.r),
-            "recovery_residual": max(
-                solvers.residual_g(bm, b0, bp, route.g),
-                solvers.residual_r(bm, b0, bp, route.r),
-            ),
+            "recovery_residual": route.recovery_residual,
         }
     det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(
@@ -309,10 +307,7 @@ def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gam
             "shifted_iterations": route.cr.iterations,
             "shifted_residual": route.cr.residual,
             "shifted_rate_estimate": route.cr.rate_estimate,
-            "recovery_residual": max(
-                solvers.residual_g(bm, b0, bp, route.g),
-                solvers.residual_r(bm, b0, bp, route.r),
-            ),
+            "recovery_residual": route.recovery_residual,
             "recovered_accuracy": _accuracy_probe(cls.kind.value, route.g),
         })
     return rows

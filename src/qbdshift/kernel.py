@@ -1,7 +1,7 @@
-"""Dense real-matrix primitives: norms, linear solves, spectral radius,
-Perron pairs (power iteration, one dense eigensolve as fallback), strongly
-connected components (scipy.sparse.csgraph), Stein equation (Smith
-doubling).
+"""Dense real-matrix primitives: norms, linear solves, spectral radius and
+Perron vectors (one power iteration with a Collatz-Wielandt stop and a
+stall rule, one dense eigensolve as fallback), strongly connected
+components (scipy.sparse.csgraph), Stein equation (Smith doubling).
 
 Everything here works on plain ``numpy.ndarray`` matrices. Inputs are never
 mutated; all functions are pure and thread-safe.
@@ -10,6 +10,7 @@ mutated; all functions are pure and thread-safe.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -18,14 +19,11 @@ import scipy.sparse.csgraph
 
 __all__ = [
     "ConvergenceError",
-    "PerronPair",
-    "ReducibleMatrixError",
     "Scc",
     "SingularMatrixError",
-    "dominant_pair",
     "inf_norm",
     "is_irreducible",
-    "perron_pair",
+    "perron",
     "scc_partition",
     "solve_linear",
     "spectral_radius",
@@ -37,9 +35,11 @@ LINALG_RTOL = 1e-12
 EIGEN_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
-# Power/Collatz-Wielandt iteration gives up and falls back to a dense
-# eigendecomposition beyond this convergence ratio.
+# Power iteration stalls, and a dense eigendecomposition takes over, when
+# past STALL_STEPS steps its Collatz-Wielandt bracket shrinks by less than
+# SLOW_RATIO per step.
 SLOW_RATIO = 0.999
+STALL_STEPS = 50
 
 # Cap on Smith-doubling steps in stein_solve: after k steps the sum covers
 # 2^k terms, and the divergence guard rho(G) rho(R) < 1 - 1e-12 needs at
@@ -61,10 +61,6 @@ class ConvergenceError(RuntimeError):
         self.solution = solution
 
 
-class ReducibleMatrixError(ValueError):
-    """An operation requiring an irreducible pattern got a reducible one."""
-
-
 def as_square(m, name="matrix"):
     """Validate and return `m` as a finite square 2-d float array."""
     a = np.asarray(m, dtype=float)
@@ -83,83 +79,52 @@ def inf_norm(m):
     return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
 
 
-def spectral_radius(m, rtol=LINALG_RTOL, max_iter=20000):
-    """Spectral radius of a square real matrix.
+def _power(a):
+    """Perron radius and right vector of nonnegative `a` by power iteration
+    on the aperiodic a + I (rho(a + I) = rho(a) + 1) from x = e.
 
-    For a nonnegative matrix the radius is bracketed by Collatz-Wielandt
-    bounds min_i (Mx)_i/x_i <= rho <= max_i (Mx)_i/x_i (valid for any
-    positive x), iterated on M + I to break periodicity; the returned value
-    is the midpoint of the final enclosure. If the bounds fail to close
-    within `max_iter` (reducible or defective dominant part), or the matrix
-    has negative entries, a dense eigendecomposition is used.
+    The Collatz-Wielandt bounds min_i (Mx)_i/x_i <= rho(M) <= max_i
+    (Mx)_i/x_i hold for every positive x. The loop stops when they close
+    to LINALG_RTOL and returns the midpoint radius with the vector at unit
+    infinity norm. They close exactly when the dominant vector is positive;
+    past STALL_STEPS steps a bracket that shrinks by less than SLOW_RATIO
+    per step (structural zeros in the dominant vector, a slow rate) is a
+    stall, and the result is None.
+    """
+    shifted = a + np.eye(a.shape[0])
+    x = np.ones(a.shape[0])
+    prev = np.inf
+    # a vector entry that underflows to 0 makes a NaN bracket: a stall
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in itertools.count():
+            y = shifted @ x
+            ratios = y / x
+            # the array methods skip np.min's dispatch, half a step's cost at n = 8
+            lo, hi = float(ratios.min()), float(ratios.max())
+            x = y / y.max()
+            if hi - lo <= LINALG_RTOL * hi:
+                return (lo + hi) / 2.0 - 1.0, x
+            if k >= STALL_STEPS and not hi - lo < SLOW_RATIO * prev:
+                return None
+            prev = hi - lo
+
+
+def spectral_radius(m):
+    """Spectral radius of a square real matrix: the Collatz-Wielandt
+    midpoint of `_power` for a nonnegative matrix, the largest eigenvalue
+    modulus when the power iteration stalls or `m` has negative entries.
     """
     a = as_square(m)
-    n = a.shape[0]
-    if n == 1:
+    if a.shape[0] == 1:
         return float(abs(a[0, 0]))
-    if np.any(a < 0.0):
+    found = None if np.any(a < 0.0) else _power(a)
+    if found is None:
         return float(np.max(np.abs(np.linalg.eigvals(a))))
-    # Collatz-Wielandt on the aperiodic companion M + I; rho(M+I) = rho(M)+1.
-    shifted = a + np.eye(n)
-    x = np.ones(n)
-    for _ in range(max_iter):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi - lo <= rtol * hi:
-            return (lo + hi) / 2.0 - 1.0
-        nrm = float(np.max(y))
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return found[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class PerronPair:
-    """Perron radius with right/left eigenvectors and the scaling applied."""
-
-    radius: float
-    right: np.ndarray
-    left: np.ndarray
-    normalization: dict
-
-
-def _normalize(vec, rule):
-    if rule == "sum":
-        scale = float(np.sum(vec))
-    elif rule == "max":
-        scale = float(np.max(np.abs(vec)))
-    else:
-        raise ValueError(f"unknown norm rule {rule!r}")
-    if scale == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return vec / scale, scale
-
-
-def _power_vector(a, rtol, max_iter):
-    """Right dominant eigenvector of nonnegative `a` via power iteration
-    on a + I. Returns None if convergence is too slow (ratio > SLOW_RATIO).
-    """
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    prev_delta = np.inf
-    for k in range(max_iter):
-        y = shifted @ x
-        y /= np.max(np.abs(y))
-        delta = float(np.max(np.abs(y - x)))
-        x = y
-        if delta <= rtol:
-            return x
-        if k > 50 and delta > SLOW_RATIO * prev_delta and delta > 1e-6:
-            return None
-        prev_delta = delta
-    return None
-
-
-def _dense_dominant(a):
-    """Right and left dominant eigenvectors of `a` from one dense
+def _dense_perron(a):
+    """Perron radius with right and left vectors of `a` from one dense
     decomposition, sign-fixed and polished by power steps on a + I.
 
     Among eigenvalues of (numerically) maximal modulus the one with the
@@ -168,11 +133,11 @@ def _dense_dominant(a):
     same circle. Both vectors belong to that one eigenvalue.
     """
     vals, lefts, rights = scipy.linalg.eig(a, left=True, right=True)
-    top = np.max(np.abs(vals))
-    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * top)
+    radius = float(np.max(np.abs(vals)))
+    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
     i = candidates[int(np.argmax(np.real(vals[candidates])))]
     shifted = a + np.eye(a.shape[0])
-    out = []
+    out = [radius]
     for v, mat in ((rights[:, i], shifted), (lefts[:, i], shifted.T)):
         v = np.real(v)
         if v[int(np.argmax(np.abs(v)))] < 0:
@@ -184,66 +149,30 @@ def _dense_dominant(a):
     return tuple(out)
 
 
-def perron_pair(m, norm_rule="sum", rtol=LINALG_RTOL, max_iter=20000):
-    """Perron radius and positive right/left eigenvectors of a nonnegative
-    irreducible matrix.
+def perron(m):
+    """Perron radius with right and left dominant vectors of a nonnegative
+    matrix, each vector at unit infinity norm: (radius, right, left).
 
-    `norm_rule` is "sum" (entries sum to 1) or "max" (unit infinity norm)
-    and is applied to both vectors independently. Power iteration finds
-    each vector; when it converges too slowly the dense eigensolve of
-    dominant_pair takes over. Raises ReducibleMatrixError when the pattern
-    is reducible, and ValueError if the computed vectors are not strictly
-    positive (cannot happen for a genuinely irreducible input).
+    Power iteration finds both vectors when they are positive; when either
+    stalls, one dense eigendecomposition gives the radius and both vectors
+    (entries that are structurally zero may then carry eigensolver noise
+    up to ~1e-14). Raises ValueError for a negative entry or a nilpotent
+    matrix, ConvergenceError when a residual exceeds EIGEN_RTOL max(rho, 1).
     """
     a = as_square(m)
     if np.any(a < 0.0):
-        raise ValueError("perron_pair requires a nonnegative matrix")
-    if not is_irreducible(a):
-        raise ReducibleMatrixError("matrix pattern is reducible")
-    radius = spectral_radius(a, rtol=rtol)
-    right = _power_vector(a, rtol, max_iter)
-    left = _power_vector(a.T, rtol, max_iter)
-    if right is None or left is None:
-        dense_right, dense_left = _dense_dominant(a)
-        right = dense_right if right is None else right
-        left = dense_left if left is None else left
-    if np.min(right) <= 0.0 or np.min(left) <= 0.0:
-        raise ValueError("Perron vectors not strictly positive")
-    right, sr = _normalize(right, norm_rule)
-    left, sl = _normalize(left, norm_rule)
-    scale = max(radius, 1.0)
-    res_r = inf_norm(a @ right - radius * right)
-    res_l = inf_norm(left @ a - radius * left)
-    if max(res_r, res_l) > EIGEN_RTOL * scale:
-        raise ConvergenceError(
-            "Perron residual above tolerance", residual=max(res_r, res_l)
-        )
-    return PerronPair(
-        radius=radius,
-        right=right,
-        left=left,
-        normalization={"rule": norm_rule, "right_scale": sr, "left_scale": sl},
-    )
-
-
-def dominant_pair(m, rtol=LINALG_RTOL):
-    """Like perron_pair but for a possibly reducible nonnegative matrix.
-
-    Returns (radius, right, left) where the vectors are nonnegative
-    (entries that are structurally zero may carry eigensolver noise up to
-    ~1e-14; callers threshold). Vectors have unit infinity norm. Both come
-    from one dense eigendecomposition, polished by a few power steps.
-    """
-    a = as_square(m)
-    radius = spectral_radius(a, rtol=rtol)
+        raise ValueError("perron requires a nonnegative matrix")
+    right = _power(a)
+    left = _power(a.T) if right else None
+    if left:
+        radius, right, left = right[0], right[1], left[1]
+    else:
+        radius, right, left = _dense_perron(a)
     if radius == 0.0:
-        raise ValueError("dominant_pair undefined for a nilpotent matrix")
-    right, left = _dense_dominant(a)
-    scale = max(radius, 1.0)
-    if inf_norm(a @ right - radius * right) > EIGEN_RTOL * scale:
-        raise ConvergenceError("dominant right eigenvector did not converge")
-    if inf_norm(left @ a - radius * left) > EIGEN_RTOL * scale:
-        raise ConvergenceError("dominant left eigenvector did not converge")
+        raise ValueError("a nilpotent matrix has no Perron vector")
+    residual = max(inf_norm(a @ right - radius * right), inf_norm(left @ a - radius * left))
+    if residual > EIGEN_RTOL * max(radius, 1.0):
+        raise ConvergenceError("Perron residual above tolerance", residual=residual)
     return radius, right, left
 
 

@@ -142,8 +142,8 @@ class Classification:
 
 def stationary_vector(a):
     """Stationary row vector of an irreducible stochastic matrix."""
-    pair = kernel.perron_pair(a, norm_rule="sum")
-    return pair.left
+    left = kernel.perron(a)[2]
+    return left / np.sum(left)
 
 
 def _real_positive_root(rootset, index):
@@ -214,41 +214,37 @@ class PerronData:
         )
 
 
-def _unit_max(vec):
-    return vec / np.max(np.abs(vec))
-
-
 def perron_data(model, cls):
     """A-priori Perron vectors from A(xi_n) and A(xi_{n+1}).
 
     When xi_n = xi_{n+1} (null recurrence) u_g = u_ghat = e exactly and
     v_r = v_rhat is the stationary vector of the phase process.
     """
+    e = np.ones(model.n)
     if cls.xi_n == cls.xi_n1:
-        e = np.ones(model.n)
-        theta = _unit_max(stationary_vector(model.a_sum()))
-        return PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
-    low = kernel.perron_pair(model.a_of(cls.xi_n), norm_rule="max")
-    high = kernel.perron_pair(model.a_of(cls.xi_n1), norm_rule="max")
-    u_g = low.right
-    if cls.kind is Kind.POSITIVE_RECURRENT:
-        u_g = np.ones(model.n)  # A(1) stochastic: the Perron vector is e
-    u_ghat = high.right
-    if cls.kind is Kind.TRANSIENT:
-        u_ghat = np.ones(model.n)
-    return PerronData(u_g=u_g, v_rhat=low.left, u_ghat=u_ghat, v_r=high.left)
+        _, _, theta = kernel.perron(model.a_sum())
+        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
+    else:
+        _, u_g, v_rhat = kernel.perron(model.a_of(cls.xi_n))
+        _, u_ghat, v_r = kernel.perron(model.a_of(cls.xi_n1))
+        if cls.kind is Kind.POSITIVE_RECURRENT:
+            u_g = e  # A(1) stochastic: the Perron vector is e
+        if cls.kind is Kind.TRANSIENT:
+            u_ghat = e
+        pd = PerronData(u_g=u_g, v_rhat=v_rhat, u_ghat=u_ghat, v_r=v_r)
+    if min(np.min(pd.u_g), np.min(pd.v_rhat), np.min(pd.u_ghat), np.min(pd.v_r)) <= 0.0:
+        raise ValueError("Perron vectors of A(xi) not strictly positive")
+    return pd
 
 
 def complete_perron_data(pd, sol):
-    """Fill the solution-side Perron vectors from solved G, R, Ghat, Rhat."""
-    _, _, v_g = kernel.dominant_pair(sol.g)
-    _, u_r, _ = kernel.dominant_pair(sol.r)
-    _, _, v_ghat = kernel.dominant_pair(sol.ghat)
-    _, u_rhat, _ = kernel.dominant_pair(sol.rhat)
+    """Fill the solution-side Perron vectors from solved G, R, Ghat, Rhat,
+    reading the round-off negatives of a shift-recovered solution as 0."""
+    g, r, ghat, rhat = (np.maximum(m, 0.0) for m in (sol.g, sol.r, sol.ghat, sol.rhat))
     return dataclasses.replace(
         pd,
-        v_g=_unit_max(v_g),
-        u_r=_unit_max(u_r),
-        v_ghat=_unit_max(v_ghat),
-        u_rhat=_unit_max(u_rhat),
+        v_g=kernel.perron(g)[2],
+        u_r=kernel.perron(r)[1],
+        v_ghat=kernel.perron(ghat)[2],
+        u_rhat=kernel.perron(rhat)[1],
     )

@@ -150,8 +150,9 @@ def shifted_gr(sol, transform):
 def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
     """Invert the rank-one updates: G = G_s + xi_n Q, R = R_s + xi_{n+1}^-1 S.
 
-    The recovered pair must satisfy the original equations; a residual
-    above res_tol means the shift was built from wrong xi or Perron data.
+    Returns (G, R, residual), residual = max(res_G, res_R) on the original
+    equations; a residual above res_tol means the shift was built from
+    wrong xi or Perron data.
     """
     g = g_shifted + transform.xi_n * transform.q if transform.q is not None else g_shifted
     r = (
@@ -169,7 +170,7 @@ def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
             f"recovered solution misses the original equations by {res:.3e}",
             residual=res,
         )
-    return g, r
+    return g, r, res
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,8 +293,9 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
 @dataclasses.dataclass(frozen=True)
 class ShiftRoute:
     """Outcome of solve shifted + recover: the transform, the shifted
-    problem's cyclic reduction (cr.g is G_s), R_s, K_s and the recovered
-    (G, R)."""
+    problem's cyclic reduction (cr.g is G_s), R_s, K_s, the recovered
+    (G, R) and their residual max(res_G, res_R) on the original
+    equations."""
 
     transform: ShiftTransform
     cr: solvers.CrOutcome
@@ -301,6 +303,7 @@ class ShiftRoute:
     k_shifted: np.ndarray
     g: np.ndarray
     r: np.ndarray
+    recovery_residual: float
 
 
 def pick_kind(cls):
@@ -332,10 +335,11 @@ def solve_via(model, cls=None, kind="auto", perron=None, v=None, w=None,
     r_s, k_s = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
-    g, r = recover_gr(
+    g, r, res = recover_gr(
         cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, k_shifted=k_s, g=g, r=r)
+    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, k_shifted=k_s, g=g, r=r,
+                      recovery_residual=res)
 
 
 # Root gap below which the direct route visibly loses forward accuracy

@@ -433,11 +433,7 @@ def _roundtrip_cert(model, cls, sol, kind, route, xi_amp=0.0):
             f"{kind}:roundtrip", float("inf"), ROUNDTRIP_TOL, "fail", str(route)
         )
     if cls.kind is model_mod.Kind.NULL_RECURRENT:
-        res = max(
-            solvers.residual_g(model.a_minus, model.b_zero(), model.a_plus, route.g),
-            solvers.residual_r(model.a_minus, model.b_zero(), model.a_plus, route.r),
-        )
-        return _cert(f"{kind}:roundtrip", res, ROUNDTRIP_TOL,
+        return _cert(f"{kind}:roundtrip", route.recovery_residual, ROUNDTRIP_TOL,
                      "recovered pair vs original equations")
     gap = max(
         float(np.max(np.abs(route.g - sol.g))),

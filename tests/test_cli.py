@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbdshift import Kind, classify
-from qbdshift import cli
+from qbdshift import cli, model as model_mod, shift, solvers
 
 
 class TestGenerate:
@@ -45,6 +45,13 @@ class TestGenerate:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             cli.generate("oscillatory", 2, 0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_bad_gamma(self, gamma):
+        # 0 returned a null-recurrent model labelled positive, -0.5 failed
+        # on "a_minus has a negative entry", inf warned before failing
+        with pytest.raises(ValueError, match="gamma must be finite and above 0"):
+            cli.generate("positive", 4, 0, gamma=gamma)
 
 
 class TestModelFiles:
@@ -186,6 +193,20 @@ class TestMain:
         assert route["R"] == [pytest.approx(1.0, abs=1e-10)]
         assert route["iterations"] < report["direct"]["iterations"]["G"]
         assert route["recovery_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_recovery_residual_is_the_routes(self, kind):
+        triple, meta = cli.generate(kind, 4, seed=5)
+        report = cli.solve_report(triple, meta, kinds=())
+        cls = classify(triple)
+        perron = model_mod.complete_perron_data(
+            model_mod.perron_data(triple, cls), shift.reference_solution(triple, cls))
+        route = shift.solve_via(triple, cls, perron=perron)
+        bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
+        expected = max(solvers.residual_g(bm, b0, bp, route.g),
+                       solvers.residual_r(bm, b0, bp, route.r))
+        assert route.recovery_residual == expected
+        assert report["shift_route"]["recovery_residual"] == expected
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,45 +41,147 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             kernel.spectral_radius(np.ones((2, 3)))
 
+    def test_zero_row_stalls_quickly(self):
+        # a zero row holds its Collatz-Wielandt ratio at 1 while the others
+        # approach rho + 1, so the bracket never closes; the stall rule
+        # hands the matrix to eigvals after ~50 steps. On a two-core VM the
+        # three take ~4 ms, and running out a 20000-step cap took 1.2 s.
+        rng = np.random.default_rng(7)
+        mats = []
+        for row in range(3):
+            m = rng.uniform(0.1, 1.0, (8, 8))
+            m[row] = 0.0
+            mats.append(m)
+        start = time.perf_counter()
+        radii = [kernel.spectral_radius(m) for m in mats]
+        elapsed = time.perf_counter() - start
+        assert radii == pytest.approx([oracles.naive_spectral_radius(m) for m in mats],
+                                      rel=1e-12)
+        assert elapsed < 0.1
+
+
+def patterned_matrix(pattern, n, seed):
+    """A nonnegative n x n matrix, entries in [0.1, 1] off its zero pattern:
+    'irreducible' (positive), 'zero-rows' or 'zero-cols' (1 to n - 1 of
+    them), 'block-triangular' (upper), 'periodic' (bipartite, period 2)."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 1.0, (n, n))
+    zeros = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    k = int(rng.integers(1, n))
+    if pattern == "zero-rows":
+        m[zeros, :] = 0.0
+    elif pattern == "zero-cols":
+        m[:, zeros] = 0.0
+    elif pattern == "block-triangular":
+        m[k:, :k] = 0.0
+    elif pattern == "periodic":
+        m[:k, :k] = 0.0
+        m[k:, k:] = 0.0
+    return m
+
+
+PATTERNS = ("irreducible", "zero-rows", "zero-cols", "block-triangular", "periodic")
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the calls of perron's dense fallback."""
+    calls = []
+    dense = kernel._dense_perron
+
+    def counted(a):
+        calls.append(a.shape)
+        return dense(a)
+
+    monkeypatch.setattr(kernel, "_dense_perron", counted)
+    return calls
+
+
+def assert_perron(m, radius, right, left):
+    scale = max(radius, 1.0)
+    assert kernel.inf_norm(m @ right - radius * right) <= kernel.EIGEN_RTOL * scale
+    assert kernel.inf_norm(left @ m - radius * left) <= kernel.EIGEN_RTOL * scale
+    assert np.max(np.abs(right)) == pytest.approx(1.0)
+    assert np.max(np.abs(left)) == pytest.approx(1.0)
+
 
 class TestPerronPair:
     def test_scalar_unit_sum(self):
-        pair = kernel.perron_pair(np.array([[0.5]]), norm_rule="sum")
-        assert pair.radius == pytest.approx(0.5)
-        assert pair.right == pytest.approx([1.0])
-        assert pair.left == pytest.approx([1.0])
+        radius, right, left = kernel.perron(np.array([[0.5]]))
+        assert radius == pytest.approx(0.5)
+        assert right == pytest.approx([1.0])
+        assert left == pytest.approx([1.0])
 
     def test_doubly_stochastic(self):
         m = np.array([[0.3, 0.7], [0.7, 0.3]])
-        pair = kernel.perron_pair(m, norm_rule="sum")
-        assert pair.radius == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(pair.right, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(pair.left, [0.5, 0.5], atol=1e-12)
+        radius, right, left = kernel.perron(m)
+        assert radius == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
 
     def test_n2_block_sum(self):
         a = np.array(oracles.N2[0]) + np.array(oracles.N2[1]) + np.array(oracles.N2[2])
-        pair = kernel.perron_pair(a, norm_rule="sum")
-        assert pair.radius == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(pair.right, [0.5, 0.5], atol=1e-12)
-
-    def test_reducible_raises(self):
-        with pytest.raises(kernel.ReducibleMatrixError):
-            kernel.perron_pair(np.diag([0.5, 0.9]))
+        radius, right, _ = kernel.perron(a)
+        assert radius == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_residuals_on_random_irreducible(self, seed):
+    def test_residuals_on_random_irreducible(self, seed, dense_calls):
         rng = np.random.default_rng(100 + seed)
         m = rng.uniform(0.01, 1.0, (6, 6))
-        pair = kernel.perron_pair(m, norm_rule="max")
-        scale = max(pair.radius, 1.0)
-        assert kernel.inf_norm(m @ pair.right - pair.radius * pair.right) <= 1e-10 * scale
-        assert kernel.inf_norm(pair.left @ m - pair.radius * pair.left) <= 1e-10 * scale
-        assert np.min(pair.right) > 0 and np.min(pair.left) > 0
-        assert np.max(np.abs(pair.right)) == pytest.approx(1.0)
+        radius, right, left = kernel.perron(m)
+        assert_perron(m, radius, right, left)
+        assert np.min(right) > 0 and np.min(left) > 0
+        assert not dense_calls  # positive vectors: the power path
 
-    def test_norm_rule_recorded(self):
-        pair = kernel.perron_pair(np.array([[0.2, 0.8], [0.5, 0.5]]))
-        assert pair.normalization["rule"] == "sum"
+    def test_periodic_takes_power_path(self, dense_calls):
+        # a weighted 4-cycle: period 4, eigenvalues on one circle
+        m = np.roll(np.diag([0.5, 0.8, 0.4, 0.9]), 1, axis=1)
+        radius, right, left = kernel.perron(m)
+        assert radius == pytest.approx(0.144 ** 0.25, rel=1e-12)
+        assert_perron(m, radius, right, left)
+        assert np.min(right) > 0 and np.min(left) > 0
+        assert not dense_calls
+
+    @pytest.mark.parametrize("zero", ["row", "column"])
+    def test_zero_row_or_column_takes_dense_path(self, zero, dense_calls):
+        m = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 0.0], [0.2, 0.6, 0.2]])
+        if zero == "column":
+            m = m.T
+        radius, right, left = kernel.perron(m)
+        assert_perron(m, radius, right, left)
+        # a zero row zeroes the right vector there, a zero column the left
+        vec = right if zero == "row" else left
+        assert vec[1] == pytest.approx(0.0, abs=1e-13)
+        assert dense_calls == [(3, 3)]
+
+    def test_block_triangular_takes_dense_path(self, dense_calls):
+        m = np.array([[0.5, 0.2], [0.0, 0.3]])
+        radius, right, left = kernel.perron(m)
+        assert radius == pytest.approx(0.5, rel=1e-12)
+        np.testing.assert_allclose(right, [1.0, 0.0], atol=1e-13)
+        np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
+        assert dense_calls == [(2, 2)]
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.triu(np.ones((4, 4)), 1)],
+                             ids=["zero", "strictly-triangular"])
+    def test_nilpotent_raises(self, m):
+        with pytest.raises(ValueError, match="nilpotent"):
+            kernel.perron(m)
+
+    def test_negative_entry_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel.perron(np.array([[0.5, -0.1], [0.2, 0.3]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PATTERNS), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_property_over_patterns(self, pattern, n, seed):
+        m = patterned_matrix(pattern, n, seed)
+        radius, right, left = kernel.perron(m)
+        assert radius == pytest.approx(oracles.naive_spectral_radius(m), rel=1e-11)
+        assert_perron(m, radius, right, left)
+        # structural zeros of a dense-path vector carry eigensolver noise
+        assert np.min(right) >= -1e-13 and np.min(left) >= -1e-13
 
 
 class TestSolveLinear:

@@ -141,7 +141,7 @@ class TestShiftedAndRecover:
         g_s, r_s, _ = shifted_gr(sol, t)
         assert g_s[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert r_s[0, 0] == pytest.approx(0.0, abs=1e-12)
-        g, r = recover_gr(g_s, r_s, t, n1)
+        g, r, _ = recover_gr(g_s, r_s, t, n1)
         assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -152,13 +152,13 @@ class TestShiftedAndRecover:
         g_s, r_s, _ = shifted_gr(sol, t)
         assert g_s[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert r_s[0, 0] == pytest.approx(0.6, abs=1e-12)
-        g, r = recover_gr(g_s, r_s, t, p1)
+        g, r, _ = recover_gr(g_s, r_s, t, p1)
         assert (g[0, 0], r[0, 0]) == pytest.approx((1.0, 0.6))
 
     def test_t1_left(self, t1):
         cls, pd = prepared(t1)
         t = build_transform(t1, cls, pd, "left", w=[1.0])
-        g, r = recover_gr(np.array([[0.6]]), np.array([[0.0]]), t, t1)
+        g, r, _ = recover_gr(np.array([[0.6]]), np.array([[0.0]]), t, t1)
         assert (g[0, 0], r[0, 0]) == pytest.approx((0.6, 1.0))
 
     def test_recover_rejects_wrong_transform(self, p1, t1):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from phase_partition import phase_partition
 from qbdshift import (
+    Kind,
     ShiftKind,
     build_transform,
     check_identity_suite,
@@ -191,6 +192,31 @@ class TestPatternedInstances:
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_full_suite_green(self, seed):
         certs = full_suite(self.patterned(seed))
+        assert not [c for c in certs if c.status == "fail"], [
+            (c.name, c.residual) for c in certs if c.status == "fail"
+        ]
+
+    @staticmethod
+    def null_patterned(seed):
+        """Null recurrent (A_1 = A_-1) with two level-frozen phases and a
+        column no level change enters: the shift-recovered G and R carry
+        round-off negatives at their structural zeros."""
+        rng = np.random.default_rng(seed)
+        n = 5
+        x = rng.uniform(0.1, 1.0, (n, n))
+        x[rng.choice(n, size=2, replace=False), :] = 0.0
+        x[:, rng.choice(n, size=1, replace=False)] = 0.0
+        x_0 = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        for i in range(n):
+            x_0[i, (i + 1) % n] += 1e-3
+        s = (2 * x + x_0).sum(axis=1)[:, None]
+        return validate(x / s, x_0 / s, x / s)
+
+    @pytest.mark.parametrize("seed", [0, 5, 10])
+    def test_null_full_suite_green(self, seed):
+        model = self.null_patterned(seed)
+        assert classify(model).kind is Kind.NULL_RECURRENT
+        certs = full_suite(model)
         assert not [c for c in certs if c.status == "fail"], [
             (c.name, c.residual) for c in certs if c.status == "fail"
         ]
