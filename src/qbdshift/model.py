@@ -27,7 +27,6 @@ __all__ = [
     "classify",
     "complete_perron_data",
     "perron_data",
-    "stationary_vector",
     "validate",
 ]
 
@@ -115,35 +114,33 @@ class Kind(str, enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Classification:
-    """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, and
-    all 2n roots of B(z)."""
+    """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, all 2n
+    roots of B(z), and the left Perron vector of A_-1 + A_0 + A_1 at unit
+    infinity norm (the stationary vector of the phase process, up to
+    scale), which perron_data reuses at the unit root."""
 
     kind: Kind
     drift: float
     xi_n: float
     xi_n1: float
     roots: matpoly.RootSet
+    phase_left: np.ndarray
 
     def reversed(self):
         """Classification of the reversed triple (A_1, A_0, A_-1), derived
         without an eigensolve: its B(z) is z^2 B(1/z), so the roots are the
         reciprocals (0 and infinity trade places), the splitting roots are
         1/xi_{n+1} <= 1/xi_n, the drift changes sign and positive
-        recurrence trades places with transience."""
+        recurrence trades places with transience. The block sum, and so
+        its Perron vector, is the same."""
         kind = {
             Kind.POSITIVE_RECURRENT: Kind.TRANSIENT,
             Kind.TRANSIENT: Kind.POSITIVE_RECURRENT,
         }.get(self.kind, self.kind)
         return Classification(
             kind=kind, drift=-self.drift, xi_n=1.0 / self.xi_n1, xi_n1=1.0 / self.xi_n,
-            roots=self.roots.reciprocals(),
+            roots=self.roots.reciprocals(), phase_left=self.phase_left,
         )
-
-
-def stationary_vector(a):
-    """Stationary row vector of an irreducible stochastic matrix."""
-    left = kernel.perron(a)[2]
-    return left / np.sum(left)
 
 
 def _real_positive_root(rootset, index):
@@ -162,7 +159,8 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
     snapped to exactly 1 in the classes where it is known a priori. Warns
     on unit-circle roots away from z = 1, a sign of several final classes.
     """
-    theta = stationary_vector(model.a_sum())
+    phase_left = kernel.perron(model.a_sum())[2]
+    theta = phase_left / np.sum(phase_left)
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
     rs = matpoly.roots(model.poly)
     on_circle = np.abs(np.abs(rs.finite) - 1.0) <= 1e-6
@@ -182,7 +180,8 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
         kind = Kind.TRANSIENT
         xi_n = _real_positive_root(rs, n - 1)
         xi_n1 = 1.0
-    return Classification(kind=kind, drift=drift, xi_n=xi_n, xi_n1=xi_n1, roots=rs)
+    return Classification(kind=kind, drift=drift, xi_n=xi_n, xi_n1=xi_n1, roots=rs,
+                          phase_left=phase_left)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,21 +216,21 @@ class PerronData:
 def perron_data(model, cls):
     """A-priori Perron vectors from A(xi_n) and A(xi_{n+1}).
 
-    When xi_n = xi_{n+1} (null recurrence) u_g = u_ghat = e exactly and
-    v_r = v_rhat is the stationary vector of the phase process.
+    At the unit root A(1) = A_-1 + A_0 + A_1 is stochastic: its right
+    Perron vector is e and its left one is `cls.phase_left`, computed once
+    by classify. When xi_n = xi_{n+1} (null recurrence) both points are
+    the unit root.
     """
     e = np.ones(model.n)
+    theta = cls.phase_left
     if cls.xi_n == cls.xi_n1:
-        _, _, theta = kernel.perron(model.a_sum())
         pd = PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
+    elif cls.kind is Kind.POSITIVE_RECURRENT:
+        _, u_ghat, v_r = kernel.perron(model.a_of(cls.xi_n1))
+        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=u_ghat, v_r=v_r)
     else:
         _, u_g, v_rhat = kernel.perron(model.a_of(cls.xi_n))
-        _, u_ghat, v_r = kernel.perron(model.a_of(cls.xi_n1))
-        if cls.kind is Kind.POSITIVE_RECURRENT:
-            u_g = e  # A(1) stochastic: the Perron vector is e
-        if cls.kind is Kind.TRANSIENT:
-            u_ghat = e
-        pd = PerronData(u_g=u_g, v_rhat=v_rhat, u_ghat=u_ghat, v_r=v_r)
+        pd = PerronData(u_g=u_g, v_rhat=v_rhat, u_ghat=e, v_r=theta)
     if min(np.min(pd.u_g), np.min(pd.v_rhat), np.min(pd.u_ghat), np.min(pd.v_r)) <= 0.0:
         raise ValueError("Perron vectors of A(xi) not strictly positive")
     return pd

@@ -150,6 +150,10 @@ def shifted_gr(sol, transform):
 def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
     """Invert the rank-one updates: G = G_s + xi_n Q, R = R_s + xi_{n+1}^-1 S.
 
+    G = -K^-1 A_-1 and R = -A_1 K^-1, so a zero column of A_-1 is a zero
+    column of G and a zero row of A_1 a zero row of R; the update leaves
+    round-off there, and those entries are set to exact zeros.
+
     Returns (G, R, residual), residual = max(res_G, res_R) on the original
     equations; a residual above res_tol means the shift was built from
     wrong xi or Perron data.
@@ -160,6 +164,8 @@ def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
         if transform.s is not None
         else r_shifted
     )
+    g = np.where(model.a_minus.any(axis=0), g, 0.0)
+    r = np.where(model.a_plus.any(axis=1)[:, None], r, 0.0)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     res = max(
         solvers.residual_g(bm, b0, bp, g),

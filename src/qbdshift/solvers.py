@@ -105,10 +105,14 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
             raise kernel.SingularMatrixError(
                 f"singular pivot block at cyclic-reduction step {k}"
             ) from exc
-        lxl = low @ inv @ low
-        uxu = up @ inv @ up
-        lxu = low @ inv @ up
-        uxl = up @ inv @ low
+        # `@` groups left to right, so these six products give the same
+        # iterates as forming each triple product on its own
+        low_inv = low @ inv
+        up_inv = up @ inv
+        lxl = low_inv @ low
+        uxu = up_inv @ up
+        lxu = low_inv @ up
+        uxl = up_inv @ low
         low = -lxl
         up = -uxu
         diag = diag - lxu - uxl

@@ -149,9 +149,10 @@ def _surgery_expected(rootset, transform):
     return expected
 
 
-def _spectrum_replacement_cert(name, shifted_mat, original_mat, removed,
+def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed,
                                tol=DET_RTOL, seed=None):
-    """Certify spectrum(shifted) = spectrum(original) with `removed` -> 0.
+    """Certify spectrum(M_s) = spectrum(M) with `removed` -> 0, from the
+    eigenvalues of both matrices.
 
     Checked as det(zI - M_s)(z - removed) = z det(zI - M): two monic
     polynomials of degree n+1 agreeing at n+2 points are identical.
@@ -164,22 +165,30 @@ def _spectrum_replacement_cert(name, shifted_mat, original_mat, removed,
     moves each of its k eigenvalues by up to (eps ||M||)^(1/k), but not
     their symmetric functions, which are all the product sees.
     """
-    n = shifted_mat.shape[0]
+    n = len(shifted_eigs)
     points = np.array(_det_points(
         (removed,), count=max(DET_POINT_COUNT, n + 2),
         seed=DET_SEED if seed is None else seed,
     ))
 
-    def char_poly(mat):
-        return np.prod(points[:, None] - np.linalg.eigvals(mat)[None, :], axis=1)
+    def char_poly(eigs):
+        return np.prod(points[:, None] - eigs[None, :], axis=1)
 
-    lhs = char_poly(shifted_mat) * (points - removed)
-    rhs = points * char_poly(original_mat)
+    lhs = char_poly(shifted_eigs) * (points - removed)
+    rhs = points * char_poly(original_eigs)
     worst = np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300))
     return _cert(name, worst, tol)
 
 
-def _base_certs(model, cls, sol, perron, samples):
+def _root_values(eig_g, eig_r):
+    """eig(G) together with 1/eig(R), a zero eigenvalue of R giving a root
+    at infinity: the roots of B(z) when phi(z) = (I - zR) K (I - z^-1 G)
+    with K nonsingular."""
+    eig_r_recip = np.divide(1.0, eig_r, out=np.full_like(eig_r, np.inf), where=eig_r != 0)
+    return np.concatenate([eig_g, eig_r_recip])
+
+
+def _base_certs(model, cls, sol, perron, samples, eig_g, eig_r):
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
     certs = [
@@ -217,14 +226,10 @@ def _base_certs(model, cls, sol, perron, samples):
     certs.append(
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
     )
-    eig_r = np.linalg.eigvals(r)
-    eig_r_recip = np.divide(1.0, eig_r, out=np.full_like(eig_r, np.inf), where=eig_r != 0)
     certs.append(
         _cert(
             "spec:eig(G)+1/eig(R)=roots(B)",
-            matpoly.multiset_distance(
-                np.concatenate([np.linalg.eigvals(g), eig_r_recip]), cls.roots
-            ),
+            matpoly.multiset_distance(_root_values(eig_g, eig_r), cls.roots),
             ROOT_MATCH_TOL,
         )
     )
@@ -287,11 +292,19 @@ def _base_certs(model, cls, sol, perron, samples):
 
 
 def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_seed,
-                     route):
+                     route, eigvals):
     kind = transform.kind.value
     shifted = transform.shifted
     bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
     g_s, r_s, k_s = shift_mod.shifted_gr(sol, transform)
+    # phi_s(z) = (I - zR_s) K (I - z^-1 G_s) (factor:phi_s) puts the roots
+    # of B_s(z) at eig(G_s) and 1/eig(R_s). G_s = G(I - Q) and R_s = (I - S)R
+    # share their spectra with (I - Q)G and R(I - S), which keep the zero
+    # columns of G and zero rows of R exactly, so a defective zero cluster
+    # of structural roots stays exact.
+    eye = np.eye(model.n)
+    surgery_g = eigvals(sol.g if transform.q is None else (eye - transform.q) @ sol.g)
+    surgery_r = eigvals(sol.r if transform.s is None else sol.r @ (eye - transform.s))
     # Shift points extracted from a pencil with nearly coalescent roots
     # carry error ~eps/gap, which enters the shifted coefficients; exactly
     # null-recurrent instances use xi = 1 exactly and are unaffected.
@@ -310,7 +323,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
         _cert(
             f"{kind}:roots-surgery",
             matpoly.multiset_distance(
-                matpoly.roots(shifted.poly), _surgery_expected(cls.roots, transform)
+                _root_values(surgery_g, surgery_r), _surgery_expected(cls.roots, transform)
             ),
             ROOT_MATCH_TOL,
         ),
@@ -326,21 +339,21 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
     if transform.q is not None:
         certs.append(
             _spectrum_replacement_cert(
-                f"{kind}:spec:G_s-replacement", g_s, sol.g, transform.xi_n,
-                seed=det_seed,
+                f"{kind}:spec:G_s-replacement", eigvals(g_s), eigvals(sol.g),
+                transform.xi_n, seed=det_seed,
             )
         )
     if transform.s is not None:
         certs.append(
             _spectrum_replacement_cert(
-                f"{kind}:spec:R_s-replacement", r_s, sol.r, 1.0 / transform.xi_n1,
-                seed=det_seed,
+                f"{kind}:spec:R_s-replacement", eigvals(r_s), eigvals(sol.r),
+                1.0 / transform.xi_n1, seed=det_seed,
             )
         )
     try:
-        certs.extend(
-            _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp)
-        )
+        certs.extend(_hat_certs(
+            model, cls, sol, perron, transform, samples, null, xi_amp, eigvals
+        ))
     except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
         certs.append(
             Certificate(
@@ -353,7 +366,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
     return certs
 
 
-def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp=0.0):
+def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigvals):
     kind = transform.kind.value
     shifted = transform.shifted
     certs = []
@@ -369,13 +382,8 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp=0.0):
                 )
             )
             g_s, r_s, _ = shift_mod.shifted_gr(sol, transform)
-            certs.append(
-                _cert(
-                    f"{kind}:spec:canonical-strict",
-                    max(kernel.spectral_radius(g_s), kernel.spectral_radius(r_s)),
-                    1.0 - 1e-6,
-                )
-            )
+            rho_s = max(float(np.max(np.abs(eigvals(m)))) for m in (g_s, r_s))
+            certs.append(_cert(f"{kind}:spec:canonical-strict", rho_s, 1.0 - 1e-6))
         else:
             certs.append(
                 _cert(f"{kind}:id:Khat_s-rank-one", rank_one_gap, IDENTITY_TOL)
@@ -466,12 +474,22 @@ def check_identity_suite(model, cls=None, sol=None, perron=None,
     routes = {shift_mod.ShiftKind(k): route for k, route in (routes or {}).items()}
     det_b = [(z, model.poly.det_b(z))
              for z in _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)]
-    certs = _base_certs(model, cls, sol, perron, samples)
+    # one eigensolve per distinct matrix: the kinds share G, R and, through
+    # equal projectors, G_s (right, double) and R_s (left, double)
+    spectra = {}
+
+    def eigvals(m):
+        key = m.tobytes()
+        if key not in spectra:
+            spectra[key] = np.linalg.eigvals(m)
+        return spectra[key]
+
+    certs = _base_certs(model, cls, sol, perron, samples, eigvals(sol.g), eigvals(sol.r))
     for kind in map(shift_mod.ShiftKind, kinds):
         route = routes.get(kind)
         transform = (route.transform if isinstance(route, shift_mod.ShiftRoute)
                      else shift_mod.build_transform(model, cls, perron, kind))
         certs.extend(_transform_certs(
-            model, cls, sol, perron, transform, samples, det_b, det_seed, route
+            model, cls, sol, perron, transform, samples, det_b, det_seed, route, eigvals
         ))
     return certs

@@ -202,3 +202,38 @@ def product_factorization_residual(b_minus, b_zero, b_plus, left, middle, right,
         diff = lhs - (eye - z * left) @ middle @ (eye - right / z)
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst
+
+
+def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
+    """The cyclic-reduction sweep with each of its four triple products
+    formed on its own, eight matrix products per sweep, and the package's
+    pivot inverse; returns (G, sweeps)."""
+    from qbdshift import kernel
+
+    low, diag, up = (np.array(x, dtype=float) for x in (b_minus, b_zero, b_plus))
+    diag_hat = diag.copy()
+    k = 0
+    while min(kernel.inf_norm(low), kernel.inf_norm(up)) > tol and k < max_iter:
+        inv = kernel.solve_linear(diag, np.eye(diag.shape[0]))
+        lxl = low @ inv @ low
+        uxu = up @ inv @ up
+        lxu = low @ inv @ up
+        uxl = up @ inv @ low
+        low = -lxl
+        up = -uxu
+        diag = diag - lxu - uxl
+        diag_hat = diag_hat - uxl
+        k += 1
+    return -kernel.solve_linear(diag_hat, np.asarray(b_minus, dtype=float)), k
+
+
+def qz_surgery_distance(cls, transform):
+    """Root-surgery distance from a QZ factorization of the shifted
+    companion pencil: the roots of B_s(z) against the original roots with
+    xi_n -> 0 and/or xi_{n+1} -> inf."""
+    from qbdshift import matpoly, verify
+
+    return matpoly.multiset_distance(
+        matpoly.roots(transform.shifted.poly),
+        verify._surgery_expected(cls.roots, transform),
+    )

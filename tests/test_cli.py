@@ -241,10 +241,11 @@ class TestMain:
         monkeypatch.setattr(cli.solvers, "solve_all", boom)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_SOLVER
 
-    @pytest.mark.parametrize("kind, expected", [("positive", 4), ("null", 4)])
-    def test_roots_computed_once(self, tmp_path, monkeypatch, kind, expected):
-        # classify, then one pencil per shift kind; the reversed model's
-        # classification in reference_solution is derived, not recomputed
+    @pytest.mark.parametrize("kind", ["positive", "null"])
+    def test_roots_computed_once(self, tmp_path, monkeypatch, kind):
+        # classify factors the pencil once; the reversed model's
+        # classification in reference_solution is derived, and root surgery
+        # reads the shifted roots from the spectra of the shifted solutions
         from qbdshift import matpoly
 
         calls = []
@@ -260,7 +261,7 @@ class TestMain:
         cli.read_model(path)
         assert not calls
         assert cli.main(["solve", str(path), "--quiet"]) == 0
-        assert len(calls) == expected
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
         ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 4, "det_b": 32}),
@@ -298,6 +299,44 @@ class TestMain:
             counts["perron_data"] = 0
             cli.shift_mod.reference_solution(triple, model.classify(triple))
             assert counts["perron_data"] == 1
+
+    @pytest.mark.parametrize("kind", ["positive", "null"])
+    @pytest.mark.parametrize("n", ["4", "16"])
+    def test_eigvals_per_solve(self, tmp_path, monkeypatch, kind, n):
+        # one eigensolve per distinct matrix: G, R, G_s (right and double),
+        # R_s (left and double), and the surgery products (I - Q)G, R(I - S)
+        calls = []
+        real_eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return real_eigvals(a)
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", n, "--seed", "1", "--out", str(path)]) == 0
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("kind", ["positive", "null"])
+    def test_block_sum_perron_once(self, tmp_path, monkeypatch, kind):
+        # classify keeps the Perron vector of A_-1 + A_0 + A_1; perron_data
+        # reads it at the unit root instead of recomputing it
+        from qbdshift import kernel
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "16", "--seed", "1", "--out", str(path)]) == 0
+        triple, _ = cli.read_model(path)
+        on_sum = []
+        real_perron = kernel.perron
+
+        def counted(m):
+            on_sum.append(np.array_equal(m, triple.a_sum()))
+            return real_perron(m)
+
+        monkeypatch.setattr(kernel, "perron", counted)
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert sum(on_sum) == 1
 
     def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
         # replacement claims take one eigensolve per matrix; only the

@@ -1,0 +1,214 @@
+"""Fault injection for the certificate suite (mutation testing: DeMillo,
+Lipton and Sayward, IEEE Computer 11(4), 1978).
+
+Each mutant plants one error that a stage of a certified solve could
+make, and the suite must fail at least one certificate on it. Data
+mutants corrupt the output of classification or of the reference solve.
+Shift mutants corrupt every transform built after the reference solve,
+for the routes and the suite alike, so that certificates, not the
+recovery guard of the null reference route, have to catch them.
+
+    python tests/test_mutants.py
+
+prints the catch matrix (mutant x certificate family) shown in README.md.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qbdshift import (
+    QbdTriple,
+    ShiftKind,
+    check_identity_suite,
+    classify,
+    cli,
+    complete_perron_data,
+    kernel,
+    perron_data,
+    reference_solution,
+    shift,
+    solve_via,
+)
+
+BUMP = 1e-6
+CLASSES = ("positive", "null", "transient")
+N = 4
+SEED = 1
+
+
+def _bump(name):
+    def corrupt(sol):
+        mat = getattr(sol, name).copy()
+        mat[0, N - 1] += BUMP
+        return dataclasses.replace(sol, **{name: mat})
+    return corrupt
+
+
+def _rebuilt(model, t, q, s, xi_n=None):
+    """`t` with projectors q and s and the shifted triple built from them
+    by the shift formulas, taking xi_n in place of t.xi_n when given."""
+    xi_n = t.xi_n if xi_n is None else xi_n
+    eye = np.eye(model.n)
+    a_minus, a_zero, a_plus = model.a_minus, model.a_zero, model.a_plus
+    if q is not None:
+        a_minus = model.a_minus @ (eye - q)
+        a_zero = a_zero + xi_n * model.a_plus @ q
+    if s is not None:
+        a_zero = a_zero + (1.0 / t.xi_n1) * s @ model.a_minus
+        a_plus = (eye - s) @ model.a_plus
+    if q is not None and s is not None:
+        a_zero = a_zero - (1.0 / t.xi_n1) * s @ model.a_minus @ q
+    shifted = QbdTriple(model.n, a_minus, a_zero, a_plus)
+    return dataclasses.replace(t, q=q, s=s, xi_n=xi_n, shifted=shifted)
+
+
+def _scaled_pairing(model, cls, t):
+    # v^T u_G = v_R^T w = 1 + 1e-6: the projectors are not idempotent
+    scale = 1.0 + BUMP
+    return _rebuilt(model, t, None if t.q is None else scale * t.q,
+                    None if t.s is None else scale * t.s)
+
+
+def _rank_two(model, cls, t):
+    # a second rank-one term orthogonal to the Perron vector, so that
+    # Q u_G = u_G and v_R^T S = v_R^T still hold
+    e = np.ones(model.n)
+
+    def orth(u):
+        y = np.arange(model.n, dtype=float)
+        return y - (y @ u) / (u @ u) * u
+    q = None if t.q is None else t.q + np.outer(e, orth(t.u_g)) / model.n
+    s = None if t.s is None else t.s + np.outer(orth(t.v_r), e) / model.n
+    return _rebuilt(model, t, q, s)
+
+
+def _wrong_root(model, cls, t):
+    # the root next below xi_n moved to zero in place of xi_n
+    if t.q is None:
+        return t
+    return _rebuilt(model, t, t.q, t.s, xi_n=float(cls.roots.values()[model.n - 2].real))
+
+
+def _swapped(model, cls, t):
+    # B_-1 and B_1 trade places in the shifted triple
+    return dataclasses.replace(t, shifted=t.shifted.reversed())
+
+
+def _dropped_term(model, cls, t):
+    # the shifted A_0 without its xi_n A_1 Q term
+    if t.q is None:
+        return t
+    sh = t.shifted
+    a_zero = sh.a_zero - t.xi_n * model.a_plus @ t.q
+    return dataclasses.replace(t, shifted=QbdTriple(model.n, sh.a_minus, a_zero, sh.a_plus))
+
+
+SOLUTION_MUTANTS = {
+    "G+1e-6": _bump("g"),
+    "R+1e-6": _bump("r"),
+    "Ghat+1e-6": _bump("ghat"),
+    "Rhat+1e-6": _bump("rhat"),
+    "W+1e-6": _bump("w"),
+    "K-transposed": lambda sol: dataclasses.replace(sol, k=sol.k.T.copy()),
+}
+SHIFT_MUTANTS = {
+    "vTu=1+1e-6": _scaled_pairing,
+    "Q-rank-2": _rank_two,
+    "xi_n-1-removed": _wrong_root,
+    "B-1<->B1": _swapped,
+    "A0-without-xi_n.A1.Q": _dropped_term,
+}
+MUTANTS = [*SOLUTION_MUTANTS, "stale-roots", *SHIFT_MUTANTS]
+
+
+def certify(kind, mutant, monkeypatch):
+    """The certified solve of cli.solve_report on one generated model, with
+    `mutant` planted; returns the certificates."""
+    model, _ = cli.generate(kind, N, SEED)
+    cls = classify(model)
+    if mutant == "stale-roots":  # the roots of another instance of the class
+        other, _ = cli.generate(kind, N, SEED + 1)
+        cls = dataclasses.replace(cls, roots=classify(other).roots)
+    sol = reference_solution(model, cls)
+    if mutant in SOLUTION_MUTANTS:
+        sol = SOLUTION_MUTANTS[mutant](sol)
+    perron = complete_perron_data(perron_data(model, cls), sol)
+    if mutant in SHIFT_MUTANTS:
+        real = shift.build_transform
+        corrupt = SHIFT_MUTANTS[mutant]
+
+        def planted(model, cls, perron, kind, v=None, w=None):
+            return corrupt(model, cls, real(model, cls, perron, kind, v=v, w=w))
+        monkeypatch.setattr(shift, "build_transform", planted)
+    routes = {}
+    for shift_kind in ShiftKind:
+        try:
+            routes[shift_kind] = solve_via(model, cls, shift_kind, perron=perron)
+        except kernel.ConvergenceError as exc:
+            routes[shift_kind] = exc
+    return check_identity_suite(model, cls, sol, perron=perron, routes=routes)
+
+
+FAMILIES = (
+    "eq", "id", "mmatrix", "sign", "spec", "factor", "W",
+    "eq_s", "K_s=K", "roots-surgery", "det-identity", "factor:phi_s",
+    "replacement", "hats", "roundtrip",
+)
+
+
+def family(name):
+    """Certificate family of a certificate name, shift kind dropped."""
+    head, _, rest = name.partition(":")
+    if head not in ("right", "left", "double"):
+        return head
+    if rest in ("eq:G_s", "eq:R_s"):
+        return "eq_s"
+    if rest == "id:K_s=K":
+        return "K_s=K"
+    if rest.endswith("-replacement"):
+        return "replacement"
+    if rest in ("roots-surgery", "det-identity", "factor:phi_s", "roundtrip"):
+        return rest
+    return "hats"
+
+
+def applies(kind, mutant):
+    return not (kind == "null" and mutant == "W+1e-6")  # no W at null recurrence
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_unmutated_solve_passes(kind, monkeypatch):
+    failed = [c.name for c in certify(kind, None, monkeypatch) if c.status == "fail"]
+    assert not failed
+
+
+@pytest.mark.parametrize("kind, mutant", [
+    (kind, mutant) for kind in CLASSES for mutant in MUTANTS if applies(kind, mutant)
+])
+def test_mutant_is_caught(kind, mutant, monkeypatch):
+    failed = [c.name for c in certify(kind, mutant, monkeypatch) if c.status == "fail"]
+    assert failed, f"no certificate fails on mutant {mutant!r}"
+
+
+def catch_matrix():
+    """Markdown table: per mutant and family, the classes (P, N, T) on
+    which some certificate of the family fails."""
+    lines = ["| mutant | " + " | ".join(f"`{f}`" for f in FAMILIES) + " |",
+             "|---" * (len(FAMILIES) + 1) + "|"]
+    for mutant in MUTANTS:
+        caught = {f: "" for f in FAMILIES}
+        for kind in CLASSES:
+            if not applies(kind, mutant):
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                certs = certify(kind, mutant, mp)
+            for fam in {family(c.name) for c in certs if c.status == "fail"}:
+                caught[fam] += kind[0].upper()
+        lines.append(f"| {mutant} | " + " | ".join(caught[f] for f in FAMILIES) + " |")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(catch_matrix())

@@ -63,6 +63,26 @@ class TestSolveMinG:
         assert outcome.residual <= 1e-12
         assert abs(outcome.g[0, 0] - 1.0) > 1e-10  # forward error remains
 
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_six_products_match_triple_products(self, kind):
+        # the sweep reuses low @ inv and up @ inv; `@` groups left to right,
+        # so every iterate is bitwise that of the eight-product sweep
+        from qbdshift import build_transform, classify, cli, perron_data, solvers
+
+        for n in (1, 4, 16):
+            model, _ = cli.generate(kind, n, seed=n)
+            cls = classify(model)
+            shifted = build_transform(model, cls, perron_data(model, cls), "double").shifted
+            for triple in (model, model.reversed(), shifted):
+                blocks = (triple.a_minus, triple.b_zero(), triple.a_plus)
+                tol = solvers.CR_TOL_NULL if triple is not shifted else solvers.CR_TOL
+                out = cyclic_reduction(*blocks, tol=tol, res_tol=np.inf)
+                g, sweeps = oracles.cyclic_reduction_triple_products(
+                    *blocks, tol=tol, max_iter=solvers.CR_MAX_ITER
+                )
+                assert out.iterations == sweeps
+                assert np.array_equal(out.g, g)
+
     def test_matches_scalar_oracle_on_families(self):
         for blocks in (oracles.P1, oracles.T1):
             expected = oracles.scalar_solutions(*blocks)["g"]

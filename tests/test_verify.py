@@ -212,7 +212,7 @@ class TestPatternedInstances:
         s = (2 * x + x_0).sum(axis=1)[:, None]
         return validate(x / s, x_0 / s, x / s)
 
-    @pytest.mark.parametrize("seed", [0, 5, 10])
+    @pytest.mark.parametrize("seed", [0, 5, 10, 17])
     def test_null_full_suite_green(self, seed):
         model = self.null_patterned(seed)
         assert classify(model).kind is Kind.NULL_RECURRENT
@@ -231,6 +231,26 @@ class TestPatternedInstances:
         assert part.sa & (part.s1 | part.s1_tilde)
 
 
+class TestSurgeryFromSpectra:
+    """Root surgery read from the spectra of (I - Q)G and R(I - S) against
+    a QZ factorization of the shifted companion pencil
+    (oracles.qz_surgery_distance): the same verdict on every patterned
+    model, whose defective zero clusters are the hardest case for both."""
+
+    @pytest.mark.parametrize("family, seed", [
+        *(("patterned", seed) for seed in range(3, 42)),
+        *(("null_patterned", seed) for seed in range(30)),
+    ])
+    def test_status_matches_qz(self, family, seed):
+        model = getattr(TestPatternedInstances, family)(seed)
+        cls, _, pd = solved(model)
+        certs = {c.name: c for c in full_suite(model)}
+        for kind in ShiftKind:
+            qz = oracles.qz_surgery_distance(cls, build_transform(model, cls, pd, kind))
+            cert = certs[f"{kind.value}:roots-surgery"]
+            assert cert.passed == (qz <= verify.ROOT_MATCH_TOL), (kind, qz, cert.residual)
+
+
 class TestSpectrumReplacement:
     """The eigenvalue-product evaluation of det(zI - M) against one LU
     determinant per point (oracles.det_replacement_residual)."""
@@ -238,7 +258,9 @@ class TestSpectrumReplacement:
     @staticmethod
     def residuals(shifted, original, removed):
         n = shifted.shape[0]
-        cert = verify._spectrum_replacement_cert("spec:test", shifted, original, removed)
+        cert = verify._spectrum_replacement_cert(
+            "spec:test", np.linalg.eigvals(shifted), np.linalg.eigvals(original), removed
+        )
         points = verify._det_points((removed,), count=max(verify.DET_POINT_COUNT, n + 2))
         return cert, oracles.det_replacement_residual(shifted, original, removed, points)
 
