@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 import time
 
@@ -317,7 +316,7 @@ def bench_report(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER,
                  gamma=0.5):
     start = time.perf_counter()
     rows = bench_rows(kind, n, count, seed, tol=tol, max_iter=max_iter, gamma=gamma)
-    med = lambda key: float(statistics.median(r[key] for r in rows))
+    med = lambda key: float(np.median([r[key] for r in rows]))
     report = {
         "schema": SCHEMA_VERSION,
         "bench": {"class": kind, "n": n, "count": count, "seed": seed,

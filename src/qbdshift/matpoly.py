@@ -10,12 +10,13 @@ so the two real splitting roots always sit at positions n-1 and n.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import dataclasses
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+import scipy.sparse.csgraph
 
 from . import kernel
 
@@ -233,13 +234,14 @@ def chordal_distance(x, y):
 
 
 def multiset_distance(first, second):
-    """Chordal matching distance between two root multisets.
+    """Bottleneck chordal distance between two root multisets.
 
     Accepts RootSet or iterables of complex values (inf allowed). Returns
-    the largest pair distance of the matching with the least summed
-    distance: an upper bound on the bottleneck (least largest-pair)
-    distance, equal to it when the sets agree to well within their
-    separation. Raises if the cardinalities differ.
+    exactly the least t at which the sets pair one to one with no pair
+    more than t apart, so it is within a tolerance exactly when the sets
+    agree within it, which is what a root certificate claims. t is a pair
+    distance, bisected with a maximum bipartite matching of the pairs
+    within it (scipy.sparse.csgraph). Raises if the sizes differ or on nan.
     """
     a, b = (
         np.asarray(s.values() if isinstance(s, RootSet) else list(s), dtype=complex)
@@ -247,6 +249,20 @@ def multiset_distance(first, second):
     )
     if len(a) != len(b):
         raise ValueError(f"multisets differ in size: {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        return 0.0
     cost = chordal_distance(a[:, None], b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if len(a) else 0.0
+    if np.isnan(cost).any():
+        raise ValueError("root multisets contain nan")
+    row_min = cost.min(axis=1)
+    if len(np.unique(cost.argmin(axis=1))) == len(a):
+        # every root's nearest partner is distinct: that pairing is optimal
+        return float(row_min.max())
+    # no pairing beats the largest row or column minimum; agreeing sets pair at it
+    low = max(row_min.max(), cost.min(axis=0).max())
+    paired = lambda t: np.all(scipy.sparse.csgraph.maximum_bipartite_matching(
+        scipy.sparse.csr_matrix(cost <= t), perm_type="column") >= 0)
+    if paired(low):
+        return float(low)
+    levels = np.unique(cost[cost > low])  # the largest admits every pair
+    return float(levels[bisect.bisect_left(levels, True, hi=len(levels) - 1, key=paired)])

@@ -156,8 +156,9 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
     drift = theta^T A_1 e - theta^T A_-1 e for theta stationary in the
     phase process; negative drift is positive recurrence. xi_n and
     xi_{n+1} come from the sorted roots of B(z), with the unit root
-    snapped to exactly 1 in the classes where it is known a priori. Warns
-    on unit-circle roots away from z = 1, a sign of several final classes.
+    snapped to exactly 1 in the classes where it is known a priori (both
+    copies in `roots` at null recurrence). Warns on unit-circle roots away
+    from z = 1, a sign of several final classes.
     """
     phase_left = kernel.perron(model.a_sum())[2]
     theta = phase_left / np.sum(phase_left)
@@ -172,6 +173,10 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
     if abs(drift) <= null_tol:
         kind = Kind.NULL_RECURRENT
         xi_n = xi_n1 = 1.0
+        # the unit root is exactly double; QZ splits it by about sqrt(eps)
+        finite = rs.finite.copy()
+        finite[np.argsort(np.abs(finite - 1.0), kind="stable")[:2]] = 1.0
+        rs = matpoly.RootSet(matpoly._sorted_roots(finite), rs.n_infinite)
     elif drift < 0.0:
         kind = Kind.POSITIVE_RECURRENT
         xi_n = 1.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +439,29 @@ class TestBenchRows:
         rows = cli.bench_rows("positive", 4, count=6, seed=3, gamma=2e-3)
         faster = sum(r["shifted_iterations"] < r["direct_iterations"] for r in rows)
         assert faster >= 0.9 * len(rows)
+
+
+# A fresh interpreter runs certified solves, then lists the modules that
+# start-up should not pay for; pytest and hypothesis import both.
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from qbdshift import cli
+
+for kind in ("positive", "null"):
+    model, report = (str(Path(sys.argv[1], kind + ext)) for ext in (".json", ".out.json"))
+    assert cli.main(["gen", kind, "-n", "4", "--seed", "1", "--out", model]) == 0
+    assert cli.main(["solve", model, "--json", report, "--quiet"]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("scipy.optimize") or m == "statistics")))
+"""
+
+
+class TestImportGraph:
+    def test_certified_solves_load_no_optimize_or_statistics(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == []

@@ -217,6 +217,20 @@ class TestFactorizationResidual:
             matpoly.Factorization("sideways", np.eye(1), np.eye(1), np.eye(1))
 
 
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """Counts the bipartite matchings multiset_distance runs."""
+    calls = []
+    match = matpoly.scipy.sparse.csgraph.maximum_bipartite_matching
+
+    def counted(graph, **kwargs):
+        calls.append(graph.shape)
+        return match(graph, **kwargs)
+
+    monkeypatch.setattr(matpoly.scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+    return calls
+
+
 class TestMultisetDistance:
     def test_permuted_sets_match(self):
         a = [1.0, 2.0 + 1j, np.inf]
@@ -234,16 +248,48 @@ class TestMultisetDistance:
         assert matpoly.multiset_distance([1e9], [1e9 * (1 + 1e-9)]) <= 1e-8
 
     def test_matches_brute_force_oracle(self):
-        # the largest pair of the least-sum matching; on unrelated sets it
-        # can exceed the bottleneck optimum (least largest pair)
+        # the bottleneck optimum (least largest pair), also on unrelated sets
         rng = np.random.default_rng(11)
         for _ in range(200):
             a = random_multiset(rng)
             b = random_multiset(rng, len(a))
             costs = oracles.matching_costs(a, b)
             got = matpoly.multiset_distance(a, b)
-            assert got == pytest.approx(min(costs)[1], rel=1e-12)
-            assert got >= min(m for _, m in costs) * (1.0 - 1e-12)
+            assert got == pytest.approx(min(m for _, m in costs), rel=1e-12)
+
+    def test_below_least_sum_largest_pair(self, matching_calls):
+        # 1 and 1.01 both have 1.005 nearest, and at the largest row or
+        # column minimum no pairing exists: the distances above are bisected
+        a, b = [1.0, 1.01, 100.0], [1.005, 100.0, 101.0]
+        costs = oracles.matching_costs(a, b)
+        bottleneck = min(m for _, m in costs)
+        got = matpoly.multiset_distance(a, b)
+        assert got == pytest.approx(bottleneck, rel=1e-12)
+        assert got < min(costs)[1] - 5e-5
+        assert len(matching_calls) >= 2
+
+    def test_nearest_partners_distinct_needs_no_matching(self, matching_calls):
+        a, b = [0.0, 1.0], [0.45, 2.0]
+        want = max(matpoly.chordal_distance(0.0, 0.45), matpoly.chordal_distance(1.0, 2.0))
+        assert matpoly.multiset_distance(a, b) == want
+        assert matching_calls == []
+
+    def test_clusters_of_equal_roots_and_infinities(self, matching_calls):
+        inf = complex(np.inf, 0.0)
+        a = [1.0, 1.0, 1.0, inf, inf]
+        b = [inf, 1.0, inf, 1.0, 1.0 + 1e-9]
+        assert matpoly.multiset_distance(a, b) == matpoly.chordal_distance(1.0, 1.0 + 1e-9)
+        # one root of the cluster at 1 must pair with an infinity
+        assert matpoly.multiset_distance([1.0, 1.0, inf], [1.0, inf, inf]) == (
+            pytest.approx(2 ** -0.5)
+        )
+        # clusters tie nearest partners: the first two sets pair at the bound,
+        # the last two at the one larger distance, which needs no matching
+        assert len(matching_calls) == 2
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="nan"):
+            matpoly.multiset_distance([1.0, complex(np.nan, 0.0)], [1.0, 2.0])
 
     def test_perturbed_sets_meet_bottleneck_oracle(self):
         # a root set against a permuted copy moved by 1e-9 relative: the

@@ -62,6 +62,15 @@ class TestClassify:
         assert cls.drift == 0.0
         assert cls.xi_n == cls.xi_n1 == 1.0
 
+    def test_null_double_unit_root_is_exact(self, small_bank):
+        # QZ splits the double root at 1 by about sqrt(eps); classify sets
+        # both copies to 1 at positions n - 1 and n of the sorted roots
+        for m, cls in small_bank["null"]:
+            values = cls.roots.values()
+            assert values[m.n - 1] == values[m.n] == 1.0
+            assert np.count_nonzero(values == 1.0) == 2
+            assert cls.roots.count == 2 * m.n
+
     def test_t1(self, t1):
         cls = classify(t1)
         assert cls.kind is Kind.TRANSIENT

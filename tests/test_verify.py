@@ -221,6 +221,15 @@ class TestPatternedInstances:
             (c.name, c.residual) for c in certs if c.status == "fail"
         ]
 
+    @pytest.mark.parametrize("seed", [3, 5, 7, 11, 17])
+    def test_null_root_certificates_exact(self, seed):
+        # the double unit root is exact in cls.roots, so the root matches
+        # measure the solution, not the QZ splitting of that root (~1e-8)
+        certs = {c.name: c for c in full_suite(self.null_patterned(seed))}
+        names = ["spec:eig(G)+1/eig(R)=roots(B)",
+                 *(f"{kind.value}:roots-surgery" for kind in ShiftKind)]
+        assert {name: certs[name].residual for name in names if certs[name].residual > 1e-12} == {}
+
     def test_partition_shows_structure(self):
         m = self.patterned(17)
         cls = classify(m)
