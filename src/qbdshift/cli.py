@@ -6,8 +6,8 @@ Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 documents carrying "schema": 1; every number is reproducible from the
 model file and the flags (the "timing" field excepted).
 
-Exit codes: 0 ok, 2 parse error, 3 validation error, 4 solver failure,
-5 certificate failure.
+Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
+error, 4 solver failure, 5 certificate failure.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ CYCLE_WEIGHT = 1e-3
 
 
 class ParseError(ValueError):
-    """Model file is missing, malformed, or structurally wrong."""
+    """Model file is missing, malformed, or structurally wrong, or an
+    output path cannot be written."""
 
 
 def generate(kind, n, seed, gamma=0.5):
@@ -87,7 +88,7 @@ def generate(kind, n, seed, gamma=0.5):
 
 
 def _flat(matrix):
-    return [float(x) for x in np.asarray(matrix).reshape(-1)]
+    return np.asarray(matrix, dtype=float).reshape(-1).tolist()
 
 
 def model_payload(triple, meta=None):
@@ -144,7 +145,7 @@ def _roots_payload(rootset):
 
 
 def _solution_payload(sol):
-    out = {
+    return {
         "G": _flat(sol.g),
         "R": _flat(sol.r),
         "Ghat": _flat(sol.ghat),
@@ -155,14 +156,14 @@ def _solution_payload(sol):
         "iterations": dict(sol.iterations),
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
-    return out
 
 
 def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MAX_ITER,
-                 samples=16, kinds=("right", "left", "double"), seed=None):
-    """Full pipeline on one model: classify, solve directly, solve through
-    each certified shift kind (the report's shift route is the picked
-    kind's, omitted for via='direct'), certify, assemble the report dict."""
+                 samples=16, seed=None):
+    """Full pipeline on one model: classify, solve directly (at tol and
+    max_iter), solve through every shift kind (the report's shift route
+    is the picked kind's, omitted for via='direct'), certify, assemble
+    the report dict."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
     direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
@@ -189,7 +190,7 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
     # one shifted solve per kind serves both the report's route and the
     # kind's round-trip certificate; a failed round trip is a certificate
     # failure, a failed route a solver failure
-    solved = [shift_mod.ShiftKind(k) for k in kinds]
+    solved = list(shift_mod.ShiftKind)
     route_kind = None
     if via != "direct":
         route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
@@ -213,15 +214,13 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
         }
     det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(
-        triple, cls, reference, perron=perron, kinds=kinds, samples=samples,
-        routes=routes, det_seed=det_seed,
+        triple, cls, reference, perron, samples=samples, routes=routes,
+        det_seed=det_seed,
     )
     report["certificates"] = [c.to_dict() for c in certificates]
     report["certificate_summary"] = {
-        "pass": sum(c.status == "pass" for c in certificates),
-        "fail": sum(c.status == "fail" for c in certificates),
-        "n/a": sum(c.status == "n/a" for c in certificates),
-        "info": sum(c.status == "info" for c in certificates),
+        status: sum(c.status == status for c in certificates)
+        for status in ("pass", "fail", "n/a", "info")
     }
     report["timing"] = {"seconds": time.perf_counter() - start}
     return report
@@ -334,14 +333,17 @@ def bench_report(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER,
     return report
 
 
-def _write_json(payload, path=None, out=None):
+def _write_json(payload, path=None):
     # compact output: json uses its C encoder only without indentation
     text = json.dumps(payload)
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text, file=out or sys.stdout)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _int_at_least(low):
@@ -410,14 +412,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            try:
-                triple, meta = read_model(args.path)
-            except ParseError as exc:
-                print(f"parse error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-            except model_mod.ValidationError as exc:
-                print(f"validation error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+            triple, meta = read_model(args.path)
             report = solve_report(
                 triple, meta, via=args.via, tol=args.tol,
                 max_iter=args.max_iter, samples=args.samples, seed=args.seed,
@@ -440,6 +435,9 @@ def main(argv=None):
             )
             _write_json(report, args.out)
             return 0
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -176,11 +176,11 @@ def perron(m):
     return radius, right, left
 
 
-def solve_linear(m, b, pivot_rtol=PIVOT_RTOL):
+def solve_linear(m, b):
     """Solve M X = B by LU with partial pivoting plus one refinement step.
 
     Raises SingularMatrixError when a pivot falls below
-    pivot_rtol * ||M||_inf.
+    PIVOT_RTOL * ||M||_inf.
     """
     a = as_square(m, "M")
     rhs = np.asarray(b, dtype=float)
@@ -193,7 +193,7 @@ def solve_linear(m, b, pivot_rtol=PIVOT_RTOL):
         # the pivot check below raises; scipy's own warning is redundant
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    threshold = pivot_rtol * max(inf_norm(a), np.finfo(float).tiny)
+    threshold = PIVOT_RTOL * max(inf_norm(a), np.finfo(float).tiny)
     if np.min(np.abs(np.diag(lu))) < threshold:
         raise SingularMatrixError("matrix is numerically singular")
     x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
@@ -234,7 +234,7 @@ def is_irreducible(m):
     return len(scc_partition(m)) == 1
 
 
-def stein_solve(g, r, c, tol=LINALG_RTOL):
+def stein_solve(g, r, c):
     """Unique solution W of the Stein equation W - G W R = C.
 
     Requires rho(G) * rho(R) < 1 (raises ConvergenceError otherwise; the
@@ -270,6 +270,6 @@ def stein_solve(g, r, c, tol=LINALG_RTOL):
         raise ConvergenceError("Stein doubling did not converge")
     residual = inf_norm(w - a @ w @ b - rhs)
     scale = inf_norm(rhs) + inf_norm(w) * (1.0 + inf_norm(a) * inf_norm(b))
-    if residual > max(tol * scale, 100 * np.finfo(float).eps):
+    if residual > max(LINALG_RTOL * scale, 100 * np.finfo(float).eps):
         raise ConvergenceError("Stein residual above tolerance", residual=residual)
     return w

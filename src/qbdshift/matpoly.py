@@ -80,10 +80,6 @@ class QuadMatPoly:
         return complex(np.linalg.det(self.eval_b(z)))
 
 
-def _is_real_positive(z, tol=TIE_RTOL):
-    return abs(z.imag) <= tol * (1.0 + abs(z)) and z.real > 0.0
-
-
 @dataclasses.dataclass(frozen=True)
 class RootSet:
     """2n roots: finite ones sorted by modulus plus a count at infinity."""
@@ -125,30 +121,22 @@ class RootSet:
 
 
 def _sorted_roots(values):
-    """Sort by modulus; within a tie group real positive roots go last."""
+    """Sort by modulus; within a tie group (moduli within TIE_RTOL of the
+    largest before) real positive roots go last, the rest by real part,
+    then imaginary part."""
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         return vals
-    order = np.argsort(np.abs(vals), kind="stable")
-    vals = vals[order]
-    out = []
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        ref = abs(vals[i])
-        while j < len(vals) and abs(vals[j]) <= ref * (1.0 + TIE_RTOL) + TIE_RTOL * 1e-30:
-            ref = max(ref, abs(vals[j]))
-            j += 1
-        group = sorted(
-            vals[i:j],
-            key=lambda z: (_is_real_positive(z), z.real, z.imag),
-        )
-        out.extend(group)
-        i = j
-    return np.asarray(out, dtype=complex)
+    vals = vals[np.argsort(np.abs(vals), kind="stable")]
+    # hypot rounds as abs(z) per root does; numpy's vectorized abs may not
+    mods = np.hypot(vals.real, vals.imag)
+    ref = np.maximum.accumulate(mods)[:-1] * (1.0 + TIE_RTOL) + TIE_RTOL * 1e-30
+    group = np.concatenate(([0], np.cumsum(mods[1:] > ref)))
+    real_positive = (np.abs(vals.imag) <= TIE_RTOL * (1.0 + mods)) & (vals.real > 0.0)
+    return vals[np.lexsort((vals.imag, vals.real, real_positive, group))]
 
 
-def roots(poly, inf_rtol=INF_ROOT_RTOL):
+def roots(poly):
     """All 2n roots of det B(z) via the companion pencil
 
         A = [[0, I], [-B_-1, -B_0]],   B = [[I, 0], [0, B_1]],
@@ -165,7 +153,7 @@ def roots(poly, inf_rtol=INF_ROOT_RTOL):
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     if np.any(scale == 0.0):
         raise ValueError("singular pencil: det B(z) identically zero")
-    at_inf = np.abs(beta) <= inf_rtol * scale
+    at_inf = np.abs(beta) <= INF_ROOT_RTOL * scale
     return RootSet(_sorted_roots(alpha[~at_inf] / beta[~at_inf]), int(at_inf.sum()))
 
 

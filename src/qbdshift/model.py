@@ -74,7 +74,7 @@ class QbdTriple:
         return QbdTriple(self.n, self.a_plus, self.a_zero, self.a_minus)
 
 
-def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL):
+def validate(a_minus, a_zero, a_plus):
     """Check nonnegativity, stochasticity of the sum, and irreducibility.
 
     No roots are computed here: `classify` warns when B(z) has
@@ -97,7 +97,7 @@ def validate(a_minus, a_zero, a_plus, row_sum_tol=ROW_SUM_TOL):
     n = a_m.shape[0]
     row_sums = (a_m + a_0 + a_p).sum(axis=1)
     worst = float(np.max(np.abs(row_sums - 1.0)))
-    if worst > row_sum_tol:
+    if worst > ROW_SUM_TOL:
         raise ValidationError(
             f"A_-1 + A_0 + A_1 is not stochastic: max row-sum deviation {worst:.3e}"
         )
@@ -150,7 +150,7 @@ def _real_positive_root(rootset, index):
     return float(z.real)
 
 
-def classify(model, null_tol=NULL_DRIFT_TOL):
+def classify(model):
     """Mean-drift classification cross-filled with the pencil roots.
 
     drift = theta^T A_1 e - theta^T A_-1 e for theta stationary in the
@@ -170,7 +170,7 @@ def classify(model, null_tol=NULL_DRIFT_TOL):
         warnings.warn(f"{extra} unit-circle root(s) of B(z) away from z=1: the chain "
                       "may have more than one final class", stacklevel=2)
     n = model.n
-    if abs(drift) <= null_tol:
+    if abs(drift) <= NULL_DRIFT_TOL:
         kind = Kind.NULL_RECURRENT
         xi_n = xi_n1 = 1.0
         # the unit root is exactly double; QZ splits it by about sqrt(eps)

@@ -134,17 +134,21 @@ def build_transform(model, cls, perron, kind, v=None, w=None):
     )
 
 
+def _rank_one_update(g, r, transform, sign):
+    """G + sign xi_n Q (right, double) and R + sign xi_{n+1}^-1 S (left,
+    double): sign -1 maps a solution pair to the shifted one, +1 back."""
+    if transform.q is not None:
+        g = g + sign * (transform.xi_n * transform.q)
+    if transform.s is not None:
+        r = r + sign * ((1.0 / transform.xi_n1) * transform.s)
+    return g, r
+
+
 def shifted_gr(sol, transform):
     """Map original (G, R, K) to the shifted problem's minimal solutions:
     G_s = G - xi_n Q (right/double), R_s = R - xi_{n+1}^-1 S (left/double),
     K_s = K for every kind."""
-    g_s = sol.g
-    r_s = sol.r
-    if transform.q is not None:
-        g_s = g_s - transform.xi_n * transform.q
-    if transform.s is not None:
-        r_s = r_s - (1.0 / transform.xi_n1) * transform.s
-    return g_s, r_s, sol.k
+    return (*_rank_one_update(sol.g, sol.r, transform, -1), sol.k)
 
 
 def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
@@ -158,12 +162,7 @@ def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
     equations; a residual above res_tol means the shift was built from
     wrong xi or Perron data.
     """
-    g = g_shifted + transform.xi_n * transform.q if transform.q is not None else g_shifted
-    r = (
-        r_shifted + (1.0 / transform.xi_n1) * transform.s
-        if transform.s is not None
-        else r_shifted
-    )
+    g, r = _rank_one_update(g_shifted, r_shifted, transform, 1)
     g = np.where(model.a_minus.any(axis=0), g, 0.0)
     r = np.where(model.a_plus.any(axis=1)[:, None], r, 0.0)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
@@ -256,7 +255,7 @@ def shifted_hats_nullrec(model, sol, perron, transform):
     return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
-def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
+def shifted_hats_nonnull(model, sol, transform):
     """Hat solutions of the shifted problem through W_s.
 
     Right: W_r = W - xi_n Q W R, Ghat_r = W_r R W_r^-1,
@@ -274,24 +273,21 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
         raise ValueError("no closed-form hats for a non-null double shift")
     if kind is ShiftKind.RIGHT:
         val = transform.xi_n * float(transform.v @ sol.ghat @ transform.u_g)
-        if abs(1.0 - val) < margin:
+        if abs(1.0 - val) < ADMISSIBILITY_MARGIN:
             raise ValueError(
                 f"inadmissible v: xi_n v^T Ghat u_G = {val:.12g} is within "
-                f"{margin:g} of 1 (pick v = v_Ghat)"
+                f"{ADMISSIBILITY_MARGIN:g} of 1 (pick v = v_Ghat)"
             )
         w_s = sol.w - transform.xi_n * transform.q @ sol.w @ sol.r
-        g_s = sol.g - transform.xi_n * transform.q
-        r_s = sol.r
     else:
         val = float(transform.v_r @ sol.rhat @ transform.w) / transform.xi_n1
-        if abs(1.0 - val) < margin:
+        if abs(1.0 - val) < ADMISSIBILITY_MARGIN:
             raise ValueError(
                 f"inadmissible w: xi_n1^-1 v_R^T Rhat w = {val:.12g} is "
-                f"within {margin:g} of 1 (pick w = u_Rhat)"
+                f"within {ADMISSIBILITY_MARGIN:g} of 1 (pick w = u_Rhat)"
             )
         w_s = sol.w - (1.0 / transform.xi_n1) * sol.g @ sol.w @ transform.s
-        g_s = sol.g
-        r_s = sol.r - (1.0 / transform.xi_n1) * transform.s
+    g_s, r_s = _rank_one_update(sol.g, sol.r, transform, -1)
     ghat_s, rhat_s = solvers.hats_from_w(w_s, g_s, r_s)
     return _shifted_hats(transform, ghat_s, rhat_s, w=w_s)
 
@@ -299,14 +295,12 @@ def shifted_hats_nonnull(model, sol, transform, margin=ADMISSIBILITY_MARGIN):
 @dataclasses.dataclass(frozen=True)
 class ShiftRoute:
     """Outcome of solve shifted + recover: the transform, the shifted
-    problem's cyclic reduction (cr.g is G_s), R_s, K_s, the recovered
-    (G, R) and their residual max(res_G, res_R) on the original
-    equations."""
+    problem's cyclic reduction (cr.g is G_s), R_s, the recovered (G, R)
+    and their residual max(res_G, res_R) on the original equations."""
 
     transform: ShiftTransform
     cr: solvers.CrOutcome
     r_shifted: np.ndarray
-    k_shifted: np.ndarray
     g: np.ndarray
     r: np.ndarray
     recovery_residual: float
@@ -323,8 +317,8 @@ def pick_kind(cls):
     return ShiftKind.LEFT
 
 
-def solve_via(model, cls=None, kind="auto", perron=None, v=None, w=None,
-              tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER):
+def solve_via(model, cls=None, kind="auto", perron=None, tol=solvers.CR_TOL,
+              max_iter=solvers.CR_MAX_ITER):
     """Fast path: build a shift, solve the shifted problem by cyclic
     reduction, recover (G, R) of the original problem."""
     if cls is None:
@@ -332,19 +326,19 @@ def solve_via(model, cls=None, kind="auto", perron=None, v=None, w=None,
     if perron is None:
         perron = model_mod.perron_data(model, cls)
     kind = pick_kind(cls) if kind == "auto" else ShiftKind(kind)
-    transform = build_transform(model, cls, perron, kind, v=v, w=w)
+    transform = build_transform(model, cls, perron, kind)
     shifted = transform.shifted
     b0 = shifted.b_zero()
     cr = solvers.cyclic_reduction(
         shifted.a_minus, b0, shifted.a_plus, tol=tol, max_iter=max_iter
     )
-    r_s, k_s = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False)
+    r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
     g, r, res = recover_gr(
         cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, k_shifted=k_s, g=g, r=r,
+    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, g=g, r=r,
                       recovery_residual=res)
 
 
@@ -353,8 +347,7 @@ def solve_via(model, cls=None, kind="auto", perron=None, v=None, w=None,
 NEAR_NULL_GAP = 1e-3
 
 
-def reference_solution(model, cls=None, tol=solvers.CR_TOL,
-                       max_iter=solvers.CR_MAX_ITER):
+def reference_solution(model, cls=None):
     """Most accurate available SolutionSet for a model.
 
     Well-separated models solve directly (quadratic cyclic reduction).
@@ -363,36 +356,22 @@ def reference_solution(model, cls=None, tol=solvers.CR_TOL,
     root and therefore known exactly. Both routes run the reversed model
     for (Ghat, Rhat), with its classification and Perron data derived
     from the forward ones, and restore accuracy the direct route loses as
-    the splitting roots coalesce.
+    the splitting roots coalesce. Every shifted solve runs at CR_TOL and
+    CR_MAX_ITER.
     """
     if cls is None:
         cls = model_mod.classify(model)
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
-        return solvers.solve_all(model, cls, max_iter=max_iter)
+        return solvers.solve_all(model, cls)
     kind = ShiftKind.DOUBLE if null else pick_kind(cls)
     perron = model_mod.perron_data(model, cls)
-    fwd = solve_via(model, cls, kind=kind, perron=perron, tol=tol, max_iter=max_iter)
+    fwd = solve_via(model, cls, kind=kind, perron=perron)
     rev_cls = cls.reversed()
     rev_kind = ShiftKind.DOUBLE if null else pick_kind(rev_cls)
-    rev = solve_via(model.reversed(), rev_cls, kind=rev_kind, perron=perron.reversed(),
-                    tol=tol, max_iter=max_iter)
+    rev = solve_via(model.reversed(), rev_cls, kind=rev_kind, perron=perron.reversed())
     b0 = model.b_zero()
-    _, k = solvers.derive_r_k(b0, model.a_plus, fwd.g)
-    r = fwd.r
-    ghat, rhat = rev.g, rev.r
-    _, khat = solvers.derive_r_k(b0, model.a_minus, ghat)
-    w = None
-    if not null:
-        w = solvers.compute_w(fwd.g, k, r, ghat=ghat)
-    return solvers.SolutionSet(
-        g=fwd.g,
-        r=r,
-        ghat=ghat,
-        rhat=rhat,
-        k=k,
-        khat=khat,
-        w=w,
-        iterations={"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
-        residuals=solvers.equation_residuals(model, fwd.g, r, ghat, rhat),
-    )
+    k = b0 + model.a_plus @ fwd.g
+    khat = b0 + model.a_minus @ rev.g
+    return solvers.solution_set(model, fwd.g, fwd.r, rev.g, rev.r, k, khat,
+                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations}, null)

@@ -28,12 +28,12 @@ __all__ = [
     "compute_w",
     "cyclic_reduction",
     "derive_r_k",
-    "equation_residuals",
     "hats_from_w",
     "residual_g",
     "residual_ghat",
     "residual_r",
     "residual_rhat",
+    "solution_set",
     "solve_all",
 ]
 
@@ -42,7 +42,9 @@ CR_MAX_ITER = 64
 # Tolerance relaxed for unshifted null-recurrent solves, which stall at
 # the double unit root.
 CR_TOL_NULL = 1e-8
+STALL_RES_TOL = 1e-10
 NEG_CLAMP = 1e-12
+W_IDENTITY_TOL = 1e-10
 
 
 def residual_g(bm, b0, bp, x):
@@ -95,10 +97,9 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     def min_norm():
         return min(kernel.inf_norm(low), kernel.inf_norm(up))
 
-    first = min_norm()
-    history = [first]
+    first = last = min_norm()
     k = 0
-    while history[-1] > tol and k < max_iter:
+    while last > tol and k < max_iter:
         try:
             inv = kernel.solve_linear(diag, np.eye(diag.shape[0]))
         except kernel.SingularMatrixError as exc:
@@ -118,7 +119,7 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
         diag = diag - lxu - uxl
         diag_hat = diag_hat - uxl
         k += 1
-        history.append(min_norm())
+        last = min_norm()
     g = -kernel.solve_linear(diag_hat, kernel.as_square(b_minus))
     res = residual_g(
         np.asarray(b_minus, float), np.asarray(b_zero, float), np.asarray(b_plus, float), g
@@ -132,21 +133,21 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
             residual=res,
             solution=g,
         )
-    rate = (history[-1] / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
+    rate = (last / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
     return CrOutcome(
         g=g,
         iterations=k,
-        converged=history[-1] <= tol,
+        converged=last <= tol,
         residual=res,
         rate_estimate=float(rate),
     )
 
 
-def derive_r_k(b_zero, b_plus, g, clamp=NEG_CLAMP, nonneg=True):
+def derive_r_k(b_zero, b_plus, g, nonneg=True):
     """K = B_0 + B_1 G and R = -B_1 K^-1 from a solved G.
 
     With nonneg=True (original, unshifted problems) entries of R below
-    -clamp raise and round-off negatives are clamped to zero; shifted
+    -NEG_CLAMP raise and round-off negatives are clamped to zero; shifted
     problems pass nonneg=False since their minimal solutions may be
     genuinely signed.
     """
@@ -161,13 +162,13 @@ def derive_r_k(b_zero, b_plus, g, clamp=NEG_CLAMP, nonneg=True):
             "(for a valid QBD, -K is a nonsingular M-matrix)"
         ) from exc
     if nonneg:
-        if np.min(r) < -clamp:
-            raise ValueError(f"R has an entry below -{clamp:g}: {np.min(r):.3e}")
+        if np.min(r) < -NEG_CLAMP:
+            raise ValueError(f"R has an entry below -{NEG_CLAMP:g}: {np.min(r):.3e}")
         r = np.maximum(r, 0.0)
     return r, k
 
 
-def compute_w(g, k, r, ghat=None, tol=1e-10):
+def compute_w(g, k, r, ghat=None):
     """W = sum_i G^i K^-1 R^i via the Stein equation W - G W R = K^-1.
 
     Requires rho(G) rho(R) < 1 (not null recurrent). Postconditions
@@ -182,7 +183,7 @@ def compute_w(g, k, r, ghat=None, tol=1e-10):
         eye = np.eye(w.shape[0])
         res = kernel.inf_norm(k @ (eye - g @ ghat) @ w - eye)
         scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
-        if res > tol * scale:
+        if res > W_IDENTITY_TOL * scale:
             raise kernel.ConvergenceError(
                 f"W inverse identity K(I - G Ghat) W = I fails: {res:.3e} "
                 f"(scale {scale:.2e})",
@@ -212,23 +213,28 @@ class SolutionSet:
     residuals: dict
 
 
-def equation_residuals(model, g, r, ghat, rhat):
-    """Infinity-norm residuals of the four equations on a triple."""
+def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):
+    """The SolutionSet of solved (G, R, Ghat, Rhat, K, Khat), whichever
+    route solved them: W where its series converges (None at null
+    recurrence) and the infinity-norm residuals of the four equations."""
+    w = None if null else compute_w(g, k, r, ghat=ghat)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    return {
+    residuals = {
         "G": residual_g(bm, b0, bp, g),
         "R": residual_r(bm, b0, bp, r),
         "Ghat": residual_ghat(bm, b0, bp, ghat),
         "Rhat": residual_rhat(bm, b0, bp, rhat),
     }
+    return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, w=w,
+                       iterations=iterations, residuals=residuals)
 
 
-def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER, stall_res_tol=1e-10):
+def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
     """Direct solve of all four equations on one triple.
 
     Null-recurrent inputs run at the relaxed tolerance and may stall at
     the iteration cap; the trailing iterate is accepted as long as its
-    equation residual is below stall_res_tol (forward accuracy is then
+    equation residual is below STALL_RES_TOL (forward accuracy is then
     ~1e-7; the shifted route recovers full accuracy).
     """
     if cls is None:
@@ -236,24 +242,10 @@ def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER, stall_res_tol=1e-
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     cr_tol = tol if tol is not None else (CR_TOL_NULL if null else CR_TOL)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    res_tol = stall_res_tol if null else None
+    res_tol = STALL_RES_TOL if null else None
     g_cr = cyclic_reduction(bm, b0, bp, tol=cr_tol, max_iter=max_iter, res_tol=res_tol)
-    g = g_cr.g
-    r, k = derive_r_k(b0, bp, g)
+    r, k = derive_r_k(b0, bp, g_cr.g)
     ghat_cr = cyclic_reduction(bp, b0, bm, tol=cr_tol, max_iter=max_iter, res_tol=res_tol)
-    ghat = ghat_cr.g
-    rhat, khat = derive_r_k(b0, bm, ghat)
-    w = None
-    if not null:
-        w = compute_w(g, k, r, ghat=ghat)
-    return SolutionSet(
-        g=g,
-        r=r,
-        ghat=ghat,
-        rhat=rhat,
-        k=k,
-        khat=khat,
-        w=w,
-        iterations={"G": g_cr.iterations, "Ghat": ghat_cr.iterations},
-        residuals=equation_residuals(model, g, r, ghat, rhat),
-    )
+    rhat, khat = derive_r_k(b0, bm, ghat_cr.g)
+    return solution_set(model, g_cr.g, r, ghat_cr.g, rhat, k, khat,
+                        {"G": g_cr.iterations, "Ghat": ghat_cr.iterations}, null)

@@ -71,7 +71,7 @@ def _na(name, context):
     return Certificate(name, None, None, "n/a", context)
 
 
-def check_mmatrix(m, name="M", tol=MMATRIX_TOL):
+def check_mmatrix(m, name="M"):
     """Certify that `m` is a nonsingular M-matrix: off-diagonal entries
     nonpositive and an entrywise (near-)nonnegative inverse."""
     a = kernel.as_square(m)
@@ -81,17 +81,17 @@ def check_mmatrix(m, name="M", tol=MMATRIX_TOL):
         inv = kernel.solve_linear(a, np.eye(a.shape[0]))
     except kernel.SingularMatrixError:
         return Certificate(
-            f"mmatrix:{name}", float("inf"), tol, "fail", "numerically singular"
+            f"mmatrix:{name}", float("inf"), MMATRIX_TOL, "fail", "numerically singular"
         )
     violation = max(violation, -min(float(np.min(inv)), 0.0))
-    return _cert(f"mmatrix:{name}", violation, tol)
+    return _cert(f"mmatrix:{name}", violation, MMATRIX_TOL)
 
 
-def check_sign_property(sol, perron, tol=SIGN_TOL):
+def check_sign_property(sol, perron):
     """Certify v_G^T K^-1 u_R < 0 and v_Ghat^T Khat^-1 u_Rhat < 0.
 
     The certificate residual is the pairing itself; it passes when the
-    pairing is at least |tol| below zero, and the margin is the context.
+    pairing is at least |SIGN_TOL| below zero, and the margin is the context.
     """
     if perron.v_g is None or perron.u_rhat is None:
         raise ValueError("solution-side Perron vectors missing")
@@ -99,8 +99,8 @@ def check_sign_property(sol, perron, tol=SIGN_TOL):
     p1 = float(perron.v_g @ kernel.solve_linear(sol.k, eye) @ perron.u_r)
     p2 = float(perron.v_ghat @ kernel.solve_linear(sol.khat, eye) @ perron.u_rhat)
     return (
-        _cert("sign:v_G.K^-1.u_R", p1, tol, context=f"margin {-p1:.6g}"),
-        _cert("sign:v_Ghat.Khat^-1.u_Rhat", p2, tol, context=f"margin {-p2:.6g}"),
+        _cert("sign:v_G.K^-1.u_R", p1, SIGN_TOL, context=f"margin {-p1:.6g}"),
+        _cert("sign:v_Ghat.Khat^-1.u_Rhat", p2, SIGN_TOL, context=f"margin {-p2:.6g}"),
     )
 
 
@@ -118,26 +118,23 @@ def _det_points(xi_values, count=DET_POINT_COUNT, seed=DET_SEED):
     return points
 
 
-def _det_identity_cert(transform, det_b, tol=DET_RTOL, xi_amp=0.0):
+def _det_identity_cert(transform, det_b, xi_amp):
     """Spot check of the determinant surgery identity at the points of
     `det_b`, pairs (z, det B(z)): right: det B_r(z) (z - xi_n) = z det B(z);
     left: det B_l(z) (z - xi_{n+1}) = -xi_{n+1} det B(z) (det(I - z/(z -
     xi_{n+1}) S) = -xi_{n+1}/(z - xi_{n+1}) for idempotent rank-one S);
-    double: the product of both."""
+    double: the product of both. The moved points are read from q and s."""
     poly_s = transform.shifted.poly
-    kind = transform.kind
     worst = 0.0
     for z, db in det_b:
-        dbs = poly_s.det_b(z)
-        if kind is shift_mod.ShiftKind.RIGHT:
-            lhs, rhs = dbs * (z - transform.xi_n), z * db
-        elif kind is shift_mod.ShiftKind.LEFT:
-            lhs, rhs = dbs * (z - transform.xi_n1), -transform.xi_n1 * db
-        else:
-            lhs = dbs * (z - transform.xi_n) * (z - transform.xi_n1)
-            rhs = -transform.xi_n1 * z * db
+        lhs, factor = poly_s.det_b(z), 1.0
+        if transform.q is not None:
+            lhs, factor = lhs * (z - transform.xi_n), z
+        if transform.s is not None:
+            lhs, factor = lhs * (z - transform.xi_n1), -transform.xi_n1 * factor
+        rhs = factor * db
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
-    return _cert(f"{kind.value}:det-identity", worst, max(tol, xi_amp))
+    return _cert(f"{transform.kind.value}:det-identity", worst, max(DET_RTOL, xi_amp))
 
 
 def _surgery_expected(rootset, transform):
@@ -149,8 +146,7 @@ def _surgery_expected(rootset, transform):
     return expected
 
 
-def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed,
-                               tol=DET_RTOL, seed=None):
+def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed, seed=None):
     """Certify spectrum(M_s) = spectrum(M) with `removed` -> 0, from the
     eigenvalues of both matrices.
 
@@ -177,7 +173,7 @@ def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed,
     lhs = char_poly(shifted_eigs) * (points - removed)
     rhs = points * char_poly(original_eigs)
     worst = np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300))
-    return _cert(name, worst, tol)
+    return _cert(name, worst, DET_RTOL)
 
 
 def _root_values(eig_g, eig_r):
@@ -233,25 +229,11 @@ def _base_certs(model, cls, sol, perron, samples, eig_g, eig_r):
             ROOT_MATCH_TOL,
         )
     )
-    poly = model.poly
-    certs.append(
-        _cert(
-            "factor:phi",
-            matpoly.factorization_residual(
-                poly, matpoly.Factorization("z", r, k, g), samples
-            ),
-            FACTOR_TOL,
-        )
-    )
-    certs.append(
-        _cert(
-            "factor:phi-reversed",
-            matpoly.factorization_residual(
-                poly, matpoly.Factorization("z_inverse", rhat, khat, ghat), samples
-            ),
-            FACTOR_TOL,
-        )
-    )
+    for name, fact in (("factor:phi", matpoly.Factorization("z", r, k, g)),
+                       ("factor:phi-reversed",
+                        matpoly.Factorization("z_inverse", rhat, khat, ghat))):
+        residual = matpoly.factorization_residual(model.poly, fact, samples)
+        certs.append(_cert(name, residual, FACTOR_TOL))
     if sol.w is None:
         w_note = "W series diverges at null recurrence"
         certs.extend(
@@ -327,7 +309,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
             ),
             ROOT_MATCH_TOL,
         ),
-        _det_identity_cert(transform, det_b, xi_amp=xi_amp),
+        _det_identity_cert(transform, det_b, xi_amp),
         _cert(
             f"{kind}:factor:phi_s",
             matpoly.factorization_residual(
@@ -451,26 +433,18 @@ def _roundtrip_cert(model, cls, sol, kind, route, xi_amp=0.0):
                  "recovered pair vs direct solve")
 
 
-def check_identity_suite(model, cls=None, sol=None, perron=None,
-                         kinds=("right", "left", "double"), samples=16,
-                         routes=None, det_seed=DET_SEED):
+def check_identity_suite(model, cls, sol, perron, samples=16, routes=None,
+                         det_seed=DET_SEED):
     """Run every certificate on one instance: the coupling identities and
-    factorizations of the base problem, then per shift kind the surgery,
-    transport and hat checks.
+    factorizations of the base problem, then for each shift kind the
+    surgery, transport and hat checks.
 
-    `routes` maps a shift kind to its solve_via route, built from the
-    completed Perron data, or to the ConvergenceError that solve raised.
-    A kind with a route is certified on the route's transform and gets a
-    round-trip certificate; the suite itself solves nothing.
+    `perron` is the completed Perron data of `sol`. `routes` maps a shift
+    kind to its solve_via route, built from that data, or to the
+    ConvergenceError that solve raised. A kind with a route is certified
+    on the route's transform and gets a round-trip certificate; the suite
+    itself solves nothing.
     """
-    if cls is None:
-        cls = model_mod.classify(model)
-    if sol is None:
-        sol = shift_mod.reference_solution(model, cls)
-    if perron is None:
-        perron = model_mod.perron_data(model, cls)
-    if perron.v_ghat is None:
-        perron = model_mod.complete_perron_data(perron, sol)
     routes = {shift_mod.ShiftKind(k): route for k, route in (routes or {}).items()}
     det_b = [(z, model.poly.det_b(z))
              for z in _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)]
@@ -485,7 +459,7 @@ def check_identity_suite(model, cls=None, sol=None, perron=None,
         return spectra[key]
 
     certs = _base_certs(model, cls, sol, perron, samples, eigvals(sol.g), eigvals(sol.r))
-    for kind in map(shift_mod.ShiftKind, kinds):
+    for kind in shift_mod.ShiftKind:
         route = routes.get(kind)
         transform = (route.transform if isinstance(route, shift_mod.ShiftRoute)
                      else shift_mod.build_transform(model, cls, perron, kind))

@@ -237,3 +237,28 @@ def qz_surgery_distance(cls, transform):
         matpoly.roots(transform.shifted.poly),
         verify._surgery_expected(cls.roots, transform),
     )
+
+
+def sorted_roots_loop(values, tie_rtol=1e-8):
+    """Root ordering by a Python loop over tie groups: sort by modulus;
+    within a group (moduli within tie_rtol of the group's largest so far)
+    real positive roots go last, the rest by real then imaginary part."""
+
+    def real_positive(z):
+        return abs(z.imag) <= tie_rtol * (1.0 + abs(z)) and z.real > 0.0
+
+    vals = np.asarray(values, dtype=complex)
+    if vals.size == 0:
+        return vals
+    vals = vals[np.argsort(np.abs(vals), kind="stable")]
+    out = []
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        ref = abs(vals[i])
+        while j < len(vals) and abs(vals[j]) <= ref * (1.0 + tie_rtol) + tie_rtol * 1e-30:
+            ref = max(ref, abs(vals[j]))
+            j += 1
+        out.extend(sorted(vals[i:j], key=lambda z: (real_positive(z), z.real, z.imag)))
+        i = j
+    return np.asarray(out, dtype=complex)

@@ -1,0 +1,176 @@
+"""Compare the solve reports of two qbdshift source trees on one bank of models.
+
+    python tests/report_bank.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts,
+for example of a commit and of its parent. The script
+
+1. writes the bank of model files into a temporary directory:
+   - the four benchmark workloads at seed 1, probes included
+     (`qbdbench/workloads.py`);
+   - 3 classes x n in {1, 2, 4, 8, 16, 32} x seeds 0-2;
+   - positive and transient models at gamma 1e-3 ... 1e-8 x n in
+     {4, 8, 16} x seeds 0-1;
+   - the `patterned` (3-41) and `null_patterned` (0-29) models of
+     `tests/test_verify.py`;
+2. runs `cli.main(["solve", MODEL, "--json", REPORT, "--quiet"])` on every
+   model, in one fresh interpreter per side with one BLAS thread;
+3. prints the differences in exit code and stderr, in report fields other
+   than `timing`, and in certificate name, status and tolerance, then the
+   number of certificate residuals that moved and the largest relative
+   move.
+
+It exits 0 when the two sides agree bit for bit, 1 otherwise. pytest does
+not collect this file.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "qbdbench")]
+
+import workloads  # noqa: E402
+
+CLASSES = (workloads.POSITIVE, workloads.NULL, workloads.TRANSIENT)
+GAMMAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+# Runs in a fresh interpreter: argv is SRC BANK_DIR REPORT_DIR; prints one
+# JSON object {model name: {"code", "stderr"}}. A traceback is recorded as
+# the code "raised" with the exception as stderr. Every warning is shown,
+# as in one process per model.
+RUNNER = """
+import contextlib, io, json, sys, warnings
+src, bank, reports = sys.argv[1:4]
+sys.path.insert(0, src)
+from pathlib import Path
+from qbdshift import cli
+warnings.simplefilter("always")
+out = {}
+for path in sorted(Path(bank).glob("*.json")):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["solve", str(path), "--json",
+                             str(Path(reports) / path.name), "--quiet"])
+        except Exception as exc:
+            code = "raised"
+            print(f"{type(exc).__name__}: {exc}", file=err)
+    out[path.stem] = {"code": code, "stderr": err.getvalue()}
+print(json.dumps(out))
+"""
+
+
+def bank_instances():
+    """Every model of the bank as a workloads.Instance."""
+    out = [inst for name in workloads.WORKLOADS for inst in workloads.instances(name, 1)]
+    out += [workloads.Instance(f"{kind}-n{n}-seed{seed}", kind,
+                               workloads.gen_blocks(kind, n, seed))
+            for kind in CLASSES for n in (1, 2, 4, 8, 16, 32) for seed in range(3)]
+    out += [workloads.Instance(f"{kind}-n{n}-seed{seed}-gamma{gamma:g}", kind,
+                               workloads.gen_blocks(kind, n, seed, gamma))
+            for kind in (workloads.POSITIVE, workloads.TRANSIENT) for gamma in GAMMAS
+            for n in (4, 8, 16) for seed in range(2)]
+    from test_verify import TestPatternedInstances as patterned
+
+    for family, seeds in (("patterned", range(3, 42)), ("null_patterned", range(30))):
+        for seed in seeds:
+            m = getattr(patterned, family)(seed)
+            out.append(workloads.Instance(f"{family}-{seed}", "", (m.a_minus, m.a_zero, m.a_plus)))
+    return out
+
+
+def run_side(src, bank, reports):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH="")
+    done = subprocess.run([sys.executable, "-c", RUNNER, str(src), str(bank), str(reports)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def canonical(value):
+    """Exact text of a JSON value: float repr, NaN and infinities included."""
+    return json.dumps(value, sort_keys=True)
+
+
+def compare_reports(name, old, new, diffs):
+    """Append field and certificate differences; return the residual moves
+    as (relative move, model, certificate name)."""
+    moves = []
+    old_certs, new_certs = old.pop("certificates", []), new.pop("certificates", [])
+    for key in sorted((set(old) | set(new)) - {"timing"}):
+        if canonical(old.get(key)) != canonical(new.get(key)):
+            diffs.append(f"{name}: field {key!r} differs")
+    if len(old_certs) != len(new_certs):
+        diffs.append(f"{name}: {len(old_certs)} against {len(new_certs)} certificates")
+    for a, b in zip(old_certs, new_certs):
+        for key in ("name", "status", "tolerance", "context"):
+            if canonical(a[key]) != canonical(b[key]):
+                diffs.append(f"{name}: {a['name']} {key} {a[key]!r} -> {b[key]!r}")
+        ra, rb = a["residual"], b["residual"]
+        if canonical(ra) != canonical(rb):
+            if ra is None or rb is None:
+                moves.append((float("inf"), name, a["name"]))
+            else:
+                scale = max(abs(ra), abs(rb))
+                moves.append((abs(ra - rb) / scale if scale else 0.0, name, a["name"]))
+    return moves
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    sides = [Path(p).resolve() for p in argv]
+    for src in sides:
+        if not (src / "qbdshift" / "__init__.py").is_file():
+            sys.exit(f"no qbdshift package under {src}")
+    sys.path[:0] = [str(HERE), str(sides[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = Path(tmp) / "bank"
+        bank.mkdir()
+        instances = bank_instances()
+        for inst in instances:
+            workloads.write_model(bank / f"{inst.name}.json", inst)
+        outcomes = []
+        for label, src in zip(("parent", "change"), sides):
+            reports = Path(tmp) / label
+            reports.mkdir()
+            outcomes.append((reports, run_side(src, bank, reports)))
+        (old_dir, old), (new_dir, new) = outcomes
+        diffs, moves = [], []
+        certificates = 0
+        for name in sorted(old):
+            if old[name] != new[name]:
+                diffs.append(f"{name}: exit {old[name]['code']} {old[name]['stderr']!r} "
+                             f"-> {new[name]['code']} {new[name]['stderr']!r}")
+            paths = [d / f"{name}.json" for d in (old_dir, new_dir)]
+            if paths[0].is_file() != paths[1].is_file():
+                diffs.append(f"{name}: a report is written on one side only")
+            elif paths[0].is_file():
+                a, b = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
+                certificates += len(a.get("certificates", []))
+                moves += compare_reports(name, a, b, diffs)
+    codes = {}
+    for outcome in old.values():
+        codes[outcome["code"]] = codes.get(outcome["code"], 0) + 1
+    print(f"{len(instances)} models; parent exit codes "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items(), key=str)))
+    print(f"{len(diffs)} differences in exit code, stderr, report fields or "
+          f"certificate name, status, tolerance or context")
+    for line in diffs:
+        print("  " + line)
+    print(f"{len(moves)} of {certificates} certificate residuals moved", end="")
+    if moves:
+        worst = max(moves)
+        print(f"; largest relative move {worst[0]:.3g} ({worst[2]} on {worst[1]})")
+    else:
+        print()
+    return 1 if diffs or moves else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

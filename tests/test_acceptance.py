@@ -61,10 +61,11 @@ def subset(bank):
 def subset_suites(subset):
     out = {}
     for kind, rows in subset.items():
-        out[kind] = [
-            (m, cls, check_identity_suite(m, cls))
-            for m, cls in rows
-        ]
+        out[kind] = []
+        for m, cls in rows:
+            sol = reference_solution(m, cls)
+            pd = complete_perron_data(perron_data(m, cls), sol)
+            out[kind].append((m, cls, check_identity_suite(m, cls, sol, pd)))
     return out
 
 
@@ -238,7 +239,7 @@ def test_criterion_9_khat_double_discrepancy(capsys, n1):
         matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
         16,
     )
-    certs = check_identity_suite(n1, cls, sol)
+    certs = check_identity_suite(n1, cls, sol, pd)
     info = [c for c in certs if c.name == "double:id:Khat_d-compact"]
     ok = (
         abs(gap - 0.4) <= 1e-10

@@ -201,7 +201,7 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_recovery_residual_is_the_routes(self, kind):
         triple, meta = cli.generate(kind, 4, seed=5)
-        report = cli.solve_report(triple, meta, kinds=())
+        report = cli.solve_report(triple, meta)
         cls = classify(triple)
         perron = model_mod.complete_perron_data(
             model_mod.perron_data(triple, cls), shift.reference_solution(triple, cls))
@@ -219,6 +219,19 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "bench"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        out = tmp_path / "missing" / "out.json"
+        argv = {
+            "gen": ["gen", "positive", "-n", "2", "--out", str(out)],
+            "solve": ["solve", str(model), "--json", str(out), "--quiet"],
+            "bench": ["bench", "null", "-n", "1", "--count", "1", "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_validation_error_exit_code(self, tmp_path):
         path = write_scalar_model(tmp_path, (0.5, 0.6, 0.3))

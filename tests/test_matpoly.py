@@ -97,6 +97,44 @@ class TestRoots:
             matpoly.QuadMatPoly.new(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@st.composite
+def root_multisets(draw):
+    """Complex values with the cases the tie groups must order: conjugate
+    pairs, equal moduli, relative ties below and near TIE_RTOL, zeros and
+    a double unit root."""
+    base = draw(st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        max_size=6))
+    values = list(base)
+    for z in base:
+        twist = draw(st.sampled_from(["conj", "neg", "rotate", "tie", "near", "none"]))
+        if twist == "conj":
+            values.append(z.conjugate())
+        elif twist == "neg":
+            values.append(-z)
+        elif twist == "rotate":
+            values.append(abs(z) * 1j)
+        elif twist == "tie":
+            values.append(z * (1.0 + draw(st.floats(-1e-9, 1e-9))))
+        elif twist == "near":
+            values.append(z * (1.0 + draw(st.floats(5e-9, 2e-8))))
+    values += draw(st.sampled_from([[], [0j, 0j], [1.0, 1.0], [1.0, 1.0 + 1e-9j]]))
+    return draw(st.permutations(values))
+
+
+class TestSortedRoots:
+    @settings(max_examples=400, deadline=None)
+    @given(root_multisets())
+    def test_matches_loop_oracle_bitwise(self, values):
+        got = matpoly._sorted_roots(values)
+        want = oracles.sorted_roots_loop(values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_real_positive_last_in_tie_group(self):
+        got = matpoly._sorted_roots([1.0, 1j, -1.0, -1j, 0.5])
+        np.testing.assert_array_equal(got, [0.5, -1.0, -1j, 1j, 1.0])
+
+
 class TestHCoefficients:
     # the Laurent coefficients of phi(z)^-1 on the annulus between the
     # splitting roots: H_0 = W, H_-i = G^i W, H_i = W R^i

@@ -18,7 +18,7 @@ from qbdshift import (
     solve_all,
     solve_via,
 )
-from qbdshift import solvers
+from qbdshift import cli, solvers
 
 
 def prepared(model):
@@ -379,6 +379,28 @@ class TestReferenceSolution:
     def test_non_null_uses_direct(self, e2):
         ref = reference_solution(e2)
         assert ref.w is not None
+
+    @pytest.mark.parametrize("kind, gamma", [
+        ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
+    ])
+    def test_r_derived_once_per_solve(self, monkeypatch, kind, gamma):
+        # each route's solve derives its own R, and the shifted routes'
+        # K and Khat are formed directly: two derivations in every class
+        calls = []
+        real = solvers.derive_r_k
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        model, _ = cli.generate(kind, 4, seed=3, gamma=gamma)
+        cls = classify(model)
+        monkeypatch.setattr(solvers, "derive_r_k", counting)
+        sol = reference_solution(model, cls)
+        assert len(calls) == 2
+        b0 = model.b_zero()
+        np.testing.assert_array_equal(sol.k, b0 + model.a_plus @ sol.g)
+        np.testing.assert_array_equal(sol.khat, b0 + model.a_minus @ sol.ghat)
 
 
 class TestShiftedSolutionsAggregate:

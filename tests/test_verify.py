@@ -150,7 +150,8 @@ class TestIdentitySuite:
         cls = classify(e2)
         sol = solve_all(e2, cls)
         broken = dataclasses.replace(sol, g=sol.g + 0.01)
-        certs = check_identity_suite(e2, cls, broken)
+        pd = complete_perron_data(perron_data(e2, cls), broken)
+        certs = check_identity_suite(e2, cls, broken, pd)
         assert sum(c.status == "fail" for c in certs) >= 3
 
     def test_certificates_deterministic(self, t1):
@@ -166,7 +167,7 @@ class TestIdentitySuite:
                 assert (cert.residual <= cert.tolerance) == (cert.status == "pass")
 
     def test_serializes(self, p1):
-        cert = check_identity_suite(p1)[0]
+        cert = check_identity_suite(p1, *solved(p1))[0]
         payload = cert.to_dict()
         assert set(payload) == {"name", "residual", "tolerance", "status", "context"}
 
