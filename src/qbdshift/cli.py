@@ -3,8 +3,9 @@ end-to-end solve pipelines with certificates, and benchmarking.
 
 Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 "a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
-documents carrying "schema": 1; every number is reproducible from the
-model file and the flags (the "timing" field excepted).
+documents carrying "schema": 2; every number is reproducible from the
+model file and the flags (the "timing" field excepted). Schema 2 drops
+K and Khat from "direct": K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -39,7 +41,7 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_CERTIFICATE = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 GEN_KINDS = ("positive", "null", "transient")
 CYCLE_WEIGHT = 1e-3
@@ -150,8 +152,6 @@ def _solution_payload(sol):
         "R": _flat(sol.r),
         "Ghat": _flat(sol.ghat),
         "Rhat": _flat(sol.rhat),
-        "K": _flat(sol.k),
-        "Khat": _flat(sol.khat),
         "W": None if sol.w is None else _flat(sol.w),
         "iterations": dict(sol.iterations),
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
@@ -346,6 +346,14 @@ def _write_json(payload, path=None):
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_output_path(path):
+    """Reject an unwritable output path before any work; open nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        reason = "it is a directory" if os.path.isdir(path) else f"no directory {parent}"
+        raise ParseError(f"cannot write {path}: {reason}")
+
+
 def _int_at_least(low):
     """argparse type: an int >= low, rejected at parse time (exit 2)."""
     def integer(text):
@@ -411,6 +419,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        out_path = args.json_out if args.command == "solve" else args.out
+        if out_path:
+            _check_output_path(out_path)
         if args.command == "solve":
             triple, meta = read_model(args.path)
             report = solve_report(

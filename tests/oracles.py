@@ -227,6 +227,24 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
     return -kernel.solve_linear(diag_hat, np.asarray(b_minus, dtype=float)), k
 
 
+def two_pass_solution(model, cls):
+    """The direct solve with cyclic reduction run twice at solve_all's
+    tolerances: once on (B_-1, B_0, B_1) for (G, R) and once more on the
+    reversed triple (B_1, B_0, B_-1) for (Ghat, Rhat). Returns
+    ({"G", "R", "Ghat", "Rhat"}, {"G": sweeps, "Ghat": sweeps})."""
+    from qbdshift import model as model_mod, solvers
+
+    null = cls.kind is model_mod.Kind.NULL_RECURRENT
+    cr_args = {"tol": solvers.CR_TOL_NULL if null else solvers.CR_TOL,
+               "res_tol": solvers.STALL_RES_TOL if null else None}
+    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
+    fwd = solvers.cyclic_reduction(bm, b0, bp, **cr_args)
+    rev = solvers.cyclic_reduction(bp, b0, bm, **cr_args)
+    solution = {"G": fwd.g, "R": solvers.derive_r_k(b0, bp, fwd.g)[0],
+                "Ghat": rev.g, "Rhat": solvers.derive_r_k(b0, bm, rev.g)[0]}
+    return solution, {"G": fwd.iterations, "Ghat": rev.iterations}
+
+
 def qz_surgery_distance(cls, transform):
     """Root-surgery distance from a QZ factorization of the shifted
     companion pencil: the roots of B_s(z) against the original roots with

@@ -17,8 +17,11 @@ for example of a commit and of its parent. The script
    model, in one fresh interpreter per side with one BLAS thread;
 3. prints the differences in exit code and stderr, in report fields other
    than `timing`, and in certificate name, status and tolerance, then the
-   number of certificate residuals that moved and the largest relative
-   move.
+   number of certificate residuals that moved, the largest relative move
+   and the largest move as a fraction of the certificate's tolerance.
+   A field that differs is shown with each key present on one side only,
+   for each matrix present on both sides its largest entry move relative
+   to its largest entry, and each other single value that changed.
 
 It exits 0 when the two sides agree bit for bit, 1 otherwise. pytest does
 not collect this file.
@@ -97,27 +100,60 @@ def canonical(value):
     return json.dumps(value, sort_keys=True)
 
 
+def is_matrix(value):
+    """A flat list of numbers, as the report writes matrices."""
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value))
+
+
+def field_changes(old, new, path):
+    """Describe how one differing report field moved: the keys present on
+    one side only, for each matrix on both sides the largest entry move
+    over the largest entry modulus (0 when both are zero), and each other
+    single value that changed."""
+    out = []
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) ^ set(new)):
+            out.append(f"{path}.{key} only in {'parent' if key in old else 'change'}")
+        for key in sorted(set(old) & set(new)):
+            out += field_changes(old[key], new[key], f"{path}.{key}")
+    elif is_matrix(old) and is_matrix(new) and len(old) == len(new):
+        scale = max(max(abs(x) for x in old), max(abs(x) for x in new))
+        worst = max(abs(a - b) for a, b in zip(old, new))
+        out.append(f"{path} moved {worst / scale if scale else 0.0:.3g}")
+    elif not isinstance(old, (dict, list)) and not isinstance(new, (dict, list)):
+        if canonical(old) != canonical(new):
+            out.append(f"{path} {canonical(old)} -> {canonical(new)}")
+    return out
+
+
 def compare_reports(name, old, new, diffs):
     """Append field and certificate differences; return the residual moves
-    as (relative move, model, certificate name)."""
+    as (relative move, move over tolerance, model, certificate name), the
+    second None without a positive finite tolerance."""
     moves = []
     old_certs, new_certs = old.pop("certificates", []), new.pop("certificates", [])
     for key in sorted((set(old) | set(new)) - {"timing"}):
         if canonical(old.get(key)) != canonical(new.get(key)):
-            diffs.append(f"{name}: field {key!r} differs")
+            changes = field_changes(old.get(key), new.get(key), key)
+            diffs.append(f"{name}: field {key!r} differs"
+                         + "".join(f"; {c}" for c in changes))
     if len(old_certs) != len(new_certs):
         diffs.append(f"{name}: {len(old_certs)} against {len(new_certs)} certificates")
     for a, b in zip(old_certs, new_certs):
         for key in ("name", "status", "tolerance", "context"):
             if canonical(a[key]) != canonical(b[key]):
                 diffs.append(f"{name}: {a['name']} {key} {a[key]!r} -> {b[key]!r}")
-        ra, rb = a["residual"], b["residual"]
+        ra, rb, tol = a["residual"], b["residual"], a["tolerance"]
         if canonical(ra) != canonical(rb):
             if ra is None or rb is None:
-                moves.append((float("inf"), name, a["name"]))
+                moves.append((float("inf"), None, name, a["name"]))
             else:
                 scale = max(abs(ra), abs(rb))
-                moves.append((abs(ra - rb) / scale if scale else 0.0, name, a["name"]))
+                of_tol = (abs(ra - rb) / tol
+                          if isinstance(tol, float) and 0.0 < tol < float("inf") else None)
+                moves.append((abs(ra - rb) / scale if scale else 0.0, of_tol,
+                              name, a["name"]))
     return moves
 
 
@@ -165,10 +201,14 @@ def main(argv):
         print("  " + line)
     print(f"{len(moves)} of {certificates} certificate residuals moved", end="")
     if moves:
-        worst = max(moves)
-        print(f"; largest relative move {worst[0]:.3g} ({worst[2]} on {worst[1]})")
-    else:
-        print()
+        worst = max(moves, key=lambda m: m[0])
+        print(f"; largest relative move {worst[0]:.3g} ({worst[3]} on {worst[2]})", end="")
+        scaled = [m for m in moves if m[1] is not None]
+        if scaled:
+            worst = max(scaled, key=lambda m: m[1])
+            print(f"; largest move over tolerance {worst[1]:.3g} "
+                  f"({worst[3]} on {worst[2]})", end="")
+    print()
     return 1 if diffs or moves else 0
 
 

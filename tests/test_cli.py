@@ -167,11 +167,19 @@ class TestMain:
         code = cli.main(["solve", str(path), "--quiet", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["classification"]["kind"] == "positive-recurrent"
         assert report["direct"]["G"] == [pytest.approx(1.0, abs=1e-12)]
         assert report["direct"]["R"] == [pytest.approx(0.6, abs=1e-12)]
         assert report["certificate_summary"]["fail"] == 0
+
+    def test_direct_keys(self, tmp_path):
+        # schema 2 writes no K or Khat: each is one product away from G or Ghat
+        path = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        report = cli.solve_report(*cli.read_model(path))
+        assert set(report["direct"]) == {"G", "R", "Ghat", "Rhat", "W", "iterations",
+                                         "residuals"}
+        assert set(report["shift_route"]) >= {"G", "R"}
 
     def test_report_byte_stable_modulo_timing(self, tmp_path):
         path = write_scalar_model(tmp_path, (0.3, 0.2, 0.5))
@@ -221,7 +229,13 @@ class TestMain:
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == cli.EXIT_PARSE
 
     @pytest.mark.parametrize("command", ["gen", "solve", "bench"])
-    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        # the path is checked before any solve runs
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "solve_report", never)
+        monkeypatch.setattr(cli, "bench_report", never)
         model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         out = tmp_path / "missing" / "out.json"
         argv = {
@@ -232,6 +246,28 @@ class TestMain:
         assert cli.main(argv) == cli.EXIT_PARSE
         assert f"cannot write {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_directory_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_report", None)
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        argv = ["solve", str(model), "--json", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+
+    def test_existing_output_kept_until_written(self, tmp_path, monkeypatch):
+        # a solve that fails leaves an existing report as it was
+        from qbdshift import kernel
+
+        def boom(*a, **k):
+            raise kernel.ConvergenceError("forced")
+
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        out = tmp_path / "report.json"
+        out.write_text("old")
+        monkeypatch.setattr(cli.solvers, "solve_all", boom)
+        argv = ["solve", str(model), "--json", str(out), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_SOLVER
+        assert out.read_text() == "old"
 
     def test_validation_error_exit_code(self, tmp_path):
         path = write_scalar_model(tmp_path, (0.5, 0.6, 0.3))
@@ -281,11 +317,12 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 4, "det_b": 32}),
-        ("null", {"cyclic_reduction": 7, "perron_data": 2, "new": 6, "det_b": 32}),
+        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 4, "det_b": 32}),
+        ("null", {"cyclic_reduction": 6, "perron_data": 2, "new": 6, "det_b": 32}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
-        # one shifted solve per kind serves the route and its round trip,
+        # one cyclic-reduction run gives the direct G and Ghat, one
+        # shifted solve per kind serves the route and its round trip,
         # Perron data is computed once per triple (the null reference
         # solution derives the reversed model's), each triple builds B(z)
         # once, and det B(z) is taken once per determinant point (the pencil
