@@ -10,7 +10,6 @@ from .kernel import (
     ConvergenceError,
     SingularMatrixError,
     perron,
-    scc_partition,
     solve_linear,
     spectral_radius,
     stein_solve,
@@ -20,7 +19,6 @@ from .matpoly import (
     QuadMatPoly,
     RootSet,
     factorization_residual,
-    multiset_distance,
     roots,
 )
 from .model import (

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import kernel, model as model_mod, shift as shift_mod, solvers, verify
+from . import kernel, matpoly, model as model_mod, shift as shift_mod, solvers, verify
 
 __all__ = [
     "EXIT_CERTIFICATE",
@@ -167,6 +167,13 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
     start = time.perf_counter()
     cls = model_mod.classify(triple)
     direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
+    # Certify against the most accurate solution available: the direct
+    # route is only ~1e-7 accurate at null recurrence, which would show up
+    # as transport-residual noise rather than genuine identity failures.
+    reference = direct
+    if cls.kind is model_mod.Kind.NULL_RECURRENT:
+        reference = shift_mod.reference_solution(triple, cls)
+    perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
     report = {
         "schema": SCHEMA_VERSION,
         "meta": meta,
@@ -176,17 +183,11 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
             "xi_n": cls.xi_n,
             "xi_n1": cls.xi_n1,
         },
-        "roots": _roots_payload(cls.roots),
+        # eig(G) + 1/eig(R), which spec:eig(G)+1/eig(R)=roots(B) certifies
+        "roots": _roots_payload(matpoly.RootSet.from_spectra(*reference.spectra)),
         "via": via,
         "direct": _solution_payload(direct),
     }
-    # Certify against the most accurate solution available: the direct
-    # route is only ~1e-7 accurate at null recurrence, which would show up
-    # as transport-residual noise rather than genuine identity failures.
-    reference = direct
-    if cls.kind is model_mod.Kind.NULL_RECURRENT:
-        reference = shift_mod.reference_solution(triple, cls)
-    perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
     # one shifted solve per kind serves both the report's route and the
     # kind's round-trip certificate; a failed round trip is a certificate
     # failure, a failed route a solver failure

@@ -1,7 +1,8 @@
-"""Dense real-matrix primitives: norms, linear solves, spectral radius and
-Perron vectors (one power iteration with a Collatz-Wielandt stop and a
-stall rule, one dense eigensolve as fallback), strongly connected
-components (scipy.sparse.csgraph), Stein equation (Smith doubling).
+"""Dense real-matrix primitives: norms, linear solves with one condition
+test, spectral radius and Perron vectors (one power iteration with a
+Collatz-Wielandt stop and a stall rule, dense eigensolves as
+fallback), irreducibility (boolean reachability), Stein equation (Smith
+doubling).
 
 Everything here works on plain ``numpy.ndarray`` matrices. Inputs are never
 mutated; all functions are pure and thread-safe.
@@ -9,22 +10,17 @@ mutated; all functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 __all__ = [
     "ConvergenceError",
-    "Scc",
     "SingularMatrixError",
+    "condition",
     "inf_norm",
     "is_irreducible",
     "perron",
-    "scc_partition",
     "solve_linear",
     "spectral_radius",
     "stein_solve",
@@ -48,7 +44,7 @@ STEIN_MAX_DOUBLINGS = 64
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A pivot fell below the singularity threshold."""
+    """A pivot is exactly zero or the condition number is above 1/PIVOT_RTOL."""
 
 
 class ConvergenceError(RuntimeError):
@@ -124,29 +120,30 @@ def spectral_radius(m):
 
 
 def _dense_perron(a):
-    """Perron radius with right and left vectors of `a` from one dense
-    decomposition, sign-fixed and polished by power steps on a + I.
+    """Perron radius with right and left vectors of `a` from the dense
+    eigendecompositions of `a` and of its transpose, sign-fixed and
+    polished by power steps on a + I.
 
-    Among eigenvalues of (numerically) maximal modulus the one with the
-    largest real part is taken: for a nonnegative matrix that is the real
-    Perron root even when a periodic block puts rotated copies on the
-    same circle. Both vectors belong to that one eigenvalue.
+    In each, among eigenvalues of (numerically) maximal modulus the one
+    with the largest real part is taken: for a nonnegative matrix that is
+    the real Perron root even when a periodic block puts rotated copies on
+    the same circle.
     """
-    vals, lefts, rights = scipy.linalg.eig(a, left=True, right=True)
-    radius = float(np.max(np.abs(vals)))
-    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
-    i = candidates[int(np.argmax(np.real(vals[candidates])))]
     shifted = a + np.eye(a.shape[0])
-    out = [radius]
-    for v, mat in ((rights[:, i], shifted), (lefts[:, i], shifted.T)):
-        v = np.real(v)
+    found = []
+    for mat, polish in ((a, shifted), (a.T, shifted.T)):
+        vals, vecs = np.linalg.eig(mat)
+        radius = float(np.max(np.abs(vals)))
+        candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
+        v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
         if v[int(np.argmax(np.abs(v)))] < 0:
             v = -v
         for _ in range(8):
-            v = mat @ v
+            v = polish @ v
             v /= np.max(np.abs(v))
-        out.append(v)
-    return tuple(out)
+        found.append((radius, v))
+    (radius, right), (_, left) = found
+    return radius, right, left
 
 
 def perron(m):
@@ -154,9 +151,9 @@ def perron(m):
     matrix, each vector at unit infinity norm: (radius, right, left).
 
     Power iteration finds both vectors when they are positive; when either
-    stalls, one dense eigendecomposition gives the radius and both vectors
-    (entries that are structurally zero may then carry eigensolver noise
-    up to ~1e-14). Raises ValueError for a negative entry or a nilpotent
+    stalls, dense eigendecompositions of the matrix and its transpose give
+    the radius and both vectors (entries that are structurally zero may
+    then carry eigensolver noise up to ~1e-14). Raises ValueError for a negative entry or a nilpotent
     matrix, ConvergenceError when a residual exceeds EIGEN_RTOL max(rho, 1).
     """
     a = as_square(m)
@@ -176,11 +173,38 @@ def perron(m):
     return radius, right, left
 
 
+def _solve(a, rhs):
+    """(M^-1 B, M^-1) from one LAPACK gesv (LU with partial pivoting) on
+    [B, I], or on I alone when `rhs` is None.
+
+    M counts as singular, and SingularMatrixError is raised, when a pivot
+    is exactly zero or the condition number ||M||_inf ||M^-1||_inf
+    exceeds 1/PIVOT_RTOL.
+    """
+    eye = np.eye(a.shape[0])
+    try:
+        out = np.linalg.solve(a, eye if rhs is None else np.hstack([rhs, eye]))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is exactly singular") from None
+    k = 0 if rhs is None else rhs.shape[1]
+    inv = out[:, k:]
+    if inf_norm(a) * inf_norm(inv) > 1.0 / PIVOT_RTOL:
+        raise SingularMatrixError("matrix is numerically singular")
+    return (inv if rhs is None else out[:, :k]), inv
+
+
+def condition(m):
+    """Infinity-norm condition number ||M|| ||M^-1||; raises
+    SingularMatrixError where solve_linear would."""
+    a = as_square(m, "M")
+    return inf_norm(a) * inf_norm(_solve(a, None)[1])
+
+
 def solve_linear(m, b):
     """Solve M X = B by LU with partial pivoting plus one refinement step.
 
-    Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL * ||M||_inf.
+    Raises SingularMatrixError when a pivot is exactly zero or
+    ||M||_inf ||M^-1||_inf exceeds 1/PIVOT_RTOL.
     """
     a = as_square(m, "M")
     rhs = np.asarray(b, dtype=float)
@@ -189,49 +213,30 @@ def solve_linear(m, b):
         rhs = rhs[:, None]
     if rhs.shape[0] != a.shape[0]:
         raise ValueError("B is not conformal with M")
-    with warnings.catch_warnings():
-        # the pivot check below raises; scipy's own warning is redundant
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    threshold = PIVOT_RTOL * max(inf_norm(a), np.finfo(float).tiny)
-    if np.min(np.abs(np.diag(lu))) < threshold:
-        raise SingularMatrixError("matrix is numerically singular")
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    x += scipy.linalg.lu_solve((lu, piv), rhs - a @ x, check_finite=False)
+    # an identity right-hand side asks for M^-1 itself: no second block
+    inverse = rhs.shape == a.shape and np.array_equal(rhs, np.eye(a.shape[0]))
+    x, inv = _solve(a, None if inverse else rhs)
+    x = x + inv @ (rhs - a @ x)
     return x[:, 0] if squeeze else x
 
 
-@dataclasses.dataclass(frozen=True)
-class Scc:
-    """One strongly connected component; trivial = singleton, no self-loop."""
-
-    vertices: tuple
-    trivial: bool
-
-
-def scc_partition(m, tol=0.0):
-    """Strongly connected components of the graph with edge i -> j iff
-    m[i, j] > tol, returned in topological order (sources first).
-
-    scipy labels the components in reverse topological order (sinks
-    first), so they are walked from the highest label down.
-    """
-    a = as_square(m)
-    pattern = a > tol
-    count, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(pattern), directed=True, connection="strong"
-    )
-    components = []
-    for label in range(count - 1, -1, -1):
-        comp = tuple(int(v) for v in np.flatnonzero(labels == label))
-        trivial = len(comp) == 1 and not pattern[comp[0], comp[0]]
-        components.append(Scc(comp, trivial))
-    return components
+def _reaches_all(pattern):
+    """True iff every vertex is reachable from vertex 0 along edges i -> j
+    with pattern[i, j]; one boolean frontier step per path length."""
+    seen = np.zeros(len(pattern), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = pattern[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def is_irreducible(m):
-    """True iff the pattern of `m` forms a single strongly connected class."""
-    return len(scc_partition(m)) == 1
+    """True iff the graph with edge i -> j iff m[i, j] > 0 is strongly
+    connected: vertex 0 reaches every vertex and every vertex reaches it."""
+    pattern = as_square(m) > 0.0
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 
 def stein_solve(g, r, c):

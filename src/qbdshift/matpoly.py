@@ -1,6 +1,6 @@
 """Quadratic matrix polynomials B(z) = B_-1 + z B_0 + z^2 B_1 and the
-Laurent polynomial phi(z) = z^-1 B(z): evaluation, roots through the
-companion pencil, factorization residuals.
+Laurent polynomial phi(z) = z^-1 B(z): evaluation, roots as the
+Moebius-mapped eigenvalues of a companion matrix, factorization residuals.
 
 Roots of B(z) are the zeros of det B(z), with k roots at infinity when
 the degree of det B(z) is 2n - k. They are kept sorted by modulus, with
@@ -10,13 +10,10 @@ so the two real splitting roots always sit at positions n-1 and n.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import dataclasses
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from . import kernel
 
@@ -24,16 +21,23 @@ __all__ = [
     "Factorization",
     "QuadMatPoly",
     "RootSet",
-    "chordal_distance",
     "factorization_residual",
-    "multiset_distance",
     "roots",
     "unit_circle_samples",
 ]
 
-# Pencil eigenvalue (alpha, beta) with |beta| below this times hypot(alpha,
-# beta) counts as a root at infinity.
-INF_ROOT_RTOL = 1e-12
+# Real shift points sigma of the substitution z = sigma + 1/w in `roots`.
+# A root z moves by |z - sigma|^2 times the error of its w, and that error
+# grows with cond(B(sigma)), so the point with the least
+# cond(B(sigma)) (1 - sigma)^2 is used: the splitting roots sit at or near
+# z = 1, where near null recurrence their gap is smallest.
+SHIFT_POINTS = (0.5, -0.5, -1.0, -2.0)
+
+# A companion eigenvalue w with |w| at most this is a root at infinity:
+# rounding moves an exact w = 0 off zero, by 2e-12 seen on a double root
+# at infinity, and a finite root this far out (|z| beyond about 1e10) is
+# within 1e-10 of infinity in the chordal metric.
+INF_ROOT_RTOL = 1e-10
 
 # Moduli within this relative distance form one tie group for ordering.
 TIE_RTOL = 1e-8
@@ -95,29 +99,19 @@ class RootSet:
         """All roots with infinities appended as complex inf."""
         return np.append(self.finite, np.full(self.n_infinite, complex(np.inf, 0.0)))
 
-    def without_closest(self, value):
-        """Drop the single root closest to `value` (chordal metric)."""
-        if np.isinf(value):
-            if self.n_infinite == 0:
-                raise ValueError("no infinite root to remove")
-            return RootSet(self.finite, self.n_infinite - 1)
-        if len(self.finite) == 0:
-            raise ValueError("no finite root to remove")
-        i = int(np.argmin(chordal_distance(self.finite, value)))
-        return RootSet(np.delete(self.finite, i), self.n_infinite)
+    @classmethod
+    def from_spectra(cls, eig_g, eig_r):
+        """Roots of B(z) when phi(z) = (I - zR) K (I - z^-1 G) with K
+        nonsingular: eig(G) together with 1/eig(R), a zero eigenvalue of R
+        giving a root at infinity."""
+        nonzero = eig_r[eig_r != 0]
+        return cls(_sorted_roots(np.append(eig_g, 1.0 / nonzero)), len(eig_r) - len(nonzero))
 
     def reciprocals(self):
         """Roots of z^2 B(1/z): 1/z for each root, 0 and infinity swapped."""
         nonzero = self.finite[self.finite != 0]
         finite = np.append(1.0 / nonzero, np.zeros(self.n_infinite, dtype=complex))
         return RootSet(_sorted_roots(finite), len(self.finite) - len(nonzero))
-
-    def with_value(self, value):
-        """Add one root (possibly infinity), keeping the sorted order."""
-        if np.isinf(value):
-            return RootSet(self.finite, self.n_infinite + 1)
-        finite = np.append(self.finite, complex(value))
-        return RootSet(_sorted_roots(finite), self.n_infinite)
 
 
 def _sorted_roots(values):
@@ -137,24 +131,35 @@ def _sorted_roots(values):
 
 
 def roots(poly):
-    """All 2n roots of det B(z) via the companion pencil
+    """All 2n roots of det B(z) as sigma + 1/w, with w over the eigenvalues
+    of the companion matrix of w^2 B(sigma) + w (B_0 + 2 sigma B_1) + B_1
+    (B(z) at z = sigma + 1/w, times w^2):
 
-        A = [[0, I], [-B_-1, -B_0]],   B = [[I, 0], [0, B_1]],
+        [[0, I], [-B(sigma)^-1 B_1, -B(sigma)^-1 (B_0 + 2 sigma B_1)]].
 
-    whose generalized eigenvalues are exactly the roots, with beta ~ 0
-    flagging the ones at infinity.
+    w = 0 (up to INF_ROOT_RTOL) is a root at infinity. sigma is real, so
+    real roots stay exactly real and conjugate pairs stay paired; it is
+    taken from SHIFT_POINTS, never a root (B(sigma) must pass
+    kernel.condition).
     """
     n = poly.n
-    zero = np.zeros((n, n))
-    eye = np.eye(n)
-    lhs = np.block([[zero, eye], [-poly.b_minus, -poly.b_zero]])
-    rhs = np.block([[eye, zero], [zero, poly.b_plus]])
-    alpha, beta = scipy.linalg.eig(lhs, rhs, right=False, homogeneous_eigvals=True)
-    scale = np.hypot(np.abs(alpha), np.abs(beta))
-    if np.any(scale == 0.0):
-        raise ValueError("singular pencil: det B(z) identically zero")
-    at_inf = np.abs(beta) <= INF_ROOT_RTOL * scale
-    return RootSet(_sorted_roots(alpha[~at_inf] / beta[~at_inf]), int(at_inf.sum()))
+    scores = {}
+    for sigma in SHIFT_POINTS:
+        try:
+            scores[sigma] = kernel.condition(poly.eval_b(sigma)) * (1.0 - sigma) ** 2
+        except kernel.SingularMatrixError:
+            pass
+    if not scores:
+        raise kernel.SingularMatrixError(
+            f"B(z) is singular at every shift point {SHIFT_POINTS}")
+    sigma = min(scores, key=scores.get)
+    coeffs = kernel.solve_linear(
+        poly.eval_b(sigma), np.hstack([poly.b_plus, poly.b_zero + 2.0 * sigma * poly.b_plus])
+    )
+    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-coeffs]])
+    w = np.linalg.eigvals(companion)
+    at_inf = np.abs(w) <= INF_ROOT_RTOL
+    return RootSet(_sorted_roots(sigma + 1.0 / w[~at_inf]), int(at_inf.sum()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,58 +204,3 @@ def factorization_residual(poly, fact, samples=16):
     c_mid = poly.b_zero - fact.middle - lm @ fact.right
     c_high = high + lm
     return max(float(np.max(np.abs(c_low / z + c_mid + z * c_high))) for z in points)
-
-
-def chordal_distance(x, y):
-    """Distance on the Riemann sphere, elementwise with broadcasting.
-
-    Two infinities are 0 apart and a finite z is 1/hypot(1, |z|) from
-    infinity. Dividing by one hypot factor at a time keeps the distance
-    of two large finite roots from overflowing to 0.
-    """
-    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    x_inf, y_inf = np.isinf(x), np.isinf(y)
-    # an infinity is placed at 0, where its hypot factor is exactly 1
-    x, y = np.where(x_inf, 0.0, x), np.where(y_inf, 0.0, y)
-    diff = x - y
-    # hypot of the parts, not np.abs: numpy's vectorized complex abs rounds
-    # differently from the libm hypot in about a third of cases
-    gap = np.where(x_inf == y_inf, np.hypot(diff.real, diff.imag), 1.0)
-    hx = np.hypot(1.0, np.hypot(x.real, x.imag))
-    hy = np.hypot(1.0, np.hypot(y.real, y.imag))
-    return (gap / hx / hy)[()]
-
-
-def multiset_distance(first, second):
-    """Bottleneck chordal distance between two root multisets.
-
-    Accepts RootSet or iterables of complex values (inf allowed). Returns
-    exactly the least t at which the sets pair one to one with no pair
-    more than t apart, so it is within a tolerance exactly when the sets
-    agree within it, which is what a root certificate claims. t is a pair
-    distance, bisected with a maximum bipartite matching of the pairs
-    within it (scipy.sparse.csgraph). Raises if the sizes differ or on nan.
-    """
-    a, b = (
-        np.asarray(s.values() if isinstance(s, RootSet) else list(s), dtype=complex)
-        for s in (first, second)
-    )
-    if len(a) != len(b):
-        raise ValueError(f"multisets differ in size: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        return 0.0
-    cost = chordal_distance(a[:, None], b[None, :])
-    if np.isnan(cost).any():
-        raise ValueError("root multisets contain nan")
-    row_min = cost.min(axis=1)
-    if len(np.unique(cost.argmin(axis=1))) == len(a):
-        # every root's nearest partner is distinct: that pairing is optimal
-        return float(row_min.max())
-    # no pairing beats the largest row or column minimum; agreeing sets pair at it
-    low = max(row_min.max(), cost.min(axis=0).max())
-    paired = lambda t: np.all(scipy.sparse.csgraph.maximum_bipartite_matching(
-        scipy.sparse.csr_matrix(cost <= t), perm_type="column") >= 0)
-    if paired(low):
-        return float(low)
-    levels = np.unique(cost[cost > low])  # the largest admits every pair
-    return float(levels[bisect.bisect_left(levels, True, hi=len(levels) - 1, key=paired)])

@@ -18,6 +18,7 @@ iterates with L and U swapped, so one run solves both (1) and (3).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -221,6 +222,12 @@ class SolutionSet:
     w: np.ndarray | None
     iterations: dict
     residuals: dict
+
+    @functools.cached_property
+    def spectra(self):
+        """(eig(G), eig(R)), one eigensolve each: the roots of B(z) and the
+        certificates that check them read the same values."""
+        return np.linalg.eigvals(self.g), np.linalg.eigvals(self.r)
 
 
 def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):

@@ -1,13 +1,23 @@
 """Independent oracles for expected values: scalar closed forms via the
 quadratic formula, the symmetric-circulant closed form for the 2x2
-null-recurrent instance, the monotone fixed-point iteration for G, and
-naive dense helpers that bypass the package implementations."""
+null-recurrent instance, the monotone fixed-point iteration for G, naive
+dense helpers that bypass the package implementations, and the scipy
+forms the package no longer uses (the companion-pencil QZ, the exact
+bottleneck root matching, LU with a pivot test, the two-sided dense
+eigensolve, strongly connected components). scipy comes with the test
+extra only."""
 
+import bisect
 import cmath
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 # Scalar instances used throughout: (a_minus, a_zero, a_plus).
 P1 = (0.5, 0.2, 0.3)
@@ -245,16 +255,171 @@ def two_pass_solution(model, cls):
     return solution, {"G": fwd.iterations, "Ghat": rev.iterations}
 
 
+def qz_roots(poly):
+    """All 2n roots of det B(z) as a RootSet, from a QZ factorization of
+    the companion pencil
+
+        A = [[0, I], [-B_-1, -B_0]],   B = [[I, 0], [0, B_1]],
+
+    whose generalized eigenvalues are exactly the roots; |beta| below
+    1e-12 hypot(alpha, beta) flags a root at infinity."""
+    from qbdshift import matpoly
+
+    n = poly.n
+    zero = np.zeros((n, n))
+    eye = np.eye(n)
+    lhs = np.block([[zero, eye], [-poly.b_minus, -poly.b_zero]])
+    rhs = np.block([[eye, zero], [zero, poly.b_plus]])
+    alpha, beta = scipy.linalg.eig(lhs, rhs, right=False, homogeneous_eigvals=True)
+    at_inf = np.abs(beta) <= 1e-12 * np.hypot(np.abs(alpha), np.abs(beta))
+    return matpoly.RootSet(matpoly._sorted_roots(alpha[~at_inf] / beta[~at_inf]),
+                           int(at_inf.sum()))
+
+
+def chordal_distance(x, y):
+    """Distance on the Riemann sphere, elementwise with broadcasting.
+
+    Two infinities are 0 apart and a finite z is 1/hypot(1, |z|) from
+    infinity. Dividing by one hypot factor at a time keeps the distance
+    of two large finite roots from overflowing to 0.
+    """
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    x_inf, y_inf = np.isinf(x), np.isinf(y)
+    # an infinity is placed at 0, where its hypot factor is exactly 1
+    x, y = np.where(x_inf, 0.0, x), np.where(y_inf, 0.0, y)
+    diff = x - y
+    # hypot of the parts, not np.abs: numpy's vectorized complex abs rounds
+    # differently from the libm hypot in about a third of cases
+    gap = np.where(x_inf == y_inf, np.hypot(diff.real, diff.imag), 1.0)
+    hx = np.hypot(1.0, np.hypot(x.real, x.imag))
+    hy = np.hypot(1.0, np.hypot(y.real, y.imag))
+    return (gap / hx / hy)[()]
+
+
+def _values(roots):
+    """Complex values of a RootSet (infinities appended) or an iterable."""
+    return np.asarray(roots.values() if hasattr(roots, "values") else list(roots),
+                      dtype=complex)
+
+
+def multiset_distance(first, second):
+    """Bottleneck chordal distance between two root multisets.
+
+    Accepts RootSet or iterables of complex values (inf allowed). Returns
+    exactly the least t at which the sets pair one to one with no pair
+    more than t apart. t is a pair distance, bisected with a maximum
+    bipartite matching of the pairs within it (scipy.sparse.csgraph).
+    Raises if the sizes differ or on nan.
+    """
+    a, b = _values(first), _values(second)
+    if len(a) != len(b):
+        raise ValueError(f"multisets differ in size: {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        return 0.0
+    cost = chordal_distance(a[:, None], b[None, :])
+    if np.isnan(cost).any():
+        raise ValueError("root multisets contain nan")
+    row_min = cost.min(axis=1)
+    if len(np.unique(cost.argmin(axis=1))) == len(a):
+        # every root's nearest partner is distinct: that pairing is optimal
+        return float(row_min.max())
+    # no pairing beats the largest row or column minimum; agreeing sets pair at it
+    low = max(row_min.max(), cost.min(axis=0).max())
+    paired = lambda t: np.all(scipy.sparse.csgraph.maximum_bipartite_matching(
+        scipy.sparse.csr_matrix(cost <= t), perm_type="column") >= 0)
+    if paired(low):
+        return float(low)
+    levels = np.unique(cost[cost > low])  # the largest admits every pair
+    return float(levels[bisect.bisect_left(levels, True, hi=len(levels) - 1, key=paired)])
+
+
+def surgery_expected(roots, transform):
+    """The roots of the shifted polynomial a transform claims: xi_n -> 0
+    (right, double) and xi_{n+1} -> inf (left, double), each replacing the
+    root chordally closest to it."""
+    values = _values(roots)
+    moves = []
+    if transform.q is not None:
+        moves.append((transform.xi_n, 0.0))
+    if transform.s is not None:
+        moves.append((transform.xi_n1, complex(np.inf, 0.0)))
+    for old, new in moves:
+        values[int(np.argmin(chordal_distance(values, old)))] = new
+    return values
+
+
 def qz_surgery_distance(cls, transform):
     """Root-surgery distance from a QZ factorization of the shifted
     companion pencil: the roots of B_s(z) against the original roots with
     xi_n -> 0 and/or xi_{n+1} -> inf."""
-    from qbdshift import matpoly, verify
+    return multiset_distance(qz_roots(transform.shifted.poly),
+                             surgery_expected(cls.roots, transform))
 
-    return matpoly.multiset_distance(
-        matpoly.roots(transform.shifted.poly),
-        verify._surgery_expected(cls.roots, transform),
+
+def solve_linear_lu(m, b):
+    """M^-1 B by scipy's LU with partial pivoting plus one refinement step;
+    raises SingularMatrixError when a pivot falls below 1e-14 ||M||_inf."""
+    from qbdshift import kernel
+
+    a = np.asarray(m, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    with warnings.catch_warnings():
+        # the pivot test below raises; scipy's own warning is redundant
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    if np.min(np.abs(np.diag(lu))) < 1e-14 * max(kernel.inf_norm(a), np.finfo(float).tiny):
+        raise kernel.SingularMatrixError("matrix is numerically singular")
+    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return x + scipy.linalg.lu_solve((lu, piv), rhs - a @ x, check_finite=False)
+
+
+def dense_perron_two_sided(a):
+    """Perron radius with right and left vectors of `a` from one
+    scipy.linalg.eig(left=True, right=True), picked as the largest real
+    part among the eigenvalues of maximal modulus, sign-fixed and polished
+    by eight power steps on a + I."""
+    vals, lefts, rights = scipy.linalg.eig(a, left=True, right=True)
+    radius = float(np.max(np.abs(vals)))
+    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
+    i = candidates[int(np.argmax(np.real(vals[candidates])))]
+    shifted = a + np.eye(a.shape[0])
+    out = [radius]
+    for v, mat in ((rights[:, i], shifted), (lefts[:, i], shifted.T)):
+        v = np.real(v)
+        if v[int(np.argmax(np.abs(v)))] < 0:
+            v = -v
+        for _ in range(8):
+            v = mat @ v
+            v /= np.max(np.abs(v))
+        out.append(v)
+    return tuple(out)
+
+
+@dataclasses.dataclass(frozen=True)
+class Scc:
+    """One strongly connected component; trivial = singleton, no self-loop."""
+
+    vertices: tuple
+    trivial: bool
+
+
+def scc_partition(m, tol=0.0):
+    """Strongly connected components of the graph with edge i -> j iff
+    m[i, j] > tol, returned in topological order (sources first).
+
+    scipy labels the components in reverse topological order (sinks
+    first), so they are walked from the highest label down.
+    """
+    pattern = np.asarray(m, dtype=float) > tol
+    count, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(pattern), directed=True, connection="strong"
     )
+    components = []
+    for label in range(count - 1, -1, -1):
+        comp = tuple(int(v) for v in np.flatnonzero(labels == label))
+        trivial = len(comp) == 1 and not pattern[comp[0], comp[0]]
+        components.append(Scc(comp, trivial))
+    return components
 
 
 def sorted_roots_loop(values, tie_rtol=1e-8):

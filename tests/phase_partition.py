@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 
+import oracles
 from qbdshift import kernel
 
 ZERO_PATTERN_RTOL = 1e-9
@@ -40,7 +41,7 @@ def _support(vec, rtol=ZERO_PATTERN_RTOL):
 
 def _nontrivial_block(mat, what):
     scale = max(kernel.inf_norm(mat), np.finfo(float).tiny)
-    comps = kernel.scc_partition(mat, tol=ZERO_PATTERN_RTOL * scale)
+    comps = oracles.scc_partition(mat, tol=ZERO_PATTERN_RTOL * scale)
     blocks = [c for c in comps if not c.trivial]
     if len(blocks) != 1:
         raise ValueError(

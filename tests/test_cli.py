@@ -357,8 +357,9 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["positive", "null"])
     @pytest.mark.parametrize("n", ["4", "16"])
     def test_eigvals_per_solve(self, tmp_path, monkeypatch, kind, n):
-        # one eigensolve per distinct matrix: G, R, G_s (right and double),
-        # R_s (left and double), and the surgery products (I - Q)G, R(I - S)
+        # one eigensolve per distinct matrix: the 2n x 2n companion matrix
+        # of the roots in classify, then G, R, G_s (right and double), R_s
+        # (left and double), and the surgery products (I - Q)G, R(I - S)
         calls = []
         real_eigvals = np.linalg.eigvals
 
@@ -370,7 +371,8 @@ class TestMain:
         assert cli.main(["gen", kind, "-n", n, "--seed", "1", "--out", str(path)]) == 0
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
-        assert len(calls) == 6
+        size = int(n)
+        assert calls == [(2 * size, 2 * size)] + [(size, size)] * 6
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     def test_block_sum_perron_once(self, tmp_path, monkeypatch, kind):
@@ -491,24 +493,26 @@ class TestBenchRows:
         assert faster >= 0.9 * len(rows)
 
 
-# A fresh interpreter runs certified solves, then lists the modules that
-# start-up should not pay for; pytest and hypothesis import both.
+# A fresh interpreter generates and reads models and runs certified solves
+# of every class, then lists the modules that start-up should not pay for;
+# pytest and hypothesis import both.
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 from qbdshift import cli
 
-for kind in ("positive", "null"):
+for kind in ("positive", "transient", "null"):
     model, report = (str(Path(sys.argv[1], kind + ext)) for ext in (".json", ".out.json"))
     assert cli.main(["gen", kind, "-n", "4", "--seed", "1", "--out", model]) == 0
+    cli.read_model(model)
     assert cli.main(["solve", model, "--json", report, "--quiet"]) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("scipy.optimize") or m == "statistics")))
+                        if m.split(".")[0] == "scipy" or m == "statistics")))
 """
 
 
 class TestImportGraph:
-    def test_certified_solves_load_no_optimize_or_statistics(self, tmp_path):
+    def test_certified_solves_load_no_scipy_or_statistics(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],

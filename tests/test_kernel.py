@@ -214,12 +214,12 @@ class TestSolveLinear:
 class TestSccPartition:
     def test_strictly_upper_triangular(self):
         m = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
-        comps = kernel.scc_partition(m)
+        comps = oracles.scc_partition(m)
         assert [c.vertices for c in comps] == [(0,), (1,), (2,)]
         assert all(c.trivial for c in comps)
 
     def test_irreducible_positive(self):
-        comps = kernel.scc_partition(np.full((2, 2), 0.5))
+        comps = oracles.scc_partition(np.full((2, 2), 0.5))
         assert len(comps) == 1
         assert comps[0].vertices == (0, 1)
         assert not comps[0].trivial
@@ -231,14 +231,14 @@ class TestSccPartition:
         m[0, 1] = m[1, 0] = 1.0          # P irreducible on {0, 1}
         m[0, 2] = m[0, 3] = 1.0          # X coupling into every U chain head
         m[2, 3] = m[3, 4] = 1.0          # U strictly triangular on {2, 3, 4}
-        comps = kernel.scc_partition(m)
+        comps = oracles.scc_partition(m)
         assert comps[0].vertices == (0, 1)
         assert not comps[0].trivial
         assert sorted(c.vertices for c in comps[1:]) == [(2,), (3,), (4,)]
         assert all(c.trivial for c in comps[1:])
 
     def test_self_loop_singleton_is_nontrivial(self):
-        comps = kernel.scc_partition(np.array([[0.7]]))
+        comps = oracles.scc_partition(np.array([[0.7]]))
         assert comps[0].trivial is False
 
     def test_relabeling_invariance(self):
@@ -247,10 +247,10 @@ class TestSccPartition:
         perm = rng.permutation(6)
         p = np.eye(6)[perm]
         # (P M P^T)[i, j] = M[perm[i], perm[j]]: component {i} maps to {perm[i]}
-        base = {frozenset(c.vertices) for c in kernel.scc_partition(m)}
+        base = {frozenset(c.vertices) for c in oracles.scc_partition(m)}
         relabeled = {
             frozenset(int(perm[v]) for v in c.vertices)
-            for c in kernel.scc_partition(p @ m @ p.T)
+            for c in oracles.scc_partition(p @ m @ p.T)
         }
         assert base == relabeled
 
@@ -258,7 +258,7 @@ class TestSccPartition:
     @given(st.integers(1, 14).flatmap(lambda n: hnp.arrays(bool, (n, n))))
     def test_matches_reachability_oracle(self, pattern):
         m = pattern.astype(float)
-        comps = kernel.scc_partition(m)
+        comps = oracles.scc_partition(m)
         reach = oracles.reachability(pattern)
         mutual = reach & reach.T
         assert {frozenset(c.vertices) for c in comps} == {
@@ -274,6 +274,64 @@ class TestSccPartition:
             v = c.vertices[0]
             assert c.trivial == (len(c.vertices) == 1 and not pattern[v, v])
         assert kernel.is_irreducible(m) == bool(mutual.all())
+
+
+def solved_or_singular(solve, m, b):
+    """solve(m, b), or None when it reports a singular matrix."""
+    try:
+        return solve(m, b)
+    except kernel.SingularMatrixError:
+        return None
+
+
+class TestAgainstScipyForms:
+    """The numpy kernel against the scipy forms it replaced (oracles): LU
+    with a pivot test, one two-sided dense eigensolve, and the count of
+    strongly connected components."""
+
+    CASES = [(pattern, seed) for pattern in PATTERNS for seed in range(8)]
+
+    @pytest.mark.parametrize("pattern, seed", CASES)
+    def test_solve_linear(self, pattern, seed):
+        n = 2 + seed % 7
+        m = patterned_matrix(pattern, n, seed)
+        for rhs in (np.random.default_rng(seed).standard_normal((n, 2)), np.eye(n)):
+            got = solved_or_singular(kernel.solve_linear, m, rhs)
+            want = solved_or_singular(oracles.solve_linear_lu, m, rhs)
+            assert (got is None) == (want is None), (pattern, seed)
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-10 * kernel.inf_norm(want))
+
+    @pytest.mark.parametrize("m, singular", [
+        ([[1.0, 2.0], [2.0, 4.0]], True),
+        ([[0.0]], True),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], True),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], False),
+        ([[1e-300, 0.0], [0.0, 1e-300]], False),
+    ], ids=["rank-one", "zero", "near-singular", "ill-conditioned", "tiny-scale"])
+    def test_singular_verdicts_agree(self, m, singular):
+        m = np.array(m)
+        rhs = np.eye(len(m))
+        got = solved_or_singular(kernel.solve_linear, m, rhs)
+        want = solved_or_singular(oracles.solve_linear_lu, m, rhs)
+        assert (got is None) == (want is None) == singular
+        if not singular:
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("pattern, seed", CASES)
+    def test_dense_perron(self, pattern, seed):
+        m = patterned_matrix(pattern, 2 + seed % 7, seed)
+        radius, right, left = kernel._dense_perron(m)
+        want_radius, want_right, want_left = oracles.dense_perron_two_sided(m)
+        assert radius == pytest.approx(want_radius, rel=1e-11)
+        np.testing.assert_allclose(right, want_right, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(left, want_left, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("pattern, seed", CASES)
+    def test_irreducible_iff_one_component(self, pattern, seed):
+        m = patterned_matrix(pattern, 2 + seed % 7, seed)
+        assert kernel.is_irreducible(m) == (len(oracles.scc_partition(m)) == 1)
 
 
 class TestSteinSolve:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qbdshift import classify, compute_w, kernel, matpoly, solve_all, validate
+import test_verify
+from qbdshift import classify, cli, compute_w, kernel, matpoly, solve_all, validate, verify
 
 
 def scalar_poly(a_minus, a_zero, a_plus):
@@ -84,7 +87,7 @@ class TestRoots:
         conj = matpoly.QuadMatPoly.new(
             s @ poly.b_minus @ s_inv, s @ poly.b_zero @ s_inv, s @ poly.b_plus @ s_inv
         )
-        assert matpoly.multiset_distance(matpoly.roots(poly), matpoly.roots(conj)) <= 1e-9
+        assert oracles.multiset_distance(matpoly.roots(poly), matpoly.roots(conj)) <= 1e-9
 
     def test_splitting_positions_use_tie_break(self, n2):
         # both unit roots sit at positions n-1 and n
@@ -95,6 +98,72 @@ class TestRoots:
     def test_identically_zero_det_rejected(self):
         with pytest.raises(ValueError):
             matpoly.QuadMatPoly.new(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+FLIP = [[0.0, 0.5], [0.5, 0.0]]
+
+# (family, argument): the patterned models of test_verify, the period-2
+# chain whose double root at -1 makes B(-1) singular, A_1 = 0 (n roots at
+# infinity; classify cannot split them yet), a zero row of A_1 (one root
+# at infinity), and generated models of every class.
+QZ_MODELS = [
+    *(("patterned", seed) for seed in range(3, 42)),
+    *(("null_patterned", seed) for seed in range(30)),
+    ("flip", None),
+    ("zero-up", None),
+    ("zero-up-row", None),
+    *((kind, (n, seed)) for kind in ("positive", "null", "transient")
+      for n in (1, 4, 16) for seed in range(3)),
+]
+
+
+def qz_model(family, arg):
+    if family in ("patterned", "null_patterned"):
+        return getattr(test_verify.TestPatternedInstances, family)(arg)
+    if family == "flip":
+        return validate(FLIP, np.zeros((2, 2)), FLIP)
+    if family == "zero-up":
+        return validate([[0.3, 0.2], [0.1, 0.4]], [[0.2, 0.3], [0.3, 0.2]], np.zeros((2, 2)))
+    if family == "zero-up-row":
+        return validate([[0.3, 0.0], [0.2, 0.0]], [[0.2, 0.2], [0.3, 0.5]],
+                        [[0.3, 0.0], [0.0, 0.0]])
+    return cli.generate(family, *arg)[0]
+
+
+class TestRootsAgainstQz:
+    """The Moebius-mapped companion eigenvalues of matpoly.roots, and the
+    report's roots eig(G) + 1/eig(R), against a QZ factorization of the
+    companion pencil (oracles.qz_roots), in the bottleneck chordal
+    distance that root certificates used."""
+
+    @pytest.mark.parametrize("family, arg", QZ_MODELS)
+    def test_within_root_match_tolerance(self, family, arg):
+        model = qz_model(family, arg)
+        want = oracles.qz_roots(model.poly)
+        got = matpoly.roots(model.poly)
+        assert oracles.multiset_distance(got, want) <= verify.ROOT_MATCH_TOL
+        if family == "zero-up":  # A_1 = 0: xi_{n+1} is infinite, not a root classify takes
+            assert got.n_infinite == model.n
+            return
+        with warnings.catch_warnings():
+            # flip has roots on the unit circle away from 1
+            warnings.simplefilter("ignore", UserWarning)
+            report = cli.solve_report(model)
+        roots = report["roots"]
+        spectra = [complex(re, im) for re, im in roots["finite"]]
+        spectra += [complex(np.inf, 0.0)] * roots["n_infinite"]
+        assert oracles.multiset_distance(spectra, want) <= verify.ROOT_MATCH_TOL
+
+    def test_singular_shift_point_is_skipped(self, monkeypatch):
+        # B(-1) = 2 A_1 + I is exactly singular on flip, whose double root
+        # at -1 is on the unit circle: the next shift point takes over
+        model = qz_model("flip", None)
+        with pytest.raises(kernel.SingularMatrixError):
+            kernel.condition(model.poly.eval_b(-1.0))
+        monkeypatch.setattr(matpoly, "SHIFT_POINTS", (-1.0, -0.5))
+        got = matpoly.roots(model.poly)
+        assert oracles.multiset_distance(got, oracles.qz_roots(model.poly)) <= (
+            verify.ROOT_MATCH_TOL)
 
 
 @st.composite
@@ -259,13 +328,13 @@ class TestFactorizationResidual:
 def matching_calls(monkeypatch):
     """Counts the bipartite matchings multiset_distance runs."""
     calls = []
-    match = matpoly.scipy.sparse.csgraph.maximum_bipartite_matching
+    match = oracles.scipy.sparse.csgraph.maximum_bipartite_matching
 
     def counted(graph, **kwargs):
         calls.append(graph.shape)
         return match(graph, **kwargs)
 
-    monkeypatch.setattr(matpoly.scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+    monkeypatch.setattr(oracles.scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
     return calls
 
 
@@ -273,17 +342,17 @@ class TestMultisetDistance:
     def test_permuted_sets_match(self):
         a = [1.0, 2.0 + 1j, np.inf]
         b = [np.inf, 1.0, 2.0 + 1j]
-        assert matpoly.multiset_distance(a, b) == 0.0
+        assert oracles.multiset_distance(a, b) == 0.0
 
     def test_infinite_vs_finite_gap(self):
-        assert matpoly.multiset_distance([np.inf], [0.0]) == pytest.approx(1.0)
+        assert oracles.multiset_distance([np.inf], [0.0]) == pytest.approx(1.0)
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
-            matpoly.multiset_distance([1.0], [1.0, 2.0])
+            oracles.multiset_distance([1.0], [1.0, 2.0])
 
     def test_large_roots_compare_chordally(self):
-        assert matpoly.multiset_distance([1e9], [1e9 * (1 + 1e-9)]) <= 1e-8
+        assert oracles.multiset_distance([1e9], [1e9 * (1 + 1e-9)]) <= 1e-8
 
     def test_matches_brute_force_oracle(self):
         # the bottleneck optimum (least largest pair), also on unrelated sets
@@ -292,7 +361,7 @@ class TestMultisetDistance:
             a = random_multiset(rng)
             b = random_multiset(rng, len(a))
             costs = oracles.matching_costs(a, b)
-            got = matpoly.multiset_distance(a, b)
+            got = oracles.multiset_distance(a, b)
             assert got == pytest.approx(min(m for _, m in costs), rel=1e-12)
 
     def test_below_least_sum_largest_pair(self, matching_calls):
@@ -301,24 +370,24 @@ class TestMultisetDistance:
         a, b = [1.0, 1.01, 100.0], [1.005, 100.0, 101.0]
         costs = oracles.matching_costs(a, b)
         bottleneck = min(m for _, m in costs)
-        got = matpoly.multiset_distance(a, b)
+        got = oracles.multiset_distance(a, b)
         assert got == pytest.approx(bottleneck, rel=1e-12)
         assert got < min(costs)[1] - 5e-5
         assert len(matching_calls) >= 2
 
     def test_nearest_partners_distinct_needs_no_matching(self, matching_calls):
         a, b = [0.0, 1.0], [0.45, 2.0]
-        want = max(matpoly.chordal_distance(0.0, 0.45), matpoly.chordal_distance(1.0, 2.0))
-        assert matpoly.multiset_distance(a, b) == want
+        want = max(oracles.chordal_distance(0.0, 0.45), oracles.chordal_distance(1.0, 2.0))
+        assert oracles.multiset_distance(a, b) == want
         assert matching_calls == []
 
     def test_clusters_of_equal_roots_and_infinities(self, matching_calls):
         inf = complex(np.inf, 0.0)
         a = [1.0, 1.0, 1.0, inf, inf]
         b = [inf, 1.0, inf, 1.0, 1.0 + 1e-9]
-        assert matpoly.multiset_distance(a, b) == matpoly.chordal_distance(1.0, 1.0 + 1e-9)
+        assert oracles.multiset_distance(a, b) == oracles.chordal_distance(1.0, 1.0 + 1e-9)
         # one root of the cluster at 1 must pair with an infinity
-        assert matpoly.multiset_distance([1.0, 1.0, inf], [1.0, inf, inf]) == (
+        assert oracles.multiset_distance([1.0, 1.0, inf], [1.0, inf, inf]) == (
             pytest.approx(2 ** -0.5)
         )
         # clusters tie nearest partners: the first two sets pair at the bound,
@@ -327,7 +396,7 @@ class TestMultisetDistance:
 
     def test_nan_raises(self):
         with pytest.raises(ValueError, match="nan"):
-            matpoly.multiset_distance([1.0, complex(np.nan, 0.0)], [1.0, 2.0])
+            oracles.multiset_distance([1.0, complex(np.nan, 0.0)], [1.0, 2.0])
 
     def test_perturbed_sets_meet_bottleneck_oracle(self):
         # a root set against a permuted copy moved by 1e-9 relative: the
@@ -338,7 +407,7 @@ class TestMultisetDistance:
             noise = 1e-9 * (rng.normal(size=len(a)) + 1j * rng.normal(size=len(a)))
             b = rng.permutation(np.where(np.isinf(a), a, a * (1.0 + noise)))
             bottleneck = min(m for _, m in oracles.matching_costs(a, b))
-            assert matpoly.multiset_distance(a, b) == pytest.approx(bottleneck, rel=1e-12)
+            assert oracles.multiset_distance(a, b) == pytest.approx(bottleneck, rel=1e-12)
 
 
 def random_multiset(rng, size=None):
@@ -364,15 +433,15 @@ class TestChordalDistance:
     @given(st.lists(COMPLEX_VALUES, min_size=1, max_size=6),
            st.lists(COMPLEX_VALUES, min_size=1, max_size=6))
     def test_broadcast_matches_scalar_oracle(self, xs, ys):
-        got = matpoly.chordal_distance(np.array(xs)[:, None], np.array(ys)[None, :])
+        got = oracles.chordal_distance(np.array(xs)[:, None], np.array(ys)[None, :])
         want = np.array([[oracles.chordal_scalar(x, y) for y in ys] for x in xs])
         np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
     def test_scalar_inputs_give_scalars(self):
-        assert matpoly.chordal_distance(np.inf, np.inf) == 0.0
-        assert matpoly.chordal_distance(0.0, np.inf) == 1.0
-        assert np.ndim(matpoly.chordal_distance(1.0, 2.0j)) == 0
+        assert oracles.chordal_distance(np.inf, np.inf) == 0.0
+        assert oracles.chordal_distance(0.0, np.inf) == 1.0
+        assert np.ndim(oracles.chordal_distance(1.0, 2.0j)) == 0
 
     def test_large_finite_roots_stay_apart(self):
         # the product of the two hypot factors would overflow to inf here
-        assert matpoly.chordal_distance(1e200, -1e200) == pytest.approx(2e-200)
+        assert oracles.chordal_distance(1e200, -1e200) == pytest.approx(2e-200)

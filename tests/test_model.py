@@ -207,7 +207,7 @@ def test_reversed_classification_matches_classify(small_bank):
         assert derived.xi_n == pytest.approx(direct.xi_n, rel=1e-8)
         assert derived.xi_n1 == pytest.approx(direct.xi_n1, rel=1e-8)
         assert derived.roots.n_infinite == direct.roots.n_infinite
-        assert matpoly.multiset_distance(derived.roots, direct.roots) <= 1e-9
+        assert oracles.multiset_distance(derived.roots, direct.roots) <= 1e-9
 
 
 def test_reversed_perron_data_matches_perron_data(small_bank):

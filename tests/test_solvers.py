@@ -346,7 +346,7 @@ class TestSolveAllProperties:
                 eig_g = list(np.linalg.eigvals(sol.g))
                 recip = [np.inf if z == 0 else 1.0 / z for z in np.linalg.eigvals(sol.r)]
                 rs = matpoly.roots(m.poly)
-                assert matpoly.multiset_distance(eig_g + recip, rs) <= 1e-7
+                assert oracles.multiset_distance(eig_g + recip, rs) <= 1e-7
 
     def test_w_identities(self, small_bank):
         eye = lambda n: np.eye(n)
