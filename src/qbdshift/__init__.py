@@ -19,7 +19,6 @@ from .matpoly import (
     QuadMatPoly,
     RootSet,
     factorization_residual,
-    roots,
 )
 from .model import (
     Classification,

@@ -1,9 +1,11 @@
 """Quadratic matrix polynomials B(z) = B_-1 + z B_0 + z^2 B_1 and the
-Laurent polynomial phi(z) = z^-1 B(z): evaluation, roots as the
-Moebius-mapped eigenvalues of a companion matrix, factorization residuals.
+Laurent polynomial phi(z) = z^-1 B(z): evaluation, the root set of a
+canonical factorization, factorization residuals.
 
 Roots of B(z) are the zeros of det B(z), with k roots at infinity when
-the degree of det B(z) is 2n - k. They are kept sorted by modulus, with
+the degree of det B(z) is 2n - k. Nothing here solves det B(z) = 0:
+phi(z) = (I - zR) K (I - z^-1 G) puts the roots at eig(G) together with
+1/eig(R) (`RootSet.from_spectra`). They are kept sorted by modulus, with
 real positive roots placed last among (numerically) equal-modulus groups
 so the two real splitting roots always sit at positions n-1 and n.
 """
@@ -22,22 +24,8 @@ __all__ = [
     "QuadMatPoly",
     "RootSet",
     "factorization_residual",
-    "roots",
     "unit_circle_samples",
 ]
-
-# Real shift points sigma of the substitution z = sigma + 1/w in `roots`.
-# A root z moves by |z - sigma|^2 times the error of its w, and that error
-# grows with cond(B(sigma)), so the point with the least
-# cond(B(sigma)) (1 - sigma)^2 is used: the splitting roots sit at or near
-# z = 1, where near null recurrence their gap is smallest.
-SHIFT_POINTS = (0.5, -0.5, -1.0, -2.0)
-
-# A companion eigenvalue w with |w| at most this is a root at infinity:
-# rounding moves an exact w = 0 off zero, by 2e-12 seen on a double root
-# at infinity, and a finite root this far out (|z| beyond about 1e10) is
-# within 1e-10 of infinity in the chordal metric.
-INF_ROOT_RTOL = 1e-10
 
 # Moduli within this relative distance form one tie group for ordering.
 TIE_RTOL = 1e-8
@@ -107,12 +95,6 @@ class RootSet:
         nonzero = eig_r[eig_r != 0]
         return cls(_sorted_roots(np.append(eig_g, 1.0 / nonzero)), len(eig_r) - len(nonzero))
 
-    def reciprocals(self):
-        """Roots of z^2 B(1/z): 1/z for each root, 0 and infinity swapped."""
-        nonzero = self.finite[self.finite != 0]
-        finite = np.append(1.0 / nonzero, np.zeros(self.n_infinite, dtype=complex))
-        return RootSet(_sorted_roots(finite), len(self.finite) - len(nonzero))
-
 
 def _sorted_roots(values):
     """Sort by modulus; within a tie group (moduli within TIE_RTOL of the
@@ -128,38 +110,6 @@ def _sorted_roots(values):
     group = np.concatenate(([0], np.cumsum(mods[1:] > ref)))
     real_positive = (np.abs(vals.imag) <= TIE_RTOL * (1.0 + mods)) & (vals.real > 0.0)
     return vals[np.lexsort((vals.imag, vals.real, real_positive, group))]
-
-
-def roots(poly):
-    """All 2n roots of det B(z) as sigma + 1/w, with w over the eigenvalues
-    of the companion matrix of w^2 B(sigma) + w (B_0 + 2 sigma B_1) + B_1
-    (B(z) at z = sigma + 1/w, times w^2):
-
-        [[0, I], [-B(sigma)^-1 B_1, -B(sigma)^-1 (B_0 + 2 sigma B_1)]].
-
-    w = 0 (up to INF_ROOT_RTOL) is a root at infinity. sigma is real, so
-    real roots stay exactly real and conjugate pairs stay paired; it is
-    taken from SHIFT_POINTS, never a root (B(sigma) must pass
-    kernel.condition).
-    """
-    n = poly.n
-    scores = {}
-    for sigma in SHIFT_POINTS:
-        try:
-            scores[sigma] = kernel.condition(poly.eval_b(sigma)) * (1.0 - sigma) ** 2
-        except kernel.SingularMatrixError:
-            pass
-    if not scores:
-        raise kernel.SingularMatrixError(
-            f"B(z) is singular at every shift point {SHIFT_POINTS}")
-    sigma = min(scores, key=scores.get)
-    coeffs = kernel.solve_linear(
-        poly.eval_b(sigma), np.hstack([poly.b_plus, poly.b_zero + 2.0 * sigma * poly.b_plus])
-    )
-    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-coeffs]])
-    w = np.linalg.eigvals(companion)
-    at_inf = np.abs(w) <= INF_ROOT_RTOL
-    return RootSet(_sorted_roots(sigma + 1.0 / w[~at_inf]), int(at_inf.sum()))
 
 
 @dataclasses.dataclass(frozen=True)

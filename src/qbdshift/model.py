@@ -1,6 +1,6 @@
 """QBD transition triples: validation against the standing assumptions,
-drift/spectral classification carrying the roots of B(z), and the Perron
-vector registry.
+drift classification with the splitting roots from the class-matched
+shift, and the Perron vector registry.
 
 A level transition is described by three nonnegative n x n blocks
 A_-1, A_0, A_1 (one level down, same level, one level up) whose sum is
@@ -12,11 +12,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import warnings
+import math
+import typing
 
 import numpy as np
 
 from . import kernel, matpoly
+
+if typing.TYPE_CHECKING:
+    from .shift import ShiftRoute
 
 __all__ = [
     "Classification",
@@ -32,7 +36,8 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 NULL_DRIFT_TOL = 1e-12
-# Agreement required between pencil roots and solved spectral radii.
+# Agreement required between the splitting roots of classify and the
+# spectral radii of the reference solution.
 XI_CROSS_CHECK_TOL = 1e-8
 
 
@@ -77,8 +82,8 @@ class QbdTriple:
 def validate(a_minus, a_zero, a_plus):
     """Check nonnegativity, stochasticity of the sum, and irreducibility.
 
-    No roots are computed here: `classify` warns when B(z) has
-    unit-circle roots away from z = 1.
+    No roots are computed here: the spectra of a solution set warn when
+    B(z) has unit-circle roots away from z = 1.
     """
     blocks = []
     for name, raw in (("a_minus", a_minus), ("a_zero", a_zero), ("a_plus", a_plus)):
@@ -114,79 +119,81 @@ class Kind(str, enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Classification:
-    """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, all 2n
-    roots of B(z), and the left Perron vector of A_-1 + A_0 + A_1 at unit
-    infinity norm (the stationary vector of the phase process, up to
-    scale), which perron_data reuses at the unit root."""
+    """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, and the
+    left Perron vector of A_-1 + A_0 + A_1 at unit infinity norm (the
+    stationary vector of the phase process, up to scale), which
+    perron_data reuses at the unit root.
+
+    `matched` is the route of the class-matched shift that gave the
+    non-unit splitting root (None at null recurrence): the right shift for
+    a positive-recurrent chain, the left one for a transient chain, both
+    built at the exact unit root from the a-priori vectors e and theta.
+    reference_solution reuses it as its forward solve.
+    """
 
     kind: Kind
     drift: float
     xi_n: float
     xi_n1: float
-    roots: matpoly.RootSet
     phase_left: np.ndarray
+    matched: ShiftRoute | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def reversed(self):
         """Classification of the reversed triple (A_1, A_0, A_-1), derived
-        without an eigensolve: its B(z) is z^2 B(1/z), so the roots are the
-        reciprocals (0 and infinity trade places), the splitting roots are
-        1/xi_{n+1} <= 1/xi_n, the drift changes sign and positive
-        recurrence trades places with transience. The block sum, and so
-        its Perron vector, is the same."""
+        without a solve: its B(z) is z^2 B(1/z), so the splitting roots are
+        1/xi_{n+1} <= 1/xi_n (0 and infinity trade places), the drift
+        changes sign and positive recurrence trades places with
+        transience. The block sum, and so its Perron vector, is the same.
+        The matched route solves the forward triple and is not carried."""
         kind = {
             Kind.POSITIVE_RECURRENT: Kind.TRANSIENT,
             Kind.TRANSIENT: Kind.POSITIVE_RECURRENT,
         }.get(self.kind, self.kind)
         return Classification(
-            kind=kind, drift=-self.drift, xi_n=1.0 / self.xi_n1, xi_n1=1.0 / self.xi_n,
-            roots=self.roots.reciprocals(), phase_left=self.phase_left,
+            kind=kind, drift=-self.drift, xi_n=_reciprocal(self.xi_n1),
+            xi_n1=_reciprocal(self.xi_n), phase_left=self.phase_left,
         )
 
 
-def _real_positive_root(rootset, index):
-    z = rootset.values()[index]
-    if not np.isfinite(z.real) or abs(z.imag) > 1e-8 * (1.0 + abs(z)) or z.real <= 0:
-        raise ValueError(f"splitting root {z} is not real positive")
-    return float(z.real)
+def _reciprocal(x):
+    return math.inf if x == 0.0 else 1.0 / x
 
 
 def classify(model):
-    """Mean-drift classification cross-filled with the pencil roots.
+    """Drift classification, with the non-unit splitting root from the
+    solve of the class-matched shift.
 
     drift = theta^T A_1 e - theta^T A_-1 e for theta stationary in the
-    phase process; negative drift is positive recurrence. xi_n and
-    xi_{n+1} come from the sorted roots of B(z), with the unit root
-    snapped to exactly 1 in the classes where it is known a priori (both
-    copies in `roots` at null recurrence). Warns on unit-circle roots away
-    from z = 1, a sign of several final classes.
+    phase process; negative drift is positive recurrence. At null
+    recurrence (|drift| <= NULL_DRIFT_TOL) xi_n = xi_{n+1} = 1 exactly and
+    nothing is solved. Otherwise the unit root and its Perron vector are
+    known exactly (xi_n = 1 with u_G = e, or xi_{n+1} = 1 with v_R =
+    theta), so the shift that moves it needs no root. The right shift
+    leaves R unchanged, so xi_{n+1} = 1/rho(R); the left shift leaves G
+    unchanged, so xi_n = rho(G). R = 0 (A_1 = 0) gives xi_{n+1} = inf and
+    G = 0 (A_-1 = 0) gives xi_n = 0. No root of B(z) is computed here:
+    the unit-circle warning comes with the spectra of a solution set.
     """
+    from . import shift  # shift imports this module
+
     phase_left = kernel.perron(model.a_sum())[2]
     theta = phase_left / np.sum(phase_left)
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
-    rs = matpoly.roots(model.poly)
-    on_circle = np.abs(np.abs(rs.finite) - 1.0) <= 1e-6
-    extra = int(np.count_nonzero(on_circle & (np.abs(rs.finite - 1.0) > 1e-6)))
-    if extra:
-        warnings.warn(f"{extra} unit-circle root(s) of B(z) away from z=1: the chain "
-                      "may have more than one final class", stacklevel=2)
-    n = model.n
     if abs(drift) <= NULL_DRIFT_TOL:
-        kind = Kind.NULL_RECURRENT
-        xi_n = xi_n1 = 1.0
-        # the unit root is exactly double; QZ splits it by about sqrt(eps)
-        finite = rs.finite.copy()
-        finite[np.argsort(np.abs(finite - 1.0), kind="stable")[:2]] = 1.0
-        rs = matpoly.RootSet(matpoly._sorted_roots(finite), rs.n_infinite)
-    elif drift < 0.0:
-        kind = Kind.POSITIVE_RECURRENT
-        xi_n = 1.0
-        xi_n1 = _real_positive_root(rs, n)
+        return Classification(Kind.NULL_RECURRENT, drift, 1.0, 1.0, phase_left)
+    kind = Kind.POSITIVE_RECURRENT if drift < 0.0 else Kind.TRANSIENT
+    # the shift reads only the unit point: xi = 1 there, and the Perron data
+    # of A(1), which perron_data gives when both points are the unit root
+    at_unit = Classification(kind, drift, 1.0, 1.0, phase_left)
+    e = np.ones(model.n)
+    route = shift.solve_via(model, at_unit, perron=PerronData(
+        u_g=e, v_rhat=phase_left, u_ghat=e, v_r=phase_left))
+    # the shift-recovered solution carries round-off negatives; read them as 0
+    if kind is Kind.POSITIVE_RECURRENT:
+        xi_n, xi_n1 = 1.0, _reciprocal(kernel.spectral_radius(np.maximum(route.r, 0.0)))
     else:
-        kind = Kind.TRANSIENT
-        xi_n = _real_positive_root(rs, n - 1)
-        xi_n1 = 1.0
-    return Classification(kind=kind, drift=drift, xi_n=xi_n, xi_n1=xi_n1, roots=rs,
-                          phase_left=phase_left)
+        xi_n, xi_n1 = kernel.spectral_radius(np.maximum(route.g, 0.0)), 1.0
+    return Classification(kind, drift, xi_n, xi_n1, phase_left, matched=route)
 
 
 @dataclasses.dataclass(frozen=True)

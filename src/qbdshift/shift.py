@@ -357,16 +357,20 @@ def reference_solution(model, cls=None):
     for (Ghat, Rhat), with its classification and Perron data derived
     from the forward ones, and restore accuracy the direct route loses as
     the splitting roots coalesce. Every shifted solve runs at CR_TOL and
-    CR_MAX_ITER.
+    CR_MAX_ITER. The nearly-null forward solve is the one classify made
+    to find the splitting root (`cls.matched`): the same shift, from the
+    same vectors e and theta at the exact unit root.
     """
     if cls is None:
         cls = model_mod.classify(model)
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
         return solvers.solve_all(model, cls)
-    kind = ShiftKind.DOUBLE if null else pick_kind(cls)
     perron = model_mod.perron_data(model, cls)
-    fwd = solve_via(model, cls, kind=kind, perron=perron)
+    fwd = cls.matched
+    if fwd is None:
+        kind = ShiftKind.DOUBLE if null else pick_kind(cls)
+        fwd = solve_via(model, cls, kind=kind, perron=perron)
     rev_cls = cls.reversed()
     rev_kind = ShiftKind.DOUBLE if null else pick_kind(rev_cls)
     rev = solve_via(model.reversed(), rev_cls, kind=rev_kind, perron=perron.reversed())

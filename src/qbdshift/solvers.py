@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 
@@ -47,6 +48,9 @@ CR_TOL_NULL = 1e-8
 STALL_RES_TOL = 1e-10
 NEG_CLAMP = 1e-12
 W_IDENTITY_TOL = 1e-10
+# A root of B(z) this close to |z| = 1, and this far from z = 1, is on the
+# unit circle away from the unit root.
+UNIT_CIRCLE_TOL = 1e-6
 
 
 def residual_g(bm, b0, bp, x):
@@ -226,8 +230,20 @@ class SolutionSet:
     @functools.cached_property
     def spectra(self):
         """(eig(G), eig(R)), one eigensolve each: the roots of B(z) and the
-        certificates that check them read the same values."""
-        return np.linalg.eigvals(self.g), np.linalg.eigvals(self.r)
+        certificates that check them read the same values.
+
+        The roots of B(z) are eig(G) together with 1/eig(R), so the first
+        read warns on unit-circle roots away from z = 1, a sign of several
+        final classes.
+        """
+        eig_g, eig_r = np.linalg.eigvals(self.g), np.linalg.eigvals(self.r)
+        roots = np.append(eig_g, 1.0 / eig_r[eig_r != 0])
+        extra = int(np.count_nonzero((np.abs(np.abs(roots) - 1.0) <= UNIT_CIRCLE_TOL)
+                                     & (np.abs(roots - 1.0) > UNIT_CIRCLE_TOL)))
+        if extra:
+            warnings.warn(f"{extra} unit-circle root(s) of B(z) away from z=1: the chain "
+                          "may have more than one final class", stacklevel=3)
+        return eig_g, eig_r
 
 
 def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):

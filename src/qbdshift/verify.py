@@ -199,11 +199,12 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         check_mmatrix(-khat, "-Khat"),
     ]
     certs.extend(check_sign_property(sol, perron))
-    rho_g = kernel.spectral_radius(g)
-    rho_r = kernel.spectral_radius(r)
+    # rho(G) and rho(R) from the spectra the root certificate reads
+    rho_g = float(np.max(np.abs(eig_g)))
+    rho_r = float(np.max(np.abs(eig_r)))
     rho_ghat = kernel.spectral_radius(ghat)
     rho_rhat = kernel.spectral_radius(rhat)
-    # extracting eigenvalues from a near-coalescent pair loses accuracy
+    # spectral radii and splitting roots near coalescence lose accuracy
     # like eps over the gap between the splitting roots; exactly null
     # instances carry exact xi = 1 and keep the strict tolerance
     if cls.kind is model_mod.Kind.NULL_RECURRENT:
@@ -213,6 +214,8 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         spec_tol = max(SPECTRAL_TOL, 1e3 * np.finfo(float).eps / gap)
     certs.append(_cert("spec:rho(G)=rho(Rhat)", abs(rho_g - rho_rhat), spec_tol))
     certs.append(_cert("spec:rho(R)=rho(Ghat)", abs(rho_r - rho_ghat), spec_tol))
+    # xi comes from the class-matched shifted solve in classify, not from
+    # this solution: these two compare the reference G and R with it
     certs.append(_cert("spec:rho(G)=xi_n", abs(rho_g - cls.xi_n), spec_tol))
     certs.append(
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
@@ -282,9 +285,9 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
     if transform.s is not None:
         surgery.append(_replacement_gap(eigvals(sol.r @ (eye - transform.s)),
                                         eigvals(sol.r), 1.0 / transform.xi_n1, det_seed))
-    # Shift points extracted from a pencil with nearly coalescent roots
-    # carry error ~eps/gap, which enters the shifted coefficients; exactly
-    # null-recurrent instances use xi = 1 exactly and are unaffected.
+    # A splitting root solved for near coalescence carries error ~eps/gap,
+    # which enters the shifted coefficients; exactly null-recurrent
+    # instances use xi = 1 exactly and are unaffected.
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     eps = np.finfo(float).eps
     xi_amp = 0.0 if null else 1e2 * eps / max(cls.xi_n1 - cls.xi_n, eps)

@@ -1,7 +1,8 @@
 """Independent oracles for expected values: scalar closed forms via the
 quadratic formula, the symmetric-circulant closed form for the 2x2
 null-recurrent instance, the monotone fixed-point iteration for G, naive
-dense helpers that bypass the package implementations, and the scipy
+dense helpers that bypass the package implementations, the 60-digit
+splitting root of det B(z)/(z - 1) (mpmath), and the scipy
 forms the package no longer uses (the companion-pencil QZ, the exact
 bottleneck root matching, LU with a pivot test, the two-sided dense
 eigensolve, strongly connected components). scipy comes with the test
@@ -276,6 +277,52 @@ def qz_roots(poly):
                            int(at_inf.sum()))
 
 
+def splitting_root_mp(model, outside, dps=60):
+    """The splitting root of B(z) other than z = 1 at `dps` digits: the
+    root of det B(z)/(z - 1) of least modulus above 1 (`outside`, a
+    positive-recurrent chain's xi_{n+1}) or of largest modulus below 1 (a
+    transient chain's xi_n), as a float.
+
+    The blocks are first projected to exact row sums: each row of A_-1,
+    A_0 and A_1 is divided by its row sum of A(1) at that precision, so z
+    = 1 is an exact root. det B(z) has degree at most 2n; its
+    coefficients come from its values at the 2n + 1 roots of unity (an
+    exact discrete Fourier transform), are deflated by z - 1 and solved by
+    mpmath.polyroots."""
+    import mpmath
+
+    n = model.n
+    with mpmath.workdps(dps):
+        blocks = [mpmath.matrix(b.tolist()) for b in (model.a_minus, model.a_zero,
+                                                     model.a_plus)]
+        for i in range(n):
+            total = mpmath.fsum(b[i, j] for b in blocks for j in range(n))
+            for b in blocks:
+                for j in range(n):
+                    b[i, j] /= total
+        eye = mpmath.eye(n)
+        size = 2 * n + 1
+        points = [mpmath.expjpi(mpmath.mpf(2 * k) / size) for k in range(size)]
+        values = [mpmath.det(blocks[0] + z * (blocks[1] - eye) + z * z * blocks[2])
+                  for z in points]
+        coeffs = [mpmath.re(mpmath.fsum(v / z**k for v, z in zip(values, points))) / size
+                  for k in range(size)]
+        scale = max(abs(c) for c in coeffs)
+        while abs(coeffs[-1]) <= mpmath.mpf(10) ** (20 - dps) * scale:
+            coeffs.pop()  # a root at infinity lowers the degree
+        quotient = [coeffs[-1]]  # det B(z)/(z - 1), highest degree first
+        for c in reversed(coeffs[1:-1]):
+            quotient.append(c + quotient[-1])
+        roots = mpmath.polyroots(quotient, maxsteps=200, extraprec=2 * dps)
+        if outside:
+            root = min((r for r in roots if abs(r) > 1), key=abs)
+        else:
+            root = max((r for r in roots if abs(r) < 1), key=abs)
+        if abs(mpmath.im(root)) > mpmath.mpf(10) ** (10 - dps):
+            raise ValueError(f"splitting root {root} is not real")
+        return float(mpmath.re(root))
+
+
 def chordal_distance(x, y):
     """Distance on the Riemann sphere, elementwise with broadcasting.
 
@@ -348,12 +395,12 @@ def surgery_expected(roots, transform):
     return values
 
 
-def qz_surgery_distance(cls, transform):
-    """Root-surgery distance from a QZ factorization of the shifted
-    companion pencil: the roots of B_s(z) against the original roots with
-    xi_n -> 0 and/or xi_{n+1} -> inf."""
+def qz_surgery_distance(model, transform):
+    """Root-surgery distance from QZ factorizations of the companion
+    pencils: the roots of B_s(z) against the roots of B(z) with xi_n -> 0
+    and/or xi_{n+1} -> inf."""
     return multiset_distance(qz_roots(transform.shifted.poly),
-                             surgery_expected(cls.roots, transform))
+                             surgery_expected(qz_roots(model.poly), transform))
 
 
 def solve_linear_lu(m, b):

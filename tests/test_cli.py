@@ -296,37 +296,38 @@ class TestMain:
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     def test_roots_computed_once(self, tmp_path, monkeypatch, kind):
-        # classify factors the pencil once; the reversed model's
-        # classification in reference_solution is derived, and root surgery
+        # the report's roots are assembled once, from the reference
+        # solution's spectra; classify computes no root, and root surgery
         # reads the shifted roots from the spectra of the shifted solutions
         from qbdshift import matpoly
 
         calls = []
-        real_roots = matpoly.roots
+        real = matpoly.RootSet.from_spectra.__func__
 
-        def counted(*args, **kwargs):
+        def counted(cls, *args):
             calls.append(args)
-            return real_roots(*args, **kwargs)
+            return real(cls, *args)
 
         path = tmp_path / "gen.json"
         assert cli.main(["gen", kind, "-n", "4", "--seed", "1", "--out", str(path)]) == 0
-        monkeypatch.setattr(matpoly, "roots", counted)
-        cli.read_model(path)
+        monkeypatch.setattr(matpoly.RootSet, "from_spectra", classmethod(counted))
+        triple, _ = cli.read_model(path)
+        classify(triple)
         assert not calls
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 4, "det_b": 32}),
+        ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 5, "det_b": 32}),
         ("null", {"cyclic_reduction": 6, "perron_data": 2, "new": 6, "det_b": 32}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
-        # one cyclic-reduction run gives the direct G and Ghat, one
-        # shifted solve per kind serves the route and its round trip,
+        # classify makes one shifted solve off null recurrence (the right
+        # shift here), one cyclic-reduction run gives the direct G and Ghat,
+        # one shifted solve per kind serves the route and its round trip,
         # Perron data is computed once per triple (the null reference
         # solution derives the reversed model's), each triple builds B(z)
-        # once, and det B(z) is taken once per determinant point (the pencil
-        # roots are counted by test_roots_computed_once)
+        # once, and det B(z) is taken once per determinant point
         from qbdshift import matpoly, model, solvers
 
         counts = dict.fromkeys(expected, 0)
@@ -357,9 +358,9 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["positive", "null"])
     @pytest.mark.parametrize("n", ["4", "16"])
     def test_eigvals_per_solve(self, tmp_path, monkeypatch, kind, n):
-        # one eigensolve per distinct matrix: the 2n x 2n companion matrix
-        # of the roots in classify, then G, R, G_s (right and double), R_s
-        # (left and double), and the surgery products (I - Q)G, R(I - S)
+        # one eigensolve per distinct matrix: G, R, G_s (right and double),
+        # R_s (left and double), and the surgery products (I - Q)G,
+        # R(I - S); classify makes none
         calls = []
         real_eigvals = np.linalg.eigvals
 
@@ -372,7 +373,7 @@ class TestMain:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         size = int(n)
-        assert calls == [(2 * size, 2 * size)] + [(size, size)] * 6
+        assert calls == [(size, size)] * 6
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     def test_block_sum_perron_once(self, tmp_path, monkeypatch, kind):
@@ -417,8 +418,8 @@ class TestMain:
         assert counts[0] == counts[1]
 
     def test_periodic_chain_warns_once(self, tmp_path):
-        # B(z) has a double root at -1 (see test_model); the reversed
-        # model's roots are not recomputed, so the warning is not repeated
+        # B(z) has a double root at -1 (see test_model); the warning comes
+        # with the first read of the reference solution's spectra only
         import warnings
 
         flip = [0.0, 0.5, 0.5, 0.0]

@@ -6,7 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import test_verify
-from qbdshift import classify, cli, compute_w, kernel, matpoly, solve_all, validate, verify
+from qbdshift import (
+    classify,
+    cli,
+    compute_w,
+    kernel,
+    matpoly,
+    reference_solution,
+    solve_all,
+    validate,
+    verify,
+)
 
 
 def scalar_poly(a_minus, a_zero, a_plus):
@@ -43,55 +53,60 @@ class TestEvalPhi:
         )
 
 
+def solved_roots(model):
+    """The roots of B(z) as a certified solve reports them: eig(G) together
+    with 1/eig(R) of the reference solution."""
+    return matpoly.RootSet.from_spectra(*reference_solution(model).spectra)
+
+
 class TestRoots:
+    """The roots of B(z) from the spectra of the solved G and R, which is
+    the one way the program finds them."""
+
     def test_p1_roots_match_quadratic_formula(self):
-        rs = matpoly.roots(scalar_poly(*oracles.P1))
+        rs = solved_roots(validate(*[[[x]] for x in oracles.P1]))
         expected = oracles.quadratic_roots(0.5, -0.8, 0.3)
         assert rs.n_infinite == 0
         np.testing.assert_allclose(sorted(z.real for z in rs.finite), expected, atol=1e-12)
 
     def test_n1_double_unit_root(self):
-        rs = matpoly.roots(scalar_poly(*oracles.N1))
+        rs = solved_roots(validate(*[[[x]] for x in oracles.N1]))
         np.testing.assert_allclose(np.abs(rs.finite), [1.0, 1.0], atol=1e-7)
 
     def test_zero_root_from_vanishing_low_coefficient(self):
-        poly = matpoly.QuadMatPoly.new([[0.0]], [[-0.4]], [[0.4]])
-        rs = matpoly.roots(poly)
+        # A_-1 = 0: G = 0
+        rs = solved_roots(validate([[0.0]], [[0.6]], [[0.4]]))
         np.testing.assert_allclose(sorted(z.real for z in rs.finite), [0.0, 1.0], atol=1e-12)
 
     def test_infinite_root_from_singular_top_coefficient(self):
-        poly = matpoly.QuadMatPoly.new([[0.5]], [[-0.8]], [[0.0]])
-        rs = matpoly.roots(poly)
+        # A_1 = 0: R = 0, whose zero eigenvalue is a root at infinity
+        rs = matpoly.RootSet.from_spectra(*solve_all(validate([[0.5]], [[0.5]], [[0.0]])).spectra)
         assert rs.n_infinite == 1
         assert rs.count == 2
 
     def test_count_always_2n(self, small_bank):
         for rows in small_bank.values():
             for m, _ in rows:
-                assert matpoly.roots(m.poly).count == 2 * m.n
+                assert solved_roots(m).count == 2 * m.n
 
     def test_unit_root_always_present(self, small_bank):
-        # the double root of the null class splits as 1 +/- sqrt(eps) under
-        # any backward-stable eigensolver; simple unit roots are sharp
+        # the double root of the null class is solved to about 1e-8 (the
+        # unit eigenvalues of G and R); simple unit roots are sharp
         for kind, rows in small_bank.items():
             tol = 1e-7 if kind == "null" else 1e-10
             for m, _ in rows:
-                rs = matpoly.roots(m.poly)
+                rs = solved_roots(m)
                 assert min(abs(z - 1.0) for z in rs.finite) <= tol
 
     def test_similarity_invariance(self, e2):
-        rng = np.random.default_rng(4)
-        s = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-        s_inv = np.linalg.inv(s)
-        poly = e2.poly
-        conj = matpoly.QuadMatPoly.new(
-            s @ poly.b_minus @ s_inv, s @ poly.b_zero @ s_inv, s @ poly.b_plus @ s_inv
-        )
-        assert oracles.multiset_distance(matpoly.roots(poly), matpoly.roots(conj)) <= 1e-9
+        # a permutation of the phases keeps the QBD valid and its roots
+        p = np.eye(2)[[1, 0]]
+        perm = validate(*(p @ b @ p.T for b in (e2.a_minus, e2.a_zero, e2.a_plus)))
+        assert oracles.multiset_distance(solved_roots(e2), solved_roots(perm)) <= 1e-9
 
     def test_splitting_positions_use_tie_break(self, n2):
         # both unit roots sit at positions n-1 and n
-        rs = matpoly.roots(n2.poly)
+        rs = solved_roots(n2)
         assert abs(rs.values()[1] - 1.0) <= 1e-7
         assert abs(rs.values()[2] - 1.0) <= 1e-7
 
@@ -103,9 +118,8 @@ class TestRoots:
 FLIP = [[0.0, 0.5], [0.5, 0.0]]
 
 # (family, argument): the patterned models of test_verify, the period-2
-# chain whose double root at -1 makes B(-1) singular, A_1 = 0 (n roots at
-# infinity; classify cannot split them yet), a zero row of A_1 (one root
-# at infinity), and generated models of every class.
+# chain with a double root at -1, A_1 = 0 (n roots at infinity), a zero
+# row of A_1 (one root at infinity), and generated models of every class.
 QZ_MODELS = [
     *(("patterned", seed) for seed in range(3, 42)),
     *(("null_patterned", seed) for seed in range(30)),
@@ -131,19 +145,20 @@ def qz_model(family, arg):
 
 
 class TestRootsAgainstQz:
-    """The Moebius-mapped companion eigenvalues of matpoly.roots, and the
-    report's roots eig(G) + 1/eig(R), against a QZ factorization of the
-    companion pencil (oracles.qz_roots), in the bottleneck chordal
+    """The report's roots eig(G) + 1/eig(R) against a QZ factorization of
+    the companion pencil (oracles.qz_roots), in the bottleneck chordal
     distance that root certificates used."""
 
     @pytest.mark.parametrize("family, arg", QZ_MODELS)
     def test_within_root_match_tolerance(self, family, arg):
         model = qz_model(family, arg)
         want = oracles.qz_roots(model.poly)
-        got = matpoly.roots(model.poly)
-        assert oracles.multiset_distance(got, want) <= verify.ROOT_MATCH_TOL
-        if family == "zero-up":  # A_1 = 0: xi_{n+1} is infinite, not a root classify takes
+        if family == "zero-up":
+            # A_1 = 0: xi_{n+1} = inf has no Perron data, so no certified
+            # solve; the direct solution's spectra still give the roots
+            got = matpoly.RootSet.from_spectra(*solve_all(model).spectra)
             assert got.n_infinite == model.n
+            assert oracles.multiset_distance(got, want) <= verify.ROOT_MATCH_TOL
             return
         with warnings.catch_warnings():
             # flip has roots on the unit circle away from 1
@@ -153,17 +168,6 @@ class TestRootsAgainstQz:
         spectra = [complex(re, im) for re, im in roots["finite"]]
         spectra += [complex(np.inf, 0.0)] * roots["n_infinite"]
         assert oracles.multiset_distance(spectra, want) <= verify.ROOT_MATCH_TOL
-
-    def test_singular_shift_point_is_skipped(self, monkeypatch):
-        # B(-1) = 2 A_1 + I is exactly singular on flip, whose double root
-        # at -1 is on the unit circle: the next shift point takes over
-        model = qz_model("flip", None)
-        with pytest.raises(kernel.SingularMatrixError):
-            kernel.condition(model.poly.eval_b(-1.0))
-        monkeypatch.setattr(matpoly, "SHIFT_POINTS", (-1.0, -0.5))
-        got = matpoly.roots(model.poly)
-        assert oracles.multiset_distance(got, oracles.qz_roots(model.poly)) <= (
-            verify.ROOT_MATCH_TOL)
 
 
 @st.composite

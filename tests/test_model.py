@@ -7,7 +7,6 @@ from qbdshift import (
     ValidationError,
     classify,
     complete_perron_data,
-    matpoly,
     perron_data,
     reference_solution,
     solve_all,
@@ -63,13 +62,14 @@ class TestClassify:
         assert cls.xi_n == cls.xi_n1 == 1.0
 
     def test_null_double_unit_root_is_exact(self, small_bank):
-        # QZ splits the double root at 1 by about sqrt(eps); classify sets
-        # both copies to 1 at positions n - 1 and n of the sorted roots
+        # QZ splits the double root at 1 by about sqrt(eps), at positions
+        # n - 1 and n of the sorted roots; classify takes both as exactly 1
+        # and solves nothing for them
         for m, cls in small_bank["null"]:
-            values = cls.roots.values()
-            assert values[m.n - 1] == values[m.n] == 1.0
-            assert np.count_nonzero(values == 1.0) == 2
-            assert cls.roots.count == 2 * m.n
+            assert cls.xi_n == cls.xi_n1 == 1.0
+            assert cls.matched is None
+            values = oracles.qz_roots(m.poly).values()
+            assert np.abs(values[m.n - 1:m.n + 1] - 1.0).max() <= 1e-7
 
     def test_t1(self, t1):
         cls = classify(t1)
@@ -94,11 +94,51 @@ class TestClassify:
         expected_inside = {"positive": -1, "null": -1, "transient": 0}
         for kind, rows in small_bank.items():
             for m, cls in rows:
-                mods = np.abs(matpoly.roots(m.poly).finite)
+                mods = np.abs(oracles.qz_roots(m.poly).finite)
                 inside = int(np.sum(mods < 1.0 - 1e-6))
                 on = int(np.sum(np.abs(mods - 1.0) <= 1e-6))
                 assert inside == m.n + expected_inside[kind], (kind, m.n)
                 assert on == (2 if kind == "null" else 1)
+
+    def test_zero_down_is_transient_with_zero_root(self):
+        # A_-1 = 0: the left shift leaves G = 0 after zero sweeps
+        for n in (1, 4):
+            up = np.full((n, n), 0.5 / n)
+            zero = np.zeros((n, n))
+            cycle = 0.5 * np.roll(np.eye(n), 1, axis=1)
+            cls = classify(validate(zero, cycle, up))
+            assert cls.kind is Kind.TRANSIENT
+            assert cls.xi_n == 0.0
+            assert cls.xi_n1 == 1.0
+            assert cls.matched.cr.iterations == 0
+            assert cls.reversed().xi_n1 == np.inf
+
+    def test_zero_up_is_positive_with_infinite_root(self):
+        # A_1 = 0: the right shift leaves R = 0
+        for blocks in (
+            ([[0.3, 0.2], [0.1, 0.4]], [[0.2, 0.3], [0.3, 0.2]], np.zeros((2, 2))),
+            ([[0.5]], [[0.5]], [[0.0]]),
+        ):
+            cls = classify(validate(*blocks))
+            assert cls.kind is Kind.POSITIVE_RECURRENT
+            assert cls.xi_n == 1.0
+            assert cls.xi_n1 == np.inf
+            assert cls.reversed().xi_n == 0.0
+
+    @pytest.mark.parametrize("kind", ["positive", "transient"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-6, 1e-8])
+    def test_splitting_root_against_extended_precision(self, kind, seed, gamma):
+        # the non-unit splitting root of the class-matched shift against a
+        # 60-digit root of det B(z)/(z - 1) on exactly stochastic blocks
+        from qbdshift import cli
+
+        model = cli.generate(kind, 4, seed, gamma=gamma)[0]
+        cls = classify(model)
+        outside = kind == "positive"
+        xi = cls.xi_n1 if outside else cls.xi_n
+        ref = oracles.splitting_root_mp(model, outside)
+        assert abs(xi - ref) <= 1e-4 * abs(ref - 1.0)
 
     def test_mirror_family_drift_is_exactly_zero(self):
         rng = np.random.default_rng(21)
@@ -172,14 +212,23 @@ class TestPerronData:
 
 
 class TestUnitRootWarning:
+    """The roots of B(z) are eig(G) together with 1/eig(R): the first read
+    of a solution set's spectra warns, and classify computes no root."""
+
     def test_periodic_chain_warns(self):
         # period-2 phase structure: det B(z) = -0.25 (z^2 - 1)^2 puts a
         # double root at -1 on the unit circle (several final classes on
         # the doubly infinite chain)
+        import warnings
+
         flip = [[0.0, 0.5], [0.5, 0.0]]
         zero = [[0.0, 0.0], [0.0, 0.0]]
-        with pytest.warns(UserWarning, match="unit-circle"):
-            classify(validate(flip, zero, flip))
+        sol = reference_solution(validate(flip, zero, flip))
+        with pytest.warns(UserWarning, match="2 unit-circle"):
+            sol.spectra
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol.spectra
 
     def test_clean_instances_do_not_warn(self, e2, n2):
         import warnings
@@ -187,7 +236,7 @@ class TestUnitRootWarning:
         for m in (e2, n2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                classify(validate(m.a_minus, m.a_zero, m.a_plus))
+                reference_solution(validate(m.a_minus, m.a_zero, m.a_plus)).spectra
 
 
 def test_reversed_classification_matches_classify(small_bank):
@@ -206,8 +255,6 @@ def test_reversed_classification_matches_classify(small_bank):
         assert derived.drift == pytest.approx(direct.drift, rel=1e-9, abs=1e-15)
         assert derived.xi_n == pytest.approx(direct.xi_n, rel=1e-8)
         assert derived.xi_n1 == pytest.approx(direct.xi_n1, rel=1e-8)
-        assert derived.roots.n_infinite == direct.roots.n_infinite
-        assert oracles.multiset_distance(derived.roots, direct.roots) <= 1e-9
 
 
 def test_reversed_perron_data_matches_perron_data(small_bank):

@@ -12,9 +12,11 @@ recovery guard of the null reference route, have to catch them.
 
 prints the catch matrix (mutant x certificate family) shown in README.md.
 
-No mutant corrupts the roots that classify reads: they feed only the
-splitting roots and the unit-circle warning, and no certificate reads
-them. The report's roots are eig(G) together with 1/eig(R), which
+No mutant corrupts a root computation of classify: it makes none. It
+takes the splitting roots from the class-matched shifted solve, and the
+shift points xi_n and xi_{n+1} are a mutant target of their own
+(xi_n-1-removed, with xi_{n-1} from a QZ of the companion pencil). The
+report's roots are eig(G) together with 1/eig(R), which
 spec:eig(G)+1/eig(R)=roots(B) checks against det B(z).
 """
 
@@ -23,6 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from qbdshift import (
     QbdTriple,
     ShiftKind,
@@ -93,7 +96,8 @@ def _wrong_root(model, cls, t):
     # the root next below xi_n moved to zero in place of xi_n
     if t.q is None:
         return t
-    return _rebuilt(model, t, t.q, t.s, xi_n=float(cls.roots.values()[model.n - 2].real))
+    xi_below = oracles.qz_roots(model.poly).values()[model.n - 2]
+    return _rebuilt(model, t, t.q, t.s, xi_n=float(xi_below.real))
 
 
 def _swapped(model, cls, t):

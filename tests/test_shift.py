@@ -8,7 +8,6 @@ from qbdshift import (
     classify,
     complete_perron_data,
     kernel,
-    matpoly,
     perron_data,
     recover_gr,
     reference_solution,
@@ -53,8 +52,8 @@ class TestBuildRight:
         q = np.full((2, 2), 0.5)
         np.testing.assert_allclose(t.shifted.a_minus, n2.a_minus @ (eye - q), atol=1e-15)
         # root surgery: the unit root is replaced by zero
-        rs = matpoly.roots(t.shifted.poly)
-        expected = oracles.surgery_expected(matpoly.roots(n2.poly), t)
+        rs = oracles.qz_roots(t.shifted.poly)
+        expected = oracles.surgery_expected(oracles.qz_roots(n2.poly), t)
         assert oracles.multiset_distance(rs, expected) <= 1e-7
 
     def test_projector_idempotent(self, e2):
@@ -88,7 +87,7 @@ class TestBuildLeft:
         cls, pd = prepared(e2)
         t = build_transform(e2, cls, pd, "left")
         assert abs(np.linalg.det(t.shifted.a_plus)) <= 1e-14
-        rs = matpoly.roots(t.shifted.poly)
+        rs = oracles.qz_roots(t.shifted.poly)
         assert rs.n_infinite >= 1
 
 
@@ -116,8 +115,8 @@ class TestBuildDouble:
     def test_root_surgery_by_pencil_oracle(self, n2):
         cls, pd = prepared(n2)
         t = build_transform(n2, cls, pd, "double")
-        expected = oracles.surgery_expected(matpoly.roots(n2.poly), t)
-        assert oracles.multiset_distance(matpoly.roots(t.shifted.poly), expected) <= 1e-7
+        expected = oracles.surgery_expected(oracles.qz_roots(n2.poly), t)
+        assert oracles.multiset_distance(oracles.qz_roots(t.shifted.poly), expected) <= 1e-7
 
 
 class TestShiftedAndRecover:
@@ -320,11 +319,11 @@ class TestRoundTripsAndSurgery:
         for rows in small_bank.values():
             for m, cls in rows[:2]:
                 pd = perron_data(m, cls)
-                base = matpoly.roots(m.poly)
+                base = oracles.qz_roots(m.poly)
                 for kind in ShiftKind:
                     t = build_transform(m, cls, pd, kind)
                     expected = oracles.surgery_expected(base, t)
-                    got = matpoly.roots(t.shifted.poly)
+                    got = oracles.qz_roots(t.shifted.poly)
                     assert oracles.multiset_distance(got, expected) <= 1e-7, (
                         cls.kind, kind)
 
@@ -374,10 +373,46 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("kind, gamma", [
         ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
+        ("transient", 0.5),
+    ])
+    def test_solution_path_solves_matched_shift_once(self, monkeypatch, kind, gamma):
+        # reference_solution(model, classify(model)): no eigensolve at null
+        # recurrence, otherwise one class-matched forward solve, which
+        # classify makes and the nearly-null reference route reuses
+        from qbdshift import shift
+
+        eigensolves, forward = [], []
+        model, _ = cli.generate(kind, 4, seed=3, gamma=gamma)
+
+        def counted(real):
+            def eigensolve(a):
+                eigensolves.append(a.shape)
+                return real(a)
+            return eigensolve
+
+        def via(m, *args, real=shift.solve_via, **kwargs):
+            route = real(m, *args, **kwargs)
+            if m is model:
+                forward.append(route.transform.kind)
+            return route
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "eig", counted(np.linalg.eig))
+        monkeypatch.setattr(shift, "solve_via", via)
+        reference_solution(model, classify(model))
+        if kind == "null":
+            assert not eigensolves
+            assert forward == [ShiftKind.DOUBLE]
+        else:
+            assert forward == [ShiftKind.RIGHT if kind == "positive" else ShiftKind.LEFT]
+
+    @pytest.mark.parametrize("kind, gamma", [
+        ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
     ])
     def test_r_derived_once_per_solve(self, monkeypatch, kind, gamma):
         # each route's solve derives its own R, and the shifted routes'
-        # K and Khat are formed directly: two derivations in every class
+        # K and Khat are formed directly: two derivations, but one near null
+        # recurrence, where the forward route is the one classify solved
         calls = []
         real = solvers.derive_r_k
 
@@ -389,7 +424,7 @@ class TestReferenceSolution:
         cls = classify(model)
         monkeypatch.setattr(solvers, "derive_r_k", counting)
         sol = reference_solution(model, cls)
-        assert len(calls) == 2
+        assert len(calls) == (1 if gamma == 1e-4 else 2)
         b0 = model.b_zero()
         np.testing.assert_array_equal(sol.k, b0 + model.a_plus @ sol.g)
         np.testing.assert_array_equal(sol.khat, b0 + model.a_minus @ sol.ghat)

@@ -256,7 +256,7 @@ class TestSurgeryFromSpectra:
         cls, _, pd = solved(model)
         certs = {c.name: c for c in full_suite(model)}
         for kind in ShiftKind:
-            qz = oracles.qz_surgery_distance(cls, build_transform(model, cls, pd, kind))
+            qz = oracles.qz_surgery_distance(model, build_transform(model, cls, pd, kind))
             cert = certs[f"{kind.value}:roots-surgery"]
             assert cert.passed == (qz <= verify.ROOT_MATCH_TOL), (kind, qz, cert.residual)
 
