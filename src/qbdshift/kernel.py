@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "SingularMatrixError",
-    "condition",
     "inf_norm",
     "is_irreducible",
     "perron",
@@ -191,13 +190,6 @@ def _solve(a, rhs):
     if inf_norm(a) * inf_norm(inv) > 1.0 / PIVOT_RTOL:
         raise SingularMatrixError("matrix is numerically singular")
     return (inv if rhs is None else out[:, :k]), inv
-
-
-def condition(m):
-    """Infinity-norm condition number ||M|| ||M^-1||; raises
-    SingularMatrixError where solve_linear would."""
-    a = as_square(m, "M")
-    return inf_norm(a) * inf_norm(_solve(a, None)[1])
 
 
 def solve_linear(m, b):

@@ -36,9 +36,6 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 NULL_DRIFT_TOL = 1e-12
-# Agreement required between the splitting roots of classify and the
-# spectral radii of the reference solution.
-XI_CROSS_CHECK_TOL = 1e-8
 
 
 class ValidationError(ValueError):

@@ -47,7 +47,6 @@ CR_MAX_ITER = 64
 CR_TOL_NULL = 1e-8
 STALL_RES_TOL = 1e-10
 NEG_CLAMP = 1e-12
-W_IDENTITY_TOL = 1e-10
 # A root of B(z) this close to |z| = 1, and this far from z = 1, is on the
 # unit circle away from the unit root.
 UNIT_CIRCLE_TOL = 1e-6
@@ -183,28 +182,16 @@ def derive_r_k(b_zero, b_plus, g, nonneg=True):
     return r, k
 
 
-def compute_w(g, k, r, ghat=None):
+def compute_w(g, k, r):
     """W = sum_i G^i K^-1 R^i via the Stein equation W - G W R = K^-1.
 
-    Requires rho(G) rho(R) < 1 (not null recurrent). Postconditions
-    checked here: W nonsingular; K (I - G Ghat) W = I when Ghat is given.
-    ||W|| grows like the reciprocal spectral gap near null recurrence, so
-    the identity check scales with ||K|| ||W||.
+    Requires rho(G) rho(R) < 1 (not null recurrent); raises
+    ConvergenceError otherwise. W solves nothing: it couples the two
+    canonical factorizations (Ghat = W R W^-1, K (I - G Ghat) W = I), and
+    the W:* certificates check those identities.
     """
     k_inv = kernel.solve_linear(k, np.eye(k.shape[0]))
-    w = kernel.stein_solve(g, r, k_inv)
-    kernel.solve_linear(w, np.eye(w.shape[0]))  # nonsingularity probe
-    if ghat is not None:
-        eye = np.eye(w.shape[0])
-        res = kernel.inf_norm(k @ (eye - g @ ghat) @ w - eye)
-        scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
-        if res > W_IDENTITY_TOL * scale:
-            raise kernel.ConvergenceError(
-                f"W inverse identity K(I - G Ghat) W = I fails: {res:.3e} "
-                f"(scale {scale:.2e})",
-                residual=res,
-            )
-    return w
+    return kernel.stein_solve(g, r, k_inv)
 
 
 def hats_from_w(w, g, r):
@@ -215,7 +202,10 @@ def hats_from_w(w, g, r):
 
 @dataclasses.dataclass(frozen=True)
 class SolutionSet:
-    """Minimal solutions with their coupling factors and solve metadata."""
+    """Minimal solutions with their coupling factors and solve metadata.
+
+    `null` marks a null-recurrent model, where the W series diverges.
+    """
 
     g: np.ndarray
     r: np.ndarray
@@ -223,9 +213,17 @@ class SolutionSet:
     rhat: np.ndarray
     k: np.ndarray
     khat: np.ndarray
-    w: np.ndarray | None
+    null: bool
     iterations: dict
     residuals: dict
+
+    @functools.cached_property
+    def w(self):
+        """W = sum_i G^i K^-1 R^i, None at null recurrence: certificate
+        evidence, computed on first read (one Stein solve) and kept. The
+        solutions never need it; a ConvergenceError from the Stein solve
+        is raised at every read."""
+        return None if self.null else compute_w(self.g, self.k, self.r)
 
     @functools.cached_property
     def spectra(self):
@@ -248,9 +246,9 @@ class SolutionSet:
 
 def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):
     """The SolutionSet of solved (G, R, Ghat, Rhat, K, Khat), whichever
-    route solved them: W where its series converges (None at null
-    recurrence) and the infinity-norm residuals of the four equations."""
-    w = None if null else compute_w(g, k, r, ghat=ghat)
+    route solved them, with the infinity-norm residuals of the four
+    equations. W is not computed here: `SolutionSet.w` computes it on
+    first read."""
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     residuals = {
         "G": residual_g(bm, b0, bp, g),
@@ -258,12 +256,13 @@ def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):
         "Ghat": residual_ghat(bm, b0, bp, ghat),
         "Rhat": residual_rhat(bm, b0, bp, rhat),
     }
-    return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, w=w,
+    return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, null=null,
                        iterations=iterations, residuals=residuals)
 
 
 def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
-    """Direct solve of all four equations on one triple.
+    """Direct solve of all four equations on one triple; computes no W
+    (`SolutionSet.w` does, on first read).
 
     Null-recurrent inputs run at the relaxed tolerance and may stall at
     the iteration cap; the trailing iterate is accepted as long as its

@@ -237,6 +237,7 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         w = sol.w
         eye = np.eye(model.n)
         k_inv = kernel.solve_linear(k, eye)
+        w_inv = kernel.solve_linear(w, eye)
         # ||W|| ~ 1/gap near null recurrence: absolute tolerances would
         # flag perfectly conditioned-relative solutions there
         w_scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
@@ -251,16 +252,15 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
                 IDENTITY_TOL * w_scale,
             )
         )
-        ghat_w, rhat_w = solvers.hats_from_w(w, g, r)
         # W itself is accurate to ~eps kappa(W) (Stein conditioning) and
         # the conjugation multiplies by kappa(W) again
-        cond_w = kernel.condition(w)
+        cond_w = kernel.inf_norm(w) * kernel.inf_norm(w_inv)
         sim_tol = max(SPECTRAL_TOL, 1e2 * np.finfo(float).eps * cond_w**2)
         certs.append(
-            _cert("W:Ghat-similarity", kernel.inf_norm(ghat_w - ghat), sim_tol)
+            _cert("W:Ghat-similarity", kernel.inf_norm(w @ r @ w_inv - ghat), sim_tol)
         )
         certs.append(
-            _cert("W:Rhat-similarity", kernel.inf_norm(rhat_w - rhat), sim_tol)
+            _cert("W:Rhat-similarity", kernel.inf_norm(w_inv @ g @ w - rhat), sim_tol)
         )
     return certs
 
@@ -329,21 +329,29 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
             model, cls, sol, perron, transform, samples, null, xi_amp, eigvals
         ))
     except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
-        certs.append(
-            Certificate(
-                f"{kind}:hats", None, None, "n/a",
-                f"hat transport unavailable: {exc}",
-            )
-        )
+        # the names _hat_certs gives on success, whichever guard stopped
+        # the transport: one set per class and kind
+        names = ["eq:Ghat_s", "eq:Rhat_s", "factor:phi_s-reversed"]
+        if null:
+            names[:0] = (["id:Khat_d-compact", "spec:canonical-strict"]
+                         if transform.kind is shift_mod.ShiftKind.DOUBLE
+                         else ["id:Khat_s-rank-one"])
+        certs.extend(_na(f"{kind}:{name}", f"hat transport unavailable: {exc}")
+                     for name in names)
     if route is not None:
         certs.append(_roundtrip_cert(model, cls, sol, kind, route, xi_amp))
     return certs
 
 
 def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigvals):
+    """The shifted hat checks of one kind; raises where the transport is
+    unavailable (inadmissible vector, no closed form for the non-null
+    double shift, exhausted conditioning)."""
     kind = transform.kind.value
     shifted = transform.shifted
     certs = []
+    hat_tol = IDENTITY_TOL
+    factor_tol = FACTOR_TOL
     if null:
         hats = shift_mod.shifted_hats_nullrec(model, sol, perron, transform)
         rank_one_gap = kernel.inf_norm(hats.khat_rank_one - hats.khat)
@@ -362,32 +370,17 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigval
             certs.append(
                 _cert(f"{kind}:id:Khat_s-rank-one", rank_one_gap, IDENTITY_TOL)
             )
-    elif transform.kind is shift_mod.ShiftKind.DOUBLE:
-        certs.append(
-            _na(
-                f"{kind}:factor:phi_s-reversed",
-                "no closed form for non-null double-shift hats",
-            )
-        )
-        return certs
     else:
         hats = shift_mod.shifted_hats_nonnull(model, sol, transform)
-    hat_tol = IDENTITY_TOL
-    factor_tol = FACTOR_TOL
-    if not null:
         # W_s = W - (rank-one) W-product cancels two ~||W|| terms, so the
         # transported hats inherit W's absolute error, ~eps ||W||^2 from
         # the Stein conditioning, on top of the shift-point error
         amp = 1e2 * np.finfo(float).eps * max(1.0, kernel.inf_norm(sol.w)) ** 2 + xi_amp
         if amp > 1e-2:
-            certs.append(
-                _na(
-                    f"{kind}:factor:phi_s-reversed",
-                    f"transport conditioning exhausted (amplification {amp:.1e}): "
-                    "no verifiable digits in double precision at this root gap",
-                )
+            raise ValueError(
+                f"transport conditioning exhausted (amplification {amp:.1e}): "
+                "no verifiable digits in double precision at this root gap"
             )
-            return certs
         hat_tol = max(IDENTITY_TOL, amp)
         factor_tol = max(FACTOR_TOL, amp)
     certs.append(_cert(f"{kind}:eq:Ghat_s", hats.residuals["Ghat_s"], hat_tol))

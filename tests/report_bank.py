@@ -16,7 +16,9 @@ for example of a commit and of its parent. The script
 2. runs `cli.main(["solve", MODEL, "--json", REPORT, "--quiet"])` on every
    model, in one fresh interpreter per side with one BLAS thread;
 3. prints the differences in exit code and stderr, in report fields other
-   than `timing`, and in certificate name, status and tolerance, then the
+   than `timing`, in the certificate names of each report (matched by
+   name: a name on one side only, or shared names in another order) and
+   in the status, tolerance and context of each shared name, then the
    number of certificate residuals that moved, the largest relative move
    and the largest move as a fraction of the certificate's tolerance.
    A field that differs is shown with each key present on one side only,
@@ -138,9 +140,16 @@ def compare_reports(name, old, new, diffs):
             changes = field_changes(old.get(key), new.get(key), key)
             diffs.append(f"{name}: field {key!r} differs"
                          + "".join(f"; {c}" for c in changes))
-    if len(old_certs) != len(new_certs):
-        diffs.append(f"{name}: {len(old_certs)} against {len(new_certs)} certificates")
-    for a, b in zip(old_certs, new_certs):
+    old_by_name = {c["name"]: c for c in old_certs}
+    new_by_name = {c["name"]: c for c in new_certs}
+    for cert in old_certs + new_certs:
+        if (cert["name"] in old_by_name) != (cert["name"] in new_by_name):
+            side = "parent" if cert["name"] in old_by_name else "change"
+            diffs.append(f"{name}: {cert['name']} ({cert['status']}) only in {side}")
+    shared = [n for n in old_by_name if n in new_by_name]
+    if shared != [n for n in new_by_name if n in old_by_name]:
+        diffs.append(f"{name}: certificates shared by both sides come in another order")
+    for a, b in ((old_by_name[n], new_by_name[n]) for n in shared):
         for key in ("name", "status", "tolerance", "context"):
             if canonical(a[key]) != canonical(b[key]):
                 diffs.append(f"{name}: {a['name']} {key} {a[key]!r} -> {b[key]!r}")

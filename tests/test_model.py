@@ -14,6 +14,10 @@ from qbdshift import (
 )
 from qbdshift import model as model_mod
 
+# Agreement required between the splitting roots of classify and the
+# spectral radii of the reference solution.
+XI_CROSS_CHECK_TOL = 1e-8
+
 
 class TestValidate:
     def test_p1_valid(self, p1):
@@ -204,10 +208,10 @@ class TestPerronData:
             for m, cls in rows[:3]:
                 sol = reference_solution(m, cls)
                 assert kernel.spectral_radius(sol.g) == pytest.approx(
-                    cls.xi_n, abs=model_mod.XI_CROSS_CHECK_TOL
+                    cls.xi_n, abs=XI_CROSS_CHECK_TOL
                 )
                 assert 1.0 / kernel.spectral_radius(sol.r) == pytest.approx(
-                    cls.xi_n1, abs=model_mod.XI_CROSS_CHECK_TOL
+                    cls.xi_n1, abs=XI_CROSS_CHECK_TOL
                 )
 
 

@@ -10,7 +10,8 @@ recovery guard of the null reference route, have to catch them.
 
     python tests/test_mutants.py
 
-prints the catch matrix (mutant x certificate family) shown in README.md.
+prints the catch matrix (mutant x certificate family) shown in README.md;
+test_readme_shows_the_catch_matrix keeps the two equal.
 
 No mutant corrupts a root computation of classify: it makes none. It
 takes the splitting roots from the class-matched shifted solve, and the
@@ -21,6 +22,7 @@ spec:eig(G)+1/eig(R)=roots(B) checks against det B(z).
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,12 +116,22 @@ def _dropped_term(model, cls, t):
     return dataclasses.replace(t, shifted=QbdTriple(model.n, sh.a_minus, a_zero, sh.a_plus))
 
 
+def _bumped_w(sol):
+    # W is computed on first read, not a field: a copy of the set with
+    # the corrupted W in its instance cache
+    w = sol.w.copy()
+    w[0, N - 1] += BUMP
+    out = dataclasses.replace(sol)
+    out.__dict__["w"] = w
+    return out
+
+
 SOLUTION_MUTANTS = {
     "G+1e-6": _bump("g"),
     "R+1e-6": _bump("r"),
     "Ghat+1e-6": _bump("ghat"),
     "Rhat+1e-6": _bump("rhat"),
-    "W+1e-6": _bump("w"),
+    "W+1e-6": _bumped_w,
     "K-transposed": lambda sol: dataclasses.replace(sol, k=sol.k.T.copy()),
 }
 SHIFT_MUTANTS = {
@@ -214,6 +226,12 @@ def catch_matrix():
                 caught[fam] += kind[0].upper()
         lines.append(f"| {mutant} | " + " | ".join(caught[f] for f in FAMILIES) + " |")
     return "\n".join(lines)
+
+
+def test_readme_shows_the_catch_matrix():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("| mutant |")
+    assert readme[start:readme.index("\n\n", start)] == catch_matrix()
 
 
 if __name__ == "__main__":

@@ -277,7 +277,7 @@ class TestOnePassHats:
 class TestComputeW:
     def test_p1(self, p1):
         sol = solve_all(p1)
-        w = compute_w(sol.g, sol.k, sol.r, ghat=sol.ghat)
+        w = compute_w(sol.g, sol.k, sol.r)
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_t1(self, t1):
@@ -292,6 +292,50 @@ class TestComputeW:
         sol = reference_solution(n1)
         with pytest.raises(kernel.ConvergenceError, match="null"):
             compute_w(sol.g, sol.k, sol.r)
+
+
+class TestWhereWIsComputed:
+    """W is certificate evidence: the solution path computes none, a
+    certified solve computes it once, on the first read of `sol.w`."""
+
+    @staticmethod
+    def count_stein(monkeypatch):
+        calls = []
+        real = kernel.stein_solve
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(kernel, "stein_solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, gamma", [
+        ("positive", 0.5), ("positive", 1e-5), ("transient", 0.5), ("transient", 1e-5),
+        ("null", 0.5),
+    ])
+    def test_reference_solution_computes_no_w(self, monkeypatch, kind, gamma):
+        m, _ = cli.generate(kind, 4, 1, gamma=gamma)
+        calls = self.count_stein(monkeypatch)
+        sol = reference_solution(m, classify(m))
+        assert not calls
+        assert (sol.w is None) == (kind == "null")
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("positive", 1), ("transient", 1), ("null", 0),
+    ])
+    def test_certified_solve_computes_w_once(self, monkeypatch, kind, expected):
+        m, meta = cli.generate(kind, 4, 1)
+        calls = self.count_stein(monkeypatch)
+        report = cli.solve_report(m, meta)
+        assert len(calls) == expected
+        assert (report["direct"]["W"] is None) == (kind == "null")
+
+    def test_second_read_is_cached(self, monkeypatch):
+        m, _ = cli.generate("positive", 4, 1)
+        sol = solve_all(m)
+        calls = self.count_stein(monkeypatch)
+        assert sol.w is sol.w
+        assert len(calls) == 1
 
 
 class TestHatsFromW:
