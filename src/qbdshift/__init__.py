@@ -9,6 +9,7 @@ certifies every canonical-factorization identity along the way.
 from .kernel import (
     ConvergenceError,
     SingularMatrixError,
+    inverse,
     perron,
     solve_linear,
     spectral_radius,

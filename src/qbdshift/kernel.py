@@ -1,8 +1,8 @@
-"""Dense real-matrix primitives: norms, linear solves with one condition
-test, spectral radius and Perron vectors (one power iteration with a
-Collatz-Wielandt stop and a stall rule, dense eigensolves as
-fallback), irreducibility (boolean reachability), Stein equation (Smith
-doubling).
+"""Dense real-matrix primitives: norms, the inverse and linear solves
+with one condition test, spectral radius and Perron vectors (one power
+iteration with a Collatz-Wielandt stop and a stall rule, a dense
+eigensolve as fallback), irreducibility (boolean reachability), Stein
+equation (Smith doubling).
 
 Everything here works on plain ``numpy.ndarray`` matrices. Inputs are never
 mutated; all functions are pure and thread-safe.
@@ -18,6 +18,7 @@ __all__ = [
     "ConvergenceError",
     "SingularMatrixError",
     "inf_norm",
+    "inverse",
     "is_irreducible",
     "perron",
     "solve_linear",
@@ -61,7 +62,9 @@ def as_square(m, name="matrix"):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # the array method skips np.all's wrapper, most of the cost of a call
+    # on a matrix of a few entries
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -69,9 +72,12 @@ def as_square(m, name="matrix"):
 def inf_norm(m):
     """Max absolute row sum for 2-d input, max absolute entry for 1-d."""
     a = np.asarray(m)
+    if not a.size:
+        return 0.0
+    # abs and the array methods skip the np.abs, np.sum and np.max wrappers
     if a.ndim == 1:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+        return float(abs(a).max())
+    return float(abs(a).sum(axis=1).max())
 
 
 def _power(a):
@@ -112,88 +118,93 @@ def spectral_radius(m):
     a = as_square(m)
     if a.shape[0] == 1:
         return float(abs(a[0, 0]))
-    found = None if np.any(a < 0.0) else _power(a)
+    found = None if (a < 0.0).any() else _power(a)
     if found is None:
         return float(np.max(np.abs(np.linalg.eigvals(a))))
     return found[0]
 
 
 def _dense_perron(a):
-    """Perron radius with right and left vectors of `a` from the dense
-    eigendecompositions of `a` and of its transpose, sign-fixed and
-    polished by power steps on a + I.
+    """Perron radius and right vector of `a` from one dense
+    eigendecomposition, sign-fixed and polished by power steps on a + I.
 
-    In each, among eigenvalues of (numerically) maximal modulus the one
-    with the largest real part is taken: for a nonnegative matrix that is
-    the real Perron root even when a periodic block puts rotated copies on
-    the same circle.
+    Among eigenvalues of (numerically) maximal modulus the one with the
+    largest real part is taken: for a nonnegative matrix that is the real
+    Perron root even when a periodic block puts rotated copies on the same
+    circle.
     """
-    shifted = a + np.eye(a.shape[0])
-    found = []
-    for mat, polish in ((a, shifted), (a.T, shifted.T)):
-        vals, vecs = np.linalg.eig(mat)
-        radius = float(np.max(np.abs(vals)))
-        candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
-        v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        for _ in range(8):
-            v = polish @ v
-            v /= np.max(np.abs(v))
-        found.append((radius, v))
-    (radius, right), (_, left) = found
-    return radius, right, left
+    # an F-ordered identity keeps the layout of `a` (a C-ordered one gives
+    # C for every `a`): a left vector, from a transposed view, is polished
+    # in the summation order of the transpose
+    shifted = a + np.eye(a.shape[0], order="F")
+    vals, vecs = np.linalg.eig(a)
+    radius = float(np.max(np.abs(vals)))
+    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
+    v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    for _ in range(8):
+        v = shifted @ v
+        v /= np.max(np.abs(v))
+    return radius, v
 
 
 def perron(m):
-    """Perron radius with right and left dominant vectors of a nonnegative
-    matrix, each vector at unit infinity norm: (radius, right, left).
+    """Perron radius and right dominant vector of a nonnegative matrix,
+    the vector at unit infinity norm: (radius, right). The left vector of
+    `m` is the right vector of its transpose, `perron(m.T)[1]`.
 
-    Power iteration finds both vectors when they are positive; when either
-    stalls, dense eigendecompositions of the matrix and its transpose give
-    the radius and both vectors (entries that are structurally zero may
-    then carry eigensolver noise up to ~1e-14). Raises ValueError for a negative entry or a nilpotent
-    matrix, ConvergenceError when a residual exceeds EIGEN_RTOL max(rho, 1).
+    Power iteration finds the vector when it is positive; when it stalls,
+    a dense eigendecomposition of the matrix gives the radius and the
+    vector (entries that are structurally zero may then carry eigensolver
+    noise up to ~1e-14). Raises ValueError for a negative entry or a
+    nilpotent matrix, ConvergenceError when the residual exceeds
+    EIGEN_RTOL max(rho, 1).
     """
     a = as_square(m)
-    if np.any(a < 0.0):
+    if (a < 0.0).any():
         raise ValueError("perron requires a nonnegative matrix")
-    right = _power(a)
-    left = _power(a.T) if right else None
-    if left:
-        radius, right, left = right[0], right[1], left[1]
-    else:
-        radius, right, left = _dense_perron(a)
+    radius, right = _power(a) or _dense_perron(a)
     if radius == 0.0:
         raise ValueError("a nilpotent matrix has no Perron vector")
-    residual = max(inf_norm(a @ right - radius * right), inf_norm(left @ a - radius * left))
+    residual = inf_norm(a @ right - radius * right)
     if residual > EIGEN_RTOL * max(radius, 1.0):
         raise ConvergenceError("Perron residual above tolerance", residual=residual)
-    return radius, right, left
+    return radius, right
 
 
-def _solve(a, rhs):
-    """(M^-1 B, M^-1) from one LAPACK gesv (LU with partial pivoting) on
-    [B, I], or on I alone when `rhs` is None.
-
-    M counts as singular, and SingularMatrixError is raised, when a pivot
-    is exactly zero or the condition number ||M||_inf ||M^-1||_inf
-    exceeds 1/PIVOT_RTOL.
-    """
-    eye = np.eye(a.shape[0])
+def _gesv(solve, a, *rhs):
+    """solve(a, *rhs) for one LAPACK gesv (LU with partial pivoting),
+    raising SingularMatrixError on an exactly zero pivot."""
     try:
-        out = np.linalg.solve(a, eye if rhs is None else np.hstack([rhs, eye]))
+        return solve(a, *rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is exactly singular") from None
-    k = 0 if rhs is None else rhs.shape[1]
-    inv = out[:, k:]
+
+
+def _condition_test(a, inv):
     if inf_norm(a) * inf_norm(inv) > 1.0 / PIVOT_RTOL:
         raise SingularMatrixError("matrix is numerically singular")
-    return (inv if rhs is None else out[:, :k]), inv
+
+
+def inverse(m):
+    """M^-1 by LU with partial pivoting plus one refinement step: the one
+    way the package forms an inverse. np.linalg.inv runs the gesv of
+    np.linalg.solve(M, I) and gives the same bits.
+
+    Raises SingularMatrixError when a pivot is exactly zero or
+    ||M||_inf ||M^-1||_inf exceeds 1/PIVOT_RTOL.
+    """
+    a = as_square(m, "M")
+    inv = _gesv(np.linalg.inv, a)
+    _condition_test(a, inv)
+    return inv + inv @ (np.eye(a.shape[0]) - a @ inv)
 
 
 def solve_linear(m, b):
-    """Solve M X = B by LU with partial pivoting plus one refinement step.
+    """Solve M X = B by LU with partial pivoting plus one refinement step:
+    one gesv on [B, I] gives X and the M^-1 that the condition test and
+    the refinement use. For M^-1 itself use `inverse`.
 
     Raises SingularMatrixError when a pivot is exactly zero or
     ||M||_inf ||M^-1||_inf exceeds 1/PIVOT_RTOL.
@@ -205,9 +216,10 @@ def solve_linear(m, b):
         rhs = rhs[:, None]
     if rhs.shape[0] != a.shape[0]:
         raise ValueError("B is not conformal with M")
-    # an identity right-hand side asks for M^-1 itself: no second block
-    inverse = rhs.shape == a.shape and np.array_equal(rhs, np.eye(a.shape[0]))
-    x, inv = _solve(a, None if inverse else rhs)
+    k = rhs.shape[1]
+    out = _gesv(np.linalg.solve, a, np.hstack([rhs, np.eye(a.shape[0])]))
+    x, inv = out[:, :k], out[:, k:]
+    _condition_test(a, inv)
     x = x + inv @ (rhs - a @ x)
     return x[:, 0] if squeeze else x
 

@@ -32,6 +32,10 @@ TIE_RTOL = 1e-8
 
 _DET_PROBE_POINTS = (0.83 + 0.41j, -0.52 + 0.77j, 1.31 - 0.23j)
 
+# factorization_residual evaluates this many matrix entries at once: 64 KB
+# of complex temporaries.
+FACTOR_BLOCK_ENTRIES = 4096
+
 
 @dataclasses.dataclass(frozen=True)
 class QuadMatPoly:
@@ -140,8 +144,10 @@ def factorization_residual(poly, fact, samples=16):
     The difference is the Laurent polynomial z^-1 C_-1 + C_0 + z C_1 with
     C_-1 = B_-1 + M R, C_0 = B_0 - M - L M R and C_1 = B_1 + L M (B_-1 and
     B_1 trade places for phi(z^-1)), so the three products are formed once
-    and each sample costs one elementwise pass. An empty sample set would
-    pass vacuously and raises ValueError.
+    and each sample costs one elementwise pass. The samples are evaluated
+    in blocks of at most FACTOR_BLOCK_ENTRIES matrix entries (one sample
+    per block when a sample has more), so the temporaries stay small. An
+    empty sample set would pass vacuously and raises ValueError.
     """
     points = unit_circle_samples(samples) if isinstance(samples, int) else samples
     if len(points) == 0:
@@ -153,4 +159,9 @@ def factorization_residual(poly, fact, samples=16):
     c_low = low + fact.middle @ fact.right
     c_mid = poly.b_zero - fact.middle - lm @ fact.right
     c_high = high + lm
-    return max(float(np.max(np.abs(c_low / z + c_mid + z * c_high))) for z in points)
+    zs = np.asarray(points)[:, None, None]
+    step = max(1, FACTOR_BLOCK_ENTRIES // max(c_mid.size, 1))
+    # the largest entry per sample, then the largest sample in sample order
+    worst = [np.abs(c_low / z + c_mid + z * c_high).max(axis=(1, 2))
+             for z in (zs[i:i + step] for i in range(0, len(zs), step))]
+    return max(np.concatenate(worst).tolist())

@@ -173,7 +173,7 @@ def classify(model):
     """
     from . import shift  # shift imports this module
 
-    phase_left = kernel.perron(model.a_sum())[2]
+    phase_left = kernel.perron(model.a_sum().T)[1]
     theta = phase_left / np.sum(phase_left)
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
     if abs(drift) <= NULL_DRIFT_TOL:
@@ -235,11 +235,13 @@ def perron_data(model, cls):
     if cls.xi_n == cls.xi_n1:
         pd = PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
     elif cls.kind is Kind.POSITIVE_RECURRENT:
-        _, u_ghat, v_r = kernel.perron(model.a_of(cls.xi_n1))
-        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=u_ghat, v_r=v_r)
+        a = model.a_of(cls.xi_n1)
+        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=kernel.perron(a)[1],
+                        v_r=kernel.perron(a.T)[1])
     else:
-        _, u_g, v_rhat = kernel.perron(model.a_of(cls.xi_n))
-        pd = PerronData(u_g=u_g, v_rhat=v_rhat, u_ghat=e, v_r=theta)
+        a = model.a_of(cls.xi_n)
+        pd = PerronData(u_g=kernel.perron(a)[1], v_rhat=kernel.perron(a.T)[1],
+                        u_ghat=e, v_r=theta)
     if min(np.min(pd.u_g), np.min(pd.v_rhat), np.min(pd.u_ghat), np.min(pd.v_r)) <= 0.0:
         raise ValueError("Perron vectors of A(xi) not strictly positive")
     return pd
@@ -247,12 +249,16 @@ def perron_data(model, cls):
 
 def complete_perron_data(pd, sol):
     """Fill the solution-side Perron vectors from solved G, R, Ghat, Rhat,
-    reading the round-off negatives of a shift-recovered solution as 0."""
-    g, r, ghat, rhat = (np.maximum(m, 0.0) for m in (sol.g, sol.r, sol.ghat, sol.rhat))
+    reading the round-off negatives of a shift-recovered solution as 0:
+    one one-sided Perron call each, a left vector from the transpose. The
+    copies are C-ordered whatever the solve left (R is a transpose), since
+    the dense Perron fallback polishes in the layout of its input."""
+    g, r, ghat, rhat = (np.maximum(m, 0.0, order="C")
+                        for m in (sol.g, sol.r, sol.ghat, sol.rhat))
     return dataclasses.replace(
         pd,
-        v_g=kernel.perron(g)[2],
+        v_g=kernel.perron(g.T)[1],
         u_r=kernel.perron(r)[1],
-        v_ghat=kernel.perron(ghat)[2],
+        v_ghat=kernel.perron(ghat.T)[1],
         u_rhat=kernel.perron(rhat)[1],
     )

@@ -225,7 +225,7 @@ def shifted_hats_nullrec(model, sol, perron, transform):
         raise ValueError("closed-form null-recurrent hats need xi_n = xi_{n+1}")
     if perron.v_ghat is None or perron.u_rhat is None:
         raise ValueError("solution-side Perron vectors missing; complete them first")
-    khat_inv = kernel.solve_linear(sol.khat, np.eye(model.n))
+    khat_inv = sol.khat_inv
     v_gh = perron.v_ghat
     u_rh = perron.u_rhat
     pairing = float(v_gh @ khat_inv @ u_rh)

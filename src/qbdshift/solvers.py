@@ -110,7 +110,7 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     k = 0
     while last > tol and k < max_iter:
         try:
-            inv = kernel.solve_linear(diag, np.eye(diag.shape[0]))
+            inv = kernel.inverse(diag)
         except kernel.SingularMatrixError as exc:
             raise kernel.SingularMatrixError(
                 f"singular pivot block at cyclic-reduction step {k}"
@@ -182,21 +182,21 @@ def derive_r_k(b_zero, b_plus, g, nonneg=True):
     return r, k
 
 
-def compute_w(g, k, r):
+def compute_w(g, k, r, k_inv=None):
     """W = sum_i G^i K^-1 R^i via the Stein equation W - G W R = K^-1.
 
-    Requires rho(G) rho(R) < 1 (not null recurrent); raises
-    ConvergenceError otherwise. W solves nothing: it couples the two
-    canonical factorizations (Ghat = W R W^-1, K (I - G Ghat) W = I), and
-    the W:* certificates check those identities.
+    `k_inv` is K^-1 when the caller has formed it already. Requires
+    rho(G) rho(R) < 1 (not null recurrent); raises ConvergenceError
+    otherwise. W solves nothing: it couples the two canonical
+    factorizations (Ghat = W R W^-1, K (I - G Ghat) W = I), and the W:*
+    certificates check those identities.
     """
-    k_inv = kernel.solve_linear(k, np.eye(k.shape[0]))
-    return kernel.stein_solve(g, r, k_inv)
+    return kernel.stein_solve(g, r, kernel.inverse(k) if k_inv is None else k_inv)
 
 
 def hats_from_w(w, g, r):
     """(Ghat, Rhat) = (W R W^-1, W^-1 G W); raises on singular W."""
-    w_inv = kernel.solve_linear(w, np.eye(w.shape[0]))
+    w_inv = kernel.inverse(w)
     return w @ r @ w_inv, w_inv @ g @ w
 
 
@@ -223,7 +223,20 @@ class SolutionSet:
         evidence, computed on first read (one Stein solve) and kept. The
         solutions never need it; a ConvergenceError from the Stein solve
         is raised at every read."""
-        return None if self.null else compute_w(self.g, self.k, self.r)
+        return None if self.null else compute_w(self.g, self.k, self.r, self.k_inv)
+
+    @functools.cached_property
+    def k_inv(self):
+        """K^-1, formed on first read and kept: W, its Stein certificate,
+        the sign certificate and the M-matrix check of -K read the one
+        inverse (-K^-1 is the inverse of -K bit for bit). A
+        SingularMatrixError is raised at every read."""
+        return kernel.inverse(self.k)
+
+    @functools.cached_property
+    def khat_inv(self):
+        """Khat^-1, formed on first read and kept, as `k_inv` is."""
+        return kernel.inverse(self.khat)
 
     @functools.cached_property
     def spectra(self):

@@ -11,6 +11,7 @@ compact double-shift Khat formula).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -48,7 +49,9 @@ class Certificate:
         return self.status == "pass"
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        # the fields are immutable: asdict's deep copy of each buys nothing
+        return {"name": self.name, "residual": self.residual, "tolerance": self.tolerance,
+                "status": self.status, "context": self.context}
 
 
 def _cert(name, residual, tolerance, context=""):
@@ -68,10 +71,16 @@ def check_mmatrix(m, name="M"):
     """Certify that `m` is a nonsingular M-matrix: off-diagonal entries
     nonpositive and an entrywise (near-)nonnegative inverse."""
     a = kernel.as_square(m)
+    return _mmatrix_cert(a, lambda: kernel.inverse(a), name)
+
+
+def _mmatrix_cert(a, inverse, name):
+    """check_mmatrix of `a`, with its inverse from `inverse()`, which may
+    raise SingularMatrixError."""
     off = a - np.diag(np.diag(a))
     violation = max(float(np.max(off)), 0.0)
     try:
-        inv = kernel.solve_linear(a, np.eye(a.shape[0]))
+        inv = inverse()
     except kernel.SingularMatrixError:
         return Certificate(
             f"mmatrix:{name}", float("inf"), MMATRIX_TOL, "fail", "numerically singular"
@@ -88,9 +97,8 @@ def check_sign_property(sol, perron):
     """
     if perron.v_g is None or perron.u_rhat is None:
         raise ValueError("solution-side Perron vectors missing")
-    eye = np.eye(sol.k.shape[0])
-    p1 = float(perron.v_g @ kernel.solve_linear(sol.k, eye) @ perron.u_r)
-    p2 = float(perron.v_ghat @ kernel.solve_linear(sol.khat, eye) @ perron.u_rhat)
+    p1 = float(perron.v_g @ sol.k_inv @ perron.u_r)
+    p2 = float(perron.v_ghat @ sol.khat_inv @ perron.u_rhat)
     return (
         _cert("sign:v_G.K^-1.u_R", p1, SIGN_TOL, context=f"margin {-p1:.6g}"),
         _cert("sign:v_Ghat.Khat^-1.u_Rhat", p2, SIGN_TOL, context=f"margin {-p2:.6g}"),
@@ -101,14 +109,22 @@ DET_SEED = 20260808
 
 
 def _det_points(xi_values, count=DET_POINT_COUNT, seed=DET_SEED):
-    """Deterministic sample points away from the shift poles."""
+    """Deterministic sample points away from the shift poles: the first
+    `count` points 1.37 exp(2 pi i u) of the seeded uniform stream u that
+    lie farther than 0.05 from every xi, as Python complex numbers.
+
+    The uniforms are drawn `count` at a time, which continues one PCG64
+    stream as single draws do. The distance is np.hypot of the real and
+    imaginary parts, which rounds as abs() of a complex number does.
+    """
     rng = np.random.default_rng(seed)
-    points = []
+    xi = np.asarray(xi_values, dtype=float)[:, None]
+    points = np.empty(0, dtype=complex)
     while len(points) < count:
-        z = complex(1.37 * np.exp(2j * np.pi * rng.uniform()))
-        if all(abs(z - xi) > 0.05 for xi in xi_values):
-            points.append(z)
-    return points
+        z = 1.37 * np.exp(2j * np.pi * rng.uniform(size=count))
+        gap = z - xi
+        points = np.append(points, z[(np.hypot(gap.real, gap.imag) > 0.05).all(axis=0)])
+    return points[:count].tolist()
 
 
 def _det_identity_cert(transform, det_b, xi_amp):
@@ -130,7 +146,13 @@ def _det_identity_cert(transform, det_b, xi_amp):
     return _cert(f"{transform.kind.value}:det-identity", worst, max(DET_RTOL, xi_amp))
 
 
-def _replacement_gap(shifted_eigs, original_eigs, removed, seed):
+def _replacement_points(removed, n, seed=DET_SEED):
+    """The points of the replacement claims of n x n matrices with
+    `removed` -> 0: n + 2 or more, away from `removed`."""
+    return np.array(_det_points((removed,), count=max(DET_POINT_COUNT, n + 2), seed=seed))
+
+
+def _replacement_gap(shifted_eigs, original_eigs, removed, points_without):
     """Largest relative gap of det(zI - M_s)(z - removed) = z det(zI - M),
     the claim spectrum(M_s) = spectrum(M) with `removed` -> 0, from the
     eigenvalues of both matrices.
@@ -144,11 +166,9 @@ def _replacement_gap(shifted_eigs, original_eigs, removed, seed):
     and just as well conditioned away from the spectra. A defective zero
     cluster (structural zero rows) moves each of its k eigenvalues by up
     to (eps ||M||)^(1/k), but not their symmetric functions, which are all
-    the product sees.
+    the product sees. The points are points_without(removed).
     """
-    points = np.array(_det_points(
-        (removed,), count=max(DET_POINT_COUNT, len(shifted_eigs) + 2), seed=seed
-    ))
+    points = points_without(removed)
 
     def char_poly(eigs):
         return np.prod(points[:, None] - eigs[None, :], axis=1)
@@ -158,10 +178,12 @@ def _replacement_gap(shifted_eigs, original_eigs, removed, seed):
     return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)))
 
 
-def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed, seed=None):
-    """Certify spectrum(M_s) = spectrum(M) with `removed` -> 0."""
-    gap = _replacement_gap(shifted_eigs, original_eigs, removed,
-                           DET_SEED if seed is None else seed)
+def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed,
+                               points_without=None):
+    """Certify spectrum(M_s) = spectrum(M) with `removed` -> 0, at the
+    points_without(removed) (default: _replacement_points at DET_SEED)."""
+    gap = _replacement_gap(shifted_eigs, original_eigs, removed, points_without or (
+        lambda x: _replacement_points(x, len(shifted_eigs))))
     return _cert(name, gap, DET_RTOL)
 
 
@@ -195,8 +217,9 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         _cert("id:A-1=-Rhat.Khat", kernel.inf_norm(bm + rhat @ khat), IDENTITY_TOL),
         _cert("id:A1.G=R.A-1", kernel.inf_norm(bp @ g - r @ bm), IDENTITY_TOL),
         _cert("id:A-1.Ghat=Rhat.A1", kernel.inf_norm(bm @ ghat - rhat @ bp), IDENTITY_TOL),
-        check_mmatrix(-k, "-K"),
-        check_mmatrix(-khat, "-Khat"),
+        # the inverse of -K is -K^-1 bit for bit: the set's one inverse serves
+        _mmatrix_cert(-k, lambda: -sol.k_inv, "-K"),
+        _mmatrix_cert(-khat, lambda: -sol.khat_inv, "-Khat"),
     ]
     certs.extend(check_sign_property(sol, perron))
     # rho(G) and rho(R) from the spectra the root certificate reads
@@ -236,13 +259,12 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
     else:
         w = sol.w
         eye = np.eye(model.n)
-        k_inv = kernel.solve_linear(k, eye)
-        w_inv = kernel.solve_linear(w, eye)
+        w_inv = kernel.inverse(w)
         # ||W|| ~ 1/gap near null recurrence: absolute tolerances would
         # flag perfectly conditioned-relative solutions there
         w_scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
         certs.append(
-            _cert("W:stein", kernel.inf_norm(w - g @ w @ r - k_inv),
+            _cert("W:stein", kernel.inf_norm(w - g @ w @ r - sol.k_inv),
                   IDENTITY_TOL * w_scale)
         )
         certs.append(
@@ -265,7 +287,7 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
     return certs
 
 
-def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_seed,
+def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_without,
                      route, eigvals):
     kind = transform.kind.value
     shifted = transform.shifted
@@ -281,10 +303,11 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
     surgery = [0.0]
     if transform.q is not None:
         surgery.append(_replacement_gap(eigvals((eye - transform.q) @ sol.g),
-                                        eigvals(sol.g), transform.xi_n, det_seed))
+                                        eigvals(sol.g), transform.xi_n, points_without))
     if transform.s is not None:
         surgery.append(_replacement_gap(eigvals(sol.r @ (eye - transform.s)),
-                                        eigvals(sol.r), 1.0 / transform.xi_n1, det_seed))
+                                        eigvals(sol.r), 1.0 / transform.xi_n1,
+                                        points_without))
     # A splitting root solved for near coalescence carries error ~eps/gap,
     # which enters the shifted coefficients; exactly null-recurrent
     # instances use xi = 1 exactly and are unaffected.
@@ -314,14 +337,14 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, det_see
         certs.append(
             _spectrum_replacement_cert(
                 f"{kind}:spec:G_s-replacement", eigvals(g_s), eigvals(sol.g),
-                transform.xi_n, seed=det_seed,
+                transform.xi_n, points_without,
             )
         )
     if transform.s is not None:
         certs.append(
             _spectrum_replacement_cert(
                 f"{kind}:spec:R_s-replacement", eigvals(r_s), eigvals(sol.r),
-                1.0 / transform.xi_n1, seed=det_seed,
+                1.0 / transform.xi_n1, points_without,
             )
         )
     try:
@@ -444,12 +467,19 @@ def check_identity_suite(model, cls, sol, perron, samples=16, routes=None,
             spectra[key] = np.linalg.eigvals(m)
         return spectra[key]
 
+    # the kinds share their moved points xi_n and 1/xi_{n+1}: one point
+    # set per moved point
+    @functools.cache
+    def points_without(removed):
+        return _replacement_points(removed, model.n, det_seed)
+
     certs = _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r)
     for kind in shift_mod.ShiftKind:
         route = routes.get(kind)
         transform = (route.transform if isinstance(route, shift_mod.ShiftRoute)
                      else shift_mod.build_transform(model, cls, perron, kind))
         certs.extend(_transform_certs(
-            model, cls, sol, perron, transform, samples, det_b, det_seed, route, eigvals
+            model, cls, sol, perron, transform, samples, det_b, points_without, route,
+            eigvals,
         ))
     return certs

@@ -1,0 +1,161 @@
+"""Time two qbdshift source trees on one benchmark workload, alternating.
+
+    python tests/interleave_bench.py PARENT_SRC CHANGE_SRC WORKLOAD [ROUNDS]
+
+PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.
+WORKLOAD is a workload of `qbdbench/workloads.py`, at seed 1. ROUNDS
+defaults to 10.
+
+The script starts one worker process per tree, each with one BLAS thread
+and its own copy of the workload's model files. Each worker runs one
+untimed round, then the two take turns: one round in one worker, then one
+in the other, the parent first in even rounds and the change first in odd
+ones. A round is a benchmark round: per model one certified solve
+(`cli.main(["solve", MODEL, "--json", REPORT, "--quiet"])`) and its
+solution operations (`shift.reference_solution(triple,
+model.classify(triple))`). Probes run but are not timed, and neither is an
+operation that fails; failures are counted.
+
+Timings of one process drift with the machine's load; alternating rounds
+puts the two trees under the same drift, so their difference shows where
+back-to-back runs of `qbdbench/run.py` would not. The script prints, per
+operation, the median seconds of each side over every round, the
+relative change, and in how many rounds the change's median was the
+lower, then the failed operations per round of each side. pytest does
+not collect this file.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "qbdbench"))
+
+import workloads  # noqa: E402
+
+OPS = ("solve", "solution")
+SEED = 1
+
+
+def worker(src, workload, work):
+    """Serve rounds on stdin: each line "round" runs one and answers with
+    one JSON line {op: [seconds, ...], "failed": count}; end of input
+    stops."""
+    sys.path.insert(0, src)
+    from qbdshift import cli, model, shift
+
+    insts = workloads.instances(workload, SEED)
+    paths = [Path(work) / f"{inst.name}.json" for inst in insts]
+    for inst, path in zip(insts, paths):
+        workloads.write_model(path, inst)
+    triples = {inst.name: cli.read_model(path)[0]
+               for inst, path in zip(insts, paths) if inst.solutions}
+
+    def one_round():
+        times = {op: [] for op in OPS}
+        times["failed"] = 0
+        for inst, path in zip(insts, paths):
+            report = str(path.with_suffix(".report.json"))
+            start = time.perf_counter()
+            try:
+                code = cli.main(["solve", str(path), "--json", report, "--quiet"])
+            except Exception:  # a failed operation is counted, not timed
+                code = None
+            elapsed = time.perf_counter() - start
+            times["failed"] += code != 0
+            if code == 0 and not inst.probe:
+                times["solve"].append(elapsed)
+            for _ in range(inst.solutions):
+                triple = triples[inst.name]
+                start = time.perf_counter()
+                try:
+                    shift.reference_solution(triple, model.classify(triple))
+                except Exception:  # a failed operation is counted, not timed
+                    times["failed"] += 1
+                    continue
+                times["solution"].append(time.perf_counter() - start)
+        return times
+
+    one_round()
+    print("ready", flush=True)
+    for line in sys.stdin:
+        if line.strip() == "round":
+            print(json.dumps(one_round()), flush=True)
+
+
+def start_worker(src, workload, work):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH="")
+    proc = subprocess.Popen(
+        [sys.executable, __file__, "--worker", str(src), workload, str(work)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    if proc.stdout.readline().strip() != "ready":
+        raise SystemExit(f"worker for {src} failed to start")
+    return proc
+
+
+def run_round(proc):
+    proc.stdin.write("round\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise SystemExit("a worker exited early")
+    return json.loads(line)
+
+
+def main(argv):
+    if len(argv) not in (3, 4):
+        sys.exit(__doc__)
+    sides = [Path(p).resolve() for p in argv[:2]]
+    workload, rounds = argv[2], int(argv[3]) if len(argv) == 4 else 10
+    for src in sides:
+        if not (src / "qbdshift" / "__init__.py").is_file():
+            sys.exit(f"no qbdshift package under {src}")
+    if workload not in workloads.WORKLOADS:
+        sys.exit(f"unknown workload {workload!r}; one of {sorted(workloads.WORKLOADS)}")
+    times = [{op: [] for op in OPS} for _ in sides]
+    failed = [0, 0]
+    round_medians = [{op: [] for op in OPS} for _ in sides]
+    with tempfile.TemporaryDirectory() as tmp:
+        procs = []
+        for label, src in zip(("parent", "change"), sides):
+            (Path(tmp) / label).mkdir()
+            procs.append(start_worker(src, workload, Path(tmp) / label))
+        try:
+            for i in range(rounds):
+                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    got = run_round(procs[side])
+                    failed[side] += got["failed"]
+                    for op in OPS:
+                        times[side][op] += got[op]
+                        if got[op]:
+                            round_medians[side][op].append(statistics.median(got[op]))
+        finally:
+            for proc in procs:
+                proc.stdin.close()
+                proc.wait()
+    print(f"{workload} seed {SEED}: {rounds} alternating rounds per side")
+    print(f"{'op':10s} {'parent':>12s} {'change':>12s} {'change':>9s}  change lower")
+    for op in OPS:
+        if not times[0][op] or not times[1][op]:
+            print(f"{op:10s} no timed operations on one side")
+            continue
+        old, new = (statistics.median(t[op]) for t in times)
+        wins = sum(b < a for a, b in zip(round_medians[0][op], round_medians[1][op]))
+        print(f"{op:10s} {old * 1e3:9.3f} ms {new * 1e3:9.3f} ms {new / old - 1.0:+8.1%}  "
+              f"{wins} of {min(len(round_medians[0][op]), len(round_medians[1][op]))} rounds")
+    print(f"failed per round: parent {failed[0] / rounds:g}, change {failed[1] / rounds:g}")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(*sys.argv[2:5])
+    else:
+        sys.exit(main(sys.argv[1:]))

@@ -2,11 +2,13 @@
 quadratic formula, the symmetric-circulant closed form for the 2x2
 null-recurrent instance, the monotone fixed-point iteration for G, naive
 dense helpers that bypass the package implementations, the 60-digit
-splitting root of det B(z)/(z - 1) (mpmath), and the scipy
+splitting root of det B(z)/(z - 1) (mpmath), the scipy
 forms the package no longer uses (the companion-pencil QZ, the exact
 bottleneck root matching, LU with a pivot test, the two-sided dense
-eigensolve, strongly connected components). scipy comes with the test
-extra only."""
+eigensolve, strongly connected components), and the loop forms of
+kernel and certificate primitives that now run with less numpy dispatch
+(the bit-identity oracles at the end). scipy comes with the test extra
+only."""
 
 import bisect
 import cmath
@@ -492,3 +494,96 @@ def sorted_roots_loop(values, tie_rtol=1e-8):
         out.extend(sorted(vals[i:j], key=lambda z: (real_positive(z), z.real, z.imag)))
         i = j
     return np.asarray(out, dtype=complex)
+
+
+# Bit-identity oracles: the loop and two-sided forms that the package
+# replaced with leaner code computing the same bits.
+
+
+def inf_norm_wrapped(m):
+    """The infinity norm through the np.max and np.sum wrappers."""
+    a = np.asarray(m)
+    if a.ndim == 1:
+        return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+
+
+def inverse_by_solve(m):
+    """M^-1 as one np.linalg.solve(M, I) with the pivot and condition test
+    and one refinement step against I."""
+    from qbdshift import kernel
+
+    a = np.asarray(m, dtype=float)
+    eye = np.eye(a.shape[0])
+    try:
+        inv = np.linalg.solve(a, eye)
+    except np.linalg.LinAlgError:
+        raise kernel.SingularMatrixError("matrix is exactly singular") from None
+    if inf_norm_wrapped(a) * inf_norm_wrapped(inv) > 1.0 / kernel.PIVOT_RTOL:
+        raise kernel.SingularMatrixError("matrix is numerically singular")
+    return inv + inv @ (eye - a @ inv)
+
+
+def perron_two_sided(m):
+    """(radius, right, left) of a nonnegative matrix in one call: power
+    iteration on both sides when the right one converges, else (or when
+    the left one stalls) both vectors from dense eigendecompositions of
+    `m` and its transpose, polished by eight power steps on m + I and its
+    transpose. Same residual check as kernel.perron, on both sides."""
+    from qbdshift import kernel
+
+    a = np.asarray(m, dtype=float)
+    right = kernel._power(a)
+    left = kernel._power(a.T) if right else None
+    if left:
+        radius, right, left = right[0], right[1], left[1]
+    else:
+        shifted = a + np.eye(a.shape[0])
+        found = []
+        for mat, polish in ((a, shifted), (a.T, shifted.T)):
+            vals, vecs = np.linalg.eig(mat)
+            rho = float(np.max(np.abs(vals)))
+            candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * rho)
+            v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
+            if v[int(np.argmax(np.abs(v)))] < 0:
+                v = -v
+            for _ in range(8):
+                v = polish @ v
+                v /= np.max(np.abs(v))
+            found.append((rho, v))
+        (radius, right), (_, left) = found
+    if radius == 0.0:
+        raise ValueError("a nilpotent matrix has no Perron vector")
+    residual = max(inf_norm_wrapped(a @ right - radius * right),
+                   inf_norm_wrapped(left @ a - radius * left))
+    if residual > kernel.EIGEN_RTOL * max(radius, 1.0):
+        raise kernel.ConvergenceError("Perron residual above tolerance", residual=residual)
+    return radius, right, left
+
+
+def det_points_loop(xi_values, count, seed):
+    """The determinant sample points drawn one uniform at a time: z =
+    1.37 exp(2 pi i u), kept when abs(z - xi) > 0.05 for every xi."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        z = complex(1.37 * np.exp(2j * np.pi * rng.uniform()))
+        if all(abs(z - xi) > 0.05 for xi in xi_values):
+            points.append(z)
+    return points
+
+
+def factorization_residual_per_sample(poly, fact, samples=16):
+    """matpoly.factorization_residual with one elementwise pass per
+    sample point, in a Python loop over the samples."""
+    from qbdshift import matpoly
+
+    points = matpoly.unit_circle_samples(samples) if isinstance(samples, int) else samples
+    low, high = poly.b_minus, poly.b_plus
+    if fact.direction == "z_inverse":
+        low, high = high, low
+    lm = fact.left @ fact.middle
+    c_low = low + fact.middle @ fact.right
+    c_mid = poly.b_zero - fact.middle - lm @ fact.right
+    c_high = high + lm
+    return max(float(np.max(np.abs(c_low / z + c_mid + z * c_high))) for z in points)

@@ -20,7 +20,8 @@ for example of a commit and of its parent. The script
    name: a name on one side only, or shared names in another order) and
    in the status, tolerance and context of each shared name, then the
    number of certificate residuals that moved, the largest relative move
-   and the largest move as a fraction of the certificate's tolerance.
+   and the largest move as a fraction of the certificate's tolerance, and
+   then, per model, each residual that moved with its relative move.
    A field that differs is shown with each key present on one side only,
    for each matrix present on both sides its largest entry move relative
    to its largest entry, and each other single value that changed.
@@ -218,6 +219,11 @@ def main(argv):
             print(f"; largest move over tolerance {worst[1]:.3g} "
                   f"({worst[3]} on {worst[2]})", end="")
     print()
+    by_model = {}
+    for move in moves:
+        by_model.setdefault(move[2], []).append(f"{move[3]} {move[0]:.3g}")
+    for name, moved in by_model.items():
+        print(f"  {name}: {', '.join(moved)}")
     return 1 if diffs or moves else 0
 
 

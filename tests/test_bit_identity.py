@@ -1,0 +1,155 @@
+"""The lean kernel and certificate primitives against the loop and
+two-sided forms they replaced (oracles.py): the same bits, not just close
+values, so that no report moves.
+
+- `kernel.inverse` (np.linalg.inv) against np.linalg.solve(M, I) with the
+  same condition test and refinement, n from 1 to 130;
+- `kernel.inf_norm` against the np.max/np.sum form, 1-D and empty inputs
+  included;
+- one-sided `kernel.perron` (a left vector is `perron(m.T)`) against the
+  two-sided form on C-ordered matrices, as the package passes them;
+- `verify._det_points` (uniforms drawn `count` at a time) against one
+  draw at a time, with real poles near the 1.37 circle so that points are
+  rejected;
+- `matpoly.factorization_residual` (samples in blocks) against one pass
+  per sample, n from 1 to 130 across the block edges, default and
+  explicit sample lists.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from qbdshift import kernel, matpoly, verify
+from test_kernel import PATTERNS, patterned_matrix
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
+        return type(exc), str(exc)
+
+
+class TestInverse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 130), SEEDS, st.sampled_from(["normal", "rank-deficient", "m-matrix"]))
+    def test_matches_solve_with_identity(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        if kind == "rank-deficient" and n > 1:
+            m[-1] = m[0]
+        elif kind == "m-matrix":
+            m = np.diag(np.full(n, 1.0 + n)) - rng.uniform(0.0, 1.0, (n, n))
+        got = outcome(kernel.inverse, m)
+        want = outcome(oracles.inverse_by_solve, m)
+        if isinstance(want, tuple):
+            assert got[0] is want[0]
+        else:
+            assert np.array_equal(got, want)
+            # the inverse of -M is -M^-1, bit for bit: one inverse serves both
+            assert np.array_equal(kernel.inverse(-m), -got)
+
+    @pytest.mark.parametrize("m", [[[0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                                   [[1.0, 1.0], [1.0, 1.0 + 1e-15]]],
+                             ids=["zero", "rank-one", "near-singular"])
+    def test_singular_raises(self, m):
+        with pytest.raises(kernel.SingularMatrixError):
+            kernel.inverse(np.array(m))
+
+
+class TestInfNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 40), st.integers(0, 40), SEEDS)
+    def test_matches_wrapped_form(self, ndim, rows, cols, seed):
+        shape = ((), (rows,), (rows, cols), (rows, cols, 2))[ndim]
+        a = np.random.default_rng(seed).standard_normal(shape)
+        got, want = outcome(kernel.inf_norm, a), outcome(oracles.inf_norm_wrapped, a)
+        # 0-d input has no axis 1 in either form
+        assert got[0] is want[0] if isinstance(want, tuple) else got == want
+
+    @pytest.mark.parametrize("a", [[], [-3.0, 2.0], np.zeros((0, 0)), np.zeros((3, 0)),
+                                   [[1.0, -2.0], [-4.0, 0.5]]])
+    def test_lists_and_empty(self, a):
+        assert kernel.inf_norm(a) == oracles.inf_norm_wrapped(a)
+
+
+class TestPerron:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PATTERNS), st.integers(1, 12), SEEDS)
+    def test_one_sided_matches_two_sided(self, pattern, n, seed):
+        m = patterned_matrix(pattern, n, seed) if n > 1 else np.array([[0.5]])
+        right_stalls = kernel._power(m) is None
+        left_stalls = kernel._power(m.T) is None
+        want = outcome(oracles.perron_two_sided, m)
+        got = outcome(kernel.perron, m), outcome(kernel.perron, m.T)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            # a nilpotent matrix raises on either side
+            assert want[0] in (got[0][0], got[1][0])
+            return
+        radius, right, left = want
+        if right_stalls == left_stalls:
+            # both sides on one path, power iteration or dense
+            assert got[0][0] == radius
+            assert np.array_equal(got[0][1], right)
+            assert np.array_equal(got[1][1], left)
+        else:
+            # exactly one side stalls: the two-sided form took both vectors
+            # from the dense path, one-sided calls only the stalled one
+            stalled, other = (0, 1) if right_stalls else (1, 0)
+            assert np.array_equal(got[stalled][1], (right, left)[stalled])
+            np.testing.assert_allclose(got[other][1], (right, left)[other], rtol=0, atol=1e-9)
+
+
+class TestDetPoints:
+    # real poles within 0.05 of the 1.37 circle reject the points near them
+    POLES = st.one_of(st.floats(1.3, 1.45), st.floats(-1.45, -1.3),
+                      st.sampled_from([0.0, 0.5, 1.0, np.inf]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(POLES, max_size=4), st.integers(1, 60), SEEDS)
+    def test_matches_one_draw_at_a_time(self, xi, count, seed):
+        got = verify._det_points(tuple(xi), count=count, seed=seed)
+        want = oracles.det_points_loop(tuple(xi), count, seed)
+        assert all(type(z) is complex for z in got)
+        assert np.array_equal(np.array(got), np.array(want))
+
+    def test_rejected_points_are_skipped(self):
+        # about 1 point in 90 lies within 0.05 of a pole on the circle
+        free = verify._det_points((), count=300)
+        got = verify._det_points((1.37, -1.37), count=300)
+        assert got == oracles.det_points_loop((1.37, -1.37), 300, verify.DET_SEED)
+        assert got != free
+        assert set(got) < set(free + verify._det_points((), count=400))
+
+
+class TestFactorizationResidual:
+    @staticmethod
+    def instance(n, seed, direction):
+        rng = np.random.default_rng(seed)
+        bm, b0, bp, left, middle, right = (rng.standard_normal((n, n)) for _ in range(6))
+        poly = matpoly.QuadMatPoly(bm, b0, bp)
+        return poly, matpoly.Factorization(direction, left, middle, right)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 130), SEEDS, st.sampled_from(["z", "z_inverse"]),
+           st.one_of(st.integers(1, 40),
+                     st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                                 allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=40)))
+    def test_matches_one_pass_per_sample(self, n, seed, direction, samples):
+        poly, fact = self.instance(n, seed, direction)
+        assert (matpoly.factorization_residual(poly, fact, samples)
+                == oracles.factorization_residual_per_sample(poly, fact, samples))
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 31, 32, 33, 64, 65, 128])
+    @pytest.mark.parametrize("samples", [16, [1.0, -1.0, 0.5], [2, -3]],
+                             ids=["default", "real", "integer"])
+    def test_block_edges(self, n, samples):
+        poly, fact = self.instance(n, n, "z")
+        assert (matpoly.factorization_residual(poly, fact, samples)
+                == oracles.factorization_residual_per_sample(poly, fact, samples))

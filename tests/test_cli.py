@@ -377,23 +377,95 @@ class TestMain:
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     def test_block_sum_perron_once(self, tmp_path, monkeypatch, kind):
-        # classify keeps the Perron vector of A_-1 + A_0 + A_1; perron_data
-        # reads it at the unit root instead of recomputing it
+        # classify keeps the left Perron vector of A_-1 + A_0 + A_1, one
+        # one-sided call on its transpose; perron_data reads it at the unit
+        # root instead of recomputing it, and nothing asks for its right one
         from qbdshift import kernel
 
         path = tmp_path / "gen.json"
         assert cli.main(["gen", kind, "-n", "16", "--seed", "1", "--out", str(path)]) == 0
         triple, _ = cli.read_model(path)
-        on_sum = []
+        left_on_sum, right_on_sum = [], []
         real_perron = kernel.perron
 
         def counted(m):
-            on_sum.append(np.array_equal(m, triple.a_sum()))
+            left_on_sum.append(np.array_equal(m.T, triple.a_sum()))
+            right_on_sum.append(np.array_equal(m, triple.a_sum()))
             return real_perron(m)
 
         monkeypatch.setattr(kernel, "perron", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
-        assert sum(on_sum) == 1
+        assert sum(left_on_sum) == 1
+        assert sum(right_on_sum) == 0
+
+    @pytest.mark.parametrize("kind, expected", [("positive", 12), ("transient", 12),
+                                                ("null", 7)])
+    def test_power_iterations_per_solve(self, tmp_path, monkeypatch, kind, expected):
+        # one power iteration per Perron vector or radius asked for: classify
+        # 2 (theta; rho of the matched shift's R or G, none at null
+        # recurrence), perron_data 2 (one vector per side of A(xi), none at
+        # null recurrence), complete_perron_data 4, the Stein divergence
+        # guard 2 (no W at null recurrence), rho(Ghat) and rho(Rhat) 2
+        from qbdshift import kernel
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "8", "--seed", "1", "--out", str(path)]) == 0
+        calls = []
+        real_power = kernel._power
+
+        def counted(a):
+            calls.append(a.shape)
+            return real_power(a)
+
+        monkeypatch.setattr(kernel, "_power", counted)
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("kind", ["positive", "transient", "null"])
+    def test_k_and_khat_inverted_once(self, tmp_path, monkeypatch, kind):
+        # W, its Stein certificate, the sign certificate, the M-matrix
+        # checks of -K and -Khat and the null hats read one inverse each
+        from qbdshift import kernel, solvers
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "8", "--seed", "1", "--out", str(path)]) == 0
+        sets, inverted = [], []
+        real_set, real_inverse = solvers.solution_set, kernel.inverse
+
+        def recorded_set(*args):
+            sets.append(real_set(*args))
+            return sets[-1]
+
+        def recorded_inverse(m):
+            inverted.append(np.array(m))
+            return real_inverse(m)
+
+        monkeypatch.setattr(solvers, "solution_set", recorded_set)
+        monkeypatch.setattr(kernel, "inverse", recorded_inverse)
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+
+        def inverts(x):
+            return [any(np.array_equal(m, sign * s) for s in x for sign in (1, -1))
+                    for m in inverted]
+
+        on_k, on_khat = inverts([s.k for s in sets]), inverts([s.khat for s in sets])
+        # two inversions in all: the null model here has A_1 = A_-1, so
+        # Khat = K and each inversion matches both
+        assert sum(a or b for a, b in zip(on_k, on_khat)) == 2
+        assert any(on_k) and any(on_khat)
+
+    def test_certificates_written_without_asdict(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", "positive", "-n", "4", "--seed", "1", "--out",
+                         str(path)]) == 0
+        calls = []
+        real_asdict = dataclasses.asdict
+        monkeypatch.setattr(dataclasses, "asdict",
+                            lambda *a, **k: calls.append(a) or real_asdict(*a, **k))
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert not calls
 
     def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
         # replacement claims take one eigensolve per matrix; only the

@@ -97,6 +97,13 @@ def dense_calls(monkeypatch):
     return calls
 
 
+def perron_pair(m):
+    """(radius, right, left) from two one-sided calls: the left vector of
+    m is the right vector of its transpose."""
+    radius, right = kernel.perron(m)
+    return radius, right, kernel.perron(m.T)[1]
+
+
 def assert_perron(m, radius, right, left):
     scale = max(radius, 1.0)
     assert kernel.inf_norm(m @ right - radius * right) <= kernel.EIGEN_RTOL * scale
@@ -107,21 +114,21 @@ def assert_perron(m, radius, right, left):
 
 class TestPerronPair:
     def test_scalar_unit_sum(self):
-        radius, right, left = kernel.perron(np.array([[0.5]]))
+        radius, right, left = perron_pair(np.array([[0.5]]))
         assert radius == pytest.approx(0.5)
         assert right == pytest.approx([1.0])
         assert left == pytest.approx([1.0])
 
     def test_doubly_stochastic(self):
         m = np.array([[0.3, 0.7], [0.7, 0.3]])
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert radius == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
 
     def test_n2_block_sum(self):
         a = np.array(oracles.N2[0]) + np.array(oracles.N2[1]) + np.array(oracles.N2[2])
-        radius, right, _ = kernel.perron(a)
+        radius, right = kernel.perron(a)
         assert radius == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
 
@@ -129,7 +136,7 @@ class TestPerronPair:
     def test_residuals_on_random_irreducible(self, seed, dense_calls):
         rng = np.random.default_rng(100 + seed)
         m = rng.uniform(0.01, 1.0, (6, 6))
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert_perron(m, radius, right, left)
         assert np.min(right) > 0 and np.min(left) > 0
         assert not dense_calls  # positive vectors: the power path
@@ -137,7 +144,7 @@ class TestPerronPair:
     def test_periodic_takes_power_path(self, dense_calls):
         # a weighted 4-cycle: period 4, eigenvalues on one circle
         m = np.roll(np.diag([0.5, 0.8, 0.4, 0.9]), 1, axis=1)
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert radius == pytest.approx(0.144 ** 0.25, rel=1e-12)
         assert_perron(m, radius, right, left)
         assert np.min(right) > 0 and np.min(left) > 0
@@ -148,7 +155,7 @@ class TestPerronPair:
         m = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 0.0], [0.2, 0.6, 0.2]])
         if zero == "column":
             m = m.T
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert_perron(m, radius, right, left)
         # a zero row zeroes the right vector there, a zero column the left
         vec = right if zero == "row" else left
@@ -157,7 +164,7 @@ class TestPerronPair:
 
     def test_block_triangular_takes_dense_path(self, dense_calls):
         m = np.array([[0.5, 0.2], [0.0, 0.3]])
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert radius == pytest.approx(0.5, rel=1e-12)
         np.testing.assert_allclose(right, [1.0, 0.0], atol=1e-13)
         np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
@@ -177,7 +184,7 @@ class TestPerronPair:
     @given(st.sampled_from(PATTERNS), st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_property_over_patterns(self, pattern, n, seed):
         m = patterned_matrix(pattern, n, seed)
-        radius, right, left = kernel.perron(m)
+        radius, right, left = perron_pair(m)
         assert radius == pytest.approx(oracles.naive_spectral_radius(m), rel=1e-11)
         assert_perron(m, radius, right, left)
         # structural zeros of a dense-path vector carry eigensolver noise
@@ -322,7 +329,8 @@ class TestAgainstScipyForms:
     @pytest.mark.parametrize("pattern, seed", CASES)
     def test_dense_perron(self, pattern, seed):
         m = patterned_matrix(pattern, 2 + seed % 7, seed)
-        radius, right, left = kernel._dense_perron(m)
+        radius, right = kernel._dense_perron(m)
+        left = kernel._dense_perron(m.T)[1]
         want_radius, want_right, want_left = oracles.dense_perron_two_sided(m)
         assert radius == pytest.approx(want_radius, rel=1e-11)
         np.testing.assert_allclose(right, want_right, rtol=0, atol=1e-9)
