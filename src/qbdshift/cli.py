@@ -3,9 +3,14 @@ end-to-end solve pipelines with certificates, and benchmarking.
 
 Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 "a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
-documents carrying "schema": 2; every number is reproducible from the
-model file and the flags (the "timing" field excepted). Schema 2 drops
-K and Khat from "direct": K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat.
+documents carrying "schema": 3; every number is reproducible from the
+model file and the flags (the "timing" field excepted). The "solution"
+block holds the set the certificates judged: its route ("direct", or the
+forward shift kind at or near null recurrence), G, R, Ghat, Rhat, W
+(null at null recurrence, with the reason in "W_reason"), the sweeps and
+the equation residuals. "direct" holds the sweeps and residuals of the
+direct solve, only where it ran. No report writes K or Khat: K = A_0 - I
++ A_1 G, Khat = A_0 - I + A_-1 Ghat.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -41,7 +46,7 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_CERTIFICATE = 5
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 GEN_KINDS = ("positive", "null", "transient")
 CYCLE_WEIGHT = 1e-3
@@ -146,34 +151,47 @@ def _roots_payload(rootset):
     }
 
 
-def _solution_payload(sol):
+def _equation_payload(sol):
     return {
-        "G": _flat(sol.g),
-        "R": _flat(sol.r),
-        "Ghat": _flat(sol.ghat),
-        "Rhat": _flat(sol.rhat),
-        "W": None if sol.w is None else _flat(sol.w),
         "iterations": dict(sol.iterations),
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
 
 
+def _solution_payload(sol):
+    """The certified set: its route, matrices, sweeps and residuals."""
+    return {
+        "route": sol.route,
+        "G": _flat(sol.g),
+        "R": _flat(sol.r),
+        "Ghat": _flat(sol.ghat),
+        "Rhat": _flat(sol.rhat),
+        "W": None if sol.w is None else _flat(sol.w),
+        "W_reason": solvers.NULL_W_REASON if sol.null else None,
+        **_equation_payload(sol),
+    }
+
+
 def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MAX_ITER,
                  samples=16, seed=None):
-    """Full pipeline on one model: classify, solve directly (at tol and
-    max_iter), solve through every shift kind (the report's shift route
-    is the picked kind's, omitted for via='direct'), certify, assemble
-    the report dict."""
+    """Full pipeline on one model: classify, solve the certified set on
+    the route reference_solution picks (the direct solve runs at tol and
+    max_iter, also for via='direct' when the set took a shift route),
+    solve through every shift kind (the report's shift route is the picked
+    kind's, omitted for via='direct'), certify, assemble the report
+    dict."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
-    direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
-    # Certify against the most accurate solution available: the direct
-    # route is only ~1e-7 accurate at null recurrence, which would show up
-    # as transport-residual noise rather than genuine identity failures.
-    reference = direct
-    if cls.kind is model_mod.Kind.NULL_RECURRENT:
-        reference = shift_mod.reference_solution(triple, cls)
-    perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
+    perron = model_mod.perron_data(triple, cls)
+    # the certificates judge the most accurate set there is: the direct
+    # solve is only ~1e-7 accurate at null recurrence and loses digits like
+    # eps over the root gap near it, where the shift routes keep them
+    reference = shift_mod.reference_solution(triple, cls, tol=tol, max_iter=max_iter,
+                                             perron=perron)
+    direct = reference if reference.route == "direct" else None
+    if direct is None and via == "direct":
+        direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
+    perron = model_mod.complete_perron_data(perron, reference)
     report = {
         "schema": SCHEMA_VERSION,
         "meta": meta,
@@ -186,8 +204,10 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
         # eig(G) + 1/eig(R), which spec:eig(G)+1/eig(R)=roots(B) certifies
         "roots": _roots_payload(matpoly.RootSet.from_spectra(*reference.spectra)),
         "via": via,
-        "direct": _solution_payload(direct),
+        "solution": _solution_payload(reference),
     }
+    if direct is not None:
+        report["direct"] = _equation_payload(direct)
     # one shifted solve per kind serves both the report's route and the
     # kind's round-trip certificate; a failed round trip is a certificate
     # failure, a failed route a solver failure
@@ -234,9 +254,14 @@ def _print_matrix(name, flat, n, out):
         print("    [" + "  ".join(f"{x: .12g}" for x in row) + "]", file=out)
 
 
+def _exponents(residuals):
+    return "  ".join(f"{k}:{np.log10(max(v, 1e-300)):.1f}" for k, v in residuals.items())
+
+
 def print_human_report(report, out=None):
     out = out or sys.stdout
-    n = int(round(len(report["direct"]["G"]) ** 0.5))
+    sol = report["solution"]
+    n = int(round(len(sol["G"]) ** 0.5))
     cls = report["classification"]
     print(f"classification: {cls['kind']}  drift={cls['drift']:.6g}  "
           f"xi_n={cls['xi_n']:.12g}  xi_n+1={cls['xi_n1']:.12g}", file=out)
@@ -244,15 +269,17 @@ def print_human_report(report, out=None):
         [abs(complex(re, im)) for re, im in report["roots"]["finite"]]
     ) + [float("inf")] * report["roots"]["n_infinite"]
     print("root moduli: " + "  ".join(f"{m:.6g}" for m in mods), file=out)
-    print(f"iterations: {report['direct']['iterations']}", file=out)
-    print("equation residual exponents: "
-          + "  ".join(
-              f"{k}:{np.log10(max(v, 1e-300)):.1f}"
-              for k, v in report["direct"]["residuals"].items()
-          ), file=out)
+    sweeps = sol["iterations"]
+    print(f"solution [{sol['route']}]: sweeps G={sweeps['G']} Ghat={sweeps['Ghat']}",
+          file=out)
+    print(f"equation residual exponents: {_exponents(sol['residuals'])}", file=out)
     if n <= 8:
         for name in ("G", "R", "Ghat", "Rhat"):
-            _print_matrix(name, report["direct"][name], n, out)
+            _print_matrix(name, sol[name], n, out)
+    if "direct" in report and sol["route"] != "direct":
+        direct = report["direct"]
+        print(f"direct solve: sweeps G={direct['iterations']['G']}  equation residual "
+              f"exponents: {_exponents(direct['residuals'])}", file=out)
     if "shift_route" in report:
         rt = report["shift_route"]
         print(f"shift route [{rt['kind']}]: iterations={rt['iterations']}  "

@@ -77,10 +77,13 @@ class QbdTriple:
 
 
 def validate(a_minus, a_zero, a_plus):
-    """Check nonnegativity, stochasticity of the sum, and irreducibility.
+    """Check nonnegativity, that some level transition exists,
+    stochasticity of the sum, and irreducibility.
 
-    No roots are computed here: the spectra of a solution set warn when
-    B(z) has unit-circle roots away from z = 1.
+    A_-1 = A_1 = 0 is refused: the levels never communicate, and det B(z)
+    = z^n det(A_0 - I) vanishes identically. No roots are computed here:
+    the spectra of a solution set warn when B(z) has unit-circle roots
+    away from z = 1.
     """
     blocks = []
     for name, raw in (("a_minus", a_minus), ("a_zero", a_zero), ("a_plus", a_plus)):
@@ -96,6 +99,8 @@ def validate(a_minus, a_zero, a_plus):
     a_m, a_0, a_p = blocks
     if not (a_m.shape == a_0.shape == a_p.shape):
         raise ValidationError("blocks differ in shape")
+    if not (a_m.any() or a_p.any()):
+        raise ValidationError("A_-1 = A_1 = 0: the levels never communicate")
     n = a_m.shape[0]
     row_sums = (a_m + a_0 + a_p).sum(axis=1)
     worst = float(np.max(np.abs(row_sums - 1.0)))

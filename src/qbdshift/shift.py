@@ -347,26 +347,33 @@ def solve_via(model, cls=None, kind="auto", perron=None, tol=solvers.CR_TOL,
 NEAR_NULL_GAP = 1e-3
 
 
-def reference_solution(model, cls=None):
-    """Most accurate available SolutionSet for a model.
+def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER,
+                       perron=None):
+    """The certified SolutionSet of a model: the one place that picks its
+    route, named by `sol.route`.
 
-    Well-separated models solve directly (quadratic cyclic reduction).
+    Well-separated models (xi_{n+1} - xi_n >= NEAR_NULL_GAP) solve
+    directly, by quadratic cyclic reduction at `tol` and `max_iter`.
     Null-recurrent ones go through the double shift; nearly-null ones
     through the class-matched single shift, whose shift point is the unit
-    root and therefore known exactly. Both routes run the reversed model
-    for (Ghat, Rhat), with its classification and Perron data derived
-    from the forward ones, and restore accuracy the direct route loses as
-    the splitting roots coalesce. Every shifted solve runs at CR_TOL and
-    CR_MAX_ITER. The nearly-null forward solve is the one classify made
-    to find the splitting root (`cls.matched`): the same shift, from the
-    same vectors e and theta at the exact unit root.
+    root and therefore known exactly. Both shift routes run the reversed
+    model for (Ghat, Rhat), with its classification and Perron data
+    derived from the forward ones, and restore accuracy the direct route
+    loses as the splitting roots coalesce. Every shifted solve runs at
+    CR_TOL and CR_MAX_ITER. The nearly-null forward solve is the one
+    classify made to find the splitting root (`cls.matched`): the same
+    shift, from the same vectors e and theta at the exact unit root.
+    `perron` is the a-priori Perron data of `model` (perron_data); a shift
+    route computes it when it is not given, the direct route never reads
+    it.
     """
     if cls is None:
         cls = model_mod.classify(model)
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
-        return solvers.solve_all(model, cls)
-    perron = model_mod.perron_data(model, cls)
+        return solvers.solve_all(model, cls, tol=tol, max_iter=max_iter)
+    if perron is None:
+        perron = model_mod.perron_data(model, cls)
     fwd = cls.matched
     if fwd is None:
         kind = ShiftKind.DOUBLE if null else pick_kind(cls)
@@ -378,4 +385,5 @@ def reference_solution(model, cls=None):
     k = b0 + model.a_plus @ fwd.g
     khat = b0 + model.a_minus @ rev.g
     return solvers.solution_set(model, fwd.g, fwd.r, rev.g, rev.r, k, khat,
-                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations}, null)
+                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations}, null,
+                                fwd.transform.kind.value)

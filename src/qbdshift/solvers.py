@@ -50,6 +50,8 @@ NEG_CLAMP = 1e-12
 # A root of B(z) this close to |z| = 1, and this far from z = 1, is on the
 # unit circle away from the unit root.
 UNIT_CIRCLE_TOL = 1e-6
+# Why a null-recurrent solution set has no W (SolutionSet.w is None).
+NULL_W_REASON = "W series diverges at null recurrence"
 
 
 def residual_g(bm, b0, bp, x):
@@ -205,6 +207,8 @@ class SolutionSet:
     """Minimal solutions with their coupling factors and solve metadata.
 
     `null` marks a null-recurrent model, where the W series diverges.
+    `route` names the route that solved the set: "direct", or the kind of
+    the forward shift ("right", "left", "double").
     """
 
     g: np.ndarray
@@ -214,6 +218,7 @@ class SolutionSet:
     k: np.ndarray
     khat: np.ndarray
     null: bool
+    route: str
     iterations: dict
     residuals: dict
 
@@ -257,11 +262,11 @@ class SolutionSet:
         return eig_g, eig_r
 
 
-def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):
+def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null, route):
     """The SolutionSet of solved (G, R, Ghat, Rhat, K, Khat), whichever
-    route solved them, with the infinity-norm residuals of the four
-    equations. W is not computed here: `SolutionSet.w` computes it on
-    first read."""
+    route solved them (named by `route`), with the infinity-norm residuals
+    of the four equations. W is not computed here: `SolutionSet.w`
+    computes it on first read."""
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     residuals = {
         "G": residual_g(bm, b0, bp, g),
@@ -270,7 +275,7 @@ def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null):
         "Rhat": residual_rhat(bm, b0, bp, rhat),
     }
     return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, null=null,
-                       iterations=iterations, residuals=residuals)
+                       route=route, iterations=iterations, residuals=residuals)
 
 
 def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
@@ -293,4 +298,4 @@ def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
     r, k = derive_r_k(b0, bp, cr.g)
     rhat, khat = derive_r_k(b0, bm, cr.ghat)
     return solution_set(model, cr.g, r, cr.ghat, rhat, k, khat,
-                        {"G": cr.iterations, "Ghat": cr.iterations}, null)
+                        {"G": cr.iterations, "Ghat": cr.iterations}, null, "direct")

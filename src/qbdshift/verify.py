@@ -250,9 +250,8 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         residual = matpoly.factorization_residual(model.poly, fact, samples)
         certs.append(_cert(name, residual, FACTOR_TOL))
     if sol.w is None:
-        w_note = "W series diverges at null recurrence"
         certs.extend(
-            _na(name, w_note)
+            _na(name, solvers.NULL_W_REASON)
             for name in ("W:stein", "W:inverse-identity", "W:Ghat-similarity",
                          "W:Rhat-similarity")
         )
@@ -362,7 +361,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
         certs.extend(_na(f"{kind}:{name}", f"hat transport unavailable: {exc}")
                      for name in names)
     if route is not None:
-        certs.append(_roundtrip_cert(model, cls, sol, kind, route, xi_amp))
+        certs.append(_roundtrip_cert(sol, kind, route, xi_amp))
     return certs
 
 
@@ -422,15 +421,18 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigval
     return certs
 
 
-def _roundtrip_cert(model, cls, sol, kind, route, xi_amp=0.0):
-    """The shift route of one kind (solved shifted, recovered) against the
-    reference solution, or at null recurrence against the original
-    equations; `route` may be the ConvergenceError its solve raised."""
+def _roundtrip_cert(sol, kind, route, xi_amp):
+    """The shift route of one kind (solved shifted, recovered) against a
+    direct reference solution off null recurrence, otherwise against the
+    original equations: a shift-route reference differs from the route of
+    its own kind only in the free vectors, and a direct one at null
+    recurrence is accurate to about 1e-7. `route` may be the
+    ConvergenceError its solve raised."""
     if isinstance(route, kernel.ConvergenceError):
         return Certificate(
             f"{kind}:roundtrip", float("inf"), ROUNDTRIP_TOL, "fail", str(route)
         )
-    if cls.kind is model_mod.Kind.NULL_RECURRENT:
+    if sol.null or sol.route != "direct":
         return _cert(f"{kind}:roundtrip", route.recovery_residual, ROUNDTRIP_TOL,
                      "recovered pair vs original equations")
     gap = max(

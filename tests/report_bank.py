@@ -26,6 +26,12 @@ for example of a commit and of its parent. The script
    for each matrix present on both sides its largest entry move relative
    to its largest entry, and each other single value that changed.
 
+A schema-2 report is compared in the schema-3 layout (`as_schema3`): its
+direct solve was the set it wrote, so its `direct` matrices, sweeps and
+residuals are matched with the `solution` block of route "direct", and
+the bank prints how far each written matrix moved where the certified set
+took a shift route.
+
 It exits 0 when the two sides agree bit for bit, 1 otherwise. pytest does
 not collect this file.
 """
@@ -130,6 +136,24 @@ def field_changes(old, new, path):
     return out
 
 
+NULL_W_REASON = "W series diverges at null recurrence"
+
+
+def as_schema3(report):
+    """`report` in the schema-3 layout. A schema-2 report wrote the direct
+    solve's G, R, Ghat, Rhat and W under `direct`: they become the
+    `solution` of route "direct", and `direct` keeps its sweeps and
+    residuals. Other reports are returned as they are."""
+    if report.get("schema") != 2:
+        return report
+    direct = report.pop("direct")
+    report["schema"] = 3
+    report["solution"] = {"route": "direct", **direct,
+                          "W_reason": NULL_W_REASON if direct["W"] is None else None}
+    report["direct"] = {key: direct[key] for key in ("iterations", "residuals")}
+    return report
+
+
 def compare_reports(name, old, new, diffs):
     """Append field and certificate differences; return the residual moves
     as (relative move, move over tolerance, model, certificate name), the
@@ -197,7 +221,8 @@ def main(argv):
             if paths[0].is_file() != paths[1].is_file():
                 diffs.append(f"{name}: a report is written on one side only")
             elif paths[0].is_file():
-                a, b = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
+                a, b = (as_schema3(json.loads(p.read_text(encoding="utf-8")))
+                        for p in paths)
                 certificates += len(a.get("certificates", []))
                 moves += compare_reports(name, a, b, diffs)
     codes = {}

@@ -167,18 +167,22 @@ class TestMain:
         code = cli.main(["solve", str(path), "--quiet", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["classification"]["kind"] == "positive-recurrent"
-        assert report["direct"]["G"] == [pytest.approx(1.0, abs=1e-12)]
-        assert report["direct"]["R"] == [pytest.approx(0.6, abs=1e-12)]
+        assert report["solution"]["route"] == "direct"
+        assert report["solution"]["G"] == [pytest.approx(1.0, abs=1e-12)]
+        assert report["solution"]["R"] == [pytest.approx(0.6, abs=1e-12)]
         assert report["certificate_summary"]["fail"] == 0
 
     def test_direct_keys(self, tmp_path):
-        # schema 2 writes no K or Khat: each is one product away from G or Ghat
+        # no K or Khat: each is one product away from G or Ghat; the
+        # certified set's matrices are written once, under "solution", and
+        # the direct solve keeps its sweeps and residuals
         path = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         report = cli.solve_report(*cli.read_model(path))
-        assert set(report["direct"]) == {"G", "R", "Ghat", "Rhat", "W", "iterations",
-                                         "residuals"}
+        assert set(report["solution"]) == {"route", "G", "R", "Ghat", "Rhat", "W",
+                                           "W_reason", "iterations", "residuals"}
+        assert set(report["direct"]) == {"iterations", "residuals"}
         assert set(report["shift_route"]) >= {"G", "R"}
 
     def test_report_byte_stable_modulo_timing(self, tmp_path):
@@ -203,8 +207,13 @@ class TestMain:
         assert route["kind"] == "double"
         assert route["G"] == [pytest.approx(1.0, abs=1e-10)]
         assert route["R"] == [pytest.approx(1.0, abs=1e-10)]
-        assert route["iterations"] < report["direct"]["iterations"]["G"]
         assert route["recovery_residual"] <= 1e-10
+        # the certified set took the double shift too; the direct solve
+        # runs only when asked for, and takes more sweeps
+        assert report["solution"]["route"] == "double"
+        assert "direct" not in report
+        direct = cli.solve_report(*cli.read_model(path), via="direct")["direct"]
+        assert route["iterations"] < direct["iterations"]["G"]
 
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_recovery_residual_is_the_routes(self, kind):
@@ -273,6 +282,17 @@ class TestMain:
         path = write_scalar_model(tmp_path, (0.5, 0.6, 0.3))
         assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_levels_that_never_communicate_exit_code(self, tmp_path, capsys, n):
+        # A_-1 = A_1 = 0 with a cyclic-permutation A_0 exited 4 ("matrix is
+        # exactly singular"); the standing assumptions exclude it
+        path = tmp_path / "m.json"
+        zero = [0.0] * (n * n)
+        path.write_text(json.dumps({"n": n, "a_minus": zero, "a_plus": zero,
+                                    "a_zero": np.roll(np.eye(n), 1, axis=1).ravel().tolist()}))
+        assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_VALIDATION
+        assert "never communicate" in capsys.readouterr().err
+
     def test_certificate_failure_exit_code(self, tmp_path, monkeypatch):
         from qbdshift.verify import Certificate
 
@@ -319,15 +339,17 @@ class TestMain:
 
     @pytest.mark.parametrize("kind, expected", [
         ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 5, "det_b": 32}),
-        ("null", {"cyclic_reduction": 6, "perron_data": 2, "new": 6, "det_b": 32}),
+        ("null", {"cyclic_reduction": 5, "perron_data": 1, "new": 6, "det_b": 32}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
         # classify makes one shifted solve off null recurrence (the right
-        # shift here), one cyclic-reduction run gives the direct G and Ghat,
+        # shift here), one cyclic-reduction run gives the direct G and Ghat
+        # (two double-shifted runs at null recurrence, and no direct one),
         # one shifted solve per kind serves the route and its round trip,
         # Perron data is computed once per triple (the null reference
-        # solution derives the reversed model's), each triple builds B(z)
-        # once, and det B(z) is taken once per determinant point
+        # solution reads the report's and derives the reversed model's),
+        # each triple builds B(z) once, and det B(z) is taken once per
+        # determinant point
         from qbdshift import matpoly, model, solvers
 
         counts = dict.fromkeys(expected, 0)
@@ -354,6 +376,46 @@ class TestMain:
             counts["perron_data"] = 0
             cli.shift_mod.reference_solution(triple, model.classify(triple))
             assert counts["perron_data"] == 1
+
+    @pytest.mark.parametrize("kind, gamma, route, direct_runs", [
+        ("positive", 0.5, "direct", 1), ("transient", 0.5, "direct", 1),
+        ("positive", 1e-5, "right", 0), ("transient", 1e-5, "left", 0),
+        ("null", 0.5, "double", 0),
+    ])
+    def test_direct_solve_only_off_the_near_null_band(self, monkeypatch, kind, gamma,
+                                                      route, direct_runs):
+        # the certified set takes a shift route at null recurrence and at a
+        # root gap of 1.2e-5 (below NEAR_NULL_GAP), and no direct solve runs
+        # there; every class makes 5 cyclic reductions
+        from qbdshift import solvers
+
+        counts = {"solve_all": 0, "cyclic_reduction": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        triple, meta = cli.generate(kind, 4, 1, gamma=gamma)
+        for name in counts:
+            monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+        report = cli.solve_report(triple, meta)
+        assert report["solution"]["route"] == route
+        assert ("direct" in report) == bool(direct_runs)
+        assert report["certificate_summary"]["fail"] == 0
+        assert counts == {"solve_all": direct_runs, "cyclic_reduction": 5}
+
+    def test_via_direct_runs_the_direct_solve_at_null(self, monkeypatch):
+        # --via direct asks for the direct solve; the certified set and its
+        # report block stay the double shift's
+        triple, meta = cli.generate("null", 4, 1)
+        auto = cli.solve_report(triple, meta)
+        report = cli.solve_report(triple, meta, via="direct")
+        assert report["solution"] == auto["solution"]
+        assert set(report["direct"]) == {"iterations", "residuals"}
+        assert report["direct"]["iterations"]["G"] > report["solution"]["iterations"]["G"]
+        assert "shift_route" not in report
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     @pytest.mark.parametrize("n", ["4", "16"])
@@ -544,6 +606,30 @@ class TestMain:
     def test_bench_scalar_recovery_is_exact(self):
         rows = cli.bench_rows("null", 1, count=5, seed=0)
         assert all(r["recovery_residual"] <= 1e-12 for r in rows)
+
+
+class TestNearNullSweep:
+    """Certified solves across the near-null band and into null recurrence:
+    positive and transient models at root gaps from about 1e-4 down to
+    1e-12, where the drift falls below NULL_DRIFT_TOL and the model solves
+    as null recurrent. Every input certifies (exit 0): no Stein divergence
+    (exit 4), no traceback and no certificate failure. An exit 5 here
+    would be admitted only where oracles.splitting_root_mp confirms it."""
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("kind", ["positive", "transient"])
+    def test_certified_solve(self, tmp_path, capsys, kind, n, gamma):
+        path, report = tmp_path / "m.json", tmp_path / "r.json"
+        assert cli.main(["gen", kind, "-n", str(n), "--seed", "0", "--gamma", repr(gamma),
+                         "--out", str(path)]) == 0
+        code = cli.main(["solve", str(path), "--json", str(report), "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        solution = json.loads(report.read_text())["solution"]
+        null = gamma == 1e-12
+        assert solution["route"] == ("double" if null
+                                     else "right" if kind == "positive" else "left")
+        assert (solution["W"] is None) == null
 
 
 class TestBenchRows:

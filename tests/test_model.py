@@ -44,6 +44,14 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate([[1.0]], np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_levels_that_never_communicate(self, n):
+        # A_0 a cyclic permutation: stochastic and irreducible on its own
+        a_zero = np.roll(np.eye(n), 1, axis=1)
+        zero = np.zeros((n, n))
+        with pytest.raises(ValidationError, match="never communicate"):
+            validate(zero, a_zero, zero)
+
     def test_empty_blocks(self):
         empty = np.zeros((0, 0))
         with pytest.raises(ValidationError, match="empty"):

@@ -328,7 +328,7 @@ class TestWhereWIsComputed:
         calls = self.count_stein(monkeypatch)
         report = cli.solve_report(m, meta)
         assert len(calls) == expected
-        assert (report["direct"]["W"] is None) == (kind == "null")
+        assert (report["solution"]["W"] is None) == (kind == "null")
 
     def test_second_read_is_cached(self, monkeypatch):
         m, _ = cli.generate("positive", 4, 1)
