@@ -1,8 +1,8 @@
 """Dense real-matrix primitives: norms, the inverse and linear solves
-with one condition test, spectral radius and Perron vectors (one power
-iteration with a Collatz-Wielandt stop and a stall rule, a dense
-eigensolve as fallback), irreducibility (boolean reachability), Stein
-equation (Smith doubling).
+with one condition test, spectral radius (power iteration with a
+Collatz-Wielandt stop and a stall rule, a dense eigensolve as fallback),
+Perron vectors at a known root (one bordered solve), irreducibility
+(boolean reachability), Stein equation (Smith doubling).
 
 Everything here works on plain ``numpy.ndarray`` matrices. Inputs are never
 mutated; all functions are pure and thread-safe.
@@ -31,9 +31,9 @@ LINALG_RTOL = 1e-12
 EIGEN_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
-# Power iteration stalls, and a dense eigendecomposition takes over, when
-# past STALL_STEPS steps its Collatz-Wielandt bracket shrinks by less than
-# SLOW_RATIO per step.
+# Power iteration for a radius stalls, and a dense eigensolve takes over,
+# when past STALL_STEPS steps its Collatz-Wielandt bracket shrinks by less
+# than SLOW_RATIO per step.
 SLOW_RATIO = 0.999
 STALL_STEPS = 50
 
@@ -81,16 +81,15 @@ def inf_norm(m):
 
 
 def _power(a):
-    """Perron radius and right vector of nonnegative `a` by power iteration
-    on the aperiodic a + I (rho(a + I) = rho(a) + 1) from x = e.
+    """Perron radius of nonnegative `a` by power iteration on the
+    aperiodic a + I (rho(a + I) = rho(a) + 1) from x = e.
 
     The Collatz-Wielandt bounds min_i (Mx)_i/x_i <= rho(M) <= max_i
     (Mx)_i/x_i hold for every positive x. The loop stops when they close
-    to LINALG_RTOL and returns the midpoint radius with the vector at unit
-    infinity norm. They close exactly when the dominant vector is positive;
-    past STALL_STEPS steps a bracket that shrinks by less than SLOW_RATIO
-    per step (structural zeros in the dominant vector, a slow rate) is a
-    stall, and the result is None.
+    to LINALG_RTOL and returns the midpoint radius. They close exactly
+    when the dominant vector is positive; past STALL_STEPS steps a bracket
+    that shrinks by less than SLOW_RATIO per step (structural zeros in the
+    dominant vector, a slow rate) is a stall, and the result is None.
     """
     shifted = a + np.eye(a.shape[0])
     x = np.ones(a.shape[0])
@@ -104,7 +103,7 @@ def _power(a):
             lo, hi = float(ratios.min()), float(ratios.max())
             x = y / y.max()
             if hi - lo <= LINALG_RTOL * hi:
-                return (lo + hi) / 2.0 - 1.0, x
+                return (lo + hi) / 2.0 - 1.0
             if k >= STALL_STEPS and not hi - lo < SLOW_RATIO * prev:
                 return None
             prev = hi - lo
@@ -118,59 +117,45 @@ def spectral_radius(m):
     a = as_square(m)
     if a.shape[0] == 1:
         return float(abs(a[0, 0]))
-    found = None if (a < 0.0).any() else _power(a)
-    if found is None:
+    radius = None if (a < 0.0).any() else _power(a)
+    if radius is None:
         return float(np.max(np.abs(np.linalg.eigvals(a))))
-    return found[0]
+    return radius
 
 
-def _dense_perron(a):
-    """Perron radius and right vector of `a` from one dense
-    eigendecomposition, sign-fixed and polished by power steps on a + I.
+def perron(m, root):
+    """Right Perron vector of a nonnegative matrix at its Perron root
+    `root`, which the caller knows, at unit infinity norm. The left vector
+    of `m` is the right vector of its transpose, `perron(m.T, root)`.
 
-    Among eigenvalues of (numerically) maximal modulus the one with the
-    largest real part is taken: for a nonnegative matrix that is the real
-    Perron root even when a periodic block puts rotated copies on the same
-    circle.
-    """
-    # an F-ordered identity keeps the layout of `a` (a C-ordered one gives
-    # C for every `a`): a left vector, from a transposed view, is polished
-    # in the summation order of the transpose
-    shifted = a + np.eye(a.shape[0], order="F")
-    vals, vecs = np.linalg.eig(a)
-    radius = float(np.max(np.abs(vals)))
-    candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * radius)
-    v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    for _ in range(8):
-        v = shifted @ v
-        v /= np.max(np.abs(v))
-    return radius, v
-
-
-def perron(m):
-    """Perron radius and right dominant vector of a nonnegative matrix,
-    the vector at unit infinity norm: (radius, right). The left vector of
-    `m` is the right vector of its transpose, `perron(m.T)[1]`.
-
-    Power iteration finds the vector when it is positive; when it stalls,
-    a dense eigendecomposition of the matrix gives the radius and the
-    vector (entries that are structurally zero may then carry eigensolver
-    noise up to ~1e-14). Raises ValueError for a negative entry or a
-    nilpotent matrix, ConvergenceError when the residual exceeds
-    EIGEN_RTOL max(rho, 1).
+    One bordered solve [[M - root I, e], [e^T, 0]] [x; mu] = [0; 1]: the
+    normalisation e^T x = 1 takes the place of the equation that the
+    singular M - root I lacks, and the border is nonsingular when `root`
+    is a simple eigenvalue (Stewart, Introduction to the Numerical
+    Solution of Markov Chains, 1994). Entries that are structurally zero
+    carry the root's error over the eigenvalue gap. Raises ValueError for
+    a negative entry or a zero root (a nilpotent matrix),
+    SingularMatrixError for a singular border, ConvergenceError when the
+    residual exceeds EIGEN_RTOL max(root, 1): `root` is then no
+    eigenvalue of `m`.
     """
     a = as_square(m)
     if (a < 0.0).any():
         raise ValueError("perron requires a nonnegative matrix")
-    radius, right = _power(a) or _dense_perron(a)
-    if radius == 0.0:
+    if root == 0.0:
         raise ValueError("a nilpotent matrix has no Perron vector")
-    residual = inf_norm(a @ right - radius * right)
-    if residual > EIGEN_RTOL * max(radius, 1.0):
+    n = a.shape[0]
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = a - root * np.eye(n)
+    bordered[n, n] = 0.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    x = _gesv(np.linalg.solve, bordered, rhs)[:n]
+    x /= abs(x).max()
+    residual = inf_norm(a @ x - root * x)
+    if residual > EIGEN_RTOL * max(root, 1.0):
         raise ConvergenceError("Perron residual above tolerance", residual=residual)
-    return radius, right
+    return x
 
 
 def _gesv(solve, a, *rhs):

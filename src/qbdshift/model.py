@@ -178,7 +178,7 @@ def classify(model):
     """
     from . import shift  # shift imports this module
 
-    phase_left = kernel.perron(model.a_sum().T)[1]
+    phase_left = kernel.perron(model.a_sum().T, 1.0)
     theta = phase_left / np.sum(phase_left)
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
     if abs(drift) <= NULL_DRIFT_TOL:
@@ -228,7 +228,8 @@ class PerronData:
 
 
 def perron_data(model, cls):
-    """A-priori Perron vectors from A(xi_n) and A(xi_{n+1}).
+    """A-priori Perron vectors from A(xi_n) and A(xi_{n+1}), each at its
+    Perron root xi (det B(xi) = 0 makes xi an eigenvalue of A(xi)).
 
     At the unit root A(1) = A_-1 + A_0 + A_1 is stochastic: its right
     Perron vector is e and its left one is `cls.phase_left`, computed once
@@ -241,11 +242,11 @@ def perron_data(model, cls):
         pd = PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
     elif cls.kind is Kind.POSITIVE_RECURRENT:
         a = model.a_of(cls.xi_n1)
-        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=kernel.perron(a)[1],
-                        v_r=kernel.perron(a.T)[1])
+        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=kernel.perron(a, cls.xi_n1),
+                        v_r=kernel.perron(a.T, cls.xi_n1))
     else:
         a = model.a_of(cls.xi_n)
-        pd = PerronData(u_g=kernel.perron(a)[1], v_rhat=kernel.perron(a.T)[1],
+        pd = PerronData(u_g=kernel.perron(a, cls.xi_n), v_rhat=kernel.perron(a.T, cls.xi_n),
                         u_ghat=e, v_r=theta)
     if min(np.min(pd.u_g), np.min(pd.v_rhat), np.min(pd.u_ghat), np.min(pd.v_r)) <= 0.0:
         raise ValueError("Perron vectors of A(xi) not strictly positive")
@@ -255,15 +256,17 @@ def perron_data(model, cls):
 def complete_perron_data(pd, sol):
     """Fill the solution-side Perron vectors from solved G, R, Ghat, Rhat,
     reading the round-off negatives of a shift-recovered solution as 0:
-    one one-sided Perron call each, a left vector from the transpose. The
-    copies are C-ordered whatever the solve left (R is a transpose), since
-    the dense Perron fallback polishes in the layout of its input."""
-    g, r, ghat, rhat = (np.maximum(m, 0.0, order="C")
-                        for m in (sol.g, sol.r, sol.ghat, sol.rhat))
+    one bordered solve each, a left vector from the transpose, at the
+    radius of the solved matrix itself (`sol.radii`). Never at the
+    splitting root that classify claims: a wrong solution then still gets
+    its vectors, and the certificates, not the residual check of
+    kernel.perron, judge it."""
+    g, r, ghat, rhat = (np.maximum(m, 0.0) for m in (sol.g, sol.r, sol.ghat, sol.rhat))
+    rho_g, rho_r, rho_ghat, rho_rhat = sol.radii
     return dataclasses.replace(
         pd,
-        v_g=kernel.perron(g.T)[1],
-        u_r=kernel.perron(r)[1],
-        v_ghat=kernel.perron(ghat.T)[1],
-        u_rhat=kernel.perron(rhat)[1],
+        v_g=kernel.perron(g.T, rho_g),
+        u_r=kernel.perron(r, rho_r),
+        v_ghat=kernel.perron(ghat.T, rho_ghat),
+        u_rhat=kernel.perron(rhat, rho_rhat),
     )

@@ -261,6 +261,17 @@ class SolutionSet:
                           "may have more than one final class", stacklevel=3)
         return eig_g, eig_r
 
+    @functools.cached_property
+    def radii(self):
+        """(rho(G), rho(R), rho(Ghat), rho(Rhat)), computed on first read
+        and kept: the solution-side Perron vectors (complete_perron_data)
+        and the spec:rho certificates read the same values. rho(G) and
+        rho(R) come from `spectra`, rho(Ghat) and rho(Rhat) from
+        kernel.spectral_radius, since nothing needs their spectra."""
+        eig_g, eig_r = self.spectra
+        return (float(np.max(np.abs(eig_g))), float(np.max(np.abs(eig_r))),
+                kernel.spectral_radius(self.ghat), kernel.spectral_radius(self.rhat))
+
 
 def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null, route):
     """The SolutionSet of solved (G, R, Ghat, Rhat, K, Khat), whichever

@@ -222,11 +222,9 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
         _mmatrix_cert(-khat, lambda: -sol.khat_inv, "-Khat"),
     ]
     certs.extend(check_sign_property(sol, perron))
-    # rho(G) and rho(R) from the spectra the root certificate reads
-    rho_g = float(np.max(np.abs(eig_g)))
-    rho_r = float(np.max(np.abs(eig_r)))
-    rho_ghat = kernel.spectral_radius(ghat)
-    rho_rhat = kernel.spectral_radius(rhat)
+    # the radii the solution-side Perron vectors were solved at; rho(G) and
+    # rho(R) from the spectra the root certificate reads
+    rho_g, rho_r, rho_ghat, rho_rhat = sol.radii
     # spectral radii and splitting roots near coalescence lose accuracy
     # like eps over the gap between the splitting roots; exactly null
     # instances carry exact xi = 1 and keep the strict tolerance

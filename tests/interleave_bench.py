@@ -1,10 +1,11 @@
 """Time two qbdshift source trees on one benchmark workload, alternating.
 
-    python tests/interleave_bench.py PARENT_SRC CHANGE_SRC WORKLOAD [ROUNDS]
+    python tests/interleave_bench.py PARENT_SRC CHANGE_SRC WORKLOAD [ROUNDS [SEED]]
 
 PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.
-WORKLOAD is a workload of `qbdbench/workloads.py`, at seed 1. ROUNDS
-defaults to 10.
+WORKLOAD is a workload of `qbdbench/workloads.py`, drawn at SEED. ROUNDS
+defaults to 10 and SEED to 1; a before-and-after timing can take seeds
+that were not used while the change was built.
 
 The script starts one worker process per tree, each with one BLAS thread
 and its own copy of the workload's model files. Each worker runs one
@@ -40,17 +41,16 @@ sys.path.insert(0, str(HERE.parent / "qbdbench"))
 import workloads  # noqa: E402
 
 OPS = ("solve", "solution")
-SEED = 1
 
 
-def worker(src, workload, work):
+def worker(src, workload, seed, work):
     """Serve rounds on stdin: each line "round" runs one and answers with
     one JSON line {op: [seconds, ...], "failed": count}; end of input
     stops."""
     sys.path.insert(0, src)
     from qbdshift import cli, model, shift
 
-    insts = workloads.instances(workload, SEED)
+    insts = workloads.instances(workload, int(seed))
     paths = [Path(work) / f"{inst.name}.json" for inst in insts]
     for inst, path in zip(insts, paths):
         workloads.write_model(path, inst)
@@ -89,11 +89,11 @@ def worker(src, workload, work):
             print(json.dumps(one_round()), flush=True)
 
 
-def start_worker(src, workload, work):
+def start_worker(src, workload, seed, work):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH="")
     proc = subprocess.Popen(
-        [sys.executable, __file__, "--worker", str(src), workload, str(work)],
+        [sys.executable, __file__, "--worker", str(src), workload, str(seed), str(work)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
     if proc.stdout.readline().strip() != "ready":
         raise SystemExit(f"worker for {src} failed to start")
@@ -110,10 +110,12 @@ def run_round(proc):
 
 
 def main(argv):
-    if len(argv) not in (3, 4):
+    if len(argv) not in (3, 4, 5):
         sys.exit(__doc__)
     sides = [Path(p).resolve() for p in argv[:2]]
-    workload, rounds = argv[2], int(argv[3]) if len(argv) == 4 else 10
+    workload = argv[2]
+    rounds = int(argv[3]) if len(argv) > 3 else 10
+    seed = int(argv[4]) if len(argv) > 4 else 1
     for src in sides:
         if not (src / "qbdshift" / "__init__.py").is_file():
             sys.exit(f"no qbdshift package under {src}")
@@ -126,7 +128,7 @@ def main(argv):
         procs = []
         for label, src in zip(("parent", "change"), sides):
             (Path(tmp) / label).mkdir()
-            procs.append(start_worker(src, workload, Path(tmp) / label))
+            procs.append(start_worker(src, workload, seed, Path(tmp) / label))
         try:
             for i in range(rounds):
                 for side in ((0, 1) if i % 2 == 0 else (1, 0)):
@@ -140,7 +142,7 @@ def main(argv):
             for proc in procs:
                 proc.stdin.close()
                 proc.wait()
-    print(f"{workload} seed {SEED}: {rounds} alternating rounds per side")
+    print(f"{workload} seed {seed}: {rounds} alternating rounds per side")
     print(f"{'op':10s} {'parent':>12s} {'change':>12s} {'change':>9s}  change lower")
     for op in OPS:
         if not times[0][op] or not times[1][op]:
@@ -156,6 +158,6 @@ def main(argv):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        worker(*sys.argv[2:5])
+        worker(*sys.argv[2:6])
     else:
         sys.exit(main(sys.argv[1:]))

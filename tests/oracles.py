@@ -496,7 +496,7 @@ def sorted_roots_loop(values, tie_rtol=1e-8):
     return np.asarray(out, dtype=complex)
 
 
-# Bit-identity oracles: the loop and two-sided forms that the package
+# Bit-identity oracles: the loop and wrapped forms that the package
 # replaced with leaner code computing the same bits.
 
 
@@ -522,43 +522,6 @@ def inverse_by_solve(m):
     if inf_norm_wrapped(a) * inf_norm_wrapped(inv) > 1.0 / kernel.PIVOT_RTOL:
         raise kernel.SingularMatrixError("matrix is numerically singular")
     return inv + inv @ (eye - a @ inv)
-
-
-def perron_two_sided(m):
-    """(radius, right, left) of a nonnegative matrix in one call: power
-    iteration on both sides when the right one converges, else (or when
-    the left one stalls) both vectors from dense eigendecompositions of
-    `m` and its transpose, polished by eight power steps on m + I and its
-    transpose. Same residual check as kernel.perron, on both sides."""
-    from qbdshift import kernel
-
-    a = np.asarray(m, dtype=float)
-    right = kernel._power(a)
-    left = kernel._power(a.T) if right else None
-    if left:
-        radius, right, left = right[0], right[1], left[1]
-    else:
-        shifted = a + np.eye(a.shape[0])
-        found = []
-        for mat, polish in ((a, shifted), (a.T, shifted.T)):
-            vals, vecs = np.linalg.eig(mat)
-            rho = float(np.max(np.abs(vals)))
-            candidates = np.flatnonzero(np.abs(vals) >= (1.0 - 1e-9) * rho)
-            v = np.real(vecs[:, candidates[int(np.argmax(np.real(vals[candidates])))]])
-            if v[int(np.argmax(np.abs(v)))] < 0:
-                v = -v
-            for _ in range(8):
-                v = polish @ v
-                v /= np.max(np.abs(v))
-            found.append((rho, v))
-        (radius, right), (_, left) = found
-    if radius == 0.0:
-        raise ValueError("a nilpotent matrix has no Perron vector")
-    residual = max(inf_norm_wrapped(a @ right - radius * right),
-                   inf_norm_wrapped(left @ a - radius * left))
-    if residual > kernel.EIGEN_RTOL * max(radius, 1.0):
-        raise kernel.ConvergenceError("Perron residual above tolerance", residual=residual)
-    return radius, right, left
 
 
 def det_points_loop(xi_values, count, seed):

@@ -1,13 +1,11 @@
 """The lean kernel and certificate primitives against the loop and
-two-sided forms they replaced (oracles.py): the same bits, not just close
+wrapped forms they replaced (oracles.py): the same bits, not just close
 values, so that no report moves.
 
 - `kernel.inverse` (np.linalg.inv) against np.linalg.solve(M, I) with the
   same condition test and refinement, n from 1 to 130;
 - `kernel.inf_norm` against the np.max/np.sum form, 1-D and empty inputs
   included;
-- one-sided `kernel.perron` (a left vector is `perron(m.T)`) against the
-  two-sided form on C-ordered matrices, as the package passes them;
 - `verify._det_points` (uniforms drawn `count` at a time) against one
   draw at a time, with real poles near the 1.37 circle so that points are
   rejected;
@@ -22,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qbdshift import kernel, matpoly, verify
-from test_kernel import PATTERNS, patterned_matrix
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -76,33 +73,6 @@ class TestInfNorm:
                                    [[1.0, -2.0], [-4.0, 0.5]]])
     def test_lists_and_empty(self, a):
         assert kernel.inf_norm(a) == oracles.inf_norm_wrapped(a)
-
-
-class TestPerron:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(PATTERNS), st.integers(1, 12), SEEDS)
-    def test_one_sided_matches_two_sided(self, pattern, n, seed):
-        m = patterned_matrix(pattern, n, seed) if n > 1 else np.array([[0.5]])
-        right_stalls = kernel._power(m) is None
-        left_stalls = kernel._power(m.T) is None
-        want = outcome(oracles.perron_two_sided, m)
-        got = outcome(kernel.perron, m), outcome(kernel.perron, m.T)
-        if isinstance(want, tuple) and isinstance(want[0], type):
-            # a nilpotent matrix raises on either side
-            assert want[0] in (got[0][0], got[1][0])
-            return
-        radius, right, left = want
-        if right_stalls == left_stalls:
-            # both sides on one path, power iteration or dense
-            assert got[0][0] == radius
-            assert np.array_equal(got[0][1], right)
-            assert np.array_equal(got[1][1], left)
-        else:
-            # exactly one side stalls: the two-sided form took both vectors
-            # from the dense path, one-sided calls only the stalled one
-            stalled, other = (0, 1) if right_stalls else (1, 0)
-            assert np.array_equal(got[stalled][1], (right, left)[stalled])
-            np.testing.assert_allclose(got[other][1], (right, left)[other], rtol=0, atol=1e-9)
 
 
 class TestDetPoints:

@@ -215,6 +215,17 @@ class TestMain:
         direct = cli.solve_report(*cli.read_model(path), via="direct")["direct"]
         assert route["iterations"] < direct["iterations"]["G"]
 
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    def test_null_certified_r_and_rhat_to_machine_accuracy(self, n):
+        # the double shift's left projector is built from theta: solved at
+        # its exact root 1 it keeps R and Rhat at a few ulps, while a theta
+        # off by 1e-12 leaves them near 1e-13
+        report = cli.solve_report(*cli.generate("null", n, 1))
+        residuals = report["solution"]["residuals"]
+        assert report["solution"]["route"] == "double"
+        assert residuals["R"] <= 1e-14
+        assert residuals["Rhat"] <= 1e-14
+
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_recovery_residual_is_the_routes(self, kind):
         triple, meta = cli.generate(kind, 4, seed=5)
@@ -450,24 +461,23 @@ class TestMain:
         left_on_sum, right_on_sum = [], []
         real_perron = kernel.perron
 
-        def counted(m):
+        def counted(m, root):
             left_on_sum.append(np.array_equal(m.T, triple.a_sum()))
             right_on_sum.append(np.array_equal(m, triple.a_sum()))
-            return real_perron(m)
+            return real_perron(m, root)
 
         monkeypatch.setattr(kernel, "perron", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert sum(left_on_sum) == 1
         assert sum(right_on_sum) == 0
 
-    @pytest.mark.parametrize("kind, expected", [("positive", 12), ("transient", 12),
-                                                ("null", 7)])
+    @pytest.mark.parametrize("kind, expected", [("positive", 5), ("transient", 5),
+                                                ("null", 2)])
     def test_power_iterations_per_solve(self, tmp_path, monkeypatch, kind, expected):
-        # one power iteration per Perron vector or radius asked for: classify
-        # 2 (theta; rho of the matched shift's R or G, none at null
-        # recurrence), perron_data 2 (one vector per side of A(xi), none at
-        # null recurrence), complete_perron_data 4, the Stein divergence
-        # guard 2 (no W at null recurrence), rho(Ghat) and rho(Rhat) 2
+        # power iteration serves only the radii whose eigenvalue is not
+        # known in advance: classify 1 (rho of the matched shift's R or G,
+        # none at null recurrence), the Stein divergence guard 2 (no W at
+        # null recurrence), rho(Ghat) and rho(Rhat) 2; no Perron vector
         from qbdshift import kernel
 
         path = tmp_path / "gen.json"
@@ -482,6 +492,37 @@ class TestMain:
         monkeypatch.setattr(kernel, "_power", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("kind, expected", [("positive", 7), ("transient", 7),
+                                                ("null", 5)])
+    def test_one_bordered_solve_per_perron_vector(self, tmp_path, monkeypatch, kind,
+                                                  expected):
+        # classify 1 (theta at 1), perron_data 2 (one vector per side of
+        # A(xi) at xi, none at null recurrence), complete_perron_data 4 (at
+        # the radii of the solution); each call is one (n + 1) x (n + 1)
+        # solve, and no other solve of a certified solve has that size
+        from qbdshift import kernel
+
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", "8", "--seed", "1", "--out", str(path)]) == 0
+        vectors, bordered = [], []
+        real_perron, real_solve = kernel.perron, np.linalg.solve
+
+        def counted_perron(m, root):
+            vectors.append(m.shape)
+            return real_perron(m, root)
+
+        def counted_solve(a, b):
+            if a.shape == (9, 9):
+                bordered.append(len(vectors))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(kernel, "perron", counted_perron)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        assert cli.main(["solve", str(path), "--quiet"]) == 0
+        assert len(vectors) == expected
+        # the k-th bordered solve runs inside the k-th Perron call
+        assert bordered == list(range(1, expected + 1))
 
     @pytest.mark.parametrize("kind", ["positive", "transient", "null"])
     def test_k_and_khat_inverted_once(self, tmp_path, monkeypatch, kind):

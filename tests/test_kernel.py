@@ -83,25 +83,12 @@ def patterned_matrix(pattern, n, seed):
 PATTERNS = ("irreducible", "zero-rows", "zero-cols", "block-triangular", "periodic")
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Counts the calls of perron's dense fallback."""
-    calls = []
-    dense = kernel._dense_perron
-
-    def counted(a):
-        calls.append(a.shape)
-        return dense(a)
-
-    monkeypatch.setattr(kernel, "_dense_perron", counted)
-    return calls
-
-
 def perron_pair(m):
-    """(radius, right, left) from two one-sided calls: the left vector of
-    m is the right vector of its transpose."""
-    radius, right = kernel.perron(m)
-    return radius, right, kernel.perron(m.T)[1]
+    """(radius, right, left): the radius from the dense oracle, as the
+    package passes a known root, and the vectors from two one-sided calls
+    at it; the left vector of m is the right vector of its transpose."""
+    radius = oracles.naive_spectral_radius(m)
+    return radius, kernel.perron(m, radius), kernel.perron(m.T, radius)
 
 
 def assert_perron(m, radius, right, left):
@@ -113,45 +100,46 @@ def assert_perron(m, radius, right, left):
 
 
 class TestPerronPair:
+    # the radius checks are on kernel.spectral_radius, which serves the
+    # radii whose eigenvalue is not known in advance
     def test_scalar_unit_sum(self):
-        radius, right, left = perron_pair(np.array([[0.5]]))
-        assert radius == pytest.approx(0.5)
+        m = np.array([[0.5]])
+        radius, right, left = perron_pair(m)
+        assert kernel.spectral_radius(m) == pytest.approx(0.5)
         assert right == pytest.approx([1.0])
         assert left == pytest.approx([1.0])
 
     def test_doubly_stochastic(self):
         m = np.array([[0.3, 0.7], [0.7, 0.3]])
         radius, right, left = perron_pair(m)
-        assert radius == pytest.approx(1.0, abs=1e-12)
+        assert kernel.spectral_radius(m) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
 
     def test_n2_block_sum(self):
+        # stochastic: the root is 1, as classify passes it
         a = np.array(oracles.N2[0]) + np.array(oracles.N2[1]) + np.array(oracles.N2[2])
-        radius, right = kernel.perron(a)
-        assert radius == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(right, [1.0, 1.0], atol=1e-12)
+        assert kernel.spectral_radius(a) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(kernel.perron(a, 1.0), [1.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_residuals_on_random_irreducible(self, seed, dense_calls):
+    def test_residuals_on_random_irreducible(self, seed):
         rng = np.random.default_rng(100 + seed)
         m = rng.uniform(0.01, 1.0, (6, 6))
         radius, right, left = perron_pair(m)
         assert_perron(m, radius, right, left)
         assert np.min(right) > 0 and np.min(left) > 0
-        assert not dense_calls  # positive vectors: the power path
 
-    def test_periodic_takes_power_path(self, dense_calls):
+    def test_periodic_takes_power_path(self):
         # a weighted 4-cycle: period 4, eigenvalues on one circle
         m = np.roll(np.diag([0.5, 0.8, 0.4, 0.9]), 1, axis=1)
         radius, right, left = perron_pair(m)
-        assert radius == pytest.approx(0.144 ** 0.25, rel=1e-12)
+        assert kernel.spectral_radius(m) == pytest.approx(0.144 ** 0.25, rel=1e-12)
         assert_perron(m, radius, right, left)
         assert np.min(right) > 0 and np.min(left) > 0
-        assert not dense_calls
 
     @pytest.mark.parametrize("zero", ["row", "column"])
-    def test_zero_row_or_column_takes_dense_path(self, zero, dense_calls):
+    def test_zero_row_or_column_takes_dense_path(self, zero):
         m = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 0.0], [0.2, 0.6, 0.2]])
         if zero == "column":
             m = m.T
@@ -160,34 +148,39 @@ class TestPerronPair:
         # a zero row zeroes the right vector there, a zero column the left
         vec = right if zero == "row" else left
         assert vec[1] == pytest.approx(0.0, abs=1e-13)
-        assert dense_calls == [(3, 3)]
 
-    def test_block_triangular_takes_dense_path(self, dense_calls):
+    def test_block_triangular_takes_dense_path(self):
         m = np.array([[0.5, 0.2], [0.0, 0.3]])
         radius, right, left = perron_pair(m)
-        assert radius == pytest.approx(0.5, rel=1e-12)
+        assert kernel.spectral_radius(m) == pytest.approx(0.5, rel=1e-12)
         np.testing.assert_allclose(right, [1.0, 0.0], atol=1e-13)
         np.testing.assert_allclose(left, [1.0, 1.0], atol=1e-12)
-        assert dense_calls == [(2, 2)]
 
     @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.triu(np.ones((4, 4)), 1)],
                              ids=["zero", "strictly-triangular"])
     def test_nilpotent_raises(self, m):
         with pytest.raises(ValueError, match="nilpotent"):
-            kernel.perron(m)
+            kernel.perron(m, oracles.naive_spectral_radius(m))
 
     def test_negative_entry_raises(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            kernel.perron(np.array([[0.5, -0.1], [0.2, 0.3]]))
+            kernel.perron(np.array([[0.5, -0.1], [0.2, 0.3]]), 0.5)
+
+    def test_root_that_is_no_eigenvalue_raises(self):
+        # a wrong root leaves the bordered system solvable, and the
+        # residual test refuses its solution
+        m = np.array([[0.5, 0.2], [0.1, 0.3]])
+        with pytest.raises(kernel.ConvergenceError, match="residual"):
+            kernel.perron(m, oracles.naive_spectral_radius(m) + 1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PATTERNS), st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_property_over_patterns(self, pattern, n, seed):
         m = patterned_matrix(pattern, n, seed)
         radius, right, left = perron_pair(m)
-        assert radius == pytest.approx(oracles.naive_spectral_radius(m), rel=1e-11)
+        assert kernel.spectral_radius(m) == pytest.approx(radius, rel=1e-11)
         assert_perron(m, radius, right, left)
-        # structural zeros of a dense-path vector carry eigensolver noise
+        # structural zeros carry the root's error over the eigenvalue gap
         assert np.min(right) >= -1e-13 and np.min(left) >= -1e-13
 
 
@@ -329,8 +322,8 @@ class TestAgainstScipyForms:
     @pytest.mark.parametrize("pattern, seed", CASES)
     def test_dense_perron(self, pattern, seed):
         m = patterned_matrix(pattern, 2 + seed % 7, seed)
-        radius, right = kernel._dense_perron(m)
-        left = kernel._dense_perron(m.T)[1]
+        radius = oracles.naive_spectral_radius(m)
+        right, left = kernel.perron(m, radius), kernel.perron(m.T, radius)
         want_radius, want_right, want_left = oracles.dense_perron_two_sided(m)
         assert radius == pytest.approx(want_radius, rel=1e-11)
         np.testing.assert_allclose(right, want_right, rtol=0, atol=1e-9)

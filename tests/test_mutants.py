@@ -3,15 +3,18 @@ Lipton and Sayward, IEEE Computer 11(4), 1978).
 
 Each mutant plants one error that a stage of a certified solve could
 make, and the suite must fail at least one certificate on it. Data
-mutants corrupt the output of classification or of the reference solve.
-Shift mutants corrupt every transform built after the reference solve,
-for the routes and the suite alike, so that certificates, not the
-recovery guard of the null reference route, have to catch them.
+mutants corrupt the output of classification, of the reference solve or
+of the completed Perron data. Shift mutants corrupt every transform built
+after the reference solve, for the routes and the suite alike, so that
+certificates, not the recovery guard of the null reference route, have
+to catch them.
 
     python tests/test_mutants.py
 
-prints the catch matrix (mutant x certificate family) shown in README.md;
-test_readme_shows_the_catch_matrix keeps the two equal.
+prints the catch matrix (mutant x certificate family) and the table of
+what the near-null model catches, both shown in README.md;
+test_readme_shows_the_catch_matrix and test_readme_shows_the_near_null_table
+keep them equal.
 
 No mutant corrupts a root computation of classify: it makes none. It
 takes the splitting roots from the class-matched shifted solve, and the
@@ -46,6 +49,9 @@ BUMP = 1e-6
 CLASSES = ("positive", "null", "transient")
 N = 4
 SEED = 1
+# a positive model inside the near-null band: root gap about 1.2e-8, the
+# certified set from the class-matched right shift
+NEAR_NULL_GAMMA = 1e-8
 
 
 def _bump(name):
@@ -116,6 +122,14 @@ def _dropped_term(model, cls, t):
     return dataclasses.replace(t, shifted=QbdTriple(model.n, sh.a_minus, a_zero, sh.a_plus))
 
 
+def _mmatrix_breach(sol):
+    # -K with one positive off-diagonal entry: K[0, n-1] from its
+    # nonnegative value to -1e-6
+    k = sol.k.copy()
+    k[0, N - 1] = -BUMP
+    return dataclasses.replace(sol, k=k)
+
+
 def _bumped_w(sol):
     # W is computed on first read, not a field: a copy of the set with
     # the corrupted W in its instance cache
@@ -133,6 +147,10 @@ SOLUTION_MUTANTS = {
     "Rhat+1e-6": _bump("rhat"),
     "W+1e-6": _bumped_w,
     "K-transposed": lambda sol: dataclasses.replace(sol, k=sol.k.T.copy()),
+    "-K-offdiagonal>0": _mmatrix_breach,
+}
+PERRON_MUTANTS = {
+    "v_G-negated": lambda perron: dataclasses.replace(perron, v_g=-perron.v_g),
 }
 SHIFT_MUTANTS = {
     "vTu=1+1e-6": _scaled_pairing,
@@ -141,18 +159,23 @@ SHIFT_MUTANTS = {
     "B-1<->B1": _swapped,
     "A0-without-xi_n.A1.Q": _dropped_term,
 }
-MUTANTS = [*SOLUTION_MUTANTS, *SHIFT_MUTANTS]
+MUTANTS = [*SOLUTION_MUTANTS, *PERRON_MUTANTS, *SHIFT_MUTANTS]
 
 
-def certify(kind, mutant, monkeypatch):
+def certify(kind, mutant, monkeypatch, gamma=0.5):
     """The certified solve of cli.solve_report on one generated model, with
-    `mutant` planted; returns the certificates."""
-    model, _ = cli.generate(kind, N, SEED)
+    `mutant` planted; returns the certificates. `kind` "near-null" is the
+    positive model at NEAR_NULL_GAMMA."""
+    if kind == "near-null":
+        kind, gamma = "positive", NEAR_NULL_GAMMA
+    model, _ = cli.generate(kind, N, SEED, gamma=gamma)
     cls = classify(model)
     sol = reference_solution(model, cls)
     if mutant in SOLUTION_MUTANTS:
         sol = SOLUTION_MUTANTS[mutant](sol)
     perron = complete_perron_data(perron_data(model, cls), sol)
+    if mutant in PERRON_MUTANTS:
+        perron = PERRON_MUTANTS[mutant](perron)
     if mutant in SHIFT_MUTANTS:
         real = shift.build_transform
         corrupt = SHIFT_MUTANTS[mutant]
@@ -192,22 +215,42 @@ def family(name):
     return "hats"
 
 
+# G or R off by 1e-6 on the near-null model lifts rho(G) rho(R) above 1:
+# the Stein guard of W raises before any certificate is judged (exit 4)
+STEIN_GUARD = {("near-null", "G+1e-6"), ("near-null", "R+1e-6")}
+
+
 def applies(kind, mutant):
-    return not (kind == "null" and mutant == "W+1e-6")  # no W at null recurrence
+    # no W at null recurrence; on the near-null model ||W|| ~ 1/gap ~ 1e8,
+    # so a 1e-6 entry is below the round-off of W itself
+    return not (mutant == "W+1e-6" and kind in ("null", "near-null"))
 
 
-@pytest.mark.parametrize("kind", CLASSES)
+def failed_families(kind, mutant):
+    """The families of the certificates that fail."""
+    with pytest.MonkeyPatch.context() as mp:
+        return {family(c.name) for c in certify(kind, mutant, mp) if c.status == "fail"}
+
+
+@pytest.mark.parametrize("kind", [*CLASSES, "near-null"])
 def test_unmutated_solve_passes(kind, monkeypatch):
     failed = [c.name for c in certify(kind, None, monkeypatch) if c.status == "fail"]
     assert not failed
 
 
 @pytest.mark.parametrize("kind, mutant", [
-    (kind, mutant) for kind in CLASSES for mutant in MUTANTS if applies(kind, mutant)
+    (kind, mutant) for kind in [*CLASSES, "near-null"] for mutant in MUTANTS
+    if applies(kind, mutant) and (kind, mutant) not in STEIN_GUARD
 ])
 def test_mutant_is_caught(kind, mutant, monkeypatch):
     failed = [c.name for c in certify(kind, mutant, monkeypatch) if c.status == "fail"]
     assert failed, f"no certificate fails on mutant {mutant!r}"
+
+
+@pytest.mark.parametrize("kind, mutant", sorted(STEIN_GUARD))
+def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch):
+    with pytest.raises(kernel.ConvergenceError, match="Stein series diverges"):
+        certify(kind, mutant, monkeypatch)
 
 
 def catch_matrix():
@@ -218,21 +261,50 @@ def catch_matrix():
     for mutant in MUTANTS:
         caught = {f: "" for f in FAMILIES}
         for kind in CLASSES:
-            if not applies(kind, mutant):
-                continue
-            with pytest.MonkeyPatch.context() as mp:
-                certs = certify(kind, mutant, mp)
-            for fam in {family(c.name) for c in certs if c.status == "fail"}:
-                caught[fam] += kind[0].upper()
+            if applies(kind, mutant):
+                for fam in failed_families(kind, mutant):
+                    caught[fam] += kind[0].upper()
         lines.append(f"| {mutant} | " + " | ".join(caught[f] for f in FAMILIES) + " |")
     return "\n".join(lines)
 
 
-def test_readme_shows_the_catch_matrix():
+def near_null_table():
+    """Markdown table: per mutant, the families that fail on the near-null
+    model, and those that fail on the positive model at gamma 0.5 but not
+    there."""
+    def listed(families):
+        return ", ".join(f"`{f}`" for f in FAMILIES if f in families) or "none"
+
+    lines = ["| mutant | fails at gamma 1e-8 | fails at gamma 0.5 only |",
+             "|---|---|---|"]
+    for mutant in MUTANTS:
+        away = failed_families("positive", mutant)
+        if not applies("near-null", mutant):
+            here = "not planted"
+        elif ("near-null", mutant) in STEIN_GUARD:
+            here = "none: the Stein guard raises"
+        else:
+            caught = failed_families("near-null", mutant)
+            here, away = listed(caught), away - caught
+        lines.append(f"| {mutant} | {here} | {listed(away)} |")
+    return "\n".join(lines)
+
+
+def readme_table(header):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    start = readme.index("| mutant |")
-    assert readme[start:readme.index("\n\n", start)] == catch_matrix()
+    start = readme.index(header)
+    return readme[start:readme.index("\n\n", start)]
+
+
+def test_readme_shows_the_catch_matrix():
+    assert readme_table("| mutant | `eq`") == catch_matrix()
+
+
+def test_readme_shows_the_near_null_table():
+    assert readme_table("| mutant | fails at") == near_null_table()
 
 
 if __name__ == "__main__":
     print(catch_matrix())
+    print()
+    print(near_null_table())
