@@ -42,6 +42,7 @@ from .shift import (
     shifted_gr,
     shifted_hats_nonnull,
     shifted_hats_nullrec,
+    shift_routes,
     solve_via,
 )
 from .solvers import (

@@ -6,11 +6,11 @@ Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 documents carrying "schema": 3; every number is reproducible from the
 model file and the flags (the "timing" field excepted). The "solution"
 block holds the set the certificates judged: its route ("direct", or the
-forward shift kind at or near null recurrence), G, R, Ghat, Rhat, W
-(null at null recurrence, with the reason in "W_reason"), the sweeps and
-the equation residuals. "direct" holds the sweeps and residuals of the
-direct solve, only where it ran. No report writes K or Khat: K = A_0 - I
-+ A_1 G, Khat = A_0 - I + A_-1 Ghat.
+forward shift kind at or near null recurrence), G, R, Ghat, Rhat, W (or
+null, with the reason in "W_reason"), the sweeps and the equation
+residuals. "direct" holds the sweeps and residuals of the direct solve,
+only where it ran. No report writes K or Khat: K = A_0 - I + A_1 G, Khat
+= A_0 - I + A_-1 Ghat.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -159,15 +159,20 @@ def _equation_payload(sol):
 
 
 def _solution_payload(sol):
-    """The certified set: its route, matrices, sweeps and residuals."""
+    """The certified set: its route, matrices, sweeps and residuals; W is
+    null, with the reason, where it is undefined or the Stein guard fails."""
+    try:
+        w, reason = sol.w, solvers.NULL_W_REASON if sol.null else None
+    except kernel.ConvergenceError as exc:
+        w, reason = None, str(exc)
     return {
         "route": sol.route,
         "G": _flat(sol.g),
         "R": _flat(sol.r),
         "Ghat": _flat(sol.ghat),
         "Rhat": _flat(sol.rhat),
-        "W": None if sol.w is None else _flat(sol.w),
-        "W_reason": solvers.NULL_W_REASON if sol.null else None,
+        "W": None if w is None else _flat(w),
+        "W_reason": reason,
         **_equation_payload(sol),
     }
 
@@ -176,10 +181,10 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
                  samples=16, seed=None):
     """Full pipeline on one model: classify, solve the certified set on
     the route reference_solution picks (the direct solve runs at tol and
-    max_iter, also for via='direct' when the set took a shift route),
-    solve through every shift kind (the report's shift route is the picked
-    kind's, omitted for via='direct'), certify, assemble the report
-    dict."""
+    max_iter, also for via='direct' when the set took a shift route), take
+    one route per shift kind (shift_routes: classify's `cls.matched` for
+    the class-matched kind), certify, assemble the report dict. The
+    report's shift route is the picked kind's, omitted for via='direct'."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
     perron = model_mod.perron_data(triple, cls)
@@ -208,24 +213,15 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
     }
     if direct is not None:
         report["direct"] = _equation_payload(direct)
-    # one shifted solve per kind serves both the report's route and the
-    # kind's round-trip certificate; a failed round trip is a certificate
+    # one route per kind serves both the report's route and the kind's
+    # round-trip certificate; a failed round trip is a certificate
     # failure, a failed route a solver failure
-    solved = list(shift_mod.ShiftKind)
-    route_kind = None
+    transforms, routes = shift_mod.shift_routes(triple, cls, perron)
     if via != "direct":
         route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
-        solved.insert(0, route_kind)
-    routes = {}
-    for kind in dict.fromkeys(solved):
-        try:
-            routes[kind] = shift_mod.solve_via(triple, cls, kind, perron=perron)
-        except kernel.ConvergenceError as exc:
-            if kind is route_kind:
-                raise
-            routes[kind] = exc
-    if route_kind is not None:
         route = routes[route_kind]
+        if isinstance(route, kernel.ConvergenceError):
+            raise route
         report["shift_route"] = {
             "kind": route_kind.value,
             "iterations": route.cr.iterations,
@@ -234,10 +230,8 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
             "recovery_residual": route.recovery_residual,
         }
     det_seed = verify.DET_SEED if seed is None else seed
-    certificates = verify.check_identity_suite(
-        triple, cls, reference, perron, samples=samples, routes=routes,
-        det_seed=det_seed,
-    )
+    certificates = verify.check_identity_suite(triple, cls, reference, perron, transforms,
+                                               routes, samples=samples, det_seed=det_seed)
     report["certificates"] = [c.to_dict() for c in certificates]
     report["certificate_summary"] = {
         status: sum(c.status == status for c in certificates)
@@ -320,7 +314,9 @@ def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gam
         direct = solvers.cyclic_reduction(
             bm, b0, bp, tol=tol, max_iter=max_iter, res_tol=np.inf
         )
-        route = shift_mod.solve_via(triple, cls, tol=tol, max_iter=max_iter)
+        transform = shift_mod.build_transform(triple, cls, model_mod.perron_data(triple, cls),
+                                              shift_mod.pick_kind(cls))
+        route = shift_mod.solve_via(triple, transform, tol=tol, max_iter=max_iter)
         rows.append({
             "seed": seed + i,
             "kind": cls.kind.value,

@@ -126,11 +126,11 @@ class Classification:
     stationary vector of the phase process, up to scale), which
     perron_data reuses at the unit root.
 
-    `matched` is the route of the class-matched shift that gave the
-    non-unit splitting root (None at null recurrence): the right shift for
-    a positive-recurrent chain, the left one for a transient chain, both
-    built at the exact unit root from the a-priori vectors e and theta.
-    reference_solution reuses it as its forward solve.
+    `matched` is the route of the class-matched shift (right, left or
+    double for a positive-recurrent, transient or null-recurrent chain)
+    at the exact unit root, from the a-priori vectors e and theta: the
+    forward solve of reference_solution at and near null recurrence, and
+    a certified solve's route of its kind. None only for `reversed`.
     """
 
     kind: Kind
@@ -166,35 +166,36 @@ def classify(model):
     solve of the class-matched shift.
 
     drift = theta^T A_1 e - theta^T A_-1 e for theta stationary in the
-    phase process; negative drift is positive recurrence. At null
-    recurrence (|drift| <= NULL_DRIFT_TOL) xi_n = xi_{n+1} = 1 exactly and
-    nothing is solved. Otherwise the unit root and its Perron vector are
-    known exactly (xi_n = 1 with u_G = e, or xi_{n+1} = 1 with v_R =
-    theta), so the shift that moves it needs no root. The right shift
-    leaves R unchanged, so xi_{n+1} = 1/rho(R); the left shift leaves G
-    unchanged, so xi_n = rho(G). R = 0 (A_1 = 0) gives xi_{n+1} = inf and
-    G = 0 (A_-1 = 0) gives xi_n = 0. No root of B(z) is computed here:
-    the unit-circle warning comes with the spectra of a solution set.
+    phase process; negative drift is positive recurrence, |drift| <=
+    NULL_DRIFT_TOL null recurrence, where xi_n = xi_{n+1} = 1 exactly. The
+    unit root and its Perron vectors (e, theta) are known exactly, so the
+    shift that moves it needs no root; it is solved and kept as `matched`.
+    The right shift leaves R unchanged, so xi_{n+1} = 1/rho(R); the left
+    shift leaves G unchanged, so xi_n = rho(G). R = 0 (A_1 = 0) gives
+    xi_{n+1} = inf and G = 0 (A_-1 = 0) gives xi_n = 0. No root of B(z) is
+    computed here: the unit-circle warning comes with the spectra of a
+    solution set.
     """
     from . import shift  # shift imports this module
 
     phase_left = kernel.perron(model.a_sum().T, 1.0)
     theta = phase_left / np.sum(phase_left)
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
-    if abs(drift) <= NULL_DRIFT_TOL:
-        return Classification(Kind.NULL_RECURRENT, drift, 1.0, 1.0, phase_left)
-    kind = Kind.POSITIVE_RECURRENT if drift < 0.0 else Kind.TRANSIENT
+    kind = (Kind.NULL_RECURRENT if abs(drift) <= NULL_DRIFT_TOL
+            else Kind.POSITIVE_RECURRENT if drift < 0.0 else Kind.TRANSIENT)
     # the shift reads only the unit point: xi = 1 there, and the Perron data
     # of A(1), which perron_data gives when both points are the unit root
     at_unit = Classification(kind, drift, 1.0, 1.0, phase_left)
     e = np.ones(model.n)
-    route = shift.solve_via(model, at_unit, perron=PerronData(
-        u_g=e, v_rhat=phase_left, u_ghat=e, v_r=phase_left))
+    perron = PerronData(u_g=e, v_rhat=phase_left, u_ghat=e, v_r=phase_left)
+    route = shift.solve_via(model, shift.build_transform(model, at_unit, perron,
+                                                         shift.pick_kind(at_unit)))
     # the shift-recovered solution carries round-off negatives; read them as 0
+    xi_n = xi_n1 = 1.0
     if kind is Kind.POSITIVE_RECURRENT:
-        xi_n, xi_n1 = 1.0, _reciprocal(kernel.spectral_radius(np.maximum(route.r, 0.0)))
-    else:
-        xi_n, xi_n1 = kernel.spectral_radius(np.maximum(route.g, 0.0)), 1.0
+        xi_n1 = _reciprocal(kernel.spectral_radius(np.maximum(route.r, 0.0)))
+    elif kind is Kind.TRANSIENT:
+        xi_n = kernel.spectral_radius(np.maximum(route.g, 0.0))
     return Classification(kind, drift, xi_n, xi_n1, phase_left, matched=route)
 
 

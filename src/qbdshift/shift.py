@@ -31,6 +31,7 @@ __all__ = [
     "shifted_gr",
     "shifted_hats_nonnull",
     "shifted_hats_nullrec",
+    "shift_routes",
     "solve_via",
 ]
 
@@ -211,7 +212,7 @@ def _shifted_hats(transform, ghat_s, rhat_s, **extra):
     return ShiftedHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, residuals=residuals, **extra)
 
 
-def shifted_hats_nullrec(model, sol, perron, transform):
+def shifted_hats_nullrec(sol, perron, transform):
     """Closed-form hat solutions for a null-recurrent shifted problem.
 
     Needs the solution-side Perron vectors (complete_perron_data). The
@@ -255,7 +256,7 @@ def shifted_hats_nullrec(model, sol, perron, transform):
     return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
-def shifted_hats_nonnull(model, sol, transform):
+def shifted_hats_nonnull(sol, transform):
     """Hat solutions of the shifted problem through W_s.
 
     Right: W_r = W - xi_n Q W R, Ghat_r = W_r R W_r^-1,
@@ -317,16 +318,9 @@ def pick_kind(cls):
     return ShiftKind.LEFT
 
 
-def solve_via(model, cls=None, kind="auto", perron=None, tol=solvers.CR_TOL,
-              max_iter=solvers.CR_MAX_ITER):
-    """Fast path: build a shift, solve the shifted problem by cyclic
-    reduction, recover (G, R) of the original problem."""
-    if cls is None:
-        cls = model_mod.classify(model)
-    if perron is None:
-        perron = model_mod.perron_data(model, cls)
-    kind = pick_kind(cls) if kind == "auto" else ShiftKind(kind)
-    transform = build_transform(model, cls, perron, kind)
+def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER):
+    """Solve the shifted problem of `transform` (build_transform) by cyclic
+    reduction and recover (G, R) of `model`, the original problem."""
     shifted = transform.shifted
     b0 = shifted.b_zero()
     cr = solvers.cyclic_reduction(
@@ -342,6 +336,21 @@ def solve_via(model, cls=None, kind="auto", perron=None, tol=solvers.CR_TOL,
                       recovery_residual=res)
 
 
+def shift_routes(model, cls, perron):
+    """(transforms, routes) by ShiftKind: each transform built once from
+    the completed Perron data `perron`, and the route solved on it, or the
+    ConvergenceError its solve raised; the class-matched kind's route is
+    classify's solve (`cls.matched`), which recovers the same G and R."""
+    transforms = {kind: build_transform(model, cls, perron, kind) for kind in ShiftKind}
+    routes = {}
+    for kind, transform in transforms.items():
+        try:
+            routes[kind] = cls.matched if kind is pick_kind(cls) else solve_via(model, transform)
+        except kernel.ConvergenceError as exc:
+            routes[kind] = exc
+    return transforms, routes
+
+
 # Root gap below which the direct route visibly loses forward accuracy
 # (the loss scales like eps over the gap); the shift route keeps it.
 NEAR_NULL_GAP = 1e-3
@@ -354,18 +363,12 @@ def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER,
 
     Well-separated models (xi_{n+1} - xi_n >= NEAR_NULL_GAP) solve
     directly, by quadratic cyclic reduction at `tol` and `max_iter`.
-    Null-recurrent ones go through the double shift; nearly-null ones
-    through the class-matched single shift, whose shift point is the unit
-    root and therefore known exactly. Both shift routes run the reversed
-    model for (Ghat, Rhat), with its classification and Perron data
-    derived from the forward ones, and restore accuracy the direct route
-    loses as the splitting roots coalesce. Every shifted solve runs at
-    CR_TOL and CR_MAX_ITER. The nearly-null forward solve is the one
-    classify made to find the splitting root (`cls.matched`): the same
-    shift, from the same vectors e and theta at the exact unit root.
-    `perron` is the a-priori Perron data of `model` (perron_data); a shift
-    route computes it when it is not given, the direct route never reads
-    it.
+    Null-recurrent and nearly-null ones take classify's class-matched
+    shifted solve (`cls.matched`) as the forward solve, and the reversed
+    model's for (Ghat, Rhat), with its classification and Perron data
+    derived from the forward ones, at CR_TOL and CR_MAX_ITER: they keep
+    the accuracy the direct route loses as the roots coalesce. `perron` is
+    the a-priori Perron data (perron_data), computed when not given.
     """
     if cls is None:
         cls = model_mod.classify(model)
@@ -375,12 +378,9 @@ def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER,
     if perron is None:
         perron = model_mod.perron_data(model, cls)
     fwd = cls.matched
-    if fwd is None:
-        kind = ShiftKind.DOUBLE if null else pick_kind(cls)
-        fwd = solve_via(model, cls, kind=kind, perron=perron)
-    rev_cls = cls.reversed()
-    rev_kind = ShiftKind.DOUBLE if null else pick_kind(rev_cls)
-    rev = solve_via(model.reversed(), rev_cls, kind=rev_kind, perron=perron.reversed())
+    rev_model, rev_cls = model.reversed(), cls.reversed()
+    rev = solve_via(rev_model, build_transform(rev_model, rev_cls, perron.reversed(),
+                                               pick_kind(rev_cls)))
     b0 = model.b_zero()
     k = b0 + model.a_plus @ fwd.g
     khat = b0 + model.a_minus @ rev.g

@@ -201,6 +201,11 @@ def _factor_roots_cert(sol, det_b, eig_g, eig_r):
     return _cert("spec:eig(G)+1/eig(R)=roots(B)", worst, ROOT_MATCH_TOL)
 
 
+# the W:* certificates with the floors of their tolerances
+W_TOL_FLOORS = {"W:stein": IDENTITY_TOL, "W:inverse-identity": IDENTITY_TOL,
+                "W:Ghat-similarity": SPECTRAL_TOL, "W:Rhat-similarity": SPECTRAL_TOL}
+
+
 def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
@@ -247,40 +252,41 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
                         matpoly.Factorization("z_inverse", rhat, khat, ghat))):
         residual = matpoly.factorization_residual(model.poly, fact, samples)
         certs.append(_cert(name, residual, FACTOR_TOL))
-    if sol.w is None:
-        certs.extend(
-            _na(name, solvers.NULL_W_REASON)
-            for name in ("W:stein", "W:inverse-identity", "W:Ghat-similarity",
-                         "W:Rhat-similarity")
-        )
-    else:
+    try:
         w = sol.w
-        eye = np.eye(model.n)
-        w_inv = kernel.inverse(w)
-        # ||W|| ~ 1/gap near null recurrence: absolute tolerances would
-        # flag perfectly conditioned-relative solutions there
-        w_scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
-        certs.append(
-            _cert("W:stein", kernel.inf_norm(w - g @ w @ r - sol.k_inv),
-                  IDENTITY_TOL * w_scale)
+    except kernel.ConvergenceError as exc:
+        # W is evidence, not a solver step: a G or R wrong enough to lift
+        # rho(G) rho(R) to 1 fails them, as a failed route its round trip
+        return certs + [Certificate(name, float("inf"), tol, "fail", str(exc))
+                        for name, tol in W_TOL_FLOORS.items()]
+    if w is None:
+        return certs + [_na(name, solvers.NULL_W_REASON) for name in W_TOL_FLOORS]
+    eye = np.eye(model.n)
+    w_inv = kernel.inverse(w)
+    # ||W|| ~ 1/gap near null recurrence: absolute tolerances would
+    # flag perfectly conditioned-relative solutions there
+    w_scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
+    certs.append(
+        _cert("W:stein", kernel.inf_norm(w - g @ w @ r - sol.k_inv),
+              IDENTITY_TOL * w_scale)
+    )
+    certs.append(
+        _cert(
+            "W:inverse-identity",
+            kernel.inf_norm(k @ (eye - g @ ghat) @ w - eye),
+            IDENTITY_TOL * w_scale,
         )
-        certs.append(
-            _cert(
-                "W:inverse-identity",
-                kernel.inf_norm(k @ (eye - g @ ghat) @ w - eye),
-                IDENTITY_TOL * w_scale,
-            )
-        )
-        # W itself is accurate to ~eps kappa(W) (Stein conditioning) and
-        # the conjugation multiplies by kappa(W) again
-        cond_w = kernel.inf_norm(w) * kernel.inf_norm(w_inv)
-        sim_tol = max(SPECTRAL_TOL, 1e2 * np.finfo(float).eps * cond_w**2)
-        certs.append(
-            _cert("W:Ghat-similarity", kernel.inf_norm(w @ r @ w_inv - ghat), sim_tol)
-        )
-        certs.append(
-            _cert("W:Rhat-similarity", kernel.inf_norm(w_inv @ g @ w - rhat), sim_tol)
-        )
+    )
+    # W itself is accurate to ~eps kappa(W) (Stein conditioning) and
+    # the conjugation multiplies by kappa(W) again
+    cond_w = kernel.inf_norm(w) * kernel.inf_norm(w_inv)
+    sim_tol = max(SPECTRAL_TOL, 1e2 * np.finfo(float).eps * cond_w**2)
+    certs.append(
+        _cert("W:Ghat-similarity", kernel.inf_norm(w @ r @ w_inv - ghat), sim_tol)
+    )
+    certs.append(
+        _cert("W:Rhat-similarity", kernel.inf_norm(w_inv @ g @ w - rhat), sim_tol)
+    )
     return certs
 
 
@@ -345,9 +351,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
             )
         )
     try:
-        certs.extend(_hat_certs(
-            model, cls, sol, perron, transform, samples, null, xi_amp, eigvals
-        ))
+        certs.extend(_hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals))
     except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
         # the names _hat_certs gives on success, whichever guard stopped
         # the transport: one set per class and kind
@@ -363,7 +367,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
     return certs
 
 
-def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigvals):
+def _hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals):
     """The shifted hat checks of one kind; raises where the transport is
     unavailable (inadmissible vector, no closed form for the non-null
     double shift, exhausted conditioning)."""
@@ -373,7 +377,7 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigval
     hat_tol = IDENTITY_TOL
     factor_tol = FACTOR_TOL
     if null:
-        hats = shift_mod.shifted_hats_nullrec(model, sol, perron, transform)
+        hats = shift_mod.shifted_hats_nullrec(sol, perron, transform)
         rank_one_gap = kernel.inf_norm(hats.khat_rank_one - hats.khat)
         if transform.kind is shift_mod.ShiftKind.DOUBLE:
             certs.append(
@@ -391,7 +395,7 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigval
                 _cert(f"{kind}:id:Khat_s-rank-one", rank_one_gap, IDENTITY_TOL)
             )
     else:
-        hats = shift_mod.shifted_hats_nonnull(model, sol, transform)
+        hats = shift_mod.shifted_hats_nonnull(sol, transform)
         # W_s = W - (rank-one) W-product cancels two ~||W|| terms, so the
         # transported hats inherit W's absolute error, ~eps ||W||^2 from
         # the Stein conditioning, on top of the shift-point error
@@ -421,10 +425,10 @@ def _hat_certs(model, cls, sol, perron, transform, samples, null, xi_amp, eigval
 
 def _roundtrip_cert(sol, kind, route, xi_amp):
     """The shift route of one kind (solved shifted, recovered) against a
-    direct reference solution off null recurrence, otherwise against the
-    original equations: a shift-route reference differs from the route of
-    its own kind only in the free vectors, and a direct one at null
-    recurrence is accurate to about 1e-7. `route` may be the
+    direct reference solution, or against the original equations where
+    the reference took a shift route: the class-matched kind's route is
+    then the forward solve of the reference itself, so its round trip
+    reads that solve's recovery residual. `route` may be the
     ConvergenceError its solve raised."""
     if isinstance(route, kernel.ConvergenceError):
         return Certificate(
@@ -441,19 +445,19 @@ def _roundtrip_cert(sol, kind, route, xi_amp):
                  "recovered pair vs direct solve")
 
 
-def check_identity_suite(model, cls, sol, perron, samples=16, routes=None,
+def check_identity_suite(model, cls, sol, perron, transforms, routes=None, samples=16,
                          det_seed=DET_SEED):
     """Run every certificate on one instance: the coupling identities and
     factorizations of the base problem, then for each shift kind the
     surgery, transport and hat checks.
 
-    `perron` is the completed Perron data of `sol`. `routes` maps a shift
-    kind to its solve_via route, built from that data, or to the
-    ConvergenceError that solve raised. A kind with a route is certified
-    on the route's transform and gets a round-trip certificate; the suite
-    itself solves nothing.
+    `perron` is the completed Perron data of `sol`; each kind is judged on
+    its transform from that data (free vectors v_Ghat and u_Rhat) in
+    `transforms`, as shift_routes builds them. `routes` maps a kind to its
+    route, or to the ConvergenceError its solve raised; a kind with a
+    route gets a round-trip certificate. The suite solves nothing.
     """
-    routes = {shift_mod.ShiftKind(k): route for k, route in (routes or {}).items()}
+    routes = routes or {}
     det_b = [(z, model.poly.det_b(z))
              for z in _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)]
     # one eigensolve per distinct matrix: the kinds share G, R and, through
@@ -475,11 +479,8 @@ def check_identity_suite(model, cls, sol, perron, samples=16, routes=None,
 
     certs = _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r)
     for kind in shift_mod.ShiftKind:
-        route = routes.get(kind)
-        transform = (route.transform if isinstance(route, shift_mod.ShiftRoute)
-                     else shift_mod.build_transform(model, cls, perron, kind))
         certs.extend(_transform_certs(
-            model, cls, sol, perron, transform, samples, det_b, points_without, route,
-            eigvals,
+            model, cls, sol, perron, transforms[kind], samples, det_b, points_without,
+            routes.get(kind), eigvals,
         ))
     return certs

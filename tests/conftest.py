@@ -1,8 +1,19 @@
 import pytest
 
 import oracles
-from qbdshift import classify, validate
+from qbdshift import ShiftKind, build_transform, classify, perron_data, solve_via, validate
 from qbdshift import cli as cli_mod
+
+
+def transforms_of(model, cls, perron):
+    """Every shift kind's transform built from `perron`, as
+    check_identity_suite takes them."""
+    return {kind: build_transform(model, cls, perron, kind) for kind in ShiftKind}
+
+
+def solve_kind(model, cls, kind):
+    """The route of one shift kind, built from the a-priori Perron data."""
+    return solve_via(model, build_transform(model, cls, perron_data(model, cls), kind))
 
 
 @pytest.fixture(scope="session")

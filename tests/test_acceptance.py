@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_bank
+from conftest import make_bank, solve_kind, transforms_of
 from phase_partition import phase_partition
 from qbdshift import (
     check_identity_suite,
@@ -20,7 +20,6 @@ from qbdshift import (
     reference_solution,
     shifted_hats_nullrec,
     solve_all,
-    solve_via,
 )
 from qbdshift import cli, shift as shift_mod, solvers
 
@@ -65,7 +64,8 @@ def subset_suites(subset):
         for m, cls in rows:
             sol = reference_solution(m, cls)
             pd = complete_perron_data(perron_data(m, cls), sol)
-            out[kind].append((m, cls, check_identity_suite(m, cls, sol, pd)))
+            out[kind].append((m, cls, check_identity_suite(
+                m, cls, sol, pd, transforms_of(m, cls, pd))))
     return out
 
 
@@ -138,7 +138,7 @@ def test_criterion_5_round_trip(capsys, direct_solutions):
     worst_null = 0.0
     for kind, rows in direct_solutions.items():
         for m, cls, sol in rows:
-            route = solve_via(m, cls, kind="auto")
+            route = solve_kind(m, cls, shift_mod.pick_kind(cls))
             if kind == "null":
                 bm, b0, bp = m.a_minus, m.b_zero(), m.a_plus
                 worst_null = max(
@@ -232,14 +232,14 @@ def test_criterion_9_khat_double_discrepancy(capsys, n1):
     sol = reference_solution(n1, cls)
     pd = complete_perron_data(perron_data(n1, cls), sol)
     transform = shift_mod.build_transform(n1, cls, pd, "double", v=[1.0], w=[1.0])
-    hats = shifted_hats_nullrec(n1, sol, pd, transform)
+    hats = shifted_hats_nullrec(sol, pd, transform)
     gap = kernel.inf_norm(hats.khat_rank_one - hats.khat)
     factor_residual = matpoly.factorization_residual(
         transform.shifted.poly,
         matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
         16,
     )
-    certs = check_identity_suite(n1, cls, sol, pd)
+    certs = check_identity_suite(n1, cls, sol, pd, transforms_of(n1, cls, pd))
     info = [c for c in certs if c.name == "double:id:Khat_d-compact"]
     ok = (
         abs(gap - 0.4) <= 1e-10

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qbdshift import Kind, classify
-from qbdshift import cli, model as model_mod, shift, solvers
+from qbdshift import cli, solvers
 
 
 class TestGenerate:
@@ -228,12 +228,10 @@ class TestMain:
 
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_recovery_residual_is_the_routes(self, kind):
+        # the report's route is the class-matched solve classify made
         triple, meta = cli.generate(kind, 4, seed=5)
         report = cli.solve_report(triple, meta)
-        cls = classify(triple)
-        perron = model_mod.complete_perron_data(
-            model_mod.perron_data(triple, cls), shift.reference_solution(triple, cls))
-        route = shift.solve_via(triple, cls, perron=perron)
+        route = classify(triple).matched
         bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
         expected = max(solvers.residual_g(bm, b0, bp, route.g),
                        solvers.residual_r(bm, b0, bp, route.r))
@@ -349,15 +347,16 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 5, "perron_data": 1, "new": 5, "det_b": 32}),
-        ("null", {"cyclic_reduction": 5, "perron_data": 1, "new": 6, "det_b": 32}),
+        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 5, "det_b": 32}),
+        ("null", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 32}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
-        # classify makes one shifted solve off null recurrence (the right
-        # shift here), one cyclic-reduction run gives the direct G and Ghat
-        # (two double-shifted runs at null recurrence, and no direct one),
-        # one shifted solve per kind serves the route and its round trip,
-        # Perron data is computed once per triple (the null reference
+        # classify makes the class-matched shifted solve (right here, double
+        # at null recurrence), one cyclic-reduction run gives the direct G
+        # and Ghat (the reversed double shift at null recurrence, and no
+        # direct run), classify's solve is the route of its kind and the
+        # other two kinds are solved once each for the route and its round
+        # trip, Perron data is computed once per triple (the null reference
         # solution reads the report's and derives the reversed model's),
         # each triple builds B(z) once, and det B(z) is taken once per
         # determinant point
@@ -397,7 +396,8 @@ class TestMain:
                                                       route, direct_runs):
         # the certified set takes a shift route at null recurrence and at a
         # root gap of 1.2e-5 (below NEAR_NULL_GAP), and no direct solve runs
-        # there; every class makes 5 cyclic reductions
+        # there; every class makes 4 cyclic reductions, and the report's
+        # route is classify's class-matched solve
         from qbdshift import solvers
 
         counts = {"solve_all": 0, "cyclic_reduction": 0}
@@ -415,7 +415,10 @@ class TestMain:
         assert report["solution"]["route"] == route
         assert ("direct" in report) == bool(direct_runs)
         assert report["certificate_summary"]["fail"] == 0
-        assert counts == {"solve_all": direct_runs, "cyclic_reduction": 5}
+        assert counts == {"solve_all": direct_runs, "cyclic_reduction": 4}
+        matched = classify(triple).matched
+        assert report["shift_route"]["iterations"] == matched.cr.iterations
+        assert report["shift_route"]["G"] == cli._flat(matched.g)
 
     def test_via_direct_runs_the_direct_solve_at_null(self, monkeypatch):
         # --via direct asks for the direct solve; the certified set and its

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from qbdshift import (
     Kind,
+    ShiftKind,
     ValidationError,
     classify,
     complete_perron_data,
@@ -76,10 +77,12 @@ class TestClassify:
     def test_null_double_unit_root_is_exact(self, small_bank):
         # QZ splits the double root at 1 by about sqrt(eps), at positions
         # n - 1 and n of the sorted roots; classify takes both as exactly 1
-        # and solves nothing for them
+        # and solves the double shift there, which moves both
         for m, cls in small_bank["null"]:
             assert cls.xi_n == cls.xi_n1 == 1.0
-            assert cls.matched is None
+            t = cls.matched.transform
+            assert t.kind is ShiftKind.DOUBLE
+            assert t.xi_n == t.xi_n1 == 1.0
             values = oracles.qz_roots(m.poly).values()
             assert np.abs(values[m.n - 1:m.n + 1] - 1.0).max() <= 1e-7
 

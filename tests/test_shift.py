@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import solve_kind
 from qbdshift import (
     ShiftKind,
     build_transform,
@@ -15,7 +16,6 @@ from qbdshift import (
     shifted_hats_nonnull,
     shifted_hats_nullrec,
     solve_all,
-    solve_via,
 )
 from qbdshift import cli, solvers
 
@@ -185,7 +185,7 @@ class TestNullRecurrentHats:
     def test_n1_right(self, n1):
         cls, sol, pd = self.full_perron(n1)
         t = build_transform(n1, cls, pd, "right", v=[1.0])
-        hats = shifted_hats_nullrec(n1, sol, pd, t)
+        hats = shifted_hats_nullrec(sol, pd, t)
         assert hats.ghat[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert hats.rhat[0, 0] == pytest.approx(0.0, abs=1e-10)
         assert hats.khat[0, 0] == pytest.approx(-0.4, abs=1e-10)
@@ -194,7 +194,7 @@ class TestNullRecurrentHats:
     def test_n1_left(self, n1):
         cls, sol, pd = self.full_perron(n1)
         t = build_transform(n1, cls, pd, "left", w=[1.0])
-        hats = shifted_hats_nullrec(n1, sol, pd, t)
+        hats = shifted_hats_nullrec(sol, pd, t)
         assert hats.ghat[0, 0] == pytest.approx(0.0, abs=1e-10)
         assert hats.rhat[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert hats.khat[0, 0] == pytest.approx(-0.4, abs=1e-10)
@@ -202,7 +202,7 @@ class TestNullRecurrentHats:
     def test_n1_double_defining_vs_compact(self, n1):
         cls, sol, pd = self.full_perron(n1)
         t = build_transform(n1, cls, pd, "double", v=[1.0], w=[1.0])
-        hats = shifted_hats_nullrec(n1, sol, pd, t)
+        hats = shifted_hats_nullrec(sol, pd, t)
         assert hats.ghat[0, 0] == pytest.approx(0.0, abs=1e-10)
         assert hats.rhat[0, 0] == pytest.approx(0.0, abs=1e-10)
         assert hats.khat[0, 0] == pytest.approx(-0.4, abs=1e-10)
@@ -217,7 +217,7 @@ class TestNullRecurrentHats:
             ("double", "both"),
         ):
             t = build_transform(n2, cls, pd, kind)
-            hats = shifted_hats_nullrec(n2, sol, pd, t)
+            hats = shifted_hats_nullrec(sol, pd, t)
             assert hats.residuals["Ghat_s"] <= 1e-10
             assert hats.residuals["Rhat_s"] <= 1e-10
             assert hats.residuals["Khat_s_form2"] <= 1e-10
@@ -238,7 +238,7 @@ class TestNullRecurrentHats:
         pd = complete_perron_data(perron_data(e2, cls), sol)
         t = build_transform(e2, cls, pd, "right")
         with pytest.raises(ValueError, match="xi_n"):
-            shifted_hats_nullrec(e2, sol, pd, t)
+            shifted_hats_nullrec(sol, pd, t)
 
 
 class TestNonNullHats:
@@ -247,7 +247,7 @@ class TestNonNullHats:
         sol = solve_all(p1, cls)
         pd = complete_perron_data(perron_data(p1, cls), sol)
         t = build_transform(p1, cls, pd, "right", v=[1.0])
-        hats = shifted_hats_nonnull(p1, sol, t)
+        hats = shifted_hats_nonnull(sol, t)
         assert hats.w[0, 0] == pytest.approx(-2.0, abs=1e-11)
         assert hats.ghat[0, 0] == pytest.approx(0.6, abs=1e-11)
         assert hats.rhat[0, 0] == pytest.approx(0.0, abs=1e-11)
@@ -257,7 +257,7 @@ class TestNonNullHats:
         sol = solve_all(t1, cls)
         pd = complete_perron_data(perron_data(t1, cls), sol)
         t = build_transform(t1, cls, pd, "left", w=[1.0])
-        hats = shifted_hats_nonnull(t1, sol, t)
+        hats = shifted_hats_nonnull(sol, t)
         assert hats.w[0, 0] == pytest.approx(-2.0, abs=1e-11)
         assert hats.ghat[0, 0] == pytest.approx(0.0, abs=1e-11)
         assert hats.rhat[0, 0] == pytest.approx(0.6, abs=1e-11)
@@ -271,7 +271,7 @@ class TestNonNullHats:
         sol = solve_all(m, cls)
         pd = complete_perron_data(perron_data(m, cls), sol)
         t = build_transform(m, cls, pd, "right")
-        hats = shifted_hats_nonnull(m, sol, t)
+        hats = shifted_hats_nonnull(sol, t)
         np.testing.assert_allclose(
             hats.w, sol.w - cls.xi_n * t.q @ sol.w @ sol.r, atol=1e-12
         )
@@ -282,7 +282,7 @@ class TestNonNullHats:
         pd = complete_perron_data(perron_data(e2, cls), sol)
         t = build_transform(e2, cls, pd, "double")
         with pytest.raises(ValueError, match="double"):
-            shifted_hats_nonnull(e2, sol, t)
+            shifted_hats_nonnull(sol, t)
 
     def test_inadmissible_v_detected(self):
         # needs Ghat u_G not parallel to u_G, so an asymmetric instance
@@ -300,7 +300,7 @@ class TestNonNullHats:
         v_bad = np.linalg.solve(system, np.array([1.0, 1.0 / cls.xi_n]))
         t = build_transform(m, cls, pd, "right", v=v_bad)
         with pytest.raises(ValueError, match="inadmissible"):
-            shifted_hats_nonnull(m, sol, t)
+            shifted_hats_nonnull(sol, t)
 
     def test_solves_shifted_hat_equations(self, small_bank):
         for kind in ("positive", "transient"):
@@ -309,7 +309,7 @@ class TestNonNullHats:
                 pd = complete_perron_data(perron_data(m, cls), sol)
                 for kind in ("right", "left"):
                     t = build_transform(m, cls, pd, kind)
-                    hats = shifted_hats_nonnull(m, sol, t)
+                    hats = shifted_hats_nonnull(sol, t)
                     assert hats.residuals["Ghat_s"] <= 1e-10
                     assert hats.residuals["Rhat_s"] <= 1e-10
 
@@ -332,20 +332,20 @@ class TestRoundTripsAndSurgery:
             for m, cls in small_bank[kind_name][:2]:
                 direct = solve_all(m, cls)
                 for kind in ShiftKind:
-                    route = solve_via(m, cls, kind=kind)
+                    route = solve_kind(m, cls, kind)
                     np.testing.assert_allclose(route.g, direct.g, atol=1e-8)
                     np.testing.assert_allclose(route.r, direct.r, atol=1e-8)
 
     def test_round_trip_null_satisfies_original(self, small_bank):
         for m, cls in small_bank["null"][:3]:
-            route = solve_via(m, cls, kind="double")
+            route = solve_kind(m, cls, ShiftKind.DOUBLE)
             bm, b0, bp = m.a_minus, m.b_zero(), m.a_plus
             assert solvers.residual_g(bm, b0, bp, route.g) <= 1e-12
             assert solvers.residual_r(bm, b0, bp, route.r) <= 1e-12
 
     def test_double_shift_restores_canonical_gap(self, small_bank):
         for m, cls in small_bank["null"][:3]:
-            route = solve_via(m, cls, kind="double")
+            route = solve_kind(m, cls, ShiftKind.DOUBLE)
             assert kernel.spectral_radius(route.cr.g) < 1.0 - 1e-6
             assert kernel.spectral_radius(route.r_shifted) < 1.0 - 1e-6
 
@@ -411,8 +411,9 @@ class TestReferenceSolution:
     ])
     def test_r_derived_once_per_solve(self, monkeypatch, kind, gamma):
         # each route's solve derives its own R, and the shifted routes'
-        # K and Khat are formed directly: two derivations, but one near null
-        # recurrence, where the forward route is the one classify solved
+        # K and Khat are formed directly: two derivations on the direct
+        # route, one at and near null recurrence, where the forward route
+        # is the one classify solved
         calls = []
         real = solvers.derive_r_k
 
@@ -424,7 +425,7 @@ class TestReferenceSolution:
         cls = classify(model)
         monkeypatch.setattr(solvers, "derive_r_k", counting)
         sol = reference_solution(model, cls)
-        assert len(calls) == (1 if gamma == 1e-4 else 2)
+        assert len(calls) == (2 if sol.route == "direct" else 1)
         b0 = model.b_zero()
         np.testing.assert_array_equal(sol.k, b0 + model.a_plus @ sol.g)
         np.testing.assert_array_equal(sol.khat, b0 + model.a_minus @ sol.ghat)
@@ -439,7 +440,7 @@ class TestShiftedSolutionsAggregate:
         sol = reference_solution(n2, cls)
         pd = complete_perron_data(perron_data(n2, cls), sol)
         t = build_transform(n2, cls, pd, "double")
-        hats = shifted_hats_nullrec(n2, sol, pd, t)
+        hats = shifted_hats_nullrec(sol, pd, t)
         assert hats.ghat is not None and hats.khat_rank_one is not None
         assert hats.w is None  # null recurrence: transported by closed form
         assert max(hats.residuals.values()) <= 1e-10
@@ -449,7 +450,7 @@ class TestShiftedSolutionsAggregate:
         sol = solve_all(e2, cls)
         pd = complete_perron_data(perron_data(e2, cls), sol)
         t = build_transform(e2, cls, pd, "right")
-        hats = shifted_hats_nonnull(e2, sol, t)
+        hats = shifted_hats_nonnull(sol, t)
         assert hats.w is not None and hats.khat_rank_one is None
         assert max(hats.residuals.values()) <= 1e-10
 
@@ -459,7 +460,7 @@ class TestShiftedSolutionsAggregate:
         pd = complete_perron_data(perron_data(e2, cls), sol)
         t = build_transform(e2, cls, pd, "double")
         with pytest.raises(ValueError, match="no closed-form"):
-            shifted_hats_nonnull(e2, sol, t)
+            shifted_hats_nonnull(sol, t)
         g_s, _, k_s = shifted_gr(sol, t)
         assert g_s is not None and k_s is not None
 

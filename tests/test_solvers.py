@@ -247,8 +247,9 @@ class TestOnePassHats:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "cyclic_reduction", counted)
-        # classify solves the right shift of the positive-recurrent e2 first
-        for m, expected in ((e2, [False, True]), (n2, [True])):
+        # classify solves the class-matched shift first: the right shift of
+        # the positive-recurrent e2, the double shift of the null n2
+        for m, expected in ((e2, [False, True]), (n2, [False, True])):
             calls.clear()
             sol = solve_all(m)
             assert calls == expected

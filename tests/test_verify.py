@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import transforms_of
 from phase_partition import phase_partition
 from qbdshift import (
     Kind,
@@ -16,9 +17,9 @@ from qbdshift import (
     complete_perron_data,
     perron_data,
     reference_solution,
+    shift_routes,
     shifted_gr,
     solve_all,
-    solve_via,
     validate,
 )
 from qbdshift import solvers, verify
@@ -31,13 +32,13 @@ def solved(model):
     return cls, sol, pd
 
 
-def full_suite(model, max_iter=solvers.CR_MAX_ITER):
-    """The suite as a certified solve runs it: every shift kind with the
-    route solved from the completed Perron data, round trips included."""
+def full_suite(model):
+    """The suite as a certified solve runs it: every shift kind on its
+    transform from the completed Perron data, with its route (classify's
+    for the class-matched kind), round trips included."""
     cls, sol, pd = solved(model)
-    routes = {kind: solve_via(model, cls, kind, perron=pd, max_iter=max_iter)
-              for kind in ShiftKind}
-    return check_identity_suite(model, cls, sol, perron=pd, routes=routes)
+    transforms, routes = shift_routes(model, cls, pd)
+    return check_identity_suite(model, cls, sol, pd, transforms, routes)
 
 
 class TestMMatrix:
@@ -152,7 +153,7 @@ class TestIdentitySuite:
         sol = solve_all(e2, cls)
         broken = dataclasses.replace(sol, g=sol.g + 0.01)
         pd = complete_perron_data(perron_data(e2, cls), broken)
-        certs = check_identity_suite(e2, cls, broken, pd)
+        certs = check_identity_suite(e2, cls, broken, pd, transforms_of(e2, cls, pd))
         assert sum(c.status == "fail" for c in certs) >= 3
 
     def test_certificates_deterministic(self, t1):
@@ -168,7 +169,8 @@ class TestIdentitySuite:
                 assert (cert.residual <= cert.tolerance) == (cert.status == "pass")
 
     def test_serializes(self, p1):
-        cert = check_identity_suite(p1, *solved(p1))[0]
+        cls, sol, pd = solved(p1)
+        cert = check_identity_suite(p1, cls, sol, pd, transforms_of(p1, cls, pd))[0]
         payload = cert.to_dict()
         assert set(payload) == {"name", "residual", "tolerance", "status", "context"}
 
@@ -338,7 +340,7 @@ class TestNearNullRecurrent:
         from qbdshift import cli
 
         m, _ = cli.generate("positive", 4, seed=1, gamma=gamma)
-        certs = full_suite(m, max_iter=128)
+        certs = full_suite(m)
         fails = [(c.name, c.residual) for c in certs if c.status == "fail"]
         assert not fails, fails
 
@@ -346,7 +348,7 @@ class TestNearNullRecurrent:
         from qbdshift import cli
 
         m, _ = cli.generate("positive", 4, seed=0, gamma=1e-7)
-        certs = full_suite(m, max_iter=128)
+        certs = full_suite(m)
         assert not [c for c in certs if c.status == "fail"]
         exhausted = [c for c in certs if c.status == "n/a" and "conditioning" in c.context]
         assert exhausted  # W transport has no verifiable digits here
