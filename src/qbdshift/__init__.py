@@ -37,6 +37,7 @@ from .shift import (
     ShiftTransform,
     ShiftedHats,
     build_transform,
+    matched_transform,
     recover_gr,
     reference_solution,
     shifted_gr,

@@ -187,16 +187,14 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
     report's shift route is the picked kind's, omitted for via='direct'."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
-    perron = model_mod.perron_data(triple, cls)
     # the certificates judge the most accurate set there is: the direct
     # solve is only ~1e-7 accurate at null recurrence and loses digits like
     # eps over the root gap near it, where the shift routes keep them
-    reference = shift_mod.reference_solution(triple, cls, tol=tol, max_iter=max_iter,
-                                             perron=perron)
+    reference = shift_mod.reference_solution(triple, cls, tol=tol, max_iter=max_iter)
     direct = reference if reference.route == "direct" else None
     if direct is None and via == "direct":
         direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
-    perron = model_mod.complete_perron_data(perron, reference)
+    perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
     report = {
         "schema": SCHEMA_VERSION,
         "meta": meta,
@@ -302,7 +300,9 @@ def _accuracy_probe(kind_value, g):
 def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gamma=0.5):
     """Per-instance direct vs shifted comparison rows.
 
-    Both routes run cyclic reduction at the same tolerance; rows carry
+    The shifted route is the class-matched shift at the unit root
+    (shift.matched_transform). Both routes run cyclic reduction at `tol`
+    and `max_iter`; rows carry
     sweep counts, per-sweep rate estimates, residuals, and the
     stochasticity accuracy probe (recurrent classes only).
     """
@@ -314,9 +314,8 @@ def bench_rows(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER, gam
         direct = solvers.cyclic_reduction(
             bm, b0, bp, tol=tol, max_iter=max_iter, res_tol=np.inf
         )
-        transform = shift_mod.build_transform(triple, cls, model_mod.perron_data(triple, cls),
-                                              shift_mod.pick_kind(cls))
-        route = shift_mod.solve_via(triple, transform, tol=tol, max_iter=max_iter)
+        route = shift_mod.solve_via(triple, shift_mod.matched_transform(triple, cls),
+                                    tol=tol, max_iter=max_iter)
         rows.append({
             "seed": seed + i,
             "kind": cls.kind.value,

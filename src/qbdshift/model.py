@@ -124,13 +124,14 @@ class Classification:
     """Drift sign, the two real splitting roots xi_n <= xi_{n+1}, and the
     left Perron vector of A_-1 + A_0 + A_1 at unit infinity norm (the
     stationary vector of the phase process, up to scale), which
-    perron_data reuses at the unit root.
+    shift.matched_transform and perron_data read at the unit root.
 
-    `matched` is the route of the class-matched shift (right, left or
-    double for a positive-recurrent, transient or null-recurrent chain)
-    at the exact unit root, from the a-priori vectors e and theta: the
-    forward solve of reference_solution at and near null recurrence, and
-    a certified solve's route of its kind. None only for `reversed`.
+    `matched` is the route of the class-matched shift
+    (shift.matched_transform: right, left or double for a
+    positive-recurrent, transient or null-recurrent chain, at the exact
+    unit root): the forward solve of reference_solution at and near null
+    recurrence, and a certified solve's route of its kind. None only for
+    `reversed`.
     """
 
     kind: Kind
@@ -183,13 +184,10 @@ def classify(model):
     drift = float(theta @ (model.a_plus - model.a_minus).sum(axis=1))
     kind = (Kind.NULL_RECURRENT if abs(drift) <= NULL_DRIFT_TOL
             else Kind.POSITIVE_RECURRENT if drift < 0.0 else Kind.TRANSIENT)
-    # the shift reads only the unit point: xi = 1 there, and the Perron data
-    # of A(1), which perron_data gives when both points are the unit root
+    # the matched shift reads only the unit root, so a preliminary
+    # classification with both splitting roots at 1 builds it
     at_unit = Classification(kind, drift, 1.0, 1.0, phase_left)
-    e = np.ones(model.n)
-    perron = PerronData(u_g=e, v_rhat=phase_left, u_ghat=e, v_r=phase_left)
-    route = shift.solve_via(model, shift.build_transform(model, at_unit, perron,
-                                                         shift.pick_kind(at_unit)))
+    route = shift.solve_via(model, shift.matched_transform(model, at_unit))
     # the shift-recovered solution carries round-off negatives; read them as 0
     xi_n = xi_n1 = 1.0
     if kind is Kind.POSITIVE_RECURRENT:
@@ -203,55 +201,40 @@ def classify(model):
 class PerronData:
     """Perron vectors of the four minimal solutions, unit infinity norm.
 
-    u_g, v_rhat (right/left Perron vectors of A(xi_n)) and u_ghat, v_r
-    (of A(xi_{n+1})) are available before anything is solved. v_g, u_r,
-    v_ghat, u_rhat are Perron vectors of the solution matrices themselves
-    and are None until filled in by complete_perron_data.
+    u_g (right Perron vector of A(xi_n)) and v_r (left Perron vector of
+    A(xi_{n+1})) are available before anything is solved: they are the
+    vectors a shift is built from. v_g, u_r, v_ghat, u_rhat are Perron
+    vectors of the solution matrices themselves and are None until filled
+    in by complete_perron_data.
     """
 
     u_g: np.ndarray
-    v_rhat: np.ndarray
-    u_ghat: np.ndarray
     v_r: np.ndarray
     v_g: np.ndarray | None = None
     u_r: np.ndarray | None = None
     v_ghat: np.ndarray | None = None
     u_rhat: np.ndarray | None = None
 
-    def reversed(self):
-        """Perron data of the reversed triple, derived without a solve:
-        A_rev(1/xi) = xi^-2 A(xi), so the reversed splitting points carry
-        the same vectors with G and Ghat, R and Rhat trading places."""
-        return PerronData(
-            u_g=self.u_ghat, v_rhat=self.v_r, u_ghat=self.u_g, v_r=self.v_rhat,
-            v_g=self.v_ghat, u_r=self.u_rhat, v_ghat=self.v_g, u_rhat=self.u_r,
-        )
-
 
 def perron_data(model, cls):
-    """A-priori Perron vectors from A(xi_n) and A(xi_{n+1}), each at its
-    Perron root xi (det B(xi) = 0 makes xi an eigenvalue of A(xi)).
+    """A-priori Perron data (u_G, v_R): u_G from A(xi_n), v_R from
+    A(xi_{n+1}), each at its Perron root xi (det B(xi) = 0 makes xi an
+    eigenvalue of A(xi)).
 
     At the unit root A(1) = A_-1 + A_0 + A_1 is stochastic: its right
     Perron vector is e and its left one is `cls.phase_left`, computed once
-    by classify. When xi_n = xi_{n+1} (null recurrence) both points are
-    the unit root.
+    by classify. So only the vector at the non-unit root takes a bordered
+    solve, and none does at null recurrence, where both points are the
+    unit root.
     """
-    e = np.ones(model.n)
-    theta = cls.phase_left
-    if cls.xi_n == cls.xi_n1:
-        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=e.copy(), v_r=theta.copy())
-    elif cls.kind is Kind.POSITIVE_RECURRENT:
-        a = model.a_of(cls.xi_n1)
-        pd = PerronData(u_g=e, v_rhat=theta, u_ghat=kernel.perron(a, cls.xi_n1),
-                        v_r=kernel.perron(a.T, cls.xi_n1))
-    else:
-        a = model.a_of(cls.xi_n)
-        pd = PerronData(u_g=kernel.perron(a, cls.xi_n), v_rhat=kernel.perron(a.T, cls.xi_n),
-                        u_ghat=e, v_r=theta)
-    if min(np.min(pd.u_g), np.min(pd.v_rhat), np.min(pd.u_ghat), np.min(pd.v_r)) <= 0.0:
+    u_g, v_r = np.ones(model.n), cls.phase_left
+    if cls.xi_n != 1.0:
+        u_g = kernel.perron(model.a_of(cls.xi_n), cls.xi_n)
+    if cls.xi_n1 != 1.0:
+        v_r = kernel.perron(model.a_of(cls.xi_n1).T, cls.xi_n1)
+    if min(np.min(u_g), np.min(v_r)) <= 0.0:
         raise ValueError("Perron vectors of A(xi) not strictly positive")
-    return pd
+    return PerronData(u_g=u_g, v_r=v_r)
 
 
 def complete_perron_data(pd, sol):

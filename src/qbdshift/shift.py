@@ -26,6 +26,7 @@ __all__ = [
     "ShiftTransform",
     "ShiftedHats",
     "build_transform",
+    "matched_transform",
     "recover_gr",
     "reference_solution",
     "shifted_gr",
@@ -318,6 +319,19 @@ def pick_kind(cls):
     return ShiftKind.LEFT
 
 
+def matched_transform(model, cls):
+    """The class-matched shift (pick_kind) of `model` at the exact unit
+    root, built from the a-priori vectors there: u_G = e (right), v_R =
+    theta = `cls.phase_left` (left), both (double), with the free vectors
+    v = w = e. It needs no solved root: the kind reads only the root it
+    moves and that root's vector, and the moved root is exactly 1.0 in
+    every class (xi_n of a positive-recurrent chain, xi_{n+1} of a
+    transient one, both at null recurrence, and 1/1.0 = 1.0 after
+    `Classification.reversed`)."""
+    perron = model_mod.PerronData(u_g=np.ones(model.n), v_r=cls.phase_left)
+    return build_transform(model, cls, perron, pick_kind(cls))
+
+
 def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER):
     """Solve the shifted problem of `transform` (build_transform) by cyclic
     reduction and recover (G, R) of `model`, the original problem."""
@@ -356,8 +370,7 @@ def shift_routes(model, cls, perron):
 NEAR_NULL_GAP = 1e-3
 
 
-def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER,
-                       perron=None):
+def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER):
     """The certified SolutionSet of a model: the one place that picks its
     route, named by `sol.route`.
 
@@ -365,22 +378,18 @@ def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER,
     directly, by quadratic cyclic reduction at `tol` and `max_iter`.
     Null-recurrent and nearly-null ones take classify's class-matched
     shifted solve (`cls.matched`) as the forward solve, and the reversed
-    model's for (Ghat, Rhat), with its classification and Perron data
-    derived from the forward ones, at CR_TOL and CR_MAX_ITER: they keep
-    the accuracy the direct route loses as the roots coalesce. `perron` is
-    the a-priori Perron data (perron_data), computed when not given.
+    model's (matched_transform on the reversed classification) for
+    (Ghat, Rhat), at CR_TOL and CR_MAX_ITER: they keep the accuracy the
+    direct route loses as the roots coalesce.
     """
     if cls is None:
         cls = model_mod.classify(model)
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
     if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
         return solvers.solve_all(model, cls, tol=tol, max_iter=max_iter)
-    if perron is None:
-        perron = model_mod.perron_data(model, cls)
     fwd = cls.matched
-    rev_model, rev_cls = model.reversed(), cls.reversed()
-    rev = solve_via(rev_model, build_transform(rev_model, rev_cls, perron.reversed(),
-                                               pick_kind(rev_cls)))
+    rev_model = model.reversed()
+    rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
     b0 = model.b_zero()
     k = b0 + model.a_plus @ fwd.g
     khat = b0 + model.a_minus @ rev.g

@@ -227,8 +227,20 @@ class SolutionSet:
         """W = sum_i G^i K^-1 R^i, None at null recurrence: certificate
         evidence, computed on first read (one Stein solve) and kept. The
         solutions never need it; a ConvergenceError from the Stein solve
-        is raised at every read."""
-        return None if self.null else compute_w(self.g, self.k, self.r, self.k_inv)
+        is kept as well (`_stein_outcome`) and raised at every read."""
+        w, refusal = self._stein_outcome
+        if refusal is not None:
+            raise refusal
+        return w
+
+    @functools.cached_property
+    def _stein_outcome(self):
+        """(W, None), or (None, the Stein solve's ConvergenceError): a
+        cached_property keeps a value but not an exception."""
+        try:
+            return None if self.null else compute_w(self.g, self.k, self.r, self.k_inv), None
+        except kernel.ConvergenceError as exc:
+            return None, exc
 
     @functools.cached_property
     def k_inv(self):

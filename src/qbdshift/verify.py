@@ -178,15 +178,6 @@ def _replacement_gap(shifted_eigs, original_eigs, removed, points_without):
     return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)))
 
 
-def _spectrum_replacement_cert(name, shifted_eigs, original_eigs, removed,
-                               points_without=None):
-    """Certify spectrum(M_s) = spectrum(M) with `removed` -> 0, at the
-    points_without(removed) (default: _replacement_points at DET_SEED)."""
-    gap = _replacement_gap(shifted_eigs, original_eigs, removed, points_without or (
-        lambda x: _replacement_points(x, len(shifted_eigs))))
-    return _cert(name, gap, DET_RTOL)
-
-
 def _factor_roots_cert(sol, det_b, eig_g, eig_r):
     """Certify that eig(G) together with 1/eig(R) are the roots of B(z):
     phi(z) = (I - zR) K (I - z^-1 G) gives det B(z) = det K prod(z -
@@ -338,17 +329,15 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
     ]
     if transform.q is not None:
         certs.append(
-            _spectrum_replacement_cert(
-                f"{kind}:spec:G_s-replacement", eigvals(g_s), eigvals(sol.g),
-                transform.xi_n, points_without,
-            )
+            _cert(f"{kind}:spec:G_s-replacement",
+                  _replacement_gap(eigvals(g_s), eigvals(sol.g), transform.xi_n,
+                                   points_without), DET_RTOL)
         )
     if transform.s is not None:
         certs.append(
-            _spectrum_replacement_cert(
-                f"{kind}:spec:R_s-replacement", eigvals(r_s), eigvals(sol.r),
-                1.0 / transform.xi_n1, points_without,
-            )
+            _cert(f"{kind}:spec:R_s-replacement",
+                  _replacement_gap(eigvals(r_s), eigvals(sol.r), 1.0 / transform.xi_n1,
+                                   points_without), DET_RTOL)
         )
     try:
         certs.extend(_hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals))

@@ -1,4 +1,5 @@
-"""Compare the solve reports of two qbdshift source trees on one bank of models.
+"""Compare the solve reports and the solution sets of two qbdshift source
+trees on one bank of models.
 
     python tests/report_bank.py PARENT_SRC CHANGE_SRC
 
@@ -14,7 +15,9 @@ for example of a commit and of its parent. The script
    - the `patterned` (3-41) and `null_patterned` (0-29) models of
      `tests/test_verify.py`;
 2. runs `cli.main(["solve", MODEL, "--json", REPORT, "--quiet"])` on every
-   model, in one fresh interpreter per side with one BLAS thread;
+   model, and then the benchmark's solution operation,
+   `shift.reference_solution(triple, model.classify(triple))`, in one fresh
+   interpreter per side with one BLAS thread;
 3. prints the differences in exit code and stderr, in report fields other
    than `timing`, in the certificate names of each report (matched by
    name: a name on one side only, or shared names in another order) and
@@ -24,7 +27,10 @@ for example of a commit and of its parent. The script
    then, per model, each residual that moved with its relative move.
    A field that differs is shown with each key present on one side only,
    for each matrix present on both sides its largest entry move relative
-   to its largest entry, and each other single value that changed.
+   to its largest entry, and each other single value that changed;
+4. prints the differences in the solution sets: route, sweeps or the
+   exception raised, and each of G, R, Ghat, Rhat that is not the same bit
+   for bit, with its largest entry move relative to its largest entry.
 
 A schema-2 report is compared in the schema-3 layout (`as_schema3`): its
 direct solve was the set it wrote, so its `direct` matrices, sweeps and
@@ -43,6 +49,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "qbdbench")]
 
@@ -52,17 +60,20 @@ CLASSES = (workloads.POSITIVE, workloads.NULL, workloads.TRANSIENT)
 GAMMAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 # Runs in a fresh interpreter: argv is SRC BANK_DIR REPORT_DIR; prints one
-# JSON object {model name: {"code", "stderr"}}. A traceback is recorded as
-# the code "raised" with the exception as stderr. Every warning is shown,
-# as in one process per model.
+# JSON object {"solve": {model name: {"code", "stderr"}}, "solution": {model
+# name: {"route", "iterations"} or {"raised"}}} and writes the G, R, Ghat,
+# Rhat of each solution set to REPORT_DIR/MODEL.npz. A traceback of a solve
+# is recorded as the code "raised" with the exception as stderr. Every
+# warning is shown, as in one process per model.
 RUNNER = """
 import contextlib, io, json, sys, warnings
 src, bank, reports = sys.argv[1:4]
 sys.path.insert(0, src)
 from pathlib import Path
-from qbdshift import cli
+import numpy as np
+from qbdshift import cli, model, shift
 warnings.simplefilter("always")
-out = {}
+out, solutions = {}, {}
 for path in sorted(Path(bank).glob("*.json")):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -73,8 +84,20 @@ for path in sorted(Path(bank).glob("*.json")):
             code = "raised"
             print(f"{type(exc).__name__}: {exc}", file=err)
     out[path.stem] = {"code": code, "stderr": err.getvalue()}
-print(json.dumps(out))
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            triple, _ = cli.read_model(path)
+            sol = shift.reference_solution(triple, model.classify(triple))
+        except Exception as exc:
+            solutions[path.stem] = {"raised": f"{type(exc).__name__}: {exc}"}
+            continue
+    np.savez(Path(reports) / f"{path.stem}.npz", G=sol.g, R=sol.r, Ghat=sol.ghat,
+             Rhat=sol.rhat)
+    solutions[path.stem] = {"route": sol.route, "iterations": sol.iterations}
+print(json.dumps({"solve": out, "solution": solutions}))
 """
+
+MATRICES = ("G", "R", "Ghat", "Rhat")
 
 
 def bank_instances():
@@ -191,6 +214,27 @@ def compare_reports(name, old, new, diffs):
     return moves
 
 
+def compare_solutions(name, old, new, old_dir, new_dir):
+    """The differences of one model's solution sets: route, sweeps or the
+    exception raised, and each matrix that is not the same bit for bit."""
+    if canonical(old) != canonical(new):
+        return [f"{name}: solution {canonical(old)} -> {canonical(new)}"]
+    if "raised" in old:
+        return []
+    diffs = []
+    with np.load(old_dir / f"{name}.npz") as a, np.load(new_dir / f"{name}.npz") as b:
+        for key in MATRICES:
+            x, y = a[key], b[key]
+            if x.shape != y.shape:
+                diffs.append(f"{name}: solution {key} shape {x.shape} -> {y.shape}")
+            elif x.tobytes() != y.tobytes():
+                scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+                worst = np.max(np.abs(x - y))
+                diffs.append(f"{name}: solution {key} moved "
+                             f"{worst / scale if scale else 0.0:.3g}")
+    return diffs
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -210,7 +254,12 @@ def main(argv):
             reports = Path(tmp) / label
             reports.mkdir()
             outcomes.append((reports, run_side(src, bank, reports)))
-        (old_dir, old), (new_dir, new) = outcomes
+        (old_dir, old_side), (new_dir, new_side) = outcomes
+        old, new = old_side["solve"], new_side["solve"]
+        solution_diffs = [
+            line for name in sorted(old_side["solution"])
+            for line in compare_solutions(name, old_side["solution"][name],
+                                          new_side["solution"][name], old_dir, new_dir)]
         diffs, moves = [], []
         certificates = 0
         for name in sorted(old):
@@ -249,7 +298,12 @@ def main(argv):
         by_model.setdefault(move[2], []).append(f"{move[3]} {move[0]:.3g}")
     for name, moved in by_model.items():
         print(f"  {name}: {', '.join(moved)}")
-    return 1 if diffs or moves else 0
+    raised = sum("raised" in s for s in old_side["solution"].values())
+    print(f"{len(solution_diffs)} differences in the solution sets of "
+          f"shift.reference_solution (parent raised on {raised} models)")
+    for line in solution_diffs:
+        print("  " + line)
+    return 1 if diffs or moves or solution_diffs else 0
 
 
 if __name__ == "__main__":

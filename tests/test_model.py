@@ -168,31 +168,26 @@ class TestClassify:
 class TestPerronData:
     def test_scalar_all_ones(self, p1):
         pd = perron_data(p1, classify(p1))
-        for vec in (pd.u_g, pd.v_rhat, pd.u_ghat, pd.v_r):
+        for vec in (pd.u_g, pd.v_r):
             np.testing.assert_allclose(vec, [1.0])
 
     def test_null_recurrent_vectors(self, n2):
-        pd = perron_data(n2, classify(n2))
+        # both splitting points are the unit root: e and theta
+        cls = classify(n2)
+        pd = perron_data(n2, cls)
         np.testing.assert_allclose(pd.u_g, [1.0, 1.0])
-        np.testing.assert_allclose(pd.u_ghat, [1.0, 1.0])
-        np.testing.assert_allclose(pd.v_r, pd.v_rhat)
+        np.testing.assert_allclose(pd.v_r, cls.phase_left)
 
     def test_positive_recurrent_u_g_is_e(self, e2):
         pd = perron_data(e2, classify(e2))
         np.testing.assert_allclose(pd.u_g, [1.0, 1.0])
 
     def test_null_vectors_annihilate_b(self, e2):
-        # u_G and v_Rhat at xi_n; u_Ghat and v_R at xi_{n+1}
+        # B(xi_n) u_G = 0 and v_R^T B(xi_{n+1}) = 0
         cls = classify(e2)
         pd = perron_data(e2, cls)
-        poly = e2.poly
-        for xi, right, left in (
-            (cls.xi_n, pd.u_g, pd.v_rhat),
-            (cls.xi_n1, pd.u_ghat, pd.v_r),
-        ):
-            b = poly.eval_b(xi)
-            np.testing.assert_allclose(b @ right, 0.0, atol=1e-10)
-            np.testing.assert_allclose(left @ b, 0.0, atol=1e-10)
+        np.testing.assert_allclose(e2.poly.eval_b(cls.xi_n) @ pd.u_g, 0.0, atol=1e-10)
+        np.testing.assert_allclose(pd.v_r @ e2.poly.eval_b(cls.xi_n1), 0.0, atol=1e-10)
 
     def test_completion_gives_solution_perron_vectors(self, e2):
         cls = classify(e2)
@@ -270,24 +265,6 @@ def test_reversed_classification_matches_classify(small_bank):
         assert derived.drift == pytest.approx(direct.drift, rel=1e-9, abs=1e-15)
         assert derived.xi_n == pytest.approx(direct.xi_n, rel=1e-8)
         assert derived.xi_n1 == pytest.approx(direct.xi_n1, rel=1e-8)
-
-
-def test_reversed_perron_data_matches_perron_data(small_bank):
-    from qbdshift import cli
-
-    models = [m for rows in small_bank.values() for m, _ in rows]
-    models += [cli.generate(kind, 8, 2, gamma=gamma)[0]
-               for kind in ("positive", "transient") for gamma in (1e-3, 1e-4)]
-    models.append(cli.generate("null", 8, 3)[0])
-    for m in models:
-        cls = classify(m)
-        derived = perron_data(m, cls).reversed()
-        direct = perron_data(m.reversed(), cls.reversed())
-        for field in ("u_g", "v_rhat", "u_ghat", "v_r"):
-            np.testing.assert_allclose(
-                getattr(derived, field), getattr(direct, field), rtol=0, atol=1e-10,
-                err_msg=field,
-            )
 
 
 def test_pairing_scalars_recorded(e2):

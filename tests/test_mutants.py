@@ -240,13 +240,24 @@ def test_mutant_is_caught(kind, mutant, monkeypatch):
 def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch, tmp_path, capsys):
     # G or R off by 1e-6 on the near-null model lifts rho(G) rho(R) above 1:
     # the Stein guard refuses W, which fails the W:* certificates (exit 5),
-    # and the rest of the suite is still judged
+    # and the rest of the suite is still judged; the refusal is kept, so
+    # the guard runs once however often W is read
+    from qbdshift import kernel
+
     model, meta = cli.generate("positive", N, SEED, gamma=NEAR_NULL_GAMMA)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cli.model_payload(model, meta)))
     real = cli.shift_mod.reference_solution
     monkeypatch.setattr(cli.shift_mod, "reference_solution",
                         lambda *a, **k: SOLUTION_MUTANTS[mutant](real(*a, **k)))
+    stein_calls = []
+    real_stein = kernel.stein_solve
+
+    def counted_stein(*args):
+        stein_calls.append(args)
+        return real_stein(*args)
+
+    monkeypatch.setattr(kernel, "stein_solve", counted_stein)
     report_path = tmp_path / "report.json"
     assert cli.main(["solve", str(path), "--json", str(report_path)]) == cli.EXIT_CERTIFICATE
     report = json.loads(report_path.read_text())
@@ -255,6 +266,7 @@ def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch, tmp_path, capsy
     assert stein["status"] == "fail"
     assert "Stein series diverges" in stein["context"]
     assert "FAIL W:stein" in capsys.readouterr().out
+    assert len(stein_calls) == 1
 
 
 def catch_matrix():

@@ -378,10 +378,12 @@ class TestReferenceSolution:
     def test_solution_path_solves_matched_shift_once(self, monkeypatch, kind, gamma):
         # reference_solution(model, classify(model)): no eigensolve at null
         # recurrence, otherwise one class-matched forward solve, which
-        # classify makes and the nearly-null reference route reuses
-        from qbdshift import shift
+        # classify makes and the nearly-null reference route reuses; no
+        # Perron data, since the matched shifts of the model and of its
+        # reversal read only e and theta at the unit root
+        from qbdshift import model as model_mod, shift
 
-        eigensolves, forward = [], []
+        eigensolves, forward, perron_calls = [], [], []
         model, _ = cli.generate(kind, 4, seed=3, gamma=gamma)
 
         def counted(real):
@@ -399,7 +401,9 @@ class TestReferenceSolution:
         monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
         monkeypatch.setattr(np.linalg, "eig", counted(np.linalg.eig))
         monkeypatch.setattr(shift, "solve_via", via)
+        monkeypatch.setattr(model_mod, "perron_data", lambda *a: perron_calls.append(a))
         reference_solution(model, classify(model))
+        assert not perron_calls
         if kind == "null":
             assert not eigensolves
             assert forward == [ShiftKind.DOUBLE]

@@ -270,12 +270,12 @@ class TestSpectrumReplacement:
 
     @staticmethod
     def residuals(shifted, original, removed):
+        """(the replacement gap, the oracle's residual) at the same points."""
         n = shifted.shape[0]
-        cert = verify._spectrum_replacement_cert(
-            "spec:test", np.linalg.eigvals(shifted), np.linalg.eigvals(original), removed
-        )
         points = verify._det_points((removed,), count=max(verify.DET_POINT_COUNT, n + 2))
-        return cert, oracles.det_replacement_residual(shifted, original, removed, points)
+        gap = verify._replacement_gap(np.linalg.eigvals(shifted), np.linalg.eigvals(original),
+                                      removed, lambda _: np.array(points))
+        return gap, oracles.det_replacement_residual(shifted, original, removed, points)
 
     @staticmethod
     def rank_one_pair(seed, n, nilpotent):
@@ -297,15 +297,15 @@ class TestSpectrumReplacement:
     def test_random_matches_oracle(self, seed):
         n, nilpotent = (3, 6, 12)[seed % 3], (1, 3, 5)[seed % 3]
         shifted, original, rho = self.rank_one_pair(seed, n, nilpotent)
-        cert, expected = self.residuals(shifted, original, rho)
-        assert cert.passed
-        assert cert.residual == pytest.approx(expected, abs=1e-12)
+        gap, expected = self.residuals(shifted, original, rho)
+        assert gap <= verify.DET_RTOL
+        assert gap == pytest.approx(expected, abs=1e-12)
         # a diagonal entry moves det(zI - M_s) by about 1e-6 z^(n-1)
         bumped = shifted.copy()
         bumped[0, 0] += 1e-6
-        cert, expected = self.residuals(bumped, original, rho)
-        assert cert.status == "fail"
-        assert cert.residual == pytest.approx(expected, abs=1e-12)
+        gap, expected = self.residuals(bumped, original, rho)
+        assert gap > verify.DET_RTOL
+        assert gap == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_patterned_shifts_match_oracle(self, seed):
@@ -320,14 +320,14 @@ class TestSpectrumReplacement:
             if transform.s is not None:
                 claims.append((r_s, sol.r, 1.0 / transform.xi_n1))
             for shifted, original, removed in claims:
-                cert, expected = self.residuals(shifted, original, removed)
-                assert cert.passed
-                assert cert.residual == pytest.approx(expected, abs=1e-12)
+                gap, expected = self.residuals(shifted, original, removed)
+                assert gap <= verify.DET_RTOL
+                assert gap == pytest.approx(expected, abs=1e-12)
                 bumped = shifted.copy()
                 bumped[1, 1] += 1e-6
-                cert, expected = self.residuals(bumped, original, removed)
-                assert cert.status == "fail"
-                assert cert.residual == pytest.approx(expected, abs=1e-12)
+                gap, expected = self.residuals(bumped, original, removed)
+                assert gap > verify.DET_RTOL
+                assert gap == pytest.approx(expected, abs=1e-12)
 
 
 class TestNearNullRecurrent:
