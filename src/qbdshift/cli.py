@@ -439,8 +439,12 @@ def _build_parser():
     return parser
 
 
+# built once per process: every in-process main call parses with it
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         out_path = args.json_out if args.command == "solve" else args.out
         if out_path:

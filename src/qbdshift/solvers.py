@@ -184,16 +184,17 @@ def derive_r_k(b_zero, b_plus, g, nonneg=True):
     return r, k
 
 
-def compute_w(g, k, r, k_inv=None):
+def compute_w(g, k, r, radius_product, k_inv=None):
     """W = sum_i G^i K^-1 R^i via the Stein equation W - G W R = K^-1.
 
-    `k_inv` is K^-1 when the caller has formed it already. Requires
-    rho(G) rho(R) < 1 (not null recurrent); raises ConvergenceError
-    otherwise. W solves nothing: it couples the two canonical
-    factorizations (Ghat = W R W^-1, K (I - G Ghat) W = I), and the W:*
-    certificates check those identities.
+    `radius_product` is rho(G) rho(R) and `k_inv` K^-1 when the caller has
+    formed it already. Requires rho(G) rho(R) < 1 (not null recurrent);
+    raises ConvergenceError otherwise. W solves nothing: it couples the
+    two canonical factorizations (Ghat = W R W^-1, K (I - G Ghat) W = I),
+    and the W:* certificates check those identities.
     """
-    return kernel.stein_solve(g, r, kernel.inverse(k) if k_inv is None else k_inv)
+    k_inv = kernel.inverse(k) if k_inv is None else k_inv
+    return kernel.stein_solve(g, r, k_inv, radius_product)
 
 
 def hats_from_w(w, g, r):
@@ -236,9 +237,13 @@ class SolutionSet:
     @functools.cached_property
     def _stein_outcome(self):
         """(W, None), or (None, the Stein solve's ConvergenceError): a
-        cached_property keeps a value but not an exception."""
+        cached_property keeps a value but not an exception. The Stein
+        guard reads rho(G) rho(R) from `radii`."""
+        if self.null:
+            return None, None
+        rho_g, rho_r, _, _ = self.radii
         try:
-            return None if self.null else compute_w(self.g, self.k, self.r, self.k_inv), None
+            return compute_w(self.g, self.k, self.r, rho_g * rho_r, self.k_inv), None
         except kernel.ConvergenceError as exc:
             return None, exc
 
@@ -276,10 +281,11 @@ class SolutionSet:
     @functools.cached_property
     def radii(self):
         """(rho(G), rho(R), rho(Ghat), rho(Rhat)), computed on first read
-        and kept: the solution-side Perron vectors (complete_perron_data)
-        and the spec:rho certificates read the same values. rho(G) and
-        rho(R) come from `spectra`, rho(Ghat) and rho(Rhat) from
-        kernel.spectral_radius, since nothing needs their spectra."""
+        and kept: the solution-side Perron vectors (complete_perron_data),
+        the spec:rho certificates and the Stein guard of `w` read the same
+        values. rho(G) and rho(R) come from `spectra`, rho(Ghat) and
+        rho(Rhat) from kernel.spectral_radius, since nothing needs their
+        spectra."""
         eig_g, eig_r = self.spectra
         return (float(np.max(np.abs(eig_g))), float(np.max(np.abs(eig_r))),
                 kernel.spectral_radius(self.ghat), kernel.spectral_radius(self.rhat))

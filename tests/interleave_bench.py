@@ -22,8 +22,9 @@ puts the two trees under the same drift, so their difference shows where
 back-to-back runs of `qbdbench/run.py` would not. The script prints, per
 operation, the median seconds of each side over every round, the
 relative change, and in how many rounds the change's median was the
-lower, then the failed operations per round of each side. pytest does
-not collect this file.
+lower; then, per operation and side, the sum over models of each model's
+fastest time in the run, which load spikes leave alone; then the failed
+operations per round of each side. pytest does not collect this file.
 """
 
 import json
@@ -45,8 +46,8 @@ OPS = ("solve", "solution")
 
 def worker(src, workload, seed, work):
     """Serve rounds on stdin: each line "round" runs one and answers with
-    one JSON line {op: [seconds, ...], "failed": count}; end of input
-    stops."""
+    one JSON line {op: [[model, seconds], ...], "failed": count}; end of
+    input stops."""
     sys.path.insert(0, src)
     from qbdshift import cli, model, shift
 
@@ -70,7 +71,7 @@ def worker(src, workload, seed, work):
             elapsed = time.perf_counter() - start
             times["failed"] += code != 0
             if code == 0 and not inst.probe:
-                times["solve"].append(elapsed)
+                times["solve"].append((inst.name, elapsed))
             for _ in range(inst.solutions):
                 triple = triples[inst.name]
                 start = time.perf_counter()
@@ -79,7 +80,7 @@ def worker(src, workload, seed, work):
                 except Exception:  # a failed operation is counted, not timed
                     times["failed"] += 1
                     continue
-                times["solution"].append(time.perf_counter() - start)
+                times["solution"].append((inst.name, time.perf_counter() - start))
         return times
 
     one_round()
@@ -124,6 +125,7 @@ def main(argv):
     times = [{op: [] for op in OPS} for _ in sides]
     failed = [0, 0]
     round_medians = [{op: [] for op in OPS} for _ in sides]
+    fastest = [{op: {} for op in OPS} for _ in sides]
     with tempfile.TemporaryDirectory() as tmp:
         procs = []
         for label, src in zip(("parent", "change"), sides):
@@ -135,9 +137,13 @@ def main(argv):
                     got = run_round(procs[side])
                     failed[side] += got["failed"]
                     for op in OPS:
-                        times[side][op] += got[op]
-                        if got[op]:
-                            round_medians[side][op].append(statistics.median(got[op]))
+                        seconds = [t for _, t in got[op]]
+                        times[side][op] += seconds
+                        if seconds:
+                            round_medians[side][op].append(statistics.median(seconds))
+                        for name, t in got[op]:
+                            best = fastest[side][op]
+                            best[name] = min(t, best.get(name, t))
         finally:
             for proc in procs:
                 proc.stdin.close()
@@ -152,6 +158,11 @@ def main(argv):
         wins = sum(b < a for a, b in zip(round_medians[0][op], round_medians[1][op]))
         print(f"{op:10s} {old * 1e3:9.3f} ms {new * 1e3:9.3f} ms {new / old - 1.0:+8.1%}  "
               f"{wins} of {min(len(round_medians[0][op]), len(round_medians[1][op]))} rounds")
+    print("sum over models of each model's fastest time:")
+    for op in OPS:
+        old, new = (sum(f[op].values()) for f in fastest)
+        if old and new:
+            print(f"{op:10s} {old * 1e3:9.3f} ms {new * 1e3:9.3f} ms {new / old - 1.0:+8.1%}")
     print(f"failed per round: parent {failed[0] / rounds:g}, change {failed[1] / rounds:g}")
     return 0
 

@@ -95,6 +95,11 @@ def naive_spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
+def radius_product(g, r):
+    """rho(G) rho(R), the product the Stein guard compares with 1."""
+    return naive_spectral_radius(g) * naive_spectral_radius(r)
+
+
 def naive_stationary(a):
     """Stationary row vector through a dense linear solve (replace one
     balance equation with the normalization)."""

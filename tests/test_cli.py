@@ -468,13 +468,13 @@ class TestMain:
         assert sum(left_on_sum) == 1
         assert sum(right_on_sum) == 0
 
-    @pytest.mark.parametrize("kind, expected", [("positive", 5), ("transient", 5),
+    @pytest.mark.parametrize("kind, expected", [("positive", 3), ("transient", 3),
                                                 ("null", 2)])
     def test_power_iterations_per_solve(self, tmp_path, monkeypatch, kind, expected):
         # power iteration serves only the radii whose eigenvalue is not
         # known in advance: classify 1 (rho of the matched shift's R or G,
-        # none at null recurrence), the Stein divergence guard 2 (no W at
-        # null recurrence), rho(Ghat) and rho(Rhat) 2; no Perron vector
+        # none at null recurrence), rho(Ghat) and rho(Rhat) 2; the Stein
+        # divergence guard reads the solution's radii; no Perron vector
         from qbdshift import kernel
 
         path = tmp_path / "gen.json"

@@ -1,12 +1,17 @@
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import oracles
-from qbdshift import kernel
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "qbdbench")]
+
+import oracles  # noqa: E402
+import workloads  # noqa: E402
+from qbdshift import classify, kernel, reference_solution, validate  # noqa: E402
 
 
 class TestSpectralRadius:
@@ -81,6 +86,50 @@ def patterned_matrix(pattern, n, seed):
 
 
 PATTERNS = ("irreducible", "zero-rows", "zero-cols", "block-triangular", "periodic")
+
+
+class TestPowerIteration:
+    @pytest.mark.parametrize("m", [np.triu(np.ones((4, 4)), 1),
+                                   np.array([[0.5, 1.0], [0.0, 0.5]])],
+                             ids=["nilpotent", "jordan-block"])
+    def test_defective_dominant_eigenvalue_stalls_early(self, m):
+        # a defective dominant eigenvalue closes the bracket like 1/k, less
+        # than 0.1% per step from k ~ 1000 on, where a one-step rule would
+        # first stall; the windowed rule stalls after about 2 STALL_STEPS
+        radius, steps = kernel._power(m)
+        assert radius is None
+        assert steps <= 3 * kernel.STALL_STEPS
+        assert kernel.spectral_radius(m) == pytest.approx(
+            oracles.naive_spectral_radius(m), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [np.roll(np.diag([0.5, 0.8, 0.4, 0.9]), 1, axis=1),
+                                   patterned_matrix("periodic", 6, 3)],
+                             ids=["period-4", "period-2"])
+    def test_periodic_converges_without_eigvals(self, m, monkeypatch):
+        # the shift keeps a + cI aperiodic, so eigenvalues on one circle
+        # still converge on the power path
+        want = oracles.naive_spectral_radius(m)
+
+        def no_eigvals(_):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert kernel.spectral_radius(m) == pytest.approx(want, rel=1e-11)
+
+    def test_zero_matrix_at_the_first_step(self):
+        assert kernel._power(np.zeros((3, 3))) == (0.0, 1)
+
+    def test_median_steps_on_mixed_small(self):
+        # the radii of G, R, Ghat and Rhat of the mixed-small benchmark
+        # models (seed 1); on a + I the median is 39 steps
+        steps = []
+        for inst in workloads.instances("mixed-small", 1):
+            if inst.probe:
+                continue
+            model = validate(*inst.blocks)
+            sol = reference_solution(model, classify(model))
+            steps += [kernel._power(m)[1] for m in (sol.g, sol.r, sol.ghat, sol.rhat)]
+        assert np.median(steps) <= 20
 
 
 def perron_pair(m):
@@ -339,20 +388,20 @@ class TestSteinSolve:
     def test_g_zero_returns_c(self):
         c = np.array([[1.0, 2.0], [3.0, 4.0]])
         r = np.array([[0.3, 0.1], [0.2, 0.2]])
-        np.testing.assert_allclose(kernel.stein_solve(np.zeros((2, 2)), r, c), c)
+        np.testing.assert_allclose(kernel.stein_solve(np.zeros((2, 2)), r, c, 0.0), c)
 
     def test_scalar_closed_form(self):
-        w = kernel.stein_solve(np.array([[1.0]]), np.array([[0.6]]), np.array([[-2.0]]))
+        w = kernel.stein_solve(np.array([[1.0]]), np.array([[0.6]]), np.array([[-2.0]]), 0.6)
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_diagonal_closed_form(self):
-        w = kernel.stein_solve(0.5 * np.eye(2), 0.5 * np.eye(2), np.eye(2))
+        w = kernel.stein_solve(0.5 * np.eye(2), 0.5 * np.eye(2), np.eye(2), 0.25)
         np.testing.assert_allclose(w, (4.0 / 3.0) * np.eye(2), atol=1e-12)
 
     def test_null_recurrent_product_raises(self):
         one = np.array([[1.0]])
         with pytest.raises(kernel.ConvergenceError):
-            kernel.stein_solve(one, one, one)
+            kernel.stein_solve(one, one, one, 1.0)
 
     def test_permutation_similarity(self):
         rng = np.random.default_rng(9)
@@ -360,8 +409,9 @@ class TestSteinSolve:
         r = rng.uniform(0, 0.4, (4, 4))
         c = rng.standard_normal((4, 4))
         p = np.eye(4)[rng.permutation(4)]
-        w = kernel.stein_solve(g, r, c)
-        w_conj = kernel.stein_solve(p @ g @ p.T, p @ r @ p.T, p @ c @ p.T)
+        w = kernel.stein_solve(g, r, c, oracles.radius_product(g, r))
+        w_conj = kernel.stein_solve(p @ g @ p.T, p @ r @ p.T, p @ c @ p.T,
+                                    oracles.radius_product(g, r))
         np.testing.assert_allclose(w_conj, p @ w @ p.T, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(11, 19))
@@ -375,7 +425,8 @@ class TestSteinSolve:
         c = rng.standard_normal((n, n))
         ref = oracles.kron_stein(g, r, c)
         np.testing.assert_allclose(
-            kernel.stein_solve(g, r, c), ref, rtol=0, atol=1e-12 * kernel.inf_norm(ref)
+            kernel.stein_solve(g, r, c, oracles.radius_product(g, r)), ref,
+            rtol=0, atol=1e-12 * kernel.inf_norm(ref),
         )
 
     def test_near_null_matches_kronecker_oracle(self):
@@ -391,5 +442,6 @@ class TestSteinSolve:
         ref = oracles.kron_stein(g, r, c)
         tol = 1e2 * np.finfo(float).eps / gap
         np.testing.assert_allclose(
-            kernel.stein_solve(g, r, c), ref, rtol=0, atol=tol * kernel.inf_norm(ref)
+            kernel.stein_solve(g, r, c, oracles.radius_product(g, r)), ref,
+            rtol=0, atol=tol * kernel.inf_norm(ref),
         )

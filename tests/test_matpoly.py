@@ -213,14 +213,14 @@ class TestHCoefficients:
     # splitting roots: H_0 = W, H_-i = G^i W, H_i = W R^i
     def test_p1_values(self, p1):
         sol = solve_all(p1)
-        w = compute_w(sol.g, sol.k, sol.r)
+        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
         assert (w @ sol.r)[0, 0] == pytest.approx(-3.0, abs=1e-12)
         assert (sol.g @ w)[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_g_zero_truncates(self):
         g = np.zeros((1, 1))
-        w = compute_w(g, np.array([[-0.5]]), np.array([[0.6]]))
+        w = compute_w(g, np.array([[-0.5]]), np.array([[0.6]]), 0.0)
         assert w[0, 0] == pytest.approx(-2.0)
         assert (g @ w)[0, 0] == 0.0
         assert (g @ g @ w)[0, 0] == 0.0
@@ -234,7 +234,7 @@ class TestHCoefficients:
         rho_r = kernel.spectral_radius(sol.r)
         radius = np.sqrt(rho_g / rho_r)  # geometric middle of (rho_g, 1/rho_r)
         order = 160
-        w = compute_w(sol.g, sol.k, sol.r)
+        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
         h = {0: w}
         for i in range(1, order + 1):
             h[-i] = sol.g @ h[1 - i]

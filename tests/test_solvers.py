@@ -278,7 +278,7 @@ class TestOnePassHats:
 class TestComputeW:
     def test_p1(self, p1):
         sol = solve_all(p1)
-        w = compute_w(sol.g, sol.k, sol.r)
+        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_t1(self, t1):
@@ -286,13 +286,13 @@ class TestComputeW:
         assert sol.w[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_g_zero_degenerates_to_k_inverse(self):
-        w = compute_w(np.zeros((1, 1)), np.array([[-0.5]]), np.array([[0.6]]))
+        w = compute_w(np.zeros((1, 1)), np.array([[-0.5]]), np.array([[0.6]]), 0.0)
         assert w[0, 0] == pytest.approx(-2.0)
 
     def test_null_recurrent_raises(self, n1):
         sol = reference_solution(n1)
         with pytest.raises(kernel.ConvergenceError, match="null"):
-            compute_w(sol.g, sol.k, sol.r)
+            compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
 
 
 class TestWhereWIsComputed:
@@ -337,6 +337,25 @@ class TestWhereWIsComputed:
         calls = self.count_stein(monkeypatch)
         assert sol.w is sol.w
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["positive", "transient"])
+    def test_stein_guard_reads_the_radii(self, monkeypatch, kind):
+        # the guard takes rho(G) rho(R) from sol.radii, which the Perron
+        # vectors and the spec:rho certificates read first
+        m, _ = cli.generate(kind, 8, 1)
+        sol = reference_solution(m, classify(m))
+        rho_g, rho_r, _, _ = sol.radii
+        calls = []
+        real = kernel._power
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(kernel, "_power", counted)
+        assert sol.w is not None
+        assert not calls
+        assert rho_g * rho_r < 1.0
 
 
 class TestHatsFromW:
