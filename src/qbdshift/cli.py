@@ -5,12 +5,12 @@ Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 "a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
 documents carrying "schema": 3; every number is reproducible from the
 model file and the flags (the "timing" field excepted). The "solution"
-block holds the set the certificates judged: its route ("direct", or the
-forward shift kind at or near null recurrence), G, R, Ghat, Rhat, W (or
-null, with the reason in "W_reason"), the sweeps and the equation
-residuals. "direct" holds the sweeps and residuals of the direct solve,
-only where it ran. No report writes K or Khat: K = A_0 - I + A_1 G, Khat
-= A_0 - I + A_-1 Ghat.
+block holds the set the certificates judged: its route (the class-matched
+forward shift kind), G, R, Ghat, Rhat, W (or null, with the reason in
+"W_reason"), the sweeps and the equation residuals. "shift_route" holds
+the route of the kind `--via` names. No report writes K or Khat:
+K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat. `bench` compares the
+direct solve with the shifted one.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -151,13 +151,6 @@ def _roots_payload(rootset):
     }
 
 
-def _equation_payload(sol):
-    return {
-        "iterations": dict(sol.iterations),
-        "residuals": {k: float(v) for k, v in sol.residuals.items()},
-    }
-
-
 def _solution_payload(sol):
     """The certified set: its route, matrices, sweeps and residuals; W is
     null, with the reason, where it is undefined or the Stein guard fails."""
@@ -173,27 +166,21 @@ def _solution_payload(sol):
         "Rhat": _flat(sol.rhat),
         "W": None if w is None else _flat(w),
         "W_reason": reason,
-        **_equation_payload(sol),
+        "iterations": dict(sol.iterations),
+        "residuals": {k: float(v) for k, v in sol.residuals.items()},
     }
 
 
-def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MAX_ITER,
-                 samples=16, seed=None):
-    """Full pipeline on one model: classify, solve the certified set on
-    the route reference_solution picks (the direct solve runs at tol and
-    max_iter, also for via='direct' when the set took a shift route), take
-    one route per shift kind (shift_routes: classify's `cls.matched` for
-    the class-matched kind), certify, assemble the report dict. The
-    report's shift route is the picked kind's, omitted for via='direct'."""
+def solve_report(triple, meta=None, via="auto", samples=16, seed=None):
+    """Full pipeline on one model: classify, solve the certified set
+    (reference_solution: classify's class-matched shifted solve and the
+    reversed model's), take one route per shift kind (shift_routes:
+    classify's `cls.matched` for the class-matched kind), certify,
+    assemble the report dict. The report's shift route is the kind `via`
+    names, the class-matched one for via='auto'."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
-    # the certificates judge the most accurate set there is: the direct
-    # solve is only ~1e-7 accurate at null recurrence and loses digits like
-    # eps over the root gap near it, where the shift routes keep them
-    reference = shift_mod.reference_solution(triple, cls, tol=tol, max_iter=max_iter)
-    direct = reference if reference.route == "direct" else None
-    if direct is None and via == "direct":
-        direct = solvers.solve_all(triple, cls, tol=tol, max_iter=max_iter)
+    reference = shift_mod.reference_solution(triple, cls)
     perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
     report = {
         "schema": SCHEMA_VERSION,
@@ -209,24 +196,21 @@ def solve_report(triple, meta=None, via="auto", tol=None, max_iter=solvers.CR_MA
         "via": via,
         "solution": _solution_payload(reference),
     }
-    if direct is not None:
-        report["direct"] = _equation_payload(direct)
     # one route per kind serves both the report's route and the kind's
     # round-trip certificate; a failed round trip is a certificate
     # failure, a failed route a solver failure
     transforms, routes = shift_mod.shift_routes(triple, cls, perron)
-    if via != "direct":
-        route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
-        route = routes[route_kind]
-        if isinstance(route, kernel.ConvergenceError):
-            raise route
-        report["shift_route"] = {
-            "kind": route_kind.value,
-            "iterations": route.cr.iterations,
-            "G": _flat(route.g),
-            "R": _flat(route.r),
-            "recovery_residual": route.recovery_residual,
-        }
+    route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
+    route = routes[route_kind]
+    if isinstance(route, kernel.ConvergenceError):
+        raise route
+    report["shift_route"] = {
+        "kind": route_kind.value,
+        "iterations": route.cr.iterations,
+        "G": _flat(route.g),
+        "R": _flat(route.r),
+        "recovery_residual": route.recovery_residual,
+    }
     det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(triple, cls, reference, perron, transforms,
                                                routes, samples=samples, det_seed=det_seed)
@@ -268,14 +252,9 @@ def print_human_report(report, out=None):
     if n <= 8:
         for name in ("G", "R", "Ghat", "Rhat"):
             _print_matrix(name, sol[name], n, out)
-    if "direct" in report and sol["route"] != "direct":
-        direct = report["direct"]
-        print(f"direct solve: sweeps G={direct['iterations']['G']}  equation residual "
-              f"exponents: {_exponents(direct['residuals'])}", file=out)
-    if "shift_route" in report:
-        rt = report["shift_route"]
-        print(f"shift route [{rt['kind']}]: iterations={rt['iterations']}  "
-              f"recovery residual={rt['recovery_residual']:.3e}", file=out)
+    rt = report["shift_route"]
+    print(f"shift route [{rt['kind']}]: iterations={rt['iterations']}  "
+          f"recovery residual={rt['recovery_residual']:.3e}", file=out)
     summary = report["certificate_summary"]
     print(f"certificates: {summary['pass']} pass, {summary['fail']} fail, "
           f"{summary['n/a']} n/a, {summary['info']} info", file=out)
@@ -410,9 +389,7 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="solve a model file and certify")
     p_solve.add_argument("path", help="model file (JSON)")
     p_solve.add_argument("--via", default="auto",
-                         choices=("direct", "right", "left", "double", "auto"))
-    p_solve.add_argument("--tol", type=_finite_float(0.0), default=None)
-    p_solve.add_argument("--max-iter", type=_int_at_least(1), default=solvers.CR_MAX_ITER)
+                         choices=("right", "left", "double", "auto"))
     p_solve.add_argument("--samples", type=_int_at_least(1), default=16)
     p_solve.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="seed for the determinant spot-check points")
@@ -451,10 +428,8 @@ def main(argv=None):
             _check_output_path(out_path)
         if args.command == "solve":
             triple, meta = read_model(args.path)
-            report = solve_report(
-                triple, meta, via=args.via, tol=args.tol,
-                max_iter=args.max_iter, samples=args.samples, seed=args.seed,
-            )
+            report = solve_report(triple, meta, via=args.via, samples=args.samples,
+                                  seed=args.seed)
             if args.json_out:
                 _write_json(report, args.json_out)
             if not args.quiet:

@@ -41,11 +41,11 @@ EIGEN_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
 # Power iteration for a radius stalls, and a dense eigensolve takes over,
-# when past STALL_STEPS steps its Collatz-Wielandt bracket has not shrunk by
-# STALL_SHRINK over the last STALL_STEPS steps. A window, not one step,
-# also catches a bracket that closes like 1/k (a defective dominant
-# eigenvalue), which loses less than 0.1% per step from k ~ 1000 on.
-STALL_SHRINK = 0.5
+# when past STALL_STEPS steps its Collatz-Wielandt bracket, closing at the
+# rate of the last STALL_STEPS steps, would need more than STALL_STEPS
+# further steps. A window, not one step, also catches a bracket that
+# closes like 1/k (a defective dominant eigenvalue), which loses less
+# than 0.1% per step from k ~ 1000 on.
 STALL_STEPS = 50
 # The power iteration runs on a + POWER_SHIFT ||a||_inf I: for a nonnegative
 # a, ||a||_inf is its largest row sum.
@@ -104,11 +104,12 @@ def _power(a):
     The Collatz-Wielandt bounds min_i (Mx)_i/x_i <= rho(M) <= max_i
     (Mx)_i/x_i hold for every positive x. The loop stops when they close
     to LINALG_RTOL relative to rho + c and returns the midpoint less c.
-    They close exactly when the dominant vector is positive; past
-    STALL_STEPS steps a bracket that has not shrunk by STALL_SHRINK over
-    the last STALL_STEPS steps (structural zeros in the dominant vector, a
-    slow rate, a defective dominant eigenvalue) is a stall, and the radius
-    is None.
+    They close exactly when the dominant vector is positive. Past
+    STALL_STEPS steps, a bracket of width w_k that shrank to w_k from
+    w_{k-S} over the last S = STALL_STEPS steps needs more than S further
+    steps at that rate to reach the target t exactly when w_k^2 > t
+    w_{k-S}: that is a stall (structural zeros in the dominant vector, a
+    slow rate, a defective dominant eigenvalue), and the radius is None.
     """
     shift = POWER_SHIFT * inf_norm(a)
     shifted = a + shift * np.eye(a.shape[0])
@@ -122,9 +123,10 @@ def _power(a):
             # the array methods skip np.min's dispatch, half a step's cost at n = 8
             lo, hi = float(ratios.min()), float(ratios.max())
             x = y / y.max()
-            if hi - lo <= LINALG_RTOL * hi:
+            target = LINALG_RTOL * hi
+            if hi - lo <= target:
                 return (lo + hi) / 2.0 - shift, k + 1
-            if k >= STALL_STEPS and not hi - lo <= STALL_SHRINK * widths[k - STALL_STEPS]:
+            if k >= STALL_STEPS and not (hi - lo) ** 2 <= target * widths[k - STALL_STEPS]:
                 return None, k + 1
             widths.append(hi - lo)
 

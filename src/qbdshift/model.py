@@ -129,9 +129,8 @@ class Classification:
     `matched` is the route of the class-matched shift
     (shift.matched_transform: right, left or double for a
     positive-recurrent, transient or null-recurrent chain, at the exact
-    unit root): the forward solve of reference_solution at and near null
-    recurrence, and a certified solve's route of its kind. None only for
-    `reversed`.
+    unit root): the forward solve of reference_solution in every class,
+    and a certified solve's route of its kind. None only for `reversed`.
     """
 
     kind: Kind

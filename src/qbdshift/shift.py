@@ -365,28 +365,18 @@ def shift_routes(model, cls, perron):
     return transforms, routes
 
 
-# Root gap below which the direct route visibly loses forward accuracy
-# (the loss scales like eps over the gap); the shift route keeps it.
-NEAR_NULL_GAP = 1e-3
-
-
-def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER):
-    """The certified SolutionSet of a model: the one place that picks its
-    route, named by `sol.route`.
-
-    Well-separated models (xi_{n+1} - xi_n >= NEAR_NULL_GAP) solve
-    directly, by quadratic cyclic reduction at `tol` and `max_iter`.
-    Null-recurrent and nearly-null ones take classify's class-matched
-    shifted solve (`cls.matched`) as the forward solve, and the reversed
-    model's (matched_transform on the reversed classification) for
-    (Ghat, Rhat), at CR_TOL and CR_MAX_ITER: they keep the accuracy the
-    direct route loses as the roots coalesce.
+def reference_solution(model, cls=None):
+    """The certified SolutionSet of a model, named by `sol.route` after its
+    forward shift kind: classify's class-matched shifted solve
+    (`cls.matched`) gives (G, R), and the reversed model's
+    (matched_transform on the reversed classification) gives (Ghat, Rhat),
+    both at CR_TOL and CR_MAX_ITER. The shifted problems keep an open
+    spectral gap in every class, so the recovered set keeps its accuracy
+    as the roots coalesce, where a direct solve loses it like eps over the
+    gap.
     """
     if cls is None:
         cls = model_mod.classify(model)
-    null = cls.kind is model_mod.Kind.NULL_RECURRENT
-    if not null and cls.xi_n1 - cls.xi_n >= NEAR_NULL_GAP:
-        return solvers.solve_all(model, cls, tol=tol, max_iter=max_iter)
     fwd = cls.matched
     rev_model = model.reversed()
     rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
@@ -394,5 +384,6 @@ def reference_solution(model, cls=None, tol=None, max_iter=solvers.CR_MAX_ITER):
     k = b0 + model.a_plus @ fwd.g
     khat = b0 + model.a_minus @ rev.g
     return solvers.solution_set(model, fwd.g, fwd.r, rev.g, rev.r, k, khat,
-                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations}, null,
+                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
+                                cls.kind is model_mod.Kind.NULL_RECURRENT,
                                 fwd.transform.kind.value)

@@ -11,8 +11,8 @@ Cyclic reduction is the one solver: each sweep squares the spectral
 ratio of the splitting roots, so convergence is quadratic whenever the
 n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
 (rate 1/2) exactly at null recurrence. Equation (3) is equation (1) for
-the reversed triple, whose cyclic reduction runs through the same
-iterates with L and U swapped, so one run solves both (1) and (3).
+the reversed triple (B_1, B_0, B_-1), and (2) and (4) follow from (1) and
+(3) by one linear solve each.
 """
 
 from __future__ import annotations
@@ -72,29 +72,26 @@ def residual_rhat(bm, b0, bp, x):
 
 @dataclasses.dataclass(frozen=True)
 class CrOutcome:
-    """Cyclic-reduction result with its convergence record (ghat if asked)."""
+    """Cyclic-reduction result with its convergence record."""
 
     g: np.ndarray
     iterations: int
     converged: bool
     residual: float
     rate_estimate: float
-    ghat: np.ndarray | None = None
 
 
 def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
-                     res_tol=None, hat=False):
-    """Minimal solution of (1) by cyclic reduction, and of (3) if hat.
+                     res_tol=None):
+    """Minimal solution of (1) by cyclic reduction.
 
     Sweeps L <- -L D^-1 L, U <- -U D^-1 U, D <- D - L D^-1 U - U D^-1 L
     until min(||L||, ||U||) <= tol (the off-term that dies decides which
     splitting side converged). Dh <- Dh - U D^-1 L tends to K = B_0 + B_1 G
-    and gives G = -Dh^-1 B_-1; with hat=True its mirror Dt <- Dt - L D^-1 U
-    tends to Khat = B_0 + B_-1 Ghat and gives Ghat = -Dt^-1 B_1, as a run on
-    the reversed triple would, with the same D iterates and sweep count.
+    and gives G = -Dh^-1 B_-1.
 
-    Each solution is accepted whenever its equation residual is at most
-    res_tol (default max(tol, 1e-12)), converged or not; otherwise
+    G is accepted whenever its equation residual is at most res_tol
+    (default max(tol, 1e-12)), converged or not; otherwise
     ConvergenceError is raised with that iterate attached. Unshifted
     null-recurrent coefficients driven at a tolerance they cannot reach
     are the expected case. res_tol=inf only reports.
@@ -103,7 +100,6 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     diag = kernel.as_square(b_zero, "b_zero").copy()
     up = kernel.as_square(b_plus, "b_plus").copy()
     diag_hat = diag.copy()
-    diag_tilde = diag.copy() if hat else None
 
     def min_norm():
         return min(kernel.inf_norm(low), kernel.inf_norm(up))
@@ -129,25 +125,16 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
         up = -uxu
         diag = diag - lxu - uxl
         diag_hat = diag_hat - uxl
-        if hat:
-            diag_tilde = diag_tilde - lxu
         k += 1
         last = min_norm()
     blocks = [np.asarray(b, float) for b in (b_minus, b_zero, b_plus)]
     bound = res_tol if res_tol is not None else max(tol, 1e-12)
-
-    def back_solve(acc, rhs, residual, label):
-        x = -kernel.solve_linear(acc, rhs)
-        res = residual(*blocks, x)
-        if res > bound:
-            raise kernel.ConvergenceError(
-                f"cyclic reduction stalled after {k} sweeps "
-                f"({label}residual {res:.3e} > {bound:.1e})",
-                iterations=k, residual=res, solution=x)
-        return x, res
-
-    g, res = back_solve(diag_hat, blocks[0], residual_g, "")
-    ghat = back_solve(diag_tilde, blocks[2], residual_ghat, "Ghat ")[0] if hat else None
+    g = -kernel.solve_linear(diag_hat, blocks[0])
+    res = residual_g(*blocks, g)
+    if res > bound:
+        raise kernel.ConvergenceError(
+            f"cyclic reduction stalled after {k} sweeps (residual {res:.3e} > {bound:.1e})",
+            iterations=k, residual=res, solution=g)
     rate = (last / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
     return CrOutcome(
         g=g,
@@ -155,7 +142,6 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
         converged=last <= tol,
         residual=res,
         rate_estimate=float(rate),
-        ghat=ghat,
     )
 
 
@@ -208,8 +194,9 @@ class SolutionSet:
     """Minimal solutions with their coupling factors and solve metadata.
 
     `null` marks a null-recurrent model, where the W series diverges.
-    `route` names the route that solved the set: "direct", or the kind of
-    the forward shift ("right", "left", "double").
+    `route` names the route that solved the set: the kind of the forward
+    shift ("right", "left", "double") for the certified set, "direct" for
+    solve_all.
     """
 
     g: np.ndarray
@@ -308,8 +295,11 @@ def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null, route):
 
 
 def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
-    """Direct solve of all four equations on one triple; computes no W
-    (`SolutionSet.w` does, on first read).
+    """Direct solve of all four equations: cyclic reduction on the triple
+    for G and on the reversed triple for Ghat. Computes no W
+    (`SolutionSet.w` does, on first read). The certified set takes the
+    shift routes instead (shift.reference_solution); this is the
+    unshifted solve it is compared with.
 
     Null-recurrent inputs run at the relaxed tolerance and may stall at
     the iteration cap; the trailing iterate is accepted as long as its
@@ -319,12 +309,12 @@ def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
     if cls is None:
         cls = model_mod.classify(model)
     null = cls.kind is model_mod.Kind.NULL_RECURRENT
-    cr_tol = tol if tol is not None else (CR_TOL_NULL if null else CR_TOL)
+    cr_args = {"tol": tol if tol is not None else (CR_TOL_NULL if null else CR_TOL),
+               "max_iter": max_iter, "res_tol": STALL_RES_TOL if null else None}
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    res_tol = STALL_RES_TOL if null else None
-    cr = cyclic_reduction(bm, b0, bp, tol=cr_tol, max_iter=max_iter, res_tol=res_tol,
-                          hat=True)
-    r, k = derive_r_k(b0, bp, cr.g)
-    rhat, khat = derive_r_k(b0, bm, cr.ghat)
-    return solution_set(model, cr.g, r, cr.ghat, rhat, k, khat,
-                        {"G": cr.iterations, "Ghat": cr.iterations}, null, "direct")
+    fwd = cyclic_reduction(bm, b0, bp, **cr_args)
+    rev = cyclic_reduction(bp, b0, bm, **cr_args)
+    r, k = derive_r_k(b0, bp, fwd.g)
+    rhat, khat = derive_r_k(b0, bm, rev.g)
+    return solution_set(model, fwd.g, r, rev.g, rhat, k, khat,
+                        {"G": fwd.iterations, "Ghat": rev.iterations}, null, "direct")

@@ -413,17 +413,17 @@ def _hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals):
 
 
 def _roundtrip_cert(sol, kind, route, xi_amp):
-    """The shift route of one kind (solved shifted, recovered) against a
-    direct reference solution, or against the original equations where
-    the reference took a shift route: the class-matched kind's route is
-    then the forward solve of the reference itself, so its round trip
-    reads that solve's recovery residual. `route` may be the
-    ConvergenceError its solve raised."""
+    """The shift route of one kind (solved shifted, recovered). The kind
+    the certified set was solved on (`sol.route`) reads that solve's
+    recovery residual on the original equations; every other kind solved
+    independently, with another shift, and its recovered (G, R) is
+    compared with the certified set. `route` may be the ConvergenceError
+    its solve raised."""
     if isinstance(route, kernel.ConvergenceError):
         return Certificate(
             f"{kind}:roundtrip", float("inf"), ROUNDTRIP_TOL, "fail", str(route)
         )
-    if sol.null or sol.route != "direct":
+    if sol.route == kind:
         return _cert(f"{kind}:roundtrip", route.recovery_residual, ROUNDTRIP_TOL,
                      "recovered pair vs original equations")
     gap = max(
@@ -431,7 +431,7 @@ def _roundtrip_cert(sol, kind, route, xi_amp):
         float(np.max(np.abs(route.r - sol.r))),
     )
     return _cert(f"{kind}:roundtrip", gap, max(ROUNDTRIP_TOL, xi_amp),
-                 "recovered pair vs direct solve")
+                 "recovered pair vs certified set")
 
 
 def check_identity_suite(model, cls, sol, perron, transforms, routes=None, samples=16,

@@ -330,6 +330,61 @@ def splitting_root_mp(model, outside, dps=60):
         return float(mpmath.re(root))
 
 
+def minimal_solutions_mp(model, dps=50, max_sweeps=120):
+    """G, R, Ghat and Rhat of `model` at `dps` digits, as float arrays
+    ({"G", "R", "Ghat", "Rhat"}), by cyclic reduction in mpmath on the
+    blocks projected to exact row sums (each row of A_-1, A_0 and A_1
+    divided by its row sum of A(1) at that precision).
+
+    The projection matters near null recurrence: the float blocks' row
+    sums are off by round-off, which moves G by about eps over the root
+    gap. Cyclic reduction runs on (B_-1, B_0, B_1) for G and on the
+    reversed triple for Ghat until min(||L||, ||U||) falls below
+    10^(10 - dps), or for `max_sweeps` sweeps at null recurrence, where
+    it converges linearly (rate 1/2); then R = -B_1 K^-1 and Rhat =
+    -B_-1 Khat^-1."""
+    import mpmath
+
+    n = model.n
+    with mpmath.workdps(dps):
+        blocks = [mpmath.matrix(b.tolist()) for b in (model.a_minus, model.a_zero,
+                                                     model.a_plus)]
+        for i in range(n):
+            total = mpmath.fsum(b[i, j] for b in blocks for j in range(n))
+            for b in blocks:
+                for j in range(n):
+                    b[i, j] /= total
+        bm, b0, bp = blocks[0], blocks[1] - mpmath.eye(n), blocks[2]
+        tol = mpmath.mpf(10) ** (10 - dps)
+
+        def norm(m):
+            return max(mpmath.fsum(abs(m[i, j]) for j in range(n)) for i in range(n))
+
+        def minimal(b_down, b_up):
+            """(X, B_0 + b_up X) for the minimal X of b_down + B_0 X +
+            b_up X^2 = 0."""
+            low, diag, up, acc = b_down, b0, b_up, b0
+            for _ in range(max_sweeps):
+                if min(norm(low), norm(up)) <= tol:
+                    break
+                inv = mpmath.inverse(diag)
+                low_inv, up_inv = low * inv, up * inv
+                diag = diag - low_inv * up - up_inv * low
+                acc = acc - up_inv * low
+                low, up = -(low_inv * low), -(up_inv * up)
+            return -(mpmath.inverse(acc) * b_down), acc
+
+        g, k = minimal(bm, bp)
+        ghat, khat = minimal(bp, bm)
+        r = -(bp * mpmath.inverse(k))
+        rhat = -(bm * mpmath.inverse(khat))
+
+        def floats(m):
+            return np.array([[float(m[i, j]) for j in range(n)] for i in range(n)])
+
+        return {"G": floats(g), "R": floats(r), "Ghat": floats(ghat), "Rhat": floats(rhat)}
+
+
 def chordal_distance(x, y):
     """Distance on the Riemann sphere, elementwise with broadcasting.
 

@@ -36,7 +36,12 @@ A schema-2 report is compared in the schema-3 layout (`as_schema3`): its
 direct solve was the set it wrote, so its `direct` matrices, sweeps and
 residuals are matched with the `solution` block of route "direct", and
 the bank prints how far each written matrix moved where the certified set
-took a shift route.
+took a shift route. The optional `direct` block of a schema-3 report
+(the sweeps and residuals of a direct solve) is compared where both
+sides write it; where only the parent's report has it, the bank counts
+those reports in one line and compares the rest. A difference that
+recurs on several models (a certificate context that changed wording,
+say) is printed once, with the number of models and the first of them.
 
 It exits 0 when the two sides agree bit for bit, 1 otherwise. pytest does
 not collect this file.
@@ -235,6 +240,19 @@ def compare_solutions(name, old, new, old_dir, new_dir):
     return diffs
 
 
+def grouped(diffs):
+    """The lines "MODEL: TEXT" of `diffs`, each TEXT once, in order of
+    first appearance; a TEXT of several models is given with their number
+    and the first of them."""
+    models = {}
+    for line in diffs:
+        name, _, text = line.partition(": ")
+        models.setdefault(text, []).append(name)
+    return [f"{names[0]}: {text}" if len(names) == 1
+            else f"{text} (on {len(names)} models, first {names[0]})"
+            for text, names in models.items()]
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -261,7 +279,7 @@ def main(argv):
             for line in compare_solutions(name, old_side["solution"][name],
                                           new_side["solution"][name], old_dir, new_dir)]
         diffs, moves = [], []
-        certificates = 0
+        certificates = dropped_direct = 0
         for name in sorted(old):
             if old[name] != new[name]:
                 diffs.append(f"{name}: exit {old[name]['code']} {old[name]['stderr']!r} "
@@ -272,6 +290,9 @@ def main(argv):
             elif paths[0].is_file():
                 a, b = (as_schema3(json.loads(p.read_text(encoding="utf-8")))
                         for p in paths)
+                if "direct" in a and "direct" not in b:
+                    del a["direct"]
+                    dropped_direct += 1
                 certificates += len(a.get("certificates", []))
                 moves += compare_reports(name, a, b, diffs)
     codes = {}
@@ -279,9 +300,12 @@ def main(argv):
         codes[outcome["code"]] = codes.get(outcome["code"], 0) + 1
     print(f"{len(instances)} models; parent exit codes "
           + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items(), key=str)))
+    if dropped_direct:
+        print(f"{dropped_direct} parent reports have a `direct` block the change does "
+              "not write (not compared)")
     print(f"{len(diffs)} differences in exit code, stderr, report fields or "
           f"certificate name, status, tolerance or context")
-    for line in diffs:
+    for line in grouped(diffs):
         print("  " + line)
     print(f"{len(moves)} of {certificates} certificate residuals moved", end="")
     if moves:

@@ -108,21 +108,15 @@ class TestModelFiles:
         (["gen", "positive", "-n", "2", "--seed", "-1"], "must be at least 0"),
         (["bench", "null", "-n", "2", "--count", "0"], "must be at least 1"),
         (["bench", "null", "-n", "2", "--seed", "-1"], "must be at least 0"),
-        (["solve", "{model}", "--tol", "-1"], "must be finite and at least 0"),
-        (["solve", "{model}", "--tol", "nan"], "must be finite and at least 0"),
-        (["solve", "{model}", "--tol", "inf"], "must be finite and at least 0"),
         (["bench", "null", "-n", "2", "--tol", "-1"], "must be finite and at least 0"),
-        (["solve", "{model}", "--max-iter", "0"], "must be at least 1"),
-        (["solve", "{model}", "--max-iter", "-1"], "must be at least 1"),
         (["bench", "null", "-n", "2", "--max-iter", "0"], "must be at least 1"),
         (["gen", "positive", "-n", "2", "--gamma", "-1"], "must be finite and above 0"),
         (["gen", "positive", "-n", "2", "--gamma", "nan"], "must be finite and above 0"),
         (["gen", "positive", "-n", "2", "--gamma", "0"], "must be finite and above 0"),
         (["bench", "null", "-n", "2", "--gamma", "inf"], "must be finite and above 0"),
     ], ids=["samples-0", "samples-neg", "solve-seed-neg", "gen-n-0", "gen-seed-neg",
-            "bench-count-0", "bench-seed-neg", "solve-tol-neg", "solve-tol-nan",
-            "solve-tol-inf", "bench-tol-neg", "solve-max-iter-0", "solve-max-iter-neg",
-            "bench-max-iter-0", "gen-gamma-neg", "gen-gamma-nan", "gen-gamma-0",
+            "bench-count-0", "bench-seed-neg", "bench-tol-neg", "bench-max-iter-0",
+            "gen-gamma-neg", "gen-gamma-nan", "gen-gamma-0",
             "bench-gamma-inf"])
     def test_out_of_range_flags(self, tmp_path, capsys, flags, message):
         # --samples 0 passed every factorization certificate vacuously; a
@@ -134,10 +128,6 @@ class TestModelFiles:
             cli.main([f.format(model=model) for f in flags])
         assert exc.value.code == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
-
-    def test_zero_tol_still_solves(self, tmp_path):
-        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
-        assert cli.main(["solve", str(model), "--tol", "0", "--quiet"]) == 0
 
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
@@ -169,7 +159,7 @@ class TestMain:
         report = json.loads(out_path.read_text())
         assert report["schema"] == 3
         assert report["classification"]["kind"] == "positive-recurrent"
-        assert report["solution"]["route"] == "direct"
+        assert report["solution"]["route"] == "right"
         assert report["solution"]["G"] == [pytest.approx(1.0, abs=1e-12)]
         assert report["solution"]["R"] == [pytest.approx(0.6, abs=1e-12)]
         assert report["certificate_summary"]["fail"] == 0
@@ -177,12 +167,12 @@ class TestMain:
     def test_direct_keys(self, tmp_path):
         # no K or Khat: each is one product away from G or Ghat; the
         # certified set's matrices are written once, under "solution", and
-        # the direct solve keeps its sweeps and residuals
+        # no direct solve runs, so there is no "direct" block
         path = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         report = cli.solve_report(*cli.read_model(path))
         assert set(report["solution"]) == {"route", "G", "R", "Ghat", "Rhat", "W",
                                            "W_reason", "iterations", "residuals"}
-        assert set(report["direct"]) == {"iterations", "residuals"}
+        assert "direct" not in report
         assert set(report["shift_route"]) >= {"G", "R"}
 
     def test_report_byte_stable_modulo_timing(self, tmp_path):
@@ -197,7 +187,8 @@ class TestMain:
         assert reports[0] == reports[1]
 
     def test_null_via_double_shift(self, tmp_path):
-        path = write_scalar_model(tmp_path, (0.4, 0.2, 0.4))
+        path = tmp_path / "model.json"
+        assert cli.main(["gen", "null", "-n", "1", "--seed", "0", "--out", str(path)]) == 0
         out_path = tmp_path / "report.json"
         code = cli.main(["solve", str(path), "--quiet", "--via", "double",
                          "--json", str(out_path)])
@@ -208,12 +199,12 @@ class TestMain:
         assert route["G"] == [pytest.approx(1.0, abs=1e-10)]
         assert route["R"] == [pytest.approx(1.0, abs=1e-10)]
         assert route["recovery_residual"] <= 1e-10
-        # the certified set took the double shift too; the direct solve
-        # runs only when asked for, and takes more sweeps
+        # the certified set took the double shift too; the direct solve of
+        # the same model, which only bench runs, takes more sweeps
         assert report["solution"]["route"] == "double"
         assert "direct" not in report
-        direct = cli.solve_report(*cli.read_model(path), via="direct")["direct"]
-        assert route["iterations"] < direct["iterations"]["G"]
+        row, = cli.bench_rows("null", 1, count=1, seed=0)
+        assert route["iterations"] < row["direct_iterations"]
 
     @pytest.mark.parametrize("n", [2, 16, 128])
     def test_null_certified_r_and_rhat_to_machine_accuracy(self, n):
@@ -282,7 +273,7 @@ class TestMain:
         model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
         out = tmp_path / "report.json"
         out.write_text("old")
-        monkeypatch.setattr(cli.solvers, "solve_all", boom)
+        monkeypatch.setattr(cli.solvers, "cyclic_reduction", boom)
         argv = ["solve", str(model), "--json", str(out), "--quiet"]
         assert cli.main(argv) == cli.EXIT_SOLVER
         assert out.read_text() == "old"
@@ -320,7 +311,7 @@ class TestMain:
             raise kernel.ConvergenceError("forced")
 
         path = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
-        monkeypatch.setattr(cli.solvers, "solve_all", boom)
+        monkeypatch.setattr(cli.solvers, "cyclic_reduction", boom)
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_SOLVER
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
@@ -347,16 +338,15 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 5, "det_b": 32}),
+        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 32}),
         ("null", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 32}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
         # classify makes the class-matched shifted solve (right here, double
-        # at null recurrence), one cyclic-reduction run gives the direct G
-        # and Ghat (the reversed double shift at null recurrence, and no
-        # direct run), classify's solve is the route of its kind and the
-        # other two kinds are solved once each for the route and its round
-        # trip, Perron data is computed once per triple (for the
+        # at null recurrence), the reversed model's class-matched solve
+        # gives Ghat (no direct run), classify's solve is the route of its
+        # kind and the other two kinds are solved once each for the route
+        # and its round trip, Perron data is computed once per triple (for the
         # certificates: no shift route reads it), each triple builds B(z)
         # once, and det B(z) is taken once per determinant point
         from qbdshift import matpoly, model, solvers
@@ -382,16 +372,17 @@ class TestMain:
         assert counts == expected
 
     @pytest.mark.parametrize("kind, gamma, route, direct_runs", [
-        ("positive", 0.5, "direct", 1), ("transient", 0.5, "direct", 1),
+        ("positive", 0.5, "right", 0), ("transient", 0.5, "left", 0),
         ("positive", 1e-5, "right", 0), ("transient", 1e-5, "left", 0),
         ("null", 0.5, "double", 0),
     ])
     def test_direct_solve_only_off_the_near_null_band(self, monkeypatch, kind, gamma,
                                                       route, direct_runs):
-        # the certified set takes a shift route at null recurrence and at a
-        # root gap of 1.2e-5 (below NEAR_NULL_GAP), and no direct solve runs
-        # there; every class makes 4 cyclic reductions, and the report's
-        # route is classify's class-matched solve
+        # no direct solve runs on or off the near-null band (root gap of
+        # 1.2e-5 at gamma 1e-5): the certified set takes the class-matched
+        # shift pair in every class, every class makes 4 cyclic
+        # reductions, and the report's route is classify's class-matched
+        # solve
         from qbdshift import solvers
 
         counts = {"solve_all": 0, "cyclic_reduction": 0}
@@ -413,17 +404,6 @@ class TestMain:
         matched = classify(triple).matched
         assert report["shift_route"]["iterations"] == matched.cr.iterations
         assert report["shift_route"]["G"] == cli._flat(matched.g)
-
-    def test_via_direct_runs_the_direct_solve_at_null(self, monkeypatch):
-        # --via direct asks for the direct solve; the certified set and its
-        # report block stay the double shift's
-        triple, meta = cli.generate("null", 4, 1)
-        auto = cli.solve_report(triple, meta)
-        report = cli.solve_report(triple, meta, via="direct")
-        assert report["solution"] == auto["solution"]
-        assert set(report["direct"]) == {"iterations", "residuals"}
-        assert report["direct"]["iterations"]["G"] > report["solution"]["iterations"]["G"]
-        assert "shift_route" not in report
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     @pytest.mark.parametrize("n", ["4", "16"])

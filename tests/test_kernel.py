@@ -95,7 +95,7 @@ class TestPowerIteration:
     def test_defective_dominant_eigenvalue_stalls_early(self, m):
         # a defective dominant eigenvalue closes the bracket like 1/k, less
         # than 0.1% per step from k ~ 1000 on, where a one-step rule would
-        # first stall; the windowed rule stalls after about 2 STALL_STEPS
+        # first stall; the projected rule stalls within 3 STALL_STEPS
         radius, steps = kernel._power(m)
         assert radius is None
         assert steps <= 3 * kernel.STALL_STEPS
@@ -115,6 +115,16 @@ class TestPowerIteration:
 
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         assert kernel.spectral_radius(m) == pytest.approx(want, rel=1e-11)
+
+    def test_slow_linear_rate_stalls_at_the_first_window(self):
+        # a reducible draw of test_property_over_patterns: the bracket
+        # closes at about 0.97 per step, 929 steps to 1e-12, and the power
+        # midpoint there misses the radius by 3.9e-13; projected from the
+        # first window it needs far more than STALL_STEPS further steps,
+        # and the eigensolve gives 0.478 exactly
+        m = np.array([[0.458, 0.770], [0.0, 0.478]])
+        assert kernel._power(m) == (None, kernel.STALL_STEPS + 1)
+        assert kernel.spectral_radius(m) == 0.478
 
     def test_zero_matrix_at_the_first_step(self):
         assert kernel._power(np.zeros((3, 3))) == (0.0, 1)

@@ -368,8 +368,31 @@ class TestReferenceSolution:
         assert ref_err <= 1e-12 < direct_err
 
     def test_non_null_uses_direct(self, e2):
+        # off null recurrence the certified set takes the right shift pair
+        # too, and W exists
         ref = reference_solution(e2)
+        assert ref.route == "right"
         assert ref.w is not None
+
+    # 2 eps: the shift pair's largest entry error over G, R, Ghat and Rhat
+    # on these models is at most eps (2.2e-16); the direct solve misses by
+    # 1.7e-15 to 6.7e-15 at gamma 0.01, by 7.2e-16 at gamma 2 (seed 0) and
+    # by 1.8e-12 to 3.5e-12 at gamma 1e-5
+    FORWARD_ERROR_BOUND = 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind, gamma", [
+        ("positive", 2.0), ("positive", 0.01), ("positive", 1e-5),
+        ("transient", 2.0), ("transient", 0.01), ("transient", 1e-5), ("null", 0.5),
+    ])
+    def test_forward_error_against_mp_oracle(self, kind, gamma, seed):
+        model, _ = cli.generate(kind, 4, seed, gamma=gamma)
+        sol = reference_solution(model, classify(model))
+        want = oracles.minimal_solutions_mp(model)
+        for name, got in (("G", sol.g), ("R", sol.r), ("Ghat", sol.ghat),
+                          ("Rhat", sol.rhat)):
+            err = float(np.max(np.abs(got - want[name])))
+            assert err <= self.FORWARD_ERROR_BOUND, (name, err)
 
     @pytest.mark.parametrize("kind, gamma", [
         ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
@@ -378,7 +401,7 @@ class TestReferenceSolution:
     def test_solution_path_solves_matched_shift_once(self, monkeypatch, kind, gamma):
         # reference_solution(model, classify(model)): no eigensolve at null
         # recurrence, otherwise one class-matched forward solve, which
-        # classify makes and the nearly-null reference route reuses; no
+        # classify makes and the reference reuses; no
         # Perron data, since the matched shifts of the model and of its
         # reversal read only e and theta at the unit root
         from qbdshift import model as model_mod, shift
@@ -414,10 +437,9 @@ class TestReferenceSolution:
         ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
     ])
     def test_r_derived_once_per_solve(self, monkeypatch, kind, gamma):
-        # each route's solve derives its own R, and the shifted routes'
-        # K and Khat are formed directly: two derivations on the direct
-        # route, one at and near null recurrence, where the forward route
-        # is the one classify solved
+        # each route's solve derives its own R, and the reference's K and
+        # Khat are formed directly: one derivation, the reversed solve's,
+        # since the forward route is the one classify solved
         calls = []
         real = solvers.derive_r_k
 
@@ -429,7 +451,7 @@ class TestReferenceSolution:
         cls = classify(model)
         monkeypatch.setattr(solvers, "derive_r_k", counting)
         sol = reference_solution(model, cls)
-        assert len(calls) == (2 if sol.route == "direct" else 1)
+        assert len(calls) == 1
         b0 = model.b_zero()
         np.testing.assert_array_equal(sol.k, b0 + model.a_plus @ sol.g)
         np.testing.assert_array_equal(sol.khat, b0 + model.a_minus @ sol.ghat)
