@@ -171,7 +171,7 @@ def _solution_payload(sol):
     }
 
 
-def solve_report(triple, meta=None, via="auto", samples=16, seed=None):
+def solve_report(triple, meta=None, via="auto", seed=None):
     """Full pipeline on one model: classify, solve the certified set
     (reference_solution: classify's class-matched shifted solve and the
     reversed model's), take one route per shift kind (shift_routes:
@@ -213,7 +213,7 @@ def solve_report(triple, meta=None, via="auto", samples=16, seed=None):
     }
     det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(triple, cls, reference, perron, transforms,
-                                               routes, samples=samples, det_seed=det_seed)
+                                               routes, det_seed=det_seed)
     report["certificates"] = [c.to_dict() for c in certificates]
     report["certificate_summary"] = {
         status: sum(c.status == status for c in certificates)
@@ -390,7 +390,6 @@ def _build_parser():
     p_solve.add_argument("path", help="model file (JSON)")
     p_solve.add_argument("--via", default="auto",
                          choices=("right", "left", "double", "auto"))
-    p_solve.add_argument("--samples", type=_int_at_least(1), default=16)
     p_solve.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="seed for the determinant spot-check points")
     p_solve.add_argument("--json", dest="json_out", metavar="PATH", default=None,
@@ -428,8 +427,7 @@ def main(argv=None):
             _check_output_path(out_path)
         if args.command == "solve":
             triple, meta = read_model(args.path)
-            report = solve_report(triple, meta, via=args.via, samples=args.samples,
-                                  seed=args.seed)
+            report = solve_report(triple, meta, via=args.via, seed=args.seed)
             if args.json_out:
                 _write_json(report, args.json_out)
             if not args.quiet:

@@ -197,7 +197,7 @@ W_TOL_FLOORS = {"W:stein": IDENTITY_TOL, "W:inverse-identity": IDENTITY_TOL,
                 "W:Ghat-similarity": SPECTRAL_TOL, "W:Rhat-similarity": SPECTRAL_TOL}
 
 
-def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
+def _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r):
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
     certs = [
@@ -241,7 +241,7 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
     for name, fact in (("factor:phi", matpoly.Factorization("z", r, k, g)),
                        ("factor:phi-reversed",
                         matpoly.Factorization("z_inverse", rhat, khat, ghat))):
-        residual = matpoly.factorization_residual(model.poly, fact, samples)
+        residual = matpoly.factorization_residual(model.poly, fact)
         certs.append(_cert(name, residual, FACTOR_TOL))
     try:
         w = sol.w
@@ -281,8 +281,8 @@ def _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r):
     return certs
 
 
-def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_without,
-                     route, eigvals):
+def _transform_certs(model, cls, sol, perron, transform, det_b, points_without, route,
+                     eigvals):
     kind = transform.kind.value
     shifted = transform.shifted
     bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
@@ -321,9 +321,8 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
         _det_identity_cert(transform, det_b, xi_amp),
         _cert(
             f"{kind}:factor:phi_s",
-            matpoly.factorization_residual(
-                shifted.poly, matpoly.Factorization("z", r_s, k_s, g_s), samples
-            ),
+            matpoly.factorization_residual(shifted.poly,
+                                           matpoly.Factorization("z", r_s, k_s, g_s)),
             max(FACTOR_TOL, xi_amp),
         ),
     ]
@@ -340,7 +339,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
                                    points_without), DET_RTOL)
         )
     try:
-        certs.extend(_hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals))
+        certs.extend(_hat_certs(sol, perron, transform, null, xi_amp, eigvals))
     except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
         # the names _hat_certs gives on success, whichever guard stopped
         # the transport: one set per class and kind
@@ -356,7 +355,7 @@ def _transform_certs(model, cls, sol, perron, transform, samples, det_b, points_
     return certs
 
 
-def _hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals):
+def _hat_certs(sol, perron, transform, null, xi_amp, eigvals):
     """The shifted hat checks of one kind; raises where the transport is
     unavailable (inadmissible vector, no closed form for the non-null
     double shift, exhausted conditioning)."""
@@ -403,9 +402,7 @@ def _hat_certs(sol, perron, transform, samples, null, xi_amp, eigvals):
             f"{kind}:factor:phi_s-reversed",
             matpoly.factorization_residual(
                 shifted.poly,
-                matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
-                samples,
-            ),
+                matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat)),
             factor_tol,
         )
     )
@@ -434,7 +431,7 @@ def _roundtrip_cert(sol, kind, route, xi_amp):
                  "recovered pair vs certified set")
 
 
-def check_identity_suite(model, cls, sol, perron, transforms, routes=None, samples=16,
+def check_identity_suite(model, cls, sol, perron, transforms, routes=None,
                          det_seed=DET_SEED):
     """Run every certificate on one instance: the coupling identities and
     factorizations of the base problem, then for each shift kind the
@@ -466,10 +463,10 @@ def check_identity_suite(model, cls, sol, perron, transforms, routes=None, sampl
     def points_without(removed):
         return _replacement_points(removed, model.n, det_seed)
 
-    certs = _base_certs(model, cls, sol, perron, samples, det_b, eig_g, eig_r)
+    certs = _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r)
     for kind in shift_mod.ShiftKind:
         certs.extend(_transform_certs(
-            model, cls, sol, perron, transforms[kind], samples, det_b, points_without,
+            model, cls, sol, perron, transforms[kind], det_b, points_without,
             routes.get(kind), eigvals,
         ))
     return certs

@@ -2,7 +2,8 @@
 quadratic formula, the symmetric-circulant closed form for the 2x2
 null-recurrent instance, the monotone fixed-point iteration for G, naive
 dense helpers that bypass the package implementations, the 60-digit
-splitting root of det B(z)/(z - 1) (mpmath), the scipy
+splitting root of det B(z)/(z - 1) and the 50-digit cyclic reduction for
+G, R, Ghat and Rhat (mpmath), the scipy
 forms the package no longer uses (the companion-pencil QZ, the exact
 bottleneck root matching, LU with a pivot test, the two-sided dense
 eigensolve, strongly connected components), and the loop forms of
@@ -243,24 +244,6 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
         diag_hat = diag_hat - uxl
         k += 1
     return -kernel.solve_linear(diag_hat, np.asarray(b_minus, dtype=float)), k
-
-
-def two_pass_solution(model, cls):
-    """The direct solve with cyclic reduction run twice at solve_all's
-    tolerances: once on (B_-1, B_0, B_1) for (G, R) and once more on the
-    reversed triple (B_1, B_0, B_-1) for (Ghat, Rhat). Returns
-    ({"G", "R", "Ghat", "Rhat"}, {"G": sweeps, "Ghat": sweeps})."""
-    from qbdshift import model as model_mod, solvers
-
-    null = cls.kind is model_mod.Kind.NULL_RECURRENT
-    cr_args = {"tol": solvers.CR_TOL_NULL if null else solvers.CR_TOL,
-               "res_tol": solvers.STALL_RES_TOL if null else None}
-    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    fwd = solvers.cyclic_reduction(bm, b0, bp, **cr_args)
-    rev = solvers.cyclic_reduction(bp, b0, bm, **cr_args)
-    solution = {"G": fwd.g, "R": solvers.derive_r_k(b0, bp, fwd.g)[0],
-                "Ghat": rev.g, "Rhat": solvers.derive_r_k(b0, bm, rev.g)[0]}
-    return solution, {"G": fwd.iterations, "Ghat": rev.iterations}
 
 
 def qz_roots(poly):
@@ -594,19 +577,3 @@ def det_points_loop(xi_values, count, seed):
         if all(abs(z - xi) > 0.05 for xi in xi_values):
             points.append(z)
     return points
-
-
-def factorization_residual_per_sample(poly, fact, samples=16):
-    """matpoly.factorization_residual with one elementwise pass per
-    sample point, in a Python loop over the samples."""
-    from qbdshift import matpoly
-
-    points = matpoly.unit_circle_samples(samples) if isinstance(samples, int) else samples
-    low, high = poly.b_minus, poly.b_plus
-    if fact.direction == "z_inverse":
-        low, high = high, low
-    lm = fact.left @ fact.middle
-    c_low = low + fact.middle @ fact.right
-    c_mid = poly.b_zero - fact.middle - lm @ fact.right
-    c_high = high + lm
-    return max(float(np.max(np.abs(c_low / z + c_mid + z * c_high))) for z in points)

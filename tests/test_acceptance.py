@@ -128,8 +128,8 @@ def test_criterion_4_factorization_certificates(capsys, subset_suites):
                     count += 1
     _criterion(
         capsys, 4, worst <= 1e-10,
-        f"{count} factorization residuals (16 unit-circle samples): worst {worst:.2e}; "
-        f"{na} not applicable (non-null double hats)",
+        f"{count} factorization residuals (coefficient bounds over the whole unit "
+        f"circle): worst {worst:.2e}; {na} not applicable (non-null double hats)",
     )
 
 
@@ -237,7 +237,6 @@ def test_criterion_9_khat_double_discrepancy(capsys, n1):
     factor_residual = matpoly.factorization_residual(
         transform.shifted.poly,
         matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
-        16,
     )
     certs = check_identity_suite(n1, cls, sol, pd, transforms_of(n1, cls, pd))
     info = [c for c in certs if c.name == "double:id:Khat_d-compact"]

@@ -8,10 +8,7 @@ values, so that no report moves.
   included;
 - `verify._det_points` (uniforms drawn `count` at a time) against one
   draw at a time, with real poles near the 1.37 circle so that points are
-  rejected;
-- `matpoly.factorization_residual` (samples in blocks) against one pass
-  per sample, n from 1 to 130 across the block edges, default and
-  explicit sample lists.
+  rejected.
 """
 
 import numpy as np
@@ -19,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qbdshift import kernel, matpoly, verify
+from qbdshift import kernel, verify
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -95,31 +92,3 @@ class TestDetPoints:
         assert got == oracles.det_points_loop((1.37, -1.37), 300, verify.DET_SEED)
         assert got != free
         assert set(got) < set(free + verify._det_points((), count=400))
-
-
-class TestFactorizationResidual:
-    @staticmethod
-    def instance(n, seed, direction):
-        rng = np.random.default_rng(seed)
-        bm, b0, bp, left, middle, right = (rng.standard_normal((n, n)) for _ in range(6))
-        poly = matpoly.QuadMatPoly(bm, b0, bp)
-        return poly, matpoly.Factorization(direction, left, middle, right)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 130), SEEDS, st.sampled_from(["z", "z_inverse"]),
-           st.one_of(st.integers(1, 40),
-                     st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
-                                                 allow_nan=False, allow_infinity=False),
-                              min_size=1, max_size=40)))
-    def test_matches_one_pass_per_sample(self, n, seed, direction, samples):
-        poly, fact = self.instance(n, seed, direction)
-        assert (matpoly.factorization_residual(poly, fact, samples)
-                == oracles.factorization_residual_per_sample(poly, fact, samples))
-
-    @pytest.mark.parametrize("n", [1, 8, 16, 31, 32, 33, 64, 65, 128])
-    @pytest.mark.parametrize("samples", [16, [1.0, -1.0, 0.5], [2, -3]],
-                             ids=["default", "real", "integer"])
-    def test_block_edges(self, n, samples):
-        poly, fact = self.instance(n, n, "z")
-        assert (matpoly.factorization_residual(poly, fact, samples)
-                == oracles.factorization_residual_per_sample(poly, fact, samples))

@@ -101,8 +101,6 @@ class TestModelFiles:
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
 
     @pytest.mark.parametrize("flags, message", [
-        (["solve", "{model}", "--samples", "0"], "must be at least 1"),
-        (["solve", "{model}", "--samples", "-3"], "must be at least 1"),
         (["solve", "{model}", "--seed", "-1"], "must be at least 0"),
         (["gen", "positive", "-n", "0"], "must be at least 1"),
         (["gen", "positive", "-n", "2", "--seed", "-1"], "must be at least 0"),
@@ -114,13 +112,12 @@ class TestModelFiles:
         (["gen", "positive", "-n", "2", "--gamma", "nan"], "must be finite and above 0"),
         (["gen", "positive", "-n", "2", "--gamma", "0"], "must be finite and above 0"),
         (["bench", "null", "-n", "2", "--gamma", "inf"], "must be finite and above 0"),
-    ], ids=["samples-0", "samples-neg", "solve-seed-neg", "gen-n-0", "gen-seed-neg",
+    ], ids=["solve-seed-neg", "gen-n-0", "gen-seed-neg",
             "bench-count-0", "bench-seed-neg", "bench-tol-neg", "bench-max-iter-0",
             "gen-gamma-neg", "gen-gamma-nan", "gen-gamma-0",
             "bench-gamma-inf"])
     def test_out_of_range_flags(self, tmp_path, capsys, flags, message):
-        # --samples 0 passed every factorization certificate vacuously; a
-        # negative seed, n, count or tol exited 1 with a traceback; a nan or
+        # a negative seed, n, count or tol exited 1 with a traceback; a nan or
         # infinite tol and a max-iter below 1 exited 4 on a valid model; a
         # gamma of 0 wrote a null-recurrent model labelled positive
         model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
@@ -128,6 +125,15 @@ class TestModelFiles:
             cli.main([f.format(model=model) for f in flags])
         assert exc.value.code == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
+
+    def test_samples_flag_is_gone(self, tmp_path, capsys):
+        # the factorization certificates bound the whole unit circle, so
+        # there is no sample count to choose: a usage error
+        model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(model), "--samples", "16"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments: --samples 16" in capsys.readouterr().err
 
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):

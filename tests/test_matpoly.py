@@ -23,6 +23,21 @@ def scalar_poly(a_minus, a_zero, a_plus):
     return matpoly.QuadMatPoly.from_triple([[a_minus]], [[a_zero]], [[a_plus]])
 
 
+def unit_circle(count):
+    """`count` equispaced points on |z| = 1, starting at z = 1."""
+    return np.exp(2j * np.pi * np.arange(count) / count)
+
+
+def rounding_allowance(poly, fact):
+    """(n + 4) eps times the largest entry of the sum of the moduli of the
+    terms that either evaluation of phi - factorization forms: an allowance
+    for the rounding of both, which the coefficient bound does not cover."""
+    left, middle, right = (np.abs(m) for m in (fact.left, fact.middle, fact.right))
+    terms = (np.abs(poly.b_minus) + np.abs(poly.b_zero) + np.abs(poly.b_plus) + middle
+             + left @ middle + middle @ right + left @ middle @ right)
+    return (poly.n + 4) * np.finfo(float).eps * float(terms.max())
+
+
 class TestEvalPhi:
     # phi(z) = z^-1 B(z)
     def test_p1_vanishes_at_one(self):
@@ -266,6 +281,29 @@ class TestFactorizationResidual:
         )
         assert matpoly.factorization_residual(poly, fact) >= 0.01
 
+    def test_bound_covers_the_whole_circle(self):
+        # |1 + z e^{-i pi/16}| peaks at 2 at z = e^{i pi/16}, halfway between
+        # two of 16 equispaced samples, where it reads 2 cos(pi/32) = 1.9952
+        poly = matpoly.QuadMatPoly(np.zeros((1, 1)), np.ones((1, 1)),
+                                   np.array([[np.exp(-1j * np.pi / 16)]]))
+        zero = np.zeros((1, 1))
+        fact = matpoly.Factorization("z", zero, zero, zero)
+        assert matpoly.factorization_residual(poly, fact) >= 2.0
+
+    @staticmethod
+    def assert_sandwiched(poly, fact, slack=0.0):
+        """The bound is at least the product oracle's maximum on a
+        1024-point grid of the unit circle, and at most 3 times its
+        maximum at 16 points (each coefficient is a discrete Fourier
+        coefficient of the 16 values), both up to `slack`."""
+        args = (poly.b_minus, poly.b_zero, poly.b_plus, fact.left, fact.middle,
+                fact.right, fact.direction)
+        got = matpoly.factorization_residual(poly, fact)
+        fine = oracles.product_factorization_residual(*args, unit_circle(1024))
+        coarse = oracles.product_factorization_residual(*args, unit_circle(16))
+        assert fine <= got * (1.0 + 4 * np.finfo(float).eps) + slack
+        assert got <= 3.0 * coarse + slack
+
     @pytest.mark.parametrize("direction", ["z", "z_inverse"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_product_oracle(self, direction, seed):
@@ -280,48 +318,30 @@ class TestFactorizationResidual:
             left[dead, :] = 0.0
             right[:, dead] = 0.0
             b_p[dead, :] = 0.0
-        poly = matpoly.QuadMatPoly(b_m, b_0, b_p)
-        fact = matpoly.Factorization(direction, left, middle, right)
-        expected = oracles.product_factorization_residual(
-            b_m, b_0, b_p, left, middle, right, direction,
-            matpoly.unit_circle_samples(16),
-        )
-        assert matpoly.factorization_residual(poly, fact) == pytest.approx(
-            expected, abs=1e-12
-        )
+        self.assert_sandwiched(matpoly.QuadMatPoly(b_m, b_0, b_p),
+                               matpoly.Factorization(direction, left, middle, right))
 
     def test_solved_factorizations_match_oracle(self, e2):
         # B_-1 != B_1 here, so swapping them for phi(z^-1) is observable
         sol = solve_all(e2, classify(e2))
         poly = e2.poly
-        points = matpoly.unit_circle_samples(16)
         for direction, factors in (("z", (sol.r, sol.k, sol.g)),
                                    ("z_inverse", (sol.rhat, sol.khat, sol.ghat))):
             fact = matpoly.Factorization(direction, *factors)
-            got = matpoly.factorization_residual(poly, fact)
-            assert got <= 1e-14
-            assert got == pytest.approx(
-                oracles.product_factorization_residual(
-                    poly.b_minus, poly.b_zero, poly.b_plus, *factors, direction, points
-                ),
-                abs=1e-12,
+            assert matpoly.factorization_residual(poly, fact) <= 1e-14
+            other = matpoly.Factorization(
+                "z" if direction == "z_inverse" else "z_inverse", *factors
             )
-            other = "z" if direction == "z_inverse" else "z_inverse"
-            assert matpoly.factorization_residual(
-                poly, matpoly.Factorization(other, *factors)
-            ) >= 0.01
+            assert matpoly.factorization_residual(poly, other) >= 0.01
             bumped = factors[2].copy()
             bumped[0, 1] += 1e-6
             wrong = matpoly.Factorization(direction, factors[0], factors[1], bumped)
             assert matpoly.factorization_residual(poly, wrong) >= 1e-8
-
-    @pytest.mark.parametrize("samples", [0, -3, []])
-    def test_empty_sample_set_rejected(self, samples):
-        # an empty maximum would read 0 and pass every certificate
-        poly = scalar_poly(*oracles.P1)
-        fact = matpoly.Factorization("z", np.array([[0.6]]), np.array([[-0.5]]), np.array([[1.0]]))
-        with pytest.raises(ValueError, match="sample"):
-            matpoly.factorization_residual(poly, fact, samples)
+            # at round-off, or where the bound is attained (real
+            # coefficients aligned at z = 1 or -1), both sides read the
+            # rounding of their own products
+            for checked in (fact, other, wrong):
+                self.assert_sandwiched(poly, checked, rounding_allowance(poly, checked))
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):

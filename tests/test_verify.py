@@ -180,9 +180,8 @@ class TestPatternedInstances:
     zero clusters; the replacement certificates must stay conclusive."""
 
     @staticmethod
-    def patterned(seed):
+    def patterned(seed, n=5):
         rng = np.random.default_rng(seed)
-        n = 5
         x_m = rng.uniform(0.1, 1.0, (n, n)) * 2.0
         x_0 = rng.uniform(0.1, 1.0, (n, n))
         x_p = rng.uniform(0.1, 1.0, (n, n))
@@ -201,12 +200,11 @@ class TestPatternedInstances:
         ]
 
     @staticmethod
-    def null_patterned(seed):
+    def null_patterned(seed, n=5):
         """Null recurrent (A_1 = A_-1) with two level-frozen phases and a
         column no level change enters: the shift-recovered G and R carry
         round-off negatives at their structural zeros."""
         rng = np.random.default_rng(seed)
-        n = 5
         x = rng.uniform(0.1, 1.0, (n, n))
         x[rng.choice(n, size=2, replace=False), :] = 0.0
         x[:, rng.choice(n, size=1, replace=False)] = 0.0
