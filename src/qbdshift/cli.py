@@ -3,14 +3,16 @@ end-to-end solve pipelines with certificates, and benchmarking.
 
 Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 "a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
-documents carrying "schema": 3; every number is reproducible from the
+documents carrying "schema": 4; every number is reproducible from the
 model file and the flags (the "timing" field excepted). The "solution"
 block holds the set the certificates judged: its route (the class-matched
 forward shift kind), G, R, Ghat, Rhat, W (or null, with the reason in
-"W_reason"), the sweeps and the equation residuals. "shift_route" holds
-the route of the kind `--via` names. No report writes K or Khat:
-K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat. `bench` compares the
-direct solve with the shifted one.
+"W_reason"), the sweeps and the equation residuals; each matrix is exact:
+{"shape": [n, n], "dtype": "<f8", "b64": base64 of its little-endian bytes},
+read by `unpack_matrix`. "shift_route" holds the route of the kind `--via`
+names, its G and R still decimal for the benchmark's checks. No report
+writes K or Khat: K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat. `bench`
+compares the direct solve with the shifted one.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -19,6 +21,7 @@ error, 4 solver failure, 5 certificate failure.
 from __future__ import annotations
 
 import argparse
+import binascii
 import json
 import math
 import os
@@ -39,6 +42,7 @@ __all__ = [
     "generate",
     "main",
     "read_model",
+    "unpack_matrix",
 ]
 
 EXIT_PARSE = 2
@@ -46,7 +50,7 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_CERTIFICATE = 5
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 GEN_KINDS = ("positive", "null", "transient")
 CYCLE_WEIGHT = 1e-3
@@ -96,6 +100,18 @@ def generate(kind, n, seed, gamma=0.5):
 
 def _flat(matrix):
     return np.asarray(matrix, dtype=float).reshape(-1).tolist()
+
+
+def _packed(matrix):
+    a = np.ascontiguousarray(matrix, dtype="<f8")
+    return {"shape": list(a.shape), "dtype": "<f8",
+            "b64": binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")}
+
+
+def unpack_matrix(packed):
+    """The float64 array of a report matrix {"shape", "dtype", "b64"}."""
+    raw = bytearray(binascii.a2b_base64(packed["b64"]))
+    return np.frombuffer(raw, dtype=packed["dtype"]).reshape(packed["shape"])
 
 
 def model_payload(triple, meta=None):
@@ -160,11 +176,11 @@ def _solution_payload(sol):
         w, reason = None, str(exc)
     return {
         "route": sol.route,
-        "G": _flat(sol.g),
-        "R": _flat(sol.r),
-        "Ghat": _flat(sol.ghat),
-        "Rhat": _flat(sol.rhat),
-        "W": None if w is None else _flat(w),
+        "G": _packed(sol.g),
+        "R": _packed(sol.r),
+        "Ghat": _packed(sol.ghat),
+        "Rhat": _packed(sol.rhat),
+        "W": None if w is None else _packed(w),
         "W_reason": reason,
         "iterations": dict(sol.iterations),
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
@@ -223,13 +239,6 @@ def solve_report(triple, meta=None, via="auto", seed=None):
     return report
 
 
-def _print_matrix(name, flat, n, out):
-    mat = np.asarray(flat).reshape(n, n)
-    print(f"  {name} =", file=out)
-    for row in mat:
-        print("    [" + "  ".join(f"{x: .12g}" for x in row) + "]", file=out)
-
-
 def _exponents(residuals):
     return "  ".join(f"{k}:{np.log10(max(v, 1e-300)):.1f}" for k, v in residuals.items())
 
@@ -237,7 +246,6 @@ def _exponents(residuals):
 def print_human_report(report, out=None):
     out = out or sys.stdout
     sol = report["solution"]
-    n = int(round(len(sol["G"]) ** 0.5))
     cls = report["classification"]
     print(f"classification: {cls['kind']}  drift={cls['drift']:.6g}  "
           f"xi_n={cls['xi_n']:.12g}  xi_n+1={cls['xi_n1']:.12g}", file=out)
@@ -249,9 +257,11 @@ def print_human_report(report, out=None):
     print(f"solution [{sol['route']}]: sweeps G={sweeps['G']} Ghat={sweeps['Ghat']}",
           file=out)
     print(f"equation residual exponents: {_exponents(sol['residuals'])}", file=out)
-    if n <= 8:
+    if sol["G"]["shape"][0] <= 8:
         for name in ("G", "R", "Ghat", "Rhat"):
-            _print_matrix(name, sol[name], n, out)
+            print(f"  {name} =", file=out)
+            for row in unpack_matrix(sol[name]):
+                print("    [" + "  ".join(f"{x: .12g}" for x in row) + "]", file=out)
     rt = report["shift_route"]
     print(f"shift route [{rt['kind']}]: iterations={rt['iterations']}  "
           f"recovery residual={rt['recovery_residual']:.3e}", file=out)
@@ -259,7 +269,9 @@ def print_human_report(report, out=None):
     print(f"certificates: {summary['pass']} pass, {summary['fail']} fail, "
           f"{summary['n/a']} n/a, {summary['info']} info", file=out)
     for cert in report["certificates"]:
-        if cert["status"] == "fail":
+        if cert["status"] == "fail" and cert["residual"] is None:
+            print(f"  FAIL {cert['name']}: {cert['context']}", file=out)
+        elif cert["status"] == "fail":
             print(f"  FAIL {cert['name']}: residual {cert['residual']:.3e} "
                   f"> {cert['tolerance']:.1e}", file=out)
         elif cert["status"] == "info":

@@ -49,8 +49,10 @@ class Certificate:
         return self.status == "pass"
 
     def to_dict(self):
-        # the fields are immutable: asdict's deep copy of each buys nothing
-        return {"name": self.name, "residual": self.residual, "tolerance": self.tolerance,
+        # the fields are immutable: asdict's deep copy of each buys nothing;
+        # JSON has no infinity, so a non-finite residual is written null
+        residual = self.residual if np.isfinite(self.residual or 0.0) else None
+        return {"name": self.name, "residual": residual, "tolerance": self.tolerance,
                 "status": self.status, "context": self.context}
 
 

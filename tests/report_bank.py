@@ -36,7 +36,12 @@ A schema-2 report is compared in the schema-3 layout (`as_schema3`): its
 direct solve was the set it wrote, so its `direct` matrices, sweeps and
 residuals are matched with the `solution` block of route "direct", and
 the bank prints how far each written matrix moved where the certified set
-took a shift route. The optional `direct` block of a schema-3 report
+took a shift route. A schema-4 report is compared in the schema-3 layout
+as well: each base64 matrix of its `solution` block is decoded with the
+change's `cli.unpack_matrix` into the flat list schema 3 wrote, so two
+matrices compare equal exactly when they are equal bit for bit, and a
+failed certificate's null residual becomes the infinity schema 3 wrote
+there. The optional `direct` block of a schema-3 report
 (the sweeps and residuals of a direct solve) is compared where both
 sides write it; where only the parent's report has it, the bank counts
 those reports in one line and compares the rest. A difference that
@@ -171,7 +176,21 @@ def as_schema3(report):
     """`report` in the schema-3 layout. A schema-2 report wrote the direct
     solve's G, R, Ghat, Rhat and W under `direct`: they become the
     `solution` of route "direct", and `direct` keeps its sweeps and
-    residuals. Other reports are returned as they are."""
+    residuals. A schema-4 report's packed matrices become flat lists, and
+    the null residual of a failed certificate infinity. Other reports are
+    returned as they are."""
+    if report.get("schema") == 4:
+        from qbdshift.cli import unpack_matrix
+
+        solution = report["solution"]
+        for key in (*MATRICES, "W"):
+            if solution[key] is not None:
+                solution[key] = unpack_matrix(solution[key]).reshape(-1).tolist()
+        for cert in report["certificates"]:
+            if cert["status"] == "fail" and cert["residual"] is None:
+                cert["residual"] = float("inf")
+        report["schema"] = 3
+        return report
     if report.get("schema") != 2:
         return report
     direct = report.pop("direct")

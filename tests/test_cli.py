@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdshift import Kind, classify
+from qbdshift import Kind, classify, reference_solution
 from qbdshift import cli, solvers
 
 
@@ -163,11 +163,12 @@ class TestMain:
         code = cli.main(["solve", str(path), "--quiet", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["classification"]["kind"] == "positive-recurrent"
         assert report["solution"]["route"] == "right"
-        assert report["solution"]["G"] == [pytest.approx(1.0, abs=1e-12)]
-        assert report["solution"]["R"] == [pytest.approx(0.6, abs=1e-12)]
+        g, r = (cli.unpack_matrix(report["solution"][k]) for k in ("G", "R"))
+        assert g.tolist() == [[pytest.approx(1.0, abs=1e-12)]]
+        assert r.tolist() == [[pytest.approx(0.6, abs=1e-12)]]
         assert report["certificate_summary"]["fail"] == 0
 
     def test_direct_keys(self, tmp_path):
@@ -654,6 +655,65 @@ class TestNearNullSweep:
         assert solution["route"] == ("double" if null
                                      else "right" if kind == "positive" else "left")
         assert (solution["W"] is None) == null
+
+
+def solved_model_file(tmp_path, kind, n, seed):
+    """A generated model's file and the solution set a solve of it certifies."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cli.model_payload(*cli.generate(kind, n, seed))))
+    triple, _ = cli.read_model(path)
+    return path, reference_solution(triple, classify(triple))
+
+
+class TestSolutionEncoding:
+    """Schema 4 writes each matrix of the "solution" block as base64 of its
+    raw little-endian float64 bytes, which decode to the solution set's
+    matrix bit for bit."""
+
+    def test_special_values_round_trip(self):
+        mat = np.array([[-0.0, 5e-324, np.inf], [-np.inf, np.nan, 1.0 / 3.0]])
+        packed = json.loads(json.dumps(cli._packed(mat)))
+        assert packed["shape"] == [2, 3] and packed["dtype"] == "<f8"
+        assert cli.unpack_matrix(packed).tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_solution_decodes_bit_identical(self, tmp_path, kind, n):
+        path, sol = solved_model_file(tmp_path, kind, n, seed=2)
+        report_path = tmp_path / "r.json"
+        assert cli.main(["solve", str(path), "--json", str(report_path), "--quiet"]) == 0
+        report = json.loads(report_path.read_text())
+        solution = report["solution"]
+        assert (solution["W"] is None) == (kind == "null")
+        for name, mat in (("G", sol.g), ("R", sol.r), ("Ghat", sol.ghat),
+                          ("Rhat", sol.rhat), ("W", sol.w)):
+            if mat is not None:
+                assert solution[name]["shape"] == [n, n]
+                assert cli.unpack_matrix(solution[name]).tobytes() == mat.tobytes()
+        # via auto, the shift route's decimal G and R are the certified
+        # ones, written a second time while the benchmark reads them there
+        for name in ("G", "R"):
+            decimal = np.asarray(report["shift_route"][name], dtype=float)
+            assert decimal.tobytes() == cli.unpack_matrix(solution[name]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 9])
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_human_matrices_print_as_in_schema_3(self, tmp_path, capsys, kind, n):
+        # schema 3 printed each matrix from its decimal list, reshaped to
+        # the side round(len ** 0.5), for n <= 8 only
+        path, sol = solved_model_file(tmp_path, kind, n, seed=3)
+        assert cli.main(["solve", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        block = []
+        for name, mat in (("G", sol.g), ("R", sol.r), ("Ghat", sol.ghat), ("Rhat", sol.rhat)):
+            flat = cli._flat(mat)
+            side = int(round(len(flat) ** 0.5))
+            block.append(f"  {name} =")
+            block += ["    [" + "  ".join(f"{x: .12g}" for x in row) + "]"
+                      for row in np.asarray(flat).reshape(side, side)]
+        first = next(i for i, line in enumerate(lines) if line.startswith("equation residual"))
+        last = next(i for i, line in enumerate(lines) if line.startswith("shift route"))
+        assert lines[first + 1:last] == (block if n <= 8 else [])
 
 
 class TestBenchRows:

@@ -236,12 +236,10 @@ def test_mutant_is_caught(kind, mutant, monkeypatch):
     assert failed, f"no certificate fails on mutant {mutant!r}"
 
 
-@pytest.mark.parametrize("kind, mutant", [("near-null", "G+1e-6"), ("near-null", "R+1e-6")])
-def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch, tmp_path, capsys):
-    # G or R off by 1e-6 on the near-null model lifts rho(G) rho(R) above 1:
-    # the Stein guard refuses W, which fails the W:* certificates (exit 5),
-    # and the rest of the suite is still judged; the refusal is kept, so
-    # the guard runs once however often W is read
+def stein_guard_solve(mutant, monkeypatch, tmp_path):
+    """`solve --json` of the near-null model with `mutant` planted in the
+    certified set; returns the exit code, the report's text and the
+    arguments of each Stein solve."""
     from qbdshift import kernel
 
     model, meta = cli.generate("positive", N, SEED, gamma=NEAR_NULL_GAMMA)
@@ -259,14 +257,46 @@ def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch, tmp_path, capsy
 
     monkeypatch.setattr(kernel, "stein_solve", counted_stein)
     report_path = tmp_path / "report.json"
-    assert cli.main(["solve", str(path), "--json", str(report_path)]) == cli.EXIT_CERTIFICATE
-    report = json.loads(report_path.read_text())
+    code = cli.main(["solve", str(path), "--json", str(report_path)])
+    return code, report_path.read_text(), stein_calls
+
+
+STEIN_GUARD_MUTANTS = [("near-null", "G+1e-6"), ("near-null", "R+1e-6")]
+
+
+@pytest.mark.parametrize("kind, mutant", STEIN_GUARD_MUTANTS)
+def test_mutant_trips_the_stein_guard(kind, mutant, monkeypatch, tmp_path, capsys):
+    # G or R off by 1e-6 on the near-null model lifts rho(G) rho(R) above 1:
+    # the Stein guard refuses W, which fails the W:* certificates (exit 5),
+    # and the rest of the suite is still judged; the refusal is kept, so
+    # the guard runs once however often W is read
+    code, text, stein_calls = stein_guard_solve(mutant, monkeypatch, tmp_path)
+    assert code == cli.EXIT_CERTIFICATE
+    report = json.loads(text)
     assert "Stein series diverges" in report["solution"]["W_reason"]
     stein = next(c for c in report["certificates"] if c["name"] == "W:stein")
     assert stein["status"] == "fail"
     assert "Stein series diverges" in stein["context"]
     assert "FAIL W:stein" in capsys.readouterr().out
     assert len(stein_calls) == 1
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("kind, mutant", STEIN_GUARD_MUTANTS)
+def test_stein_guard_report_is_strict_json(kind, mutant, monkeypatch, tmp_path, capsys):
+    # the refused W:* certificates have no finite residual: the report
+    # writes null, not Infinity, and the summary prints their context
+    code, text, _ = stein_guard_solve(mutant, monkeypatch, tmp_path)
+    assert code == cli.EXIT_CERTIFICATE
+    report = json.loads(text, parse_constant=_no_constant)
+    refused = [c for c in report["certificates"] if c["name"].startswith("W:")]
+    assert refused and all(c["status"] == "fail" and c["residual"] is None for c in refused)
+    out = capsys.readouterr().out
+    for cert in refused:
+        assert f"FAIL {cert['name']}: {cert['context']}" in out
 
 
 def catch_matrix():

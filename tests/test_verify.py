@@ -174,6 +174,15 @@ class TestIdentitySuite:
         payload = cert.to_dict()
         assert set(payload) == {"name", "residual", "tolerance", "status", "context"}
 
+    @pytest.mark.parametrize("residual", [float("inf"), float("nan")])
+    def test_non_finite_residual_serializes_as_null(self, residual):
+        # JSON has no infinity or NaN: the dict holds null, the certificate
+        # its value
+        cert = verify.Certificate("mmatrix:K", residual, 1e-12, "fail", "numerically singular")
+        assert cert.to_dict()["residual"] is None
+        assert cert.residual is residual
+        assert verify.Certificate("x", 0.0, 1.0, "pass").to_dict()["residual"] == 0.0
+
 
 class TestPatternedInstances:
     """Structural zero rows/columns make R and G reducible with defective
