@@ -2,6 +2,10 @@
 M-matrix and sign properties, factorization residuals, root surgery, and
 the round trip through each shift.
 
+The shift certificates read hypotheses and coefficients, not spectra or
+determinants of shifted matrices: root surgery reads those of Brauer's
+rank-one theorem, the determinant identities a matrix identity.
+
 Certificates are deterministic (same inputs give identical residuals) and
 carry one of four verdicts: pass, fail, n/a (prerequisite absent, e.g. W
 on a null-recurrent instance), or info (reported but not gating: the
@@ -11,7 +15,6 @@ compact double-shift Khat formula).
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -110,85 +113,99 @@ def check_sign_property(sol, perron):
 DET_SEED = 20260808
 
 
-def _det_points(xi_values, count=DET_POINT_COUNT, seed=DET_SEED):
+def _det_points(xi_values, seed=DET_SEED):
     """Deterministic sample points away from the shift poles: the first
-    `count` points 1.37 exp(2 pi i u) of the seeded uniform stream u that
-    lie farther than 0.05 from every xi, as Python complex numbers.
-
-    The uniforms are drawn `count` at a time, which continues one PCG64
-    stream as single draws do. The distance is np.hypot of the real and
-    imaginary parts, which rounds as abs() of a complex number does.
+    DET_POINT_COUNT points 1.37 exp(2 pi i u) of the seeded uniform stream
+    u that lie farther than 0.05 from every xi, as Python complex numbers.
+    The distance is np.hypot of the real and imaginary parts, which rounds
+    as abs() of a complex number does.
     """
     rng = np.random.default_rng(seed)
     xi = np.asarray(xi_values, dtype=float)[:, None]
     points = np.empty(0, dtype=complex)
-    while len(points) < count:
-        z = 1.37 * np.exp(2j * np.pi * rng.uniform(size=count))
+    while len(points) < DET_POINT_COUNT:
+        z = 1.37 * np.exp(2j * np.pi * rng.uniform(size=DET_POINT_COUNT))
         gap = z - xi
         points = np.append(points, z[(np.hypot(gap.real, gap.imag) > 0.05).all(axis=0)])
-    return points[:count].tolist()
+    return points[:DET_POINT_COUNT].tolist()
 
 
-def _det_identity_cert(transform, det_b, xi_amp):
-    """Spot check of the determinant surgery identity at the points of
-    `det_b`, pairs (z, det B(z)): right: det B_r(z) (z - xi_n) = z det B(z);
-    left: det B_l(z) (z - xi_{n+1}) = -xi_{n+1} det B(z) (det(I - z/(z -
-    xi_{n+1}) S) = -xi_{n+1}/(z - xi_{n+1}) for idempotent rank-one S);
-    double: the product of both. The moved points are read from q and s."""
-    poly_s = transform.shifted.poly
-    worst = 0.0
-    for z, db in det_b:
-        lhs, factor = poly_s.det_b(z), 1.0
-        if transform.q is not None:
-            lhs, factor = lhs * (z - transform.xi_n), z
-        if transform.s is not None:
-            lhs, factor = lhs * (z - transform.xi_n1), -transform.xi_n1 * factor
-        rhs = factor * db
-        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
-    return _cert(f"{transform.kind.value}:det-identity", worst, max(DET_RTOL, xi_amp))
+def _projector_defect(p):
+    """The larger of |trace(P) - 1| and ||P^2 - P|| / ||P||: an idempotent
+    matrix of trace 1 is a rank-one projector u v^T with v^T u = 1."""
+    return max(abs(float(np.trace(p)) - 1.0),
+               kernel.inf_norm(p @ p - p) / (kernel.inf_norm(p) + 1e-300))
 
 
-def _replacement_points(removed, n, seed=DET_SEED):
-    """The points of the replacement claims of n x n matrices with
-    `removed` -> 0: n + 2 or more, away from `removed`."""
-    return np.array(_det_points((removed,), count=max(DET_POINT_COUNT, n + 2), seed=seed))
+def _eigenpair_residual(m, u, root, p):
+    """The larger of ||M u - root u|| / (||M|| ||u||) and ||P u - u|| /
+    ||u||: (root, u) is an eigenpair of M, and u spans the range of P.
 
-
-def _replacement_gap(shifted_eigs, original_eigs, removed, points_without):
-    """Largest relative gap of det(zI - M_s)(z - removed) = z det(zI - M),
-    the claim spectrum(M_s) = spectrum(M) with `removed` -> 0, from the
-    eigenvalues of both matrices.
-
-    Two monic polynomials of degree n+1 agreeing at n+2 points are
-    identical. det(zI - M) is the product of z - lambda over the
-    eigenvalues of M, one eigensolve per matrix for all points. A
-    backward-stable eigensolver returns the exact eigenvalues of M + E
-    with ||E|| = O(eps ||M||), so the product is det(zI - M - E) up to n
-    roundings: the same backward error as an LU determinant at each point,
-    and just as well conditioned away from the spectra. A defective zero
-    cluster (structural zero rows) moves each of its k eigenvalues by up
-    to (eps ||M||)^(1/k), but not their symmetric functions, which are all
-    the product sees. The points are points_without(removed).
+    With these and P a rank-one projector (_projector_defect), Brauer's
+    theorem (Duke Math. J. 19, 1952) gives eig(M - root P) = eig(M) with
+    root replaced by 0. For r = M u - root u, M - root P is an exact
+    Brauer shift of M - r u^T / (u^T u), a matrix within ||r|| ||u||_1 /
+    ||u||_2^2 of M.
     """
-    points = points_without(removed)
-
-    def char_poly(eigs):
-        return np.prod(points[:, None] - eigs[None, :], axis=1)
-
-    lhs = char_poly(shifted_eigs) * (points - removed)
-    rhs = points * char_poly(original_eigs)
-    return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)))
+    size = kernel.inf_norm(u)
+    return max(kernel.inf_norm(m @ u - root * u) / (kernel.inf_norm(m) * size + 1e-300),
+               kernel.inf_norm(p @ u - u) / size)
 
 
-def _factor_roots_cert(sol, det_b, eig_g, eig_r):
+def _product(p, q):
+    """Coefficients, lowest degree first, of the product of two matrix
+    polynomials given by theirs; a float coefficient c stands for c I."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + (a @ b if np.ndim(a) and np.ndim(b) else a * b)
+    return out
+
+
+def _det_identity_cert(model, transform, xi_amp, defects):
+    """The determinant surgery identity from the matrix identity behind it.
+
+    Right: D(z) = B(z) ((z - xi_n) I + xi_n Q) - (z - xi_n) B_r(z), which
+    is z B(xi_n) Q for a triple built by the shift formulas; left: D(z) =
+    ((z - xi_{n+1}) I - z S) B(z) - (z - xi_{n+1}) B_l(z), which is -z^2
+    xi_{n+1}^-1 S B(xi_{n+1}); double: both factors around B(z) against
+    (z - xi_{n+1}) (z - xi_n) B_d(z). D is formed from the shifted
+    triple's own blocks. With Q and S rank-one projectors (`defects`),
+    det((z - xi_n) I + xi_n Q) = z (z - xi_n)^(n-1) and det((z -
+    xi_{n+1}) I - z S) = -xi_{n+1} (z - xi_{n+1})^(n-1), so D = 0 gives
+    det B_r(z) (z - xi_n) = z det B(z), det B_l(z) (z - xi_{n+1}) =
+    -xi_{n+1} det B(z) and their product for every z. The residual is the
+    largest of the defects and of the largest entry of sum_k |D_k| over
+    that of the summed moduli of both products' coefficients.
+    """
+    eye = np.eye(model.n)
+    left, right, moved = [1.0], [1.0], [1.0]
+    if transform.q is not None:
+        right = [transform.xi_n * (transform.q - eye), 1.0]
+        moved = _product(moved, [-transform.xi_n, 1.0])
+    if transform.s is not None:
+        left = [-transform.xi_n1, eye - transform.s]
+        moved = _product(moved, [-transform.xi_n1, 1.0])
+    poly, poly_s = model.poly, transform.shifted.poly
+    kept = _product(_product(left, [poly.b_minus, poly.b_zero, poly.b_plus]), right)
+    shifted = _product(moved, [poly_s.b_minus, poly_s.b_zero, poly_s.b_plus])
+    gap = sum(np.abs(a - b) for a, b in zip(kept, shifted))
+    scale = sum(np.abs(a) + np.abs(b) for a, b in zip(kept, shifted))
+    return _cert(f"{transform.kind.value}:det-identity",
+                 max([gap.max() / scale.max(), *defects]), max(DET_RTOL, xi_amp))
+
+
+def _factor_roots_cert(model, sol, points):
     """Certify that eig(G) together with 1/eig(R) are the roots of B(z):
     phi(z) = (I - zR) K (I - z^-1 G) gives det B(z) = det K prod(z -
-    lambda_G) prod(1 - z mu_R), checked at the points of `det_b`, pairs
-    (z, det B(z)). A zero eigenvalue of R is a root at infinity and drops
-    out of the product as the degree of det B(z) falls."""
+    lambda_G) prod(1 - z mu_R), checked at `points`. A zero eigenvalue of
+    R is a root at infinity and drops out of the product as the degree of
+    det B(z) falls."""
+    eig_g, eig_r = sol.spectra
     det_k = np.linalg.det(sol.k)
     worst = 0.0
-    for z, db in det_b:
+    for z in points:
+        db = model.poly.det_b(z)
         rhs = det_k * np.prod(z - eig_g) * np.prod(1.0 - z * eig_r)
         worst = max(worst, abs(db - rhs) / (abs(db) + abs(rhs) + 1e-300))
     return _cert("spec:eig(G)+1/eig(R)=roots(B)", worst, ROOT_MATCH_TOL)
@@ -199,7 +216,7 @@ W_TOL_FLOORS = {"W:stein": IDENTITY_TOL, "W:inverse-identity": IDENTITY_TOL,
                 "W:Ghat-similarity": SPECTRAL_TOL, "W:Rhat-similarity": SPECTRAL_TOL}
 
 
-def _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r):
+def _base_certs(model, cls, sol, perron, points):
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
     certs = [
@@ -239,7 +256,7 @@ def _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r):
     certs.append(
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
     )
-    certs.append(_factor_roots_cert(sol, det_b, eig_g, eig_r))
+    certs.append(_factor_roots_cert(model, sol, points))
     for name, fact in (("factor:phi", matpoly.Factorization("z", r, k, g)),
                        ("factor:phi-reversed",
                         matpoly.Factorization("z_inverse", rhat, khat, ghat))):
@@ -283,27 +300,23 @@ def _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r):
     return certs
 
 
-def _transform_certs(model, cls, sol, perron, transform, det_b, points_without, route,
-                     eigvals):
+def _transform_certs(model, cls, sol, perron, transform, route):
     kind = transform.kind.value
     shifted = transform.shifted
     bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
     g_s, r_s, k_s = shift_mod.shifted_gr(sol, transform)
     # phi_s(z) = (I - zR_s) K (I - z^-1 G_s) (factor:phi_s) puts the roots
-    # of B_s(z) at eig(G_s) and 1/eig(R_s): the surgery moves xi_n to 0 in
-    # eig(G) and 1/xi_{n+1} to 0 in eig(R). G_s = G(I - Q) and R_s = (I - S)R
-    # share their spectra with (I - Q)G and R(I - S), which keep the zero
-    # columns of G and zero rows of R exactly, so a defective zero cluster
-    # of structural roots stays exact.
-    eye = np.eye(model.n)
-    surgery = [0.0]
+    # of B_s(z) at eig(G_s) and 1/eig(R_s); G_s = G - xi_n Q and R_s^T =
+    # R^T - xi_{n+1}^-1 S^T are Brauer shifts, whose hypotheses are read
+    # as the transform holds them
+    claims = {}
     if transform.q is not None:
-        surgery.append(_replacement_gap(eigvals((eye - transform.q) @ sol.g),
-                                        eigvals(sol.g), transform.xi_n, points_without))
+        claims["G"] = (sol.g, transform.u_g, transform.xi_n, transform.q)
     if transform.s is not None:
-        surgery.append(_replacement_gap(eigvals(sol.r @ (eye - transform.s)),
-                                        eigvals(sol.r), 1.0 / transform.xi_n1,
-                                        points_without))
+        claims["R"] = (sol.r.T, transform.v_r, 1.0 / transform.xi_n1, transform.s.T)
+    defects = {name: _projector_defect(p) for name, (*_, p) in claims.items()}
+    brauer = {name: max(defects[name], _eigenpair_residual(*claim))
+              for name, claim in claims.items()}
     # A splitting root solved for near coalescence carries error ~eps/gap,
     # which enters the shifted coefficients; exactly null-recurrent
     # instances use xi = 1 exactly and are unaffected.
@@ -319,8 +332,8 @@ def _transform_certs(model, cls, sol, perron, transform, det_b, points_without, 
             kernel.inf_norm((b0 + bp @ g_s) - sol.k),
             id_tol,
         ),
-        _cert(f"{kind}:roots-surgery", max(surgery), ROOT_MATCH_TOL),
-        _det_identity_cert(transform, det_b, xi_amp),
+        _cert(f"{kind}:roots-surgery", max(brauer.values()), ROOT_MATCH_TOL),
+        _det_identity_cert(model, transform, xi_amp, defects.values()),
         _cert(
             f"{kind}:factor:phi_s",
             matpoly.factorization_residual(shifted.poly,
@@ -328,20 +341,10 @@ def _transform_certs(model, cls, sol, perron, transform, det_b, points_without, 
             max(FACTOR_TOL, xi_amp),
         ),
     ]
-    if transform.q is not None:
-        certs.append(
-            _cert(f"{kind}:spec:G_s-replacement",
-                  _replacement_gap(eigvals(g_s), eigvals(sol.g), transform.xi_n,
-                                   points_without), DET_RTOL)
-        )
-    if transform.s is not None:
-        certs.append(
-            _cert(f"{kind}:spec:R_s-replacement",
-                  _replacement_gap(eigvals(r_s), eigvals(sol.r), 1.0 / transform.xi_n1,
-                                   points_without), DET_RTOL)
-        )
+    certs.extend(_cert(f"{kind}:spec:{name}_s-replacement", residual, DET_RTOL)
+                 for name, residual in brauer.items())
     try:
-        certs.extend(_hat_certs(sol, perron, transform, null, xi_amp, eigvals))
+        certs.extend(_hat_certs(sol, perron, transform, null, xi_amp))
     except (ValueError, kernel.ConvergenceError, kernel.SingularMatrixError) as exc:
         # the names _hat_certs gives on success, whichever guard stopped
         # the transport: one set per class and kind
@@ -357,7 +360,7 @@ def _transform_certs(model, cls, sol, perron, transform, det_b, points_without, 
     return certs
 
 
-def _hat_certs(sol, perron, transform, null, xi_amp, eigvals):
+def _hat_certs(sol, perron, transform, null, xi_amp):
     """The shifted hat checks of one kind; raises where the transport is
     unavailable (inadmissible vector, no closed form for the non-null
     double shift, exhausted conditioning)."""
@@ -377,8 +380,12 @@ def _hat_certs(sol, perron, transform, null, xi_amp, eigvals):
                     "compact formula Khat - u_Rhat v_Ghat^T vs defining relation",
                 )
             )
-            g_s, r_s, _ = shift_mod.shifted_gr(sol, transform)
-            rho_s = max(float(np.max(np.abs(eigvals(m)))) for m in (g_s, r_s))
+            # Brauer: eig(G_s) is eig(G) with the eigenvalue at xi_n
+            # replaced by 0, and eig(R_s) is eig(R) with the one at
+            # 1/xi_{n+1} replaced by 0 (roots-surgery)
+            eig_g, eig_r = sol.spectra
+            rho_s = max(_radius_without(eig_g, transform.xi_n),
+                        _radius_without(eig_r, 1.0 / transform.xi_n1))
             certs.append(_cert(f"{kind}:spec:canonical-strict", rho_s, 1.0 - 1e-6))
         else:
             certs.append(
@@ -409,6 +416,13 @@ def _hat_certs(sol, perron, transform, null, xi_amp, eigvals):
         )
     )
     return certs
+
+
+def _radius_without(eigs, removed):
+    """The largest modulus among `eigs` with the one nearest `removed` left
+    out (0 when none is left)."""
+    rest = np.delete(eigs, np.argmin(np.abs(eigs - removed)))
+    return float(np.max(np.abs(rest), initial=0.0))
 
 
 def _roundtrip_cert(sol, kind, route, xi_amp):
@@ -446,29 +460,9 @@ def check_identity_suite(model, cls, sol, perron, transforms, routes=None,
     route gets a round-trip certificate. The suite solves nothing.
     """
     routes = routes or {}
-    det_b = [(z, model.poly.det_b(z))
-             for z in _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)]
-    # one eigensolve per distinct matrix: the kinds share G, R and, through
-    # equal projectors, G_s (right, double) and R_s (left, double)
-    eig_g, eig_r = sol.spectra
-    spectra = {sol.g.tobytes(): eig_g, sol.r.tobytes(): eig_r}
-
-    def eigvals(m):
-        key = m.tobytes()
-        if key not in spectra:
-            spectra[key] = np.linalg.eigvals(m)
-        return spectra[key]
-
-    # the kinds share their moved points xi_n and 1/xi_{n+1}: one point
-    # set per moved point
-    @functools.cache
-    def points_without(removed):
-        return _replacement_points(removed, model.n, det_seed)
-
-    certs = _base_certs(model, cls, sol, perron, det_b, eig_g, eig_r)
+    points = _det_points((cls.xi_n, cls.xi_n1), seed=det_seed)
+    certs = _base_certs(model, cls, sol, perron, points)
     for kind in shift_mod.ShiftKind:
-        certs.extend(_transform_certs(
-            model, cls, sol, perron, transforms[kind], det_b, points_without,
-            routes.get(kind), eigvals,
-        ))
+        certs.extend(_transform_certs(model, cls, sol, perron, transforms[kind],
+                                      routes.get(kind)))
     return certs

@@ -6,10 +6,8 @@ splitting root of det B(z)/(z - 1) and the 50-digit cyclic reduction for
 G, R, Ghat and Rhat (mpmath), the scipy
 forms the package no longer uses (the companion-pencil QZ, the exact
 bottleneck root matching, LU with a pivot test, the two-sided dense
-eigensolve, strongly connected components), and the loop forms of
-kernel and certificate primitives that now run with less numpy dispatch
-(the bit-identity oracles at the end). scipy comes with the test extra
-only."""
+eigensolve, strongly connected components). scipy comes with the test
+extra only."""
 
 import bisect
 import cmath
@@ -87,11 +85,6 @@ def exact_n2_g():
     return np.array([[1.0 + g2, 1.0 - g2], [1.0 - g2, 1.0 + g2]]) / 2.0
 
 
-def exact_n2_roots():
-    g2_pair = quadratic_roots(0.1, -1.0, 0.1)
-    return sorted([1.0, 1.0] + [float(r) for r in g2_pair])
-
-
 def naive_spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
@@ -99,18 +92,6 @@ def naive_spectral_radius(m):
 def radius_product(g, r):
     """rho(G) rho(R), the product the Stein guard compares with 1."""
     return naive_spectral_radius(g) * naive_spectral_radius(r)
-
-
-def naive_stationary(a):
-    """Stationary row vector through a dense linear solve (replace one
-    balance equation with the normalization)."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    system = (a.T - np.eye(n)).copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    return np.linalg.solve(system, rhs)
 
 
 def naive_phi(a_minus, a_zero, a_plus, z):
@@ -537,43 +518,3 @@ def sorted_roots_loop(values, tie_rtol=1e-8):
         out.extend(sorted(vals[i:j], key=lambda z: (real_positive(z), z.real, z.imag)))
         i = j
     return np.asarray(out, dtype=complex)
-
-
-# Bit-identity oracles: the loop and wrapped forms that the package
-# replaced with leaner code computing the same bits.
-
-
-def inf_norm_wrapped(m):
-    """The infinity norm through the np.max and np.sum wrappers."""
-    a = np.asarray(m)
-    if a.ndim == 1:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
-
-
-def inverse_by_solve(m):
-    """M^-1 as one np.linalg.solve(M, I) with the pivot and condition test
-    and one refinement step against I."""
-    from qbdshift import kernel
-
-    a = np.asarray(m, dtype=float)
-    eye = np.eye(a.shape[0])
-    try:
-        inv = np.linalg.solve(a, eye)
-    except np.linalg.LinAlgError:
-        raise kernel.SingularMatrixError("matrix is exactly singular") from None
-    if inf_norm_wrapped(a) * inf_norm_wrapped(inv) > 1.0 / kernel.PIVOT_RTOL:
-        raise kernel.SingularMatrixError("matrix is numerically singular")
-    return inv + inv @ (eye - a @ inv)
-
-
-def det_points_loop(xi_values, count, seed):
-    """The determinant sample points drawn one uniform at a time: z =
-    1.37 exp(2 pi i u), kept when abs(z - xi) > 0.05 for every xi."""
-    rng = np.random.default_rng(seed)
-    points = []
-    while len(points) < count:
-        z = complex(1.37 * np.exp(2j * np.pi * rng.uniform()))
-        if all(abs(z - xi) > 0.05 for xi in xi_values):
-            points.append(z)
-    return points

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdshift import Kind, classify, reference_solution
+from qbdshift import (
+    Kind,
+    check_identity_suite,
+    classify,
+    complete_perron_data,
+    perron_data,
+    reference_solution,
+    shift_routes,
+)
 from qbdshift import cli, solvers
 
 
@@ -345,8 +353,8 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 32}),
-        ("null", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 32}),
+        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 8}),
+        ("null", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 8}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
         # classify makes the class-matched shifted solve (right here, double
@@ -415,9 +423,9 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["positive", "null"])
     @pytest.mark.parametrize("n", ["4", "16"])
     def test_eigvals_per_solve(self, tmp_path, monkeypatch, kind, n):
-        # one eigensolve per distinct matrix: G, R, G_s (right and double),
-        # R_s (left and double), and the surgery products (I - Q)G,
-        # R(I - S); classify makes none
+        # eig(G) and eig(R), which the report's roots and the tiling
+        # certificate read; the surgery and replacement certificates read
+        # Brauer's hypotheses, and classify makes none
         calls = []
         real_eigvals = np.linalg.eigvals
 
@@ -430,7 +438,7 @@ class TestMain:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         size = int(n)
-        assert calls == [(size, size)] * 6
+        assert calls == [(size, size)] * 2
 
     @pytest.mark.parametrize("kind", ["positive", "null"])
     def test_block_sum_perron_once(self, tmp_path, monkeypatch, kind):
@@ -554,9 +562,33 @@ class TestMain:
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert not calls
 
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_det_b_only_on_the_model(self, monkeypatch, kind):
+        # the suite takes det B(z) of the model at the DET_POINT_COUNT
+        # points and no determinant of a shifted pencil: det-identity reads
+        # coefficients
+        from qbdshift import matpoly, verify
+
+        triple, _ = cli.generate(kind, 8, 1)
+        cls = classify(triple)
+        sol = reference_solution(triple, cls)
+        perron = complete_perron_data(perron_data(triple, cls), sol)
+        transforms, routes = shift_routes(triple, cls, perron)
+        polys = []
+        real = matpoly.QuadMatPoly.det_b
+
+        def counted(poly, z):
+            polys.append(poly)
+            return real(poly, z)
+
+        monkeypatch.setattr(matpoly.QuadMatPoly, "det_b", counted)
+        check_identity_suite(triple, cls, sol, perron, transforms, routes)
+        assert len(polys) == verify.DET_POINT_COUNT == 8
+        assert all(poly is triple.poly for poly in polys)
+
     def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
-        # replacement claims take one eigensolve per matrix; only the
-        # fixed-count determinant identity and singularity probes call det
+        # only the fixed-count determinant points of the tiling certificate
+        # and the singularity probes call det
         calls = []
         real_det = np.linalg.det
 

@@ -270,6 +270,34 @@ class TestSolveLinear:
         np.testing.assert_allclose(x, [1.0, 2.0])
 
 
+class TestInfNorm:
+    # max absolute row sum of a 2-d input, max absolute entry of a 1-d one,
+    # 0 for an empty one
+    @pytest.mark.parametrize("a, expected", [([], 0.0), ([-3.0, 2.0], 3.0),
+                                             (np.zeros((0, 0)), 0.0), (np.zeros((3, 0)), 0.0),
+                                             ([[1.0, -2.0], [-4.0, 0.5]], 4.5)],
+                             ids=["empty-list", "vector", "empty-square", "no-columns", "matrix"])
+    def test_lists_and_empty(self, a, expected):
+        assert kernel.inf_norm(a) == expected
+
+
+class TestInverse:
+    @pytest.mark.parametrize("m", [[[0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                                   [[1.0, 1.0], [1.0, 1.0 + 1e-15]]],
+                             ids=["zero", "rank-one", "near-singular"])
+    def test_singular_raises(self, m):
+        with pytest.raises(kernel.SingularMatrixError):
+            kernel.inverse(np.array(m))
+
+    @pytest.mark.parametrize("n", [1, 4, 33, 130])
+    def test_inverse_of_negation_is_negated(self, n):
+        # the suite reads -K^-1 as the inverse of -K: it must be bit for bit
+        m = np.diag(np.full(n, 1.0 + n)) - np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        inv = kernel.inverse(m)
+        assert np.array_equal(kernel.inverse(-m), -inv)
+        assert kernel.inf_norm(m @ inv - np.eye(n)) <= 1e-13
+
+
 class TestSccPartition:
     def test_strictly_upper_triangular(self):
         m = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)

@@ -8,6 +8,7 @@ from conftest import transforms_of
 from phase_partition import phase_partition
 from qbdshift import (
     Kind,
+    QbdTriple,
     ShiftKind,
     build_transform,
     check_identity_suite,
@@ -18,7 +19,6 @@ from qbdshift import (
     perron_data,
     reference_solution,
     shift_routes,
-    shifted_gr,
     solve_all,
     validate,
 )
@@ -234,8 +234,9 @@ class TestPatternedInstances:
 
     @pytest.mark.parametrize("seed", [3, 5, 7, 11, 17])
     def test_null_root_certificates_exact(self, seed):
-        # both root certificates compare characteristic polynomials, which
-        # a double unit root does not make ill-conditioned
+        # the tiling certificate compares characteristic polynomials and the
+        # surgery reads eigenpair and projector residuals: a double unit
+        # root makes neither ill-conditioned
         certs = {c.name: c for c in full_suite(self.null_patterned(seed))}
         names = ["spec:eig(G)+1/eig(R)=roots(B)",
                  *(f"{kind.value}:roots-surgery" for kind in ShiftKind)]
@@ -252,10 +253,10 @@ class TestPatternedInstances:
 
 
 class TestSurgeryFromSpectra:
-    """Root surgery read from the spectra of (I - Q)G and R(I - S) against
-    a QZ factorization of the shifted companion pencil
+    """Root surgery read from Brauer's hypotheses against a QZ
+    factorization of the shifted companion pencil
     (oracles.qz_surgery_distance): the same verdict on every patterned
-    model, whose defective zero clusters are the hardest case for both."""
+    model, whose defective zero clusters are the hardest case for QZ."""
 
     @pytest.mark.parametrize("family, seed", [
         *(("patterned", seed) for seed in range(3, 42)),
@@ -272,23 +273,29 @@ class TestSurgeryFromSpectra:
 
 
 class TestSpectrumReplacement:
-    """The eigenvalue-product evaluation of det(zI - M) against one LU
-    determinant per point (oracles.det_replacement_residual)."""
+    """The replacement claim eig(M - root P) = eig(M) with root -> 0, read
+    from Brauer's hypotheses (verify._projector_defect and
+    verify._eigenpair_residual), against the characteristic polynomials of
+    both matrices by one LU determinant per point
+    (oracles.det_replacement_residual). The hypotheses are sufficient:
+    where they hold, so does the claim."""
 
     @staticmethod
-    def residuals(shifted, original, removed):
-        """(the replacement gap, the oracle's residual) at the same points."""
-        n = shifted.shape[0]
-        points = verify._det_points((removed,), count=max(verify.DET_POINT_COUNT, n + 2))
-        gap = verify._replacement_gap(np.linalg.eigvals(shifted), np.linalg.eigvals(original),
-                                      removed, lambda _: np.array(points))
-        return gap, oracles.det_replacement_residual(shifted, original, removed, points)
+    def residuals(m, u, root, p):
+        """(the hypothesis residual, the oracle's residual) of M - root P.
+        Two monic polynomials of degree n + 1 that agree at n + 2 points are
+        equal: the oracle takes n + 2 points of the 1.37 circle, which no
+        removed root here reaches."""
+        n = m.shape[0]
+        points = 1.37 * np.exp(2j * np.pi * (np.arange(n + 2) + 0.5) / (n + 2))
+        hypotheses = max(verify._projector_defect(p), verify._eigenpair_residual(m, u, root, p))
+        return hypotheses, oracles.det_replacement_residual(m - root * p, m, root, points)
 
     @staticmethod
     def rank_one_pair(seed, n, nilpotent):
-        """(M - rho u v^T, M, rho) for a random nonnegative M with Perron
-        pair (rho, u) and v^T u = 1; `nilpotent` phases only feed each
-        other in a chain, a defective zero cluster of that size."""
+        """(M, u, rho, w) for a random nonnegative M with Perron pair (rho,
+        u) and w^T u = 1; `nilpotent` phases only feed each other in a
+        chain, a defective zero cluster of that size."""
         rng = np.random.default_rng(seed)
         m = rng.uniform(0.0, 1.0, (n, n)) / n
         chain = rng.choice(n, size=nilpotent, replace=False)
@@ -298,43 +305,122 @@ class TestSpectrumReplacement:
         top = int(np.argmax(vals.real))
         rho, u = vals[top].real, vecs[:, top].real
         v = rng.uniform(0.1, 1.0, n)
-        return m - rho * np.outer(u, v / (v @ u)), m, rho
+        return m, u, rho, v / (v @ u)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matches_oracle(self, seed):
         n, nilpotent = (3, 6, 12)[seed % 3], (1, 3, 5)[seed % 3]
-        shifted, original, rho = self.rank_one_pair(seed, n, nilpotent)
-        gap, expected = self.residuals(shifted, original, rho)
-        assert gap <= verify.DET_RTOL
-        assert gap == pytest.approx(expected, abs=1e-12)
-        # a diagonal entry moves det(zI - M_s) by about 1e-6 z^(n-1)
-        bumped = shifted.copy()
-        bumped[0, 0] += 1e-6
-        gap, expected = self.residuals(bumped, original, rho)
-        assert gap > verify.DET_RTOL
-        assert gap == pytest.approx(expected, abs=1e-12)
+        m, u, rho, w = self.rank_one_pair(seed, n, nilpotent)
+        hypotheses, oracle = self.residuals(m, u, rho, np.outer(u, w))
+        assert hypotheses <= verify.DET_RTOL and oracle <= verify.DET_RTOL
+        # four faults of size 1e-6, each seen by one term of the hypotheses:
+        # u off in one entry with its projector paired to it (eigenpair),
+        # the projector built from that vector (range), the projector
+        # scaled (trace), and a term y z^T with z orthogonal to u and y
+        # (idempotence). The spectrum moves by 2e-9 to 1.2e-7 at the
+        # oracle's points, below DET_RTOL on some seeds: the hypotheses
+        # read 3e-7 to 3e-6
+        bent = u.copy()
+        bent[0] += 1e-6 * np.max(np.abs(u))
+        y, z = np.random.default_rng(seed).standard_normal((2, len(u)))
+        basis = np.linalg.qr(np.column_stack([u, y]))[0]
+        z -= basis @ (basis.T @ z)
+        extra = 1e-6 * np.outer(y, z) / (np.max(np.abs(y)) * np.max(np.abs(z)))
+        faults = [(bent, np.outer(bent, w) / (w @ bent)), (u, np.outer(bent, w) / (w @ bent)),
+                  (u, (1.0 + 1e-6) * np.outer(u, w)), (u, np.outer(u, w) + extra)]
+        for vec, proj in faults:
+            hypotheses, oracle = self.residuals(m, vec, rho, proj)
+            assert hypotheses > verify.DET_RTOL and oracle > 1e-9
+        # a rank-two projector that keeps u (y orthogonal to w, z to u, z^T
+        # y = 1): idempotent, so only the trace term sees it
+        y -= (w @ y) / (w @ w) * w
+        z = np.random.default_rng(seed + 1).standard_normal(len(u))
+        z -= (u @ z) / (u @ u) * u
+        proj = np.outer(u, w) + np.outer(y, z / (z @ y))
+        hypotheses, oracle = self.residuals(m, u, rho, proj)
+        assert verify._projector_defect(proj) == pytest.approx(1.0)
+        assert hypotheses > verify.DET_RTOL and oracle > verify.DET_RTOL
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_patterned_shifts_match_oracle(self, seed):
+        # the G_s and R_s claims of every kind, R_s through its transpose
         m = TestPatternedInstances.patterned(seed)
         cls, sol, pd = solved(m)
-        for kind in ("right", "left", "double"):
+        for kind in ShiftKind:
             transform = build_transform(m, cls, pd, kind)
-            g_s, r_s, _ = shifted_gr(sol, transform)
+            certs = {c.name: c for c in verify._transform_certs(m, cls, sol, pd, transform, None)}
             claims = []
             if transform.q is not None:
-                claims.append((g_s, sol.g, transform.xi_n))
+                claims.append(("G", sol.g, transform.u_g, transform.xi_n, transform.q))
             if transform.s is not None:
-                claims.append((r_s, sol.r, 1.0 / transform.xi_n1))
-            for shifted, original, removed in claims:
-                gap, expected = self.residuals(shifted, original, removed)
-                assert gap <= verify.DET_RTOL
-                assert gap == pytest.approx(expected, abs=1e-12)
-                bumped = shifted.copy()
-                bumped[1, 1] += 1e-6
-                gap, expected = self.residuals(bumped, original, removed)
-                assert gap > verify.DET_RTOL
-                assert gap == pytest.approx(expected, abs=1e-12)
+                claims.append(("R", sol.r.T, transform.v_r, 1.0 / transform.xi_n1,
+                               transform.s.T))
+            for name, mat, u, root, p in claims:
+                hypotheses, oracle = self.residuals(mat, u, root, p)
+                cert = certs[f"{kind.value}:spec:{name}_s-replacement"]
+                assert cert.residual == hypotheses and cert.passed
+                assert oracle <= verify.DET_RTOL
+                hypotheses, oracle = self.residuals(mat, u, root, (1.0 + 1e-6) * p)
+                assert hypotheses > verify.DET_RTOL and oracle > verify.DET_RTOL
+
+
+class TestDetIdentity:
+    """det-identity reads the coefficients of the matrix identity behind
+    det B_s(z) = c(z) det B(z); one LU determinant of each pencil at
+    seeded points must give the same verdict."""
+
+    @staticmethod
+    def pointwise_gap(model, transform):
+        """Largest relative gap of det B_s(z) (z - xi_n) = z det B(z)
+        (right), det B_s(z) (z - xi_{n+1}) = -xi_{n+1} det B(z) (left) or
+        their product (double) at the determinant points."""
+        worst = 0.0
+        for z in verify._det_points((transform.xi_n, transform.xi_n1)):
+            lhs, factor = transform.shifted.poly.det_b(z), 1.0
+            if transform.q is not None:
+                lhs, factor = lhs * (z - transform.xi_n), z
+            if transform.s is not None:
+                lhs, factor = lhs * (z - transform.xi_n1), -transform.xi_n1 * factor
+            rhs = factor * model.poly.det_b(z)
+            worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
+        return worst
+
+    @pytest.mark.parametrize("family, seed", [("patterned", 3), ("patterned", 17),
+                                              ("null_patterned", 5)])
+    def test_matches_pointwise_determinants(self, family, seed):
+        model = getattr(TestPatternedInstances, family)(seed)
+        cls, sol, pd = solved(model)
+        for kind in ShiftKind:
+            transform = build_transform(model, cls, pd, kind)
+            cert = verify._det_identity_cert(model, transform, 0.0, ())
+            assert cert.passed and self.pointwise_gap(model, transform) <= verify.DET_RTOL
+            # the shifted A_0 without its moved-root term
+            sh = transform.shifted
+            a_zero = sh.a_zero - (transform.xi_n * model.a_plus @ transform.q
+                                  if transform.q is not None
+                                  else transform.s @ model.a_minus / transform.xi_n1)
+            broken = dataclasses.replace(
+                transform, shifted=QbdTriple(model.n, sh.a_minus, a_zero, sh.a_plus))
+            cert = verify._det_identity_cert(model, broken, 0.0, ())
+            assert not cert.passed and self.pointwise_gap(model, broken) > verify.DET_RTOL
+
+
+class TestDetPoints:
+    # real poles within 0.05 of the 1.37 circle reject the points near them
+    POLES = (1.37, -1.37, 1.0, 0.0, np.inf)
+
+    def test_rejected_points_are_skipped(self):
+        # the first DET_POINT_COUNT points of one uniform stream that keep
+        # away from every pole; about 1 point in 90 lies near one of +-1.37
+        skipped = 0
+        for seed in range(40):
+            stream = 1.37 * np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=64))
+            kept = [complex(z) for z in stream if all(abs(z - xi) > 0.05 for xi in self.POLES)]
+            got = verify._det_points(self.POLES, seed=seed)
+            assert got == kept[:verify.DET_POINT_COUNT]
+            assert all(type(z) is complex for z in got)
+            skipped += got != stream[:verify.DET_POINT_COUNT].tolist()
+        assert skipped
 
 
 class TestNearNullRecurrent:
