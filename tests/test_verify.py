@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import transforms_of
@@ -408,6 +409,22 @@ class TestDetIdentity:
 class TestDetPoints:
     # real poles within 0.05 of the 1.37 circle reject the points near them
     POLES = (1.37, -1.37, 1.0, 0.0, np.inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1.3, 1.45), st.floats(-1.45, -1.3),
+                              st.sampled_from([0.0, 0.5, 1.0, np.inf])), max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_one_draw_at_a_time(self, xi, seed):
+        # the batched draws are the stream of single uniforms, filtered by abs()
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < verify.DET_POINT_COUNT:
+            z = complex(1.37 * np.exp(2j * np.pi * rng.uniform()))
+            if all(abs(z - p) > 0.05 for p in xi):
+                want.append(z)
+        got = verify._det_points(tuple(xi), seed=seed)
+        assert all(type(z) is complex for z in got)
+        assert np.array_equal(np.array(got), np.array(want))
 
     def test_rejected_points_are_skipped(self):
         # the first DET_POINT_COUNT points of one uniform stream that keep
