@@ -52,7 +52,6 @@ from .solvers import (
     cyclic_reduction,
     derive_r_k,
     hats_from_w,
-    solve_all,
 )
 from .verify import (
     Certificate,

@@ -3,16 +3,17 @@ end-to-end solve pipelines with certificates, and benchmarking.
 
 Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
 "a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
-documents carrying "schema": 4; every number is reproducible from the
-model file and the flags (the "timing" field excepted). The "solution"
-block holds the set the certificates judged: its route (the class-matched
+documents carrying "schema": 5; every number is reproducible from the
+model file alone (the "timing" field excepted). The "solution" block
+holds the set the certificates judged: its route (the class-matched
 forward shift kind), G, R, Ghat, Rhat, W (or null, with the reason in
 "W_reason"), the sweeps and the equation residuals; each matrix is exact:
 {"shape": [n, n], "dtype": "<f8", "b64": base64 of its little-endian bytes},
-read by `unpack_matrix`. "shift_route" holds the route of the kind `--via`
-names, its G and R still decimal for the benchmark's checks. No report
-writes K or Khat: K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat. `bench`
-compares the direct solve with the shifted one.
+read by `unpack_matrix`. "shift_route" holds the class-matched route, the
+one the solution's G and R come from, with its sweeps, recovery residual
+and G and R, still decimal for the benchmark's checks. No report writes K
+or Khat: K = A_0 - I + A_1 G, Khat = A_0 - I + A_-1 Ghat. `bench` compares
+the direct solve with the shifted one.
 
 Exit codes: 0 ok, 2 parse error or unwritable output path, 3 validation
 error, 4 solver failure, 5 certificate failure.
@@ -50,7 +51,7 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_CERTIFICATE = 5
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 GEN_KINDS = ("positive", "null", "transient")
 CYCLE_WEIGHT = 1e-3
@@ -187,17 +188,18 @@ def _solution_payload(sol):
     }
 
 
-def solve_report(triple, meta=None, via="auto", seed=None):
+def solve_report(triple, meta=None):
     """Full pipeline on one model: classify, solve the certified set
     (reference_solution: classify's class-matched shifted solve and the
     reversed model's), take one route per shift kind (shift_routes:
     classify's `cls.matched` for the class-matched kind), certify,
-    assemble the report dict. The report's shift route is the kind `via`
-    names, the class-matched one for via='auto'."""
+    assemble the report dict. The report's shift route is `cls.matched`,
+    the route the certified G and R come from."""
     start = time.perf_counter()
     cls = model_mod.classify(triple)
     reference = shift_mod.reference_solution(triple, cls)
     perron = model_mod.complete_perron_data(model_mod.perron_data(triple, cls), reference)
+    route = cls.matched
     report = {
         "schema": SCHEMA_VERSION,
         "meta": meta,
@@ -209,27 +211,20 @@ def solve_report(triple, meta=None, via="auto", seed=None):
         },
         # eig(G) + 1/eig(R), which spec:eig(G)+1/eig(R)=roots(B) certifies
         "roots": _roots_payload(matpoly.RootSet.from_spectra(*reference.spectra)),
-        "via": via,
         "solution": _solution_payload(reference),
+        "shift_route": {
+            "kind": route.transform.kind.value,
+            "iterations": route.cr.iterations,
+            "G": _flat(route.g),
+            "R": _flat(route.r),
+            "recovery_residual": route.recovery_residual,
+        },
     }
-    # one route per kind serves both the report's route and the kind's
-    # round-trip certificate; a failed round trip is a certificate
-    # failure, a failed route a solver failure
+    # one route per kind serves each kind's round-trip certificate; a
+    # failed round trip is a certificate failure
     transforms, routes = shift_mod.shift_routes(triple, cls, perron)
-    route_kind = shift_mod.pick_kind(cls) if via == "auto" else shift_mod.ShiftKind(via)
-    route = routes[route_kind]
-    if isinstance(route, kernel.ConvergenceError):
-        raise route
-    report["shift_route"] = {
-        "kind": route_kind.value,
-        "iterations": route.cr.iterations,
-        "G": _flat(route.g),
-        "R": _flat(route.r),
-        "recovery_residual": route.recovery_residual,
-    }
-    det_seed = verify.DET_SEED if seed is None else seed
     certificates = verify.check_identity_suite(triple, cls, reference, perron, transforms,
-                                               routes, det_seed=det_seed)
+                                               routes)
     report["certificates"] = [c.to_dict() for c in certificates]
     report["certificate_summary"] = {
         status: sum(c.status == status for c in certificates)
@@ -400,10 +395,6 @@ def _build_parser():
 
     p_solve = sub.add_parser("solve", help="solve a model file and certify")
     p_solve.add_argument("path", help="model file (JSON)")
-    p_solve.add_argument("--via", default="auto",
-                         choices=("right", "left", "double", "auto"))
-    p_solve.add_argument("--seed", type=_int_at_least(0), default=None,
-                         help="seed for the determinant spot-check points")
     p_solve.add_argument("--json", dest="json_out", metavar="PATH", default=None,
                          help="write the structured report here")
     p_solve.add_argument("--quiet", action="store_true")
@@ -439,7 +430,7 @@ def main(argv=None):
             _check_output_path(out_path)
         if args.command == "solve":
             triple, meta = read_model(args.path)
-            report = solve_report(triple, meta, via=args.via, seed=args.seed)
+            report = solve_report(triple, meta)
             if args.json_out:
                 _write_json(report, args.json_out)
             if not args.quiet:

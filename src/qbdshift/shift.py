@@ -208,7 +208,6 @@ def _shifted_hats(transform, ghat_s, rhat_s, **extra):
     residuals = {
         "Ghat_s": solvers.residual_ghat(bm, b0, bp, ghat_s),
         "Rhat_s": solvers.residual_rhat(bm, b0, bp, rhat_s),
-        "Khat_s_form2": kernel.inf_norm(khat_s - (b0 + rhat_s @ bp)),
     }
     return ShiftedHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, residuals=residuals, **extra)
 
@@ -265,8 +264,8 @@ def shifted_hats_nonnull(sol, transform):
     Ghat_l = W_l (R - xi_{n+1}^-1 S) W_l^-1, Rhat_l = W_l^-1 G W_l.
     The free vector must keep W_s nonsingular (admissibility margins
     xi_n v^T Ghat u_G != 1, xi_{n+1}^-1 v_R^T Rhat w != 1); the default
-    vectors satisfy them automatically. No closed form exists for the
-    non-null double shift.
+    vectors satisfy them automatically. The non-null double shift's
+    transport is not implemented.
     """
     if sol.w is None:
         raise ValueError("W is unavailable (null recurrent input)")
@@ -297,12 +296,11 @@ def shifted_hats_nonnull(sol, transform):
 @dataclasses.dataclass(frozen=True)
 class ShiftRoute:
     """Outcome of solve shifted + recover: the transform, the shifted
-    problem's cyclic reduction (cr.g is G_s), R_s, the recovered (G, R)
-    and their residual max(res_G, res_R) on the original equations."""
+    problem's cyclic reduction (cr.g is G_s), the recovered (G, R) and
+    their residual max(res_G, res_R) on the original equations."""
 
     transform: ShiftTransform
     cr: solvers.CrOutcome
-    r_shifted: np.ndarray
     g: np.ndarray
     r: np.ndarray
     recovery_residual: float
@@ -346,8 +344,7 @@ def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER
     g, r, res = recover_gr(
         cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(transform=transform, cr=cr, r_shifted=r_s, g=g, r=r,
-                      recovery_residual=res)
+    return ShiftRoute(transform=transform, cr=cr, g=g, r=r, recovery_residual=res)
 
 
 def shift_routes(model, cls, perron):

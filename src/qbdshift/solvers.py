@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import kernel, model as model_mod
+from . import kernel
 
 __all__ = [
     "CrOutcome",
@@ -37,15 +37,10 @@ __all__ = [
     "residual_r",
     "residual_rhat",
     "solution_set",
-    "solve_all",
 ]
 
 CR_TOL = 1e-14
 CR_MAX_ITER = 64
-# Tolerance relaxed for unshifted null-recurrent solves, which stall at
-# the double unit root.
-CR_TOL_NULL = 1e-8
-STALL_RES_TOL = 1e-10
 NEG_CLAMP = 1e-12
 # A root of B(z) this close to |z| = 1, and this far from z = 1, is on the
 # unit circle away from the unit root.
@@ -195,8 +190,7 @@ class SolutionSet:
 
     `null` marks a null-recurrent model, where the W series diverges.
     `route` names the route that solved the set: the kind of the forward
-    shift ("right", "left", "double") for the certified set, "direct" for
-    solve_all.
+    shift ("right", "left", "double") for the certified set.
     """
 
     g: np.ndarray
@@ -292,29 +286,3 @@ def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null, route):
     }
     return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, null=null,
                        route=route, iterations=iterations, residuals=residuals)
-
-
-def solve_all(model, cls=None, tol=None, max_iter=CR_MAX_ITER):
-    """Direct solve of all four equations: cyclic reduction on the triple
-    for G and on the reversed triple for Ghat. Computes no W
-    (`SolutionSet.w` does, on first read). The certified set takes the
-    shift routes instead (shift.reference_solution); this is the
-    unshifted solve it is compared with.
-
-    Null-recurrent inputs run at the relaxed tolerance and may stall at
-    the iteration cap; the trailing iterate is accepted as long as its
-    equation residual is below STALL_RES_TOL (forward accuracy is then
-    ~1e-7; the shifted route recovers full accuracy).
-    """
-    if cls is None:
-        cls = model_mod.classify(model)
-    null = cls.kind is model_mod.Kind.NULL_RECURRENT
-    cr_args = {"tol": tol if tol is not None else (CR_TOL_NULL if null else CR_TOL),
-               "max_iter": max_iter, "res_tol": STALL_RES_TOL if null else None}
-    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    fwd = cyclic_reduction(bm, b0, bp, **cr_args)
-    rev = cyclic_reduction(bp, b0, bm, **cr_args)
-    r, k = derive_r_k(b0, bp, fwd.g)
-    rhat, khat = derive_r_k(b0, bm, rev.g)
-    return solution_set(model, fwd.g, r, rev.g, rhat, k, khat,
-                        {"G": fwd.iterations, "Ghat": rev.iterations}, null, "direct")

@@ -3,11 +3,11 @@ quadratic formula, the symmetric-circulant closed form for the 2x2
 null-recurrent instance, the monotone fixed-point iteration for G, naive
 dense helpers that bypass the package implementations, the 60-digit
 splitting root of det B(z)/(z - 1) and the 50-digit cyclic reduction for
-G, R, Ghat and Rhat (mpmath), the scipy
-forms the package no longer uses (the companion-pencil QZ, the exact
-bottleneck root matching, LU with a pivot test, the two-sided dense
-eigensolve, strongly connected components). scipy comes with the test
-extra only."""
+G, R, Ghat and Rhat (mpmath), the direct (unshifted) solve of all four
+equations in double precision, the scipy forms the package no longer
+uses (the companion-pencil QZ, the exact bottleneck root matching, LU
+with a pivot test, the two-sided dense eigensolve, strongly connected
+components). scipy comes with the test extra only."""
 
 import bisect
 import cmath
@@ -347,6 +347,43 @@ def minimal_solutions_mp(model, dps=50, max_sweeps=120):
             return np.array([[float(m[i, j]) for j in range(n)] for i in range(n)])
 
         return {"G": floats(g), "R": floats(r), "Ghat": floats(ghat), "Rhat": floats(rhat)}
+
+
+# Tolerance relaxed for unshifted null-recurrent solves, which stall at
+# the double unit root.
+CR_TOL_NULL = 1e-8
+STALL_RES_TOL = 1e-10
+
+
+def solve_all(model, cls=None, tol=None, max_iter=None):
+    """Direct solve of all four equations, the route "direct": cyclic
+    reduction on the triple for G and on the reversed triple for Ghat,
+    with no shift. Computes no W (`SolutionSet.w` does, on first read).
+    The certified set takes the shift routes instead
+    (shift.reference_solution); this is the unshifted solve it is
+    compared with.
+
+    Null-recurrent inputs run at the relaxed tolerance and may stall at
+    the iteration cap; the trailing iterate is accepted as long as its
+    equation residual is below STALL_RES_TOL (forward accuracy is then
+    ~1e-7; the shifted route recovers full accuracy).
+    """
+    from qbdshift import model as model_mod, solvers
+
+    if cls is None:
+        cls = model_mod.classify(model)
+    null = cls.kind is model_mod.Kind.NULL_RECURRENT
+    cr_args = {"tol": tol if tol is not None else (CR_TOL_NULL if null else solvers.CR_TOL),
+               "max_iter": max_iter if max_iter is not None else solvers.CR_MAX_ITER,
+               "res_tol": STALL_RES_TOL if null else None}
+    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
+    fwd = solvers.cyclic_reduction(bm, b0, bp, **cr_args)
+    rev = solvers.cyclic_reduction(bp, b0, bm, **cr_args)
+    r, k = solvers.derive_r_k(b0, bp, fwd.g)
+    rhat, khat = solvers.derive_r_k(b0, bm, rev.g)
+    return solvers.solution_set(model, fwd.g, r, rev.g, rhat, k, khat,
+                                {"G": fwd.iterations, "Ghat": rev.iterations}, null,
+                                "direct")
 
 
 def chordal_distance(x, y):

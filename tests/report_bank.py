@@ -36,17 +36,20 @@ A schema-2 report is compared in the schema-3 layout (`as_schema3`): its
 direct solve was the set it wrote, so its `direct` matrices, sweeps and
 residuals are matched with the `solution` block of route "direct", and
 the bank prints how far each written matrix moved where the certified set
-took a shift route. A schema-4 report is compared in the schema-3 layout
-as well: each base64 matrix of its `solution` block is decoded with the
-change's `cli.unpack_matrix` into the flat list schema 3 wrote, so two
-matrices compare equal exactly when they are equal bit for bit, and a
-failed certificate's null residual becomes the infinity schema 3 wrote
-there. The optional `direct` block of a schema-3 report
-(the sweeps and residuals of a direct solve) is compared where both
-sides write it; where only the parent's report has it, the bank counts
-those reports in one line and compares the rest. A difference that
-recurs on several models (a certificate context that changed wording,
-say) is printed once, with the number of models and the first of them.
+took a shift route. A schema-4 or schema-5 report is compared in the
+schema-3 layout as well: each base64 matrix of its `solution` block is
+decoded with the change's `cli.unpack_matrix` into the flat list schema 3
+wrote, so two matrices compare equal exactly when they are equal bit for
+bit, and a failed certificate's null residual becomes the infinity schema
+3 wrote there. Schema 5 only dropped schema 4's `"via": "auto"`, so a
+schema-4 report loses that field (any other `via` is kept, and shows as
+a difference) and every other field is compared. The optional `direct`
+block of a schema-3 report (the sweeps and residuals of a direct solve)
+is compared where both sides write it; where only the parent's report
+has it, the bank counts those reports in one line and compares the rest.
+A difference that recurs on several models (a certificate context that
+changed wording, say) is printed once, with the number of models and the
+first of them.
 
 It exits 0 when the two sides agree bit for bit, 1 otherwise. pytest does
 not collect this file.
@@ -176,12 +179,15 @@ def as_schema3(report):
     """`report` in the schema-3 layout. A schema-2 report wrote the direct
     solve's G, R, Ghat, Rhat and W under `direct`: they become the
     `solution` of route "direct", and `direct` keeps its sweeps and
-    residuals. A schema-4 report's packed matrices become flat lists, and
-    the null residual of a failed certificate infinity. Other reports are
-    returned as they are."""
-    if report.get("schema") == 4:
+    residuals. A schema-4 or schema-5 report's packed matrices become flat
+    lists, and the null residual of a failed certificate infinity; a
+    schema-4 report also loses its `"via": "auto"`, which schema 5 dropped.
+    Other reports are returned as they are."""
+    if report.get("schema") in (4, 5):
         from qbdshift.cli import unpack_matrix
 
+        if report["schema"] == 4 and report.get("via") == "auto":
+            del report["via"]
         solution = report["solution"]
         for key in (*MATRICES, "W"):
             if solution[key] is not None:

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_bank, solve_kind, transforms_of
+from oracles import solve_all
 from phase_partition import phase_partition
 from qbdshift import (
     check_identity_suite,
@@ -19,7 +20,6 @@ from qbdshift import (
     perron_data,
     reference_solution,
     shifted_hats_nullrec,
-    solve_all,
 )
 from qbdshift import cli, shift as shift_mod, solvers
 

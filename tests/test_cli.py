@@ -109,7 +109,6 @@ class TestModelFiles:
         assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
 
     @pytest.mark.parametrize("flags, message", [
-        (["solve", "{model}", "--seed", "-1"], "must be at least 0"),
         (["gen", "positive", "-n", "0"], "must be at least 1"),
         (["gen", "positive", "-n", "2", "--seed", "-1"], "must be at least 0"),
         (["bench", "null", "-n", "2", "--count", "0"], "must be at least 1"),
@@ -120,7 +119,7 @@ class TestModelFiles:
         (["gen", "positive", "-n", "2", "--gamma", "nan"], "must be finite and above 0"),
         (["gen", "positive", "-n", "2", "--gamma", "0"], "must be finite and above 0"),
         (["bench", "null", "-n", "2", "--gamma", "inf"], "must be finite and above 0"),
-    ], ids=["solve-seed-neg", "gen-n-0", "gen-seed-neg",
+    ], ids=["gen-n-0", "gen-seed-neg",
             "bench-count-0", "bench-seed-neg", "bench-tol-neg", "bench-max-iter-0",
             "gen-gamma-neg", "gen-gamma-nan", "gen-gamma-0",
             "bench-gamma-inf"])
@@ -136,12 +135,15 @@ class TestModelFiles:
 
     def test_samples_flag_is_gone(self, tmp_path, capsys):
         # the factorization certificates bound the whole unit circle, so
-        # there is no sample count to choose: a usage error
+        # there is no sample count to choose; the report's route is always
+        # the class-matched one and the root check reads fixed points, so
+        # there is no route or seed to choose either: each is a usage error
         model = write_scalar_model(tmp_path, (0.5, 0.2, 0.3))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", str(model), "--samples", "16"])
-        assert exc.value.code == cli.EXIT_PARSE
-        assert "unrecognized arguments: --samples 16" in capsys.readouterr().err
+        for flag in ("--samples 16", "--via left", "--seed 1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["solve", str(model), *flag.split()])
+            assert exc.value.code == cli.EXIT_PARSE
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
@@ -171,7 +173,8 @@ class TestMain:
         code = cli.main(["solve", str(path), "--quiet", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == 4
+        assert report["schema"] == 5
+        assert "via" not in report
         assert report["classification"]["kind"] == "positive-recurrent"
         assert report["solution"]["route"] == "right"
         g, r = (cli.unpack_matrix(report["solution"][k]) for k in ("G", "R"))
@@ -205,10 +208,11 @@ class TestMain:
         path = tmp_path / "model.json"
         assert cli.main(["gen", "null", "-n", "1", "--seed", "0", "--out", str(path)]) == 0
         out_path = tmp_path / "report.json"
-        code = cli.main(["solve", str(path), "--quiet", "--via", "double",
-                         "--json", str(out_path)])
+        code = cli.main(["solve", str(path), "--quiet", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
+        # the report's route is the class-matched one: double at null
+        # recurrence
         route = report["shift_route"]
         assert route["kind"] == "double"
         assert route["G"] == [pytest.approx(1.0, abs=1e-10)]
@@ -386,36 +390,34 @@ class TestMain:
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert counts == expected
 
-    @pytest.mark.parametrize("kind, gamma, route, direct_runs", [
-        ("positive", 0.5, "right", 0), ("transient", 0.5, "left", 0),
-        ("positive", 1e-5, "right", 0), ("transient", 1e-5, "left", 0),
-        ("null", 0.5, "double", 0),
+    @pytest.mark.parametrize("kind, gamma, route", [
+        ("positive", 0.5, "right"), ("transient", 0.5, "left"),
+        ("positive", 1e-5, "right"), ("transient", 1e-5, "left"),
+        ("null", 0.5, "double"),
     ])
-    def test_direct_solve_only_off_the_near_null_band(self, monkeypatch, kind, gamma,
-                                                      route, direct_runs):
-        # no direct solve runs on or off the near-null band (root gap of
-        # 1.2e-5 at gamma 1e-5): the certified set takes the class-matched
-        # shift pair in every class, every class makes 4 cyclic
-        # reductions, and the report's route is classify's class-matched
+    def test_no_class_runs_a_direct_solve(self, monkeypatch, kind, gamma, route):
+        # on or off the near-null band (root gap of 1.2e-5 at gamma 1e-5)
+        # the certified set takes the class-matched shift pair in every
+        # class, every class makes 4 cyclic reductions, each on a shifted
+        # middle block, and the report's route is classify's class-matched
         # solve
         from qbdshift import solvers
 
-        counts = {"solve_all": 0, "cyclic_reduction": 0}
+        middles = []
+        cyclic_reduction = solvers.cyclic_reduction
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting(b_minus, b_zero, b_plus, **kwargs):
+            middles.append(b_zero)
+            return cyclic_reduction(b_minus, b_zero, b_plus, **kwargs)
 
         triple, meta = cli.generate(kind, 4, 1, gamma=gamma)
-        for name in counts:
-            monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+        monkeypatch.setattr(solvers, "cyclic_reduction", counting)
         report = cli.solve_report(triple, meta)
         assert report["solution"]["route"] == route
-        assert ("direct" in report) == bool(direct_runs)
+        assert "direct" not in report
         assert report["certificate_summary"]["fail"] == 0
-        assert counts == {"solve_all": direct_runs, "cyclic_reduction": 4}
+        assert len(middles) == 4
+        assert not any(np.array_equal(b0, triple.b_zero()) for b0 in middles)
         matched = classify(triple).matched
         assert report["shift_route"]["iterations"] == matched.cr.iterations
         assert report["shift_route"]["G"] == cli._flat(matched.g)
@@ -565,8 +567,8 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_det_b_only_on_the_model(self, monkeypatch, kind):
         # the suite takes det B(z) of the model at the DET_POINT_COUNT
-        # points and no determinant of a shifted pencil: det-identity reads
-        # coefficients
+        # ROOT_POINTS and no determinant of a shifted pencil: det-identity
+        # reads coefficients
         from qbdshift import matpoly, verify
 
         triple, _ = cli.generate(kind, 8, 1)

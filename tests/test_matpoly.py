@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import test_verify
+from oracles import solve_all
 from qbdshift import (
     classify,
     cli,
@@ -13,7 +14,6 @@ from qbdshift import (
     kernel,
     matpoly,
     reference_solution,
-    solve_all,
     validate,
     verify,
 )

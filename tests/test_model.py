@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import solve_all
 from qbdshift import (
     Kind,
     ShiftKind,
@@ -10,7 +11,6 @@ from qbdshift import (
     complete_perron_data,
     perron_data,
     reference_solution,
-    solve_all,
     validate,
 )
 from qbdshift import model as model_mod

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from conftest import solve_kind
+from oracles import solve_all
 from qbdshift import (
     ShiftKind,
     build_transform,
@@ -15,7 +16,6 @@ from qbdshift import (
     shifted_gr,
     shifted_hats_nonnull,
     shifted_hats_nullrec,
-    solve_all,
 )
 from qbdshift import cli, solvers
 
@@ -220,7 +220,8 @@ class TestNullRecurrentHats:
             hats = shifted_hats_nullrec(sol, pd, t)
             assert hats.residuals["Ghat_s"] <= 1e-10
             assert hats.residuals["Rhat_s"] <= 1e-10
-            assert hats.residuals["Khat_s_form2"] <= 1e-10
+            sh = t.shifted
+            assert kernel.inf_norm(hats.khat - (sh.b_zero() + hats.rhat @ sh.a_plus)) <= 1e-10
             eig_ghat = sorted(np.abs(np.linalg.eigvals(hats.ghat)))
             eig_rhat = sorted(np.abs(np.linalg.eigvals(hats.rhat)))
             if replaced in ("ghat", "both"):
@@ -347,7 +348,9 @@ class TestRoundTripsAndSurgery:
         for m, cls in small_bank["null"][:3]:
             route = solve_kind(m, cls, ShiftKind.DOUBLE)
             assert kernel.spectral_radius(route.cr.g) < 1.0 - 1e-6
-            assert kernel.spectral_radius(route.r_shifted) < 1.0 - 1e-6
+            sh = route.transform.shifted
+            r_s, _ = solvers.derive_r_k(sh.b_zero(), sh.a_plus, route.cr.g, nonneg=False)
+            assert kernel.spectral_radius(r_s) < 1.0 - 1e-6
 
 
 class TestReferenceSolution:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import solve_min_g_oracle
+from oracles import solve_all, solve_min_g_oracle
 from qbdshift import classify, cli, kernel, solvers, validate
 from qbdshift import model as model_mod
 from qbdshift import (
@@ -11,7 +11,6 @@ from qbdshift import (
     derive_r_k,
     hats_from_w,
     reference_solution,
-    solve_all,
 )
 
 
@@ -77,7 +76,7 @@ class TestSolveMinG:
             shifted = build_transform(model, cls, perron_data(model, cls), "double").shifted
             for triple in (model, model.reversed(), shifted):
                 blocks = (triple.a_minus, triple.b_zero(), triple.a_plus)
-                tol = solvers.CR_TOL_NULL if triple is not shifted else solvers.CR_TOL
+                tol = oracles.CR_TOL_NULL if triple is not shifted else solvers.CR_TOL
                 out = cyclic_reduction(*blocks, tol=tol, res_tol=np.inf)
                 g, sweeps = oracles.cyclic_reduction_triple_products(
                     *blocks, tol=tol, max_iter=solvers.CR_MAX_ITER

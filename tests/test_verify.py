@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import transforms_of
+from oracles import solve_all
 from phase_partition import phase_partition
 from qbdshift import (
     Kind,
@@ -20,7 +20,6 @@ from qbdshift import (
     perron_data,
     reference_solution,
     shift_routes,
-    solve_all,
     validate,
 )
 from qbdshift import solvers, verify
@@ -368,15 +367,15 @@ class TestSpectrumReplacement:
 class TestDetIdentity:
     """det-identity reads the coefficients of the matrix identity behind
     det B_s(z) = c(z) det B(z); one LU determinant of each pencil at
-    seeded points must give the same verdict."""
+    the root-check points must give the same verdict."""
 
     @staticmethod
     def pointwise_gap(model, transform):
         """Largest relative gap of det B_s(z) (z - xi_n) = z det B(z)
         (right), det B_s(z) (z - xi_{n+1}) = -xi_{n+1} det B(z) (left) or
-        their product (double) at the determinant points."""
+        their product (double) at verify.ROOT_POINTS."""
         worst = 0.0
-        for z in verify._det_points((transform.xi_n, transform.xi_n1)):
+        for z in verify.ROOT_POINTS:
             lhs, factor = transform.shifted.poly.det_b(z), 1.0
             if transform.q is not None:
                 lhs, factor = lhs * (z - transform.xi_n), z
@@ -406,38 +405,14 @@ class TestDetIdentity:
             assert not cert.passed and self.pointwise_gap(model, broken) > verify.DET_RTOL
 
 
-class TestDetPoints:
-    # real poles within 0.05 of the 1.37 circle reject the points near them
-    POLES = (1.37, -1.37, 1.0, 0.0, np.inf)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(st.floats(1.3, 1.45), st.floats(-1.45, -1.3),
-                              st.sampled_from([0.0, 0.5, 1.0, np.inf])), max_size=4),
-           st.integers(0, 2**32 - 1))
-    def test_matches_one_draw_at_a_time(self, xi, seed):
-        # the batched draws are the stream of single uniforms, filtered by abs()
-        rng = np.random.default_rng(seed)
-        want = []
-        while len(want) < verify.DET_POINT_COUNT:
-            z = complex(1.37 * np.exp(2j * np.pi * rng.uniform()))
-            if all(abs(z - p) > 0.05 for p in xi):
-                want.append(z)
-        got = verify._det_points(tuple(xi), seed=seed)
-        assert all(type(z) is complex for z in got)
-        assert np.array_equal(np.array(got), np.array(want))
-
-    def test_rejected_points_are_skipped(self):
-        # the first DET_POINT_COUNT points of one uniform stream that keep
-        # away from every pole; about 1 point in 90 lies near one of +-1.37
-        skipped = 0
-        for seed in range(40):
-            stream = 1.37 * np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=64))
-            kept = [complex(z) for z in stream if all(abs(z - xi) > 0.05 for xi in self.POLES)]
-            got = verify._det_points(self.POLES, seed=seed)
-            assert got == kept[:verify.DET_POINT_COUNT]
-            assert all(type(z) is complex for z in got)
-            skipped += got != stream[:verify.DET_POINT_COUNT].tolist()
-        assert skipped
+def test_root_points_are_distinct_and_off_the_real_axis():
+    # xi_n and xi_{n+1} are real: no point needs skipping, and no two are
+    # conjugate, so the DET_POINT_COUNT determinants read distinct values
+    points = np.array(verify.ROOT_POINTS)
+    assert all(type(z) is complex for z in verify.ROOT_POINTS)
+    assert len(set(verify.ROOT_POINTS)) == len(points) == verify.DET_POINT_COUNT
+    assert np.allclose(np.abs(points), 1.37, rtol=0.0, atol=1e-15)
+    assert np.all(points.imag >= 0.25)
 
 
 class TestNearNullRecurrent:
@@ -464,7 +439,7 @@ class TestNearNullRecurrent:
         assert exhausted  # W transport has no verifiable digits here
 
     def test_reference_uses_shift_route_near_null(self):
-        from qbdshift import cli, reference_solution, solve_all
+        from qbdshift import cli, reference_solution
         import numpy as np
 
         m, _ = cli.generate("positive", 4, seed=2, gamma=1e-6)
