@@ -2,8 +2,11 @@
 end-to-end solve pipelines with certificates, and benchmarking.
 
 Model files are UTF-8 JSON with fields {"n", "a_minus", "a_zero",
-"a_plus", "meta"?}, matrices flattened row-major. Reports are JSON
-documents carrying "schema": 5; every number is reproducible from the
+"a_plus", "meta"?}, matrices flattened row-major. Input and output are
+strict RFC 8259 JSON, read and written by orjson: a model file with NaN,
+Infinity or a number that overflows a double is not valid JSON, and a
+report writes a non-finite value as null. Reports are JSON documents
+carrying "schema": 5; every number is reproducible from the
 model file alone (the "timing" field excepted). The "solution" block
 holds the set the certificates judged: its route (the class-matched
 forward shift kind), G, R, Ghat, Rhat, W (or null, with the reason in
@@ -23,13 +26,13 @@ from __future__ import annotations
 
 import argparse
 import binascii
-import json
 import math
 import os
 import sys
 import time
 
 import numpy as np
+import orjson
 
 from . import kernel, matpoly, model as model_mod, shift as shift_mod, solvers, verify
 
@@ -130,11 +133,11 @@ def model_payload(triple, meta=None):
 def read_model(path):
     """Parse and validate a model file; returns (QbdTriple, meta)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = orjson.loads(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -157,8 +160,15 @@ def read_model(path):
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"{path}: {exc}") from exc
+    meta = raw.get("meta")
+    try:
+        # a report writes meta back at this depth, and orjson refuses to
+        # nest deeper than 254 levels
+        orjson.dumps({"meta": meta})
+    except orjson.JSONEncodeError as exc:
+        raise ParseError(f"{path}: meta cannot be written back: {exc}") from exc
     triple = model_mod.validate(*blocks)
-    return triple, raw.get("meta")
+    return triple, meta
 
 
 def _roots_payload(rootset):
@@ -343,14 +353,14 @@ def bench_report(kind, n, count, seed, tol=1e-8, max_iter=solvers.CR_MAX_ITER,
 
 
 def _write_json(payload, path=None):
-    # compact output: json uses its C encoder only without indentation
-    text = json.dumps(payload)
+    # orjson refuses numpy scalars: every payload holds plain Python types
+    data = orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE)
     if not path:
-        print(text)
+        sys.stdout.write(data.decode())
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbdshift import (
     Kind,
@@ -17,6 +18,17 @@ from qbdshift import (
     shift_routes,
 )
 from qbdshift import cli, solvers
+
+
+# every finite double: signed zeros, subnormals, the extremes and the rest
+FINITE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1, 1e16, 1e-5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              min_value=-2.3e-308, max_value=2.3e-308),
+)
 
 
 class TestGenerate:
@@ -144,6 +156,133 @@ class TestModelFiles:
                 cli.main(["solve", str(model), *flag.split()])
             assert exc.value.code == cli.EXIT_PARSE
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b'{"n": 1, "a_minus": [0.5], "a_zero": [0.2], "a_plus": [0.3], "meta": "\xff"}',
+        b'{"n": 1, "a_minus": ' + b"[" * 100000 + b"0.5" + b"]" * 100000
+        + b', "a_zero": [0.2], "a_plus": [0.3]}',
+        b'{"n": 1, "a_minus": [1' + b"0" * 400 + b'], "a_zero": [0.2], "a_plus": [0.3]}',
+    ], ids=["not-utf8", "nested-100000-deep", "401-digit-integer"])
+    def test_unreadable_bytes_exit_code(self, tmp_path, capsys, text):
+        # each ended in a traceback under the standard library's json:
+        # UnicodeDecodeError, RecursionError, and OverflowError from np.asarray
+        path = tmp_path / "m.json"
+        path.write_bytes(text)
+        assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"parse error: {path}")
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_numbers_are_not_json(self, tmp_path, capsys, entry):
+        # RFC 8259 has no NaN or Infinity, and 1e400 overflows a double: the
+        # standard library's json read all of them and validate refused the
+        # model (exit 3); they are now a parse error (exit 2)
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"n": 1, "a_minus": [{entry}], "a_zero": [0.2], "a_plus": [0.3]}}')
+        assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_PARSE
+        assert f"{path} is not valid JSON (line 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth, code", [(254, 0), (255, cli.EXIT_PARSE),
+                                             (100000, cli.EXIT_PARSE)])
+    def test_meta_must_be_writable(self, tmp_path, capsys, depth, code):
+        # orjson writes at most 254 nested levels; a meta the report cannot
+        # hold is refused when the model is read, before any work
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "a_minus": [0.5], "a_zero": [0.2], "a_plus": [0.3], '
+                        '"meta": ' + "[" * depth + "]" * depth + "}")
+        report = tmp_path / "r.json"
+        assert cli.main(["solve", str(path), "--json", str(report), "--quiet"]) == code
+        if code:
+            assert "meta cannot be written back" in capsys.readouterr().err
+            assert not report.exists()
+        else:
+            meta = json.loads(report.read_text())["meta"]
+            for _ in range(depth - 1):
+                meta, = meta
+            assert meta == []
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(FINITE_DOUBLES, min_size=n * n, max_size=n * n)] * 3)))
+    def test_reads_stdlib_files_to_the_same_bits(self, tmp_path, monkeypatch, drawn):
+        # the benchmark writes its model files with json.dumps(..., indent=1);
+        # read_model parses them to the bits json.loads gives
+        n, *blocks = drawn
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": n, "a_minus": blocks[0], "a_zero": blocks[1],
+                                    "a_plus": blocks[2]}, indent=1) + "\n")
+        monkeypatch.setattr(cli.model_mod, "validate", lambda *parsed: parsed)
+        parsed, _ = cli.read_model(path)
+        expected = json.loads(path.read_text())
+        for field, block in zip(("a_minus", "a_zero", "a_plus"), parsed):
+            assert block.tobytes() == np.array(expected[field], dtype=float).tobytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(FINITE_DOUBLES, max_size=20))
+    def test_writes_what_stdlib_reads_to_the_same_bits(self, tmp_path, values):
+        path = tmp_path / "out.json"
+        cli._write_json({"values": values}, path)
+        read = json.loads(path.read_text(encoding="utf-8"))["values"]
+        assert np.array(read, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(cli.GEN_KINDS), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.floats(1e-8, 2.0))
+    def test_gen_output_reads_back_bit_for_bit(self, tmp_path, kind, n, seed, gamma):
+        path = tmp_path / "gen.json"
+        assert cli.main(["gen", kind, "-n", str(n), "--seed", str(seed),
+                         "--gamma", repr(gamma), "--out", str(path)]) == 0
+        written = json.loads(path.read_text(encoding="utf-8"))
+        triple, meta = cli.generate(kind, n, seed, gamma=gamma)
+        assert written["meta"] == meta
+        for field in ("a_minus", "a_zero", "a_plus"):
+            block = np.array(written[field], dtype=float).reshape(n, n)
+            assert block.tobytes() == getattr(triple, field).tobytes()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """`text` parsed by a decoder that refuses NaN and Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+class TestStrictOutput:
+    """Every writer's output is strict RFC 8259 JSON: the standard
+    library's decoder reads it with NaN and Infinity refused."""
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("kind", cli.GEN_KINDS)
+    def test_solve_report(self, tmp_path, kind, n):
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        assert cli.main(["gen", kind, "-n", str(n), "--seed", "1", "--out", str(model)]) == 0
+        assert cli.main(["solve", str(model), "--json", str(report), "--quiet"]) == 0
+        assert strict_json(report.read_bytes())["schema"] == cli.SCHEMA_VERSION
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        argv = ["gen", "positive", "-n", "3", "--seed", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text(encoding="utf-8")
+        assert strict_json(printed)["n"] == 3
+
+    def test_bench(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        argv = ["bench", "transient", "-n", "2", "--count", "2", "--seed", "3"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
+        printed = strict_json(capsys.readouterr().out)
+        written = strict_json(out.read_bytes())
+        assert len(written["rows"]) == 2
+        for report in (printed, written):
+            report.pop("timing")
+        assert printed == written
 
 
 def write_scalar_model(tmp_path, blocks, name="m.json"):
