@@ -86,15 +86,14 @@ def build_transform(model, cls, perron, kind, v=None, w=None):
     infinity; double does both. The free vectors default to v_Ghat and
     u_Rhat when the Perron data is complete (they satisfy every
     admissibility condition) and to e otherwise (admissible a priori).
+    Each block is updated in O(n^2): A_-1 - (A_-1 u_G) v^T, A_0 + xi_n
+    (A_1 u_G) v^T, A_0 + xi_{n+1}^-1 w (v_R^T A_-1), A_1 - w (v_R^T A_1).
 
-    The double middle coefficient has two algebraically equal forms
-    (their equality encodes xi_n v_R^T A_1 u_G = xi_{n+1}^-1 v_R^T A_-1
-    u_G, a consequence of A_1 G = R A_-1); both are computed and
-    compared, a mismatch means the Perron data does not belong to this
-    model.
+    The double middle block subtracts c w v^T; the two forms of c,
+    xi_{n+1}^-1 v_R^T A_-1 u_G = xi_n v_R^T A_1 u_G (A_1 G = R A_-1), are
+    compared scaled by ||w v^T||: a mismatch means wrong Perron data.
     """
     kind = ShiftKind(kind)
-    eye = np.eye(model.n)
     q = s = None
     a_minus, a_zero, a_plus = model.a_minus, model.a_zero, model.a_plus
     if kind is not ShiftKind.LEFT:
@@ -102,29 +101,30 @@ def build_transform(model, cls, perron, kind, v=None, w=None):
             v = perron.v_ghat if perron.v_ghat is not None else np.ones_like(perron.u_g)
         v = _paired(np.asarray(v, dtype=float), perron.u_g, "v^T u_G")
         q = np.outer(perron.u_g, v)
-        a_minus = model.a_minus @ (eye - q)
-        a_zero = a_zero + cls.xi_n * model.a_plus @ q
+        a_minus = a_minus - np.outer(model.a_minus @ perron.u_g, v)
+        a_zero = a_zero + np.outer(cls.xi_n * (model.a_plus @ perron.u_g), v)
     if kind is not ShiftKind.RIGHT:
         if w is None:
             w = perron.u_rhat if perron.u_rhat is not None else np.ones_like(perron.v_r)
         w = _paired(np.asarray(w, dtype=float), perron.v_r, "v_R^T w")
         s = np.outer(w, perron.v_r)
-        a_zero = a_zero + (1.0 / cls.xi_n1) * s @ model.a_minus
-        a_plus = (eye - s) @ model.a_plus
+        a_zero = a_zero + np.outer(w, (1.0 / cls.xi_n1) * (perron.v_r @ model.a_minus))
+        a_plus = a_plus - np.outer(w, perron.v_r @ model.a_plus)
     if kind is ShiftKind.DOUBLE:
-        cross_down = (1.0 / cls.xi_n1) * s @ model.a_minus @ q
-        cross_up = cls.xi_n * s @ model.a_plus @ q
-        gap = kernel.inf_norm((a_zero - cross_down) - (a_zero - cross_up))
+        cross_down = float(perron.v_r @ model.a_minus @ perron.u_g) / cls.xi_n1
+        cross_up = cls.xi_n * float(perron.v_r @ model.a_plus @ perron.u_g)
+        wv = np.outer(w, v)
+        gap = abs(cross_down - cross_up) * kernel.inf_norm(wv)
         # equality of the forms holds to the accuracy of the Perron data and
         # of the extracted shift points (~eps over the root gap near null
         # recurrence); wrong vectors miss at the scale of the terms themselves
-        scale = kernel.inf_norm(cross_down) + kernel.inf_norm(cross_up) + 1.0
+        scale = (abs(cross_down) + abs(cross_up)) * kernel.inf_norm(wv) + 1.0
         if gap > A0_FORMS_RTOL * scale:
             raise ValueError(
                 f"the two forms of the double-shifted middle block differ by "
                 f"{gap:.3e}: wrong Perron data for this model"
             )
-        a_zero = a_zero - cross_down
+        a_zero = a_zero - cross_down * wv
     shifted = model_mod.QbdTriple(model.n, a_minus, a_zero, a_plus)
     # building B_s(z) runs the relaxed validity check (finite entries,
     # det B_s(z) not identically zero); the polynomial is kept for reuse
@@ -332,13 +332,13 @@ def matched_transform(model, cls):
 
 def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER):
     """Solve the shifted problem of `transform` (build_transform) by cyclic
-    reduction and recover (G, R) of `model`, the original problem."""
+    reduction and recover (G, R) of `model`, the original problem. R_s
+    reads K_s^-1 from the reduction's Dh^-1: one inverse per route."""
     shifted = transform.shifted
     b0 = shifted.b_zero()
-    cr = solvers.cyclic_reduction(
-        shifted.a_minus, b0, shifted.a_plus, tol=tol, max_iter=max_iter
-    )
-    r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False)
+    cr = solvers.cyclic_reduction(shifted.a_minus, b0, shifted.a_plus, tol=tol,
+                                  max_iter=max_iter)
+    r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False, k_inv=cr.dh_inv)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
     g, r, res = recover_gr(

@@ -12,7 +12,7 @@ ratio of the splitting roots, so convergence is quadratic whenever the
 n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
 (rate 1/2) exactly at null recurrence. Equation (3) is equation (1) for
 the reversed triple (B_1, B_0, B_-1), and (2) and (4) follow from (1) and
-(3) by one linear solve each.
+(3) through K^-1, the inverse the reduction formed or one formed anew.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ def residual_rhat(bm, b0, bp, x):
 
 @dataclasses.dataclass(frozen=True)
 class CrOutcome:
-    """Cyclic-reduction result with its convergence record."""
+    """Cyclic-reduction result, its convergence record and Dh^-1 (K^-1)."""
 
     g: np.ndarray
+    dh_inv: np.ndarray
     iterations: int
     converged: bool
     residual: float
@@ -83,7 +84,7 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     Sweeps L <- -L D^-1 L, U <- -U D^-1 U, D <- D - L D^-1 U - U D^-1 L
     until min(||L||, ||U||) <= tol (the off-term that dies decides which
     splitting side converged). Dh <- Dh - U D^-1 L tends to K = B_0 + B_1 G
-    and gives G = -Dh^-1 B_-1.
+    and gives G = -Dh^-1 B_-1; `dh_inv` keeps Dh^-1 for R = -B_1 K^-1.
 
     G is accepted whenever its equation residual is at most res_tol
     (default max(tol, 1e-12)), converged or not; otherwise
@@ -124,24 +125,21 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
         last = min_norm()
     blocks = [np.asarray(b, float) for b in (b_minus, b_zero, b_plus)]
     bound = res_tol if res_tol is not None else max(tol, 1e-12)
-    g = -kernel.solve_linear(diag_hat, blocks[0])
+    dh_inv = kernel.inverse(diag_hat)
+    g = -(dh_inv @ blocks[0])
     res = residual_g(*blocks, g)
     if res > bound:
         raise kernel.ConvergenceError(
             f"cyclic reduction stalled after {k} sweeps (residual {res:.3e} > {bound:.1e})",
             iterations=k, residual=res, solution=g)
     rate = (last / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
-    return CrOutcome(
-        g=g,
-        iterations=k,
-        converged=last <= tol,
-        residual=res,
-        rate_estimate=float(rate),
-    )
+    return CrOutcome(g=g, dh_inv=dh_inv, iterations=k, converged=last <= tol, residual=res,
+                     rate_estimate=float(rate))
 
 
-def derive_r_k(b_zero, b_plus, g, nonneg=True):
-    """K = B_0 + B_1 G and R = -B_1 K^-1 from a solved G.
+def derive_r_k(b_zero, b_plus, g, nonneg=True, k_inv=None):
+    """K = B_0 + B_1 G and R = -B_1 K^-1 refined once, R + (-B_1 - R K) K^-1,
+    from a solved G; `k_inv` is K^-1 if the caller has it (CrOutcome.dh_inv).
 
     With nonneg=True (original, unshifted problems) entries of R below
     -NEG_CLAMP raise and round-off negatives are clamped to zero; shifted
@@ -150,14 +148,16 @@ def derive_r_k(b_zero, b_plus, g, nonneg=True):
     """
     b0 = np.asarray(b_zero, dtype=float)
     bp = np.asarray(b_plus, dtype=float)
+    k = b0 + bp @ g
     try:
-        k = b0 + bp @ g
-        r = -kernel.solve_linear(k.T, bp.T).T
+        k_inv = kernel.inverse(k) if k_inv is None else k_inv
     except kernel.SingularMatrixError as exc:
         raise kernel.SingularMatrixError(
             "K = B_0 + B_1 G is singular: G does not solve the equation "
             "(for a valid QBD, -K is a nonsingular M-matrix)"
         ) from exc
+    r = -(bp @ k_inv)
+    r = r + (-bp - r @ k) @ k_inv
     if nonneg:
         if np.min(r) < -NEG_CLAMP:
             raise ValueError(f"R has an entry below -{NEG_CLAMP:g}: {np.min(r):.3e}")

@@ -207,7 +207,8 @@ def product_factorization_residual(b_minus, b_zero, b_plus, left, middle, right,
 def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
     """The cyclic-reduction sweep with each of its four triple products
     formed on its own, eight matrix products per sweep, and the package's
-    pivot inverse; returns (G, sweeps)."""
+    pivot inverse; G is solved with the refined inverse of Dh, as the
+    package solves it; returns (G, sweeps)."""
     from qbdshift import kernel
 
     low, diag, up = (np.array(x, dtype=float) for x in (b_minus, b_zero, b_plus))
@@ -224,7 +225,7 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
         diag = diag - lxu - uxl
         diag_hat = diag_hat - uxl
         k += 1
-    return -kernel.solve_linear(diag_hat, np.asarray(b_minus, dtype=float)), k
+    return -(kernel.inverse(diag_hat) @ np.asarray(b_minus, dtype=float)), k
 
 
 def qz_roots(poly):

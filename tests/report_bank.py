@@ -18,10 +18,11 @@ for example of a commit and of its parent. The script
    model, and then the benchmark's solution operation,
    `shift.reference_solution(triple, model.classify(triple))`, in one fresh
    interpreter per side with one BLAS thread;
-3. prints the differences in exit code and stderr, in report fields other
-   than `timing`, in the certificate names of each report (matched by
-   name: a name on one side only, or shared names in another order) and
-   in the status, tolerance and context of each shared name, then the
+3. prints the status differences: in exit code and stderr, in the
+   certificate names of each report (matched by name: a name on one side
+   only, or shared names in another order) and in the status and context
+   of each shared name; then the value differences: in report fields
+   other than `timing` and in the tolerance of each shared name; then the
    number of certificate residuals that moved, the largest relative move
    and the largest move as a fraction of the certificate's tolerance, and
    then, per model, each residual that moved with its relative move.
@@ -207,8 +208,10 @@ def as_schema3(report):
     return report
 
 
-def compare_reports(name, old, new, diffs):
-    """Append field and certificate differences; return the residual moves
+def compare_reports(name, old, new, statuses, values):
+    """Append certificate name, order, status and context differences to
+    `statuses`, field and tolerance differences to `values`; return the
+    residual moves
     as (relative move, move over tolerance, model, certificate name), the
     second None without a positive finite tolerance."""
     moves = []
@@ -216,21 +219,22 @@ def compare_reports(name, old, new, diffs):
     for key in sorted((set(old) | set(new)) - {"timing"}):
         if canonical(old.get(key)) != canonical(new.get(key)):
             changes = field_changes(old.get(key), new.get(key), key)
-            diffs.append(f"{name}: field {key!r} differs"
+            values.append(f"{name}: field {key!r} differs"
                          + "".join(f"; {c}" for c in changes))
     old_by_name = {c["name"]: c for c in old_certs}
     new_by_name = {c["name"]: c for c in new_certs}
     for cert in old_certs + new_certs:
         if (cert["name"] in old_by_name) != (cert["name"] in new_by_name):
             side = "parent" if cert["name"] in old_by_name else "change"
-            diffs.append(f"{name}: {cert['name']} ({cert['status']}) only in {side}")
+            statuses.append(f"{name}: {cert['name']} ({cert['status']}) only in {side}")
     shared = [n for n in old_by_name if n in new_by_name]
     if shared != [n for n in new_by_name if n in old_by_name]:
-        diffs.append(f"{name}: certificates shared by both sides come in another order")
+        statuses.append(f"{name}: certificates shared by both sides come in another order")
     for a, b in ((old_by_name[n], new_by_name[n]) for n in shared):
         for key in ("name", "status", "tolerance", "context"):
             if canonical(a[key]) != canonical(b[key]):
-                diffs.append(f"{name}: {a['name']} {key} {a[key]!r} -> {b[key]!r}")
+                (values if key == "tolerance" else statuses).append(
+                    f"{name}: {a['name']} {key} {a[key]!r} -> {b[key]!r}")
         ra, rb, tol = a["residual"], b["residual"], a["tolerance"]
         if canonical(ra) != canonical(rb):
             if ra is None or rb is None:
@@ -303,15 +307,15 @@ def main(argv):
             line for name in sorted(old_side["solution"])
             for line in compare_solutions(name, old_side["solution"][name],
                                           new_side["solution"][name], old_dir, new_dir)]
-        diffs, moves = [], []
+        statuses, values, moves = [], [], []
         certificates = dropped_direct = 0
         for name in sorted(old):
             if old[name] != new[name]:
-                diffs.append(f"{name}: exit {old[name]['code']} {old[name]['stderr']!r} "
+                statuses.append(f"{name}: exit {old[name]['code']} {old[name]['stderr']!r} "
                              f"-> {new[name]['code']} {new[name]['stderr']!r}")
             paths = [d / f"{name}.json" for d in (old_dir, new_dir)]
             if paths[0].is_file() != paths[1].is_file():
-                diffs.append(f"{name}: a report is written on one side only")
+                statuses.append(f"{name}: a report is written on one side only")
             elif paths[0].is_file():
                 a, b = (as_schema3(json.loads(p.read_text(encoding="utf-8")))
                         for p in paths)
@@ -319,7 +323,7 @@ def main(argv):
                     del a["direct"]
                     dropped_direct += 1
                 certificates += len(a.get("certificates", []))
-                moves += compare_reports(name, a, b, diffs)
+                moves += compare_reports(name, a, b, statuses, values)
     codes = {}
     for outcome in old.values():
         codes[outcome["code"]] = codes.get(outcome["code"], 0) + 1
@@ -328,9 +332,12 @@ def main(argv):
     if dropped_direct:
         print(f"{dropped_direct} parent reports have a `direct` block the change does "
               "not write (not compared)")
-    print(f"{len(diffs)} differences in exit code, stderr, report fields or "
-          f"certificate name, status, tolerance or context")
-    for line in grouped(diffs):
+    print(f"{len(statuses)} status differences in exit code, stderr or certificate "
+          "name, status or context")
+    for line in grouped(statuses):
+        print("  " + line)
+    print(f"{len(values)} value differences in report fields or certificate tolerances")
+    for line in grouped(values):
         print("  " + line)
     print(f"{len(moves)} of {certificates} certificate residuals moved", end="")
     if moves:
@@ -352,7 +359,7 @@ def main(argv):
           f"shift.reference_solution (parent raised on {raised} models)")
     for line in solution_diffs:
         print("  " + line)
-    return 1 if diffs or moves or solution_diffs else 0
+    return 1 if statuses or values or moves or solution_diffs else 0
 
 
 if __name__ == "__main__":

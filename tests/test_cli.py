@@ -529,6 +529,53 @@ class TestMain:
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert counts == expected
 
+    @pytest.mark.parametrize("kind, beyond_sweeps, bordered", [
+        ("positive", 9, 6), ("transient", 9, 6), ("null", 6, 5),
+    ])
+    def test_factorizations_per_certified_solve(self, monkeypatch, kind, beyond_sweeps,
+                                                bordered):
+        # every LU factorization of a certified solve is an inverse or a
+        # bordered Perron solve. Beyond one inverse per cyclic-reduction
+        # sweep: one Dh^-1 per cyclic reduction (4), which also gives R of
+        # its route, K^-1 and Khat^-1, and off null recurrence W^-1 and the
+        # W_s^-1 of the right and left hat transports. Bordered solves:
+        # theta in classify, the vector at the non-unit root, and the four
+        # solution-side vectors
+        from qbdshift import solvers
+
+        calls = {"inv": 0, "solve": 0}
+        sweeps = []
+        cyclic_reduction = solvers.cyclic_reduction
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def counted_cr(*args, **kwargs):
+            out = cyclic_reduction(*args, **kwargs)
+            sweeps.append(out.iterations)
+            return out
+
+        triple, meta = cli.generate(kind, 16, 1)
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(solvers, "cyclic_reduction", counted_cr)
+        cli.solve_report(triple, meta)
+        assert len(sweeps) == 4
+        assert calls == {"inv": sum(sweeps) + beyond_sweeps, "solve": bordered}
+
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_eq_certificates_equal_the_solution_residuals(self, kind):
+        # the eq:* certificates measure the set's matrices themselves and
+        # read, bit for bit, the residuals the report's solution block shows
+        for n in (1, 4, 16):
+            report = cli.solve_report(*cli.generate(kind, n, 2))
+            certs = {c["name"]: c["residual"] for c in report["certificates"]}
+            for name, residual in report["solution"]["residuals"].items():
+                assert certs[f"eq:{name}"] == residual
+
     @pytest.mark.parametrize("kind, gamma, route", [
         ("positive", 0.5, "right"), ("transient", 0.5, "left"),
         ("positive", 1e-5, "right"), ("transient", 1e-5, "left"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import solve_kind
@@ -10,12 +11,15 @@ from qbdshift import (
     classify,
     complete_perron_data,
     kernel,
+    matched_transform,
     perron_data,
     recover_gr,
     reference_solution,
+    shift_routes,
     shifted_gr,
     shifted_hats_nonnull,
     shifted_hats_nullrec,
+    solve_via,
 )
 from qbdshift import cli, solvers
 
@@ -117,6 +121,56 @@ class TestBuildDouble:
         t = build_transform(n2, cls, pd, "double")
         expected = oracles.surgery_expected(oracles.qz_roots(n2.poly), t)
         assert oracles.multiset_distance(oracles.qz_roots(t.shifted.poly), expected) <= 1e-7
+
+
+def dense_blocks(model, t):
+    """The shifted triple of `t` by the dense projector products: A_-1 (I
+    - Q), A_0 + xi_n A_1 Q + xi_{n+1}^-1 S A_-1 (- xi_{n+1}^-1 S A_-1 Q
+    for the double shift), (I - S) A_1."""
+    eye = np.eye(model.n)
+    a_minus, a_zero, a_plus = model.a_minus, model.a_zero, model.a_plus
+    if t.q is not None:
+        a_minus = model.a_minus @ (eye - t.q)
+        a_zero = a_zero + t.xi_n * model.a_plus @ t.q
+    if t.s is not None:
+        a_zero = a_zero + (1.0 / t.xi_n1) * t.s @ model.a_minus
+        a_plus = (eye - t.s) @ model.a_plus
+    if t.q is not None and t.s is not None:
+        a_zero = a_zero - (1.0 / t.xi_n1) * t.s @ model.a_minus @ t.q
+    return a_minus, a_zero, a_plus
+
+
+def drawn_model(source, seed, n, gamma):
+    from test_verify import TestPatternedInstances
+
+    if source in ("patterned", "null_patterned"):
+        return getattr(TestPatternedInstances, source)(seed)
+    return cli.generate(source, n, seed, gamma=gamma)[0]
+
+
+class TestRankOneBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["positive", "null", "transient", "patterned", "null_patterned"]),
+           st.integers(0, 2**16), st.integers(1, 8), st.sampled_from([0.5, 1e-4, 1e-8]),
+           st.sampled_from(list(ShiftKind)), st.booleans())
+    def test_blocks_match_dense_projector_products(self, source, seed, n, gamma, kind,
+                                                    free):
+        # each shifted block is its block plus a rank-one update; it agrees
+        # with the dense products of the shift formulas to a few eps of the
+        # larger of the block's norm and the original block's
+        model = drawn_model(source, seed, n, gamma)
+        cls, pd = prepared(model)
+        v = w = None
+        if free:
+            rng = np.random.default_rng(seed)
+            v, w = rng.uniform(0.1, 1.0, model.n), rng.uniform(0.1, 1.0, model.n)
+        t = build_transform(model, cls, pd, kind, v=v, w=w)
+        eps = np.finfo(float).eps
+        for got, want, block in zip(
+                (t.shifted.a_minus, t.shifted.a_zero, t.shifted.a_plus),
+                dense_blocks(model, t), (model.a_minus, model.a_zero, model.a_plus)):
+            scale = max(kernel.inf_norm(want), kernel.inf_norm(block))
+            assert kernel.inf_norm(got - want) <= 8 * eps * scale
 
 
 class TestShiftedAndRecover:
@@ -351,6 +405,25 @@ class TestRoundTripsAndSurgery:
             sh = route.transform.shifted
             r_s, _ = solvers.derive_r_k(sh.b_zero(), sh.a_plus, route.cr.g, nonneg=False)
             assert kernel.spectral_radius(r_s) < 1.0 - 1e-6
+
+
+class TestOneInversePerRoute:
+    def test_dh_inverse_inverts_k_s(self, small_bank):
+        # R_s reads K_s^-1 from the cyclic reduction's Dh^-1: on every route
+        # of a certified solve, and the reversed model's, Dh^-1 inverts
+        # K_s = B_0 + B_1 G_s to round-off
+        for rows in small_bank.values():
+            for model, cls in rows:
+                sol = reference_solution(model, cls)
+                pd = complete_perron_data(perron_data(model, cls), sol)
+                rev = model.reversed()
+                routes = [*shift_routes(model, cls, pd)[1].values(),
+                          solve_via(rev, matched_transform(rev, cls.reversed()))]
+                eye = np.eye(model.n)
+                for route in routes:
+                    sh = route.transform.shifted
+                    k_s = sh.b_zero() + sh.a_plus @ route.cr.g
+                    assert kernel.inf_norm(eye - route.cr.dh_inv @ k_s) <= 1e-13
 
 
 class TestReferenceSolution:
