@@ -11,13 +11,10 @@ from .kernel import (
     SingularMatrixError,
     inverse,
     perron,
-    solve_linear,
     spectral_radius,
     stein_solve,
 )
 from .matpoly import (
-    Factorization,
-    QuadMatPoly,
     RootSet,
     factorization_residual,
 )

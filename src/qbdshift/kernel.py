@@ -1,8 +1,8 @@
-"""Dense real-matrix primitives: norms, the inverse and linear solves
-with one condition test, spectral radius (power iteration with a
-Collatz-Wielandt stop and a stall rule, a dense eigensolve as fallback),
-Perron vectors at a known root (one bordered solve), irreducibility
-(boolean reachability), Stein equation (Smith doubling).
+"""Dense real-matrix primitives: norms, the inverse with one condition
+test, spectral radius (power iteration with a Collatz-Wielandt stop and a
+stall rule, a dense eigensolve as fallback), Perron vectors at a known
+root (one bordered solve), irreducibility (boolean reachability), Stein
+equation (Smith doubling).
 
 The power iteration runs on a + cI, c a quarter of a's largest row sum.
 Any c > 0 makes a + cI aperiodic, so the iteration converges on periodic
@@ -30,7 +30,6 @@ __all__ = [
     "inverse",
     "is_irreducible",
     "perron",
-    "solve_linear",
     "spectral_radius",
     "stein_solve",
 ]
@@ -189,14 +188,9 @@ def _gesv(solve, a, *rhs):
         raise SingularMatrixError("matrix is exactly singular") from None
 
 
-def _condition_test(a, inv):
-    if inf_norm(a) * inf_norm(inv) > 1.0 / PIVOT_RTOL:
-        raise SingularMatrixError("matrix is numerically singular")
-
-
 def inverse(m):
     """M^-1 by LU with partial pivoting plus one refinement step: the one
-    way the package forms an inverse. np.linalg.inv runs the gesv of
+    way the package forms a real inverse. np.linalg.inv runs the gesv of
     np.linalg.solve(M, I) and gives the same bits.
 
     Raises SingularMatrixError when a pivot is exactly zero or
@@ -204,31 +198,9 @@ def inverse(m):
     """
     a = as_square(m, "M")
     inv = _gesv(np.linalg.inv, a)
-    _condition_test(a, inv)
+    if inf_norm(a) * inf_norm(inv) > 1.0 / PIVOT_RTOL:
+        raise SingularMatrixError("matrix is numerically singular")
     return inv + inv @ (np.eye(a.shape[0]) - a @ inv)
-
-
-def solve_linear(m, b):
-    """Solve M X = B by LU with partial pivoting plus one refinement step:
-    one gesv on [B, I] gives X and the M^-1 that the condition test and
-    the refinement use. For M^-1 itself use `inverse`.
-
-    Raises SingularMatrixError when a pivot is exactly zero or
-    ||M||_inf ||M^-1||_inf exceeds 1/PIVOT_RTOL.
-    """
-    a = as_square(m, "M")
-    rhs = np.asarray(b, dtype=float)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError("B is not conformal with M")
-    k = rhs.shape[1]
-    out = _gesv(np.linalg.solve, a, np.hstack([rhs, np.eye(a.shape[0])]))
-    x, inv = out[:, :k], out[:, k:]
-    _condition_test(a, inv)
-    x = x + inv @ (rhs - a @ x)
-    return x[:, 0] if squeeze else x
 
 
 def _reaches_all(pattern):

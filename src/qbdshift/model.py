@@ -4,20 +4,21 @@ shift, and the Perron vector registry.
 
 A level transition is described by three nonnegative n x n blocks
 A_-1, A_0, A_1 (one level down, same level, one level up) whose sum is
-stochastic and irreducible.
+stochastic and irreducible. The triple is also the matrix polynomial
+B(z) = A_-1 + z (A_0 - I) + z^2 A_1 of the paper; its reversal (A_1, A_0,
+A_-1) has z^2 B(1/z), which carries the factorizations in z^-1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 import typing
 
 import numpy as np
 
-from . import kernel, matpoly
+from . import kernel
 
 if typing.TYPE_CHECKING:
     from .shift import ShiftRoute
@@ -36,6 +37,8 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 NULL_DRIFT_TOL = 1e-12
+# validate refuses B(z) when it is numerically singular at all of these
+_DET_PROBE_POINTS = (0.83 + 0.41j, -0.52 + 0.77j, 1.31 - 0.23j)
 
 
 class ValidationError(ValueError):
@@ -65,10 +68,10 @@ class QbdTriple:
     def b_zero(self):
         return self.a_zero - np.eye(self.n)
 
-    @functools.cached_property
-    def poly(self):
-        """B(z) = A_-1 + z (A_0 - I) + z^2 A_1, built once per triple."""
-        return matpoly.QuadMatPoly.from_triple(self.a_minus, self.a_zero, self.a_plus)
+    def b_of(self, z):
+        """B(z) = A_-1 + z B_0 + z^2 A_1, the matrix polynomial of the
+        triple; phi(z) = z^-1 B(z)."""
+        return self.a_minus + z * self.b_zero() + z * z * self.a_plus
 
     def reversed(self):
         """The triple (A_1, A_0, A_-1); the minimal solutions of its
@@ -78,12 +81,16 @@ class QbdTriple:
 
 def validate(a_minus, a_zero, a_plus):
     """Check nonnegativity, that some level transition exists,
-    stochasticity of the sum, and irreducibility.
+    stochasticity of the sum, irreducibility, and that det B(z) does not
+    vanish identically.
 
     A_-1 = A_1 = 0 is refused: the levels never communicate, and det B(z)
-    = z^n det(A_0 - I) vanishes identically. No roots are computed here:
-    the spectra of a solution set warn when B(z) has unit-circle roots
-    away from z = 1.
+    = z^n det(A_0 - I) vanishes identically. Any other B(z) is refused
+    when it is numerically singular at each of _DET_PROBE_POINTS by the
+    test of kernel.inverse: an exactly zero pivot, or ||B||_inf
+    ||B^-1||_inf above 1/PIVOT_RTOL. A valid model stops at the first
+    point. No roots are computed here: the spectra of a solution set warn
+    when B(z) has unit-circle roots away from z = 1.
     """
     blocks = []
     for name, raw in (("a_minus", a_minus), ("a_zero", a_zero), ("a_plus", a_plus)):
@@ -110,7 +117,21 @@ def validate(a_minus, a_zero, a_plus):
         )
     if not kernel.is_irreducible(a_m + a_0 + a_p):
         raise ValidationError("A_-1 + A_0 + A_1 is reducible")
-    return QbdTriple(n=n, a_minus=a_m, a_zero=a_0, a_plus=a_p)
+    triple = QbdTriple(n=n, a_minus=a_m, a_zero=a_0, a_plus=a_p)
+    if not any(_regular_at(triple.b_of(z)) for z in _DET_PROBE_POINTS):
+        raise ValidationError("det B(z) vanishes identically: B(z) is numerically "
+                              "singular at every probe point")
+    return triple
+
+
+def _regular_at(b):
+    """False when the complex matrix `b` is singular by the test of
+    kernel.inverse (which casts to float, so numpy's inverse serves)."""
+    try:
+        inv = np.linalg.inv(b)
+    except np.linalg.LinAlgError:
+        return False
+    return kernel.inf_norm(b) * kernel.inf_norm(inv) <= 1.0 / kernel.PIVOT_RTOL
 
 
 class Kind(str, enum.Enum):

@@ -125,10 +125,9 @@ def build_transform(model, cls, perron, kind, v=None, w=None):
                 f"{gap:.3e}: wrong Perron data for this model"
             )
         a_zero = a_zero - cross_down * wv
+    # not validated: {kind}:det-identity certifies det B_s(z) against det
+    # B(z), and cyclic reduction refuses non-finite blocks
     shifted = model_mod.QbdTriple(model.n, a_minus, a_zero, a_plus)
-    # building B_s(z) runs the relaxed validity check (finite entries,
-    # det B_s(z) not identically zero); the polynomial is kept for reuse
-    shifted.poly
     return ShiftTransform(
         kind=kind, q=q, s=s, xi_n=cls.xi_n, xi_n1=cls.xi_n1,
         v=v if q is not None else None, w=w if s is not None else None,

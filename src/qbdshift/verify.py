@@ -171,9 +171,9 @@ def _det_identity_cert(model, transform, xi_amp, defects):
     if transform.s is not None:
         left = [-transform.xi_n1, eye - transform.s]
         moved = _product(moved, [-transform.xi_n1, 1.0])
-    poly, poly_s = model.poly, transform.shifted.poly
-    kept = _product(_product(left, [poly.b_minus, poly.b_zero, poly.b_plus]), right)
-    shifted = _product(moved, [poly_s.b_minus, poly_s.b_zero, poly_s.b_plus])
+    b, b_s = ([t.a_minus, t.b_zero(), t.a_plus] for t in (model, transform.shifted))
+    kept = _product(_product(left, b), right)
+    shifted = _product(moved, b_s)
     gap = sum(np.abs(a - b) for a, b in zip(kept, shifted))
     scale = sum(np.abs(a) + np.abs(b) for a, b in zip(kept, shifted))
     return _cert(f"{transform.kind.value}:det-identity",
@@ -190,7 +190,7 @@ def _factor_roots_cert(model, sol):
     det_k = np.linalg.det(sol.k)
     worst = 0.0
     for z in ROOT_POINTS:
-        db = model.poly.det_b(z)
+        db = complex(np.linalg.det(model.b_of(z)))
         rhs = det_k * np.prod(z - eig_g) * np.prod(1.0 - z * eig_r)
         worst = max(worst, abs(db - rhs) / (abs(db) + abs(rhs) + 1e-300))
     return _cert("spec:eig(G)+1/eig(R)=roots(B)", worst, ROOT_MATCH_TOL)
@@ -242,10 +242,10 @@ def _base_certs(model, cls, sol, perron):
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
     )
     certs.append(_factor_roots_cert(model, sol))
-    for name, fact in (("factor:phi", matpoly.Factorization("z", r, k, g)),
-                       ("factor:phi-reversed",
-                        matpoly.Factorization("z_inverse", rhat, khat, ghat))):
-        residual = matpoly.factorization_residual(model.poly, fact)
+    for name, triple, factors in (("factor:phi", model, (r, k, g)),
+                                  ("factor:phi-reversed", model.reversed(),
+                                   (rhat, khat, ghat))):
+        residual = matpoly.factorization_residual(triple, *factors)
         certs.append(_cert(name, residual, FACTOR_TOL))
     try:
         w = sol.w
@@ -321,8 +321,7 @@ def _transform_certs(model, cls, sol, perron, transform, route):
         _det_identity_cert(model, transform, xi_amp, defects.values()),
         _cert(
             f"{kind}:factor:phi_s",
-            matpoly.factorization_residual(shifted.poly,
-                                           matpoly.Factorization("z", r_s, k_s, g_s)),
+            matpoly.factorization_residual(shifted, r_s, k_s, g_s),
             max(FACTOR_TOL, xi_amp),
         ),
     ]
@@ -394,9 +393,8 @@ def _hat_certs(sol, perron, transform, null, xi_amp):
     certs.append(
         _cert(
             f"{kind}:factor:phi_s-reversed",
-            matpoly.factorization_residual(
-                shifted.poly,
-                matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat)),
+            matpoly.factorization_residual(shifted.reversed(), hats.rhat, hats.khat,
+                                           hats.ghat),
             factor_tol,
         )
     )

@@ -11,11 +11,14 @@ The script starts one worker process per tree, each with one BLAS thread
 and its own copy of the workload's model files. Each worker runs one
 untimed round, then the two take turns: one round in one worker, then one
 in the other, the parent first in even rounds and the change first in odd
-ones. A round is a benchmark round: per model one certified solve
+ones. A round is a benchmark round plus reads: per model one read
+(`cli.read_model(MODEL)`: parsing and `model.validate`, the work the
+benchmark's `setup_s` does per model file), one certified solve
 (`cli.main(["solve", MODEL, "--json", REPORT, "--quiet"])`) and its
 solution operations (`shift.reference_solution(triple,
-model.classify(triple))`). Probes run but are not timed, and neither is an
-operation that fails; failures are counted.
+model.classify(triple))`). Reads are timed on every model; probes are
+solved but their solves are not timed, and no operation that fails is
+timed; failures are counted.
 
 Timings of one process drift with the machine's load; alternating rounds
 puts the two trees under the same drift, so their difference shows where
@@ -41,7 +44,7 @@ sys.path.insert(0, str(HERE.parent / "qbdbench"))
 
 import workloads  # noqa: E402
 
-OPS = ("solve", "solution")
+OPS = ("read", "solve", "solution")
 
 
 def worker(src, workload, seed, work):
@@ -62,6 +65,13 @@ def worker(src, workload, seed, work):
         times = {op: [] for op in OPS}
         times["failed"] = 0
         for inst, path in zip(insts, paths):
+            start = time.perf_counter()
+            try:
+                cli.read_model(path)
+            except Exception:  # a failed operation is counted, not timed
+                times["failed"] += 1
+            else:
+                times["read"].append((inst.name, time.perf_counter() - start))
             report = str(path.with_suffix(".report.json"))
             start = time.perf_counter()
             try:

@@ -215,7 +215,7 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
     diag_hat = diag.copy()
     k = 0
     while min(kernel.inf_norm(low), kernel.inf_norm(up)) > tol and k < max_iter:
-        inv = kernel.solve_linear(diag, np.eye(diag.shape[0]))
+        inv = kernel.inverse(diag)
         lxl = low @ inv @ low
         uxu = up @ inv @ up
         lxu = low @ inv @ up
@@ -228,21 +228,21 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
     return -(kernel.inverse(diag_hat) @ np.asarray(b_minus, dtype=float)), k
 
 
-def qz_roots(poly):
-    """All 2n roots of det B(z) as a RootSet, from a QZ factorization of
-    the companion pencil
+def qz_roots(triple):
+    """All 2n roots of det B(z) of a QbdTriple as a RootSet, from a QZ
+    factorization of the companion pencil
 
-        A = [[0, I], [-B_-1, -B_0]],   B = [[I, 0], [0, B_1]],
+        A = [[0, I], [-A_-1, -B_0]],   B = [[I, 0], [0, A_1]],
 
     whose generalized eigenvalues are exactly the roots; |beta| below
     1e-12 hypot(alpha, beta) flags a root at infinity."""
     from qbdshift import matpoly
 
-    n = poly.n
+    n = triple.n
     zero = np.zeros((n, n))
     eye = np.eye(n)
-    lhs = np.block([[zero, eye], [-poly.b_minus, -poly.b_zero]])
-    rhs = np.block([[eye, zero], [zero, poly.b_plus]])
+    lhs = np.block([[zero, eye], [-triple.a_minus, -triple.b_zero()]])
+    rhs = np.block([[eye, zero], [zero, triple.a_plus]])
     alpha, beta = scipy.linalg.eig(lhs, rhs, right=False, homogeneous_eigvals=True)
     at_inf = np.abs(beta) <= 1e-12 * np.hypot(np.abs(alpha), np.abs(beta))
     return matpoly.RootSet(matpoly._sorted_roots(alpha[~at_inf] / beta[~at_inf]),
@@ -463,8 +463,8 @@ def qz_surgery_distance(model, transform):
     """Root-surgery distance from QZ factorizations of the companion
     pencils: the roots of B_s(z) against the roots of B(z) with xi_n -> 0
     and/or xi_{n+1} -> inf."""
-    return multiset_distance(qz_roots(transform.shifted.poly),
-                             surgery_expected(qz_roots(model.poly), transform))
+    return multiset_distance(qz_roots(transform.shifted),
+                             surgery_expected(qz_roots(model), transform))
 
 
 def solve_linear_lu(m, b):

@@ -66,7 +66,7 @@ def phase_partition(sol, perron, rtol=ZERO_PATTERN_RTOL):
     sa = _nontrivial_block(sol.g, "G")
     u = perron.u_r
     v = perron.v_g
-    w = -kernel.solve_linear(sol.k, u)
+    w = -(sol.k_inv @ u)
     supp_u, supp_w, supp_v = _support(u, rtol), _support(w, rtol), _support(v, rtol)
     if supp_u != s1:
         raise ValueError(f"support of u_R {sorted(supp_u)} != s1 {sorted(s1)}")

@@ -166,7 +166,7 @@ def test_criterion_6_w_machinery(capsys, direct_solutions):
     for kind in ("positive", "transient"):
         for m, cls, sol in direct_solutions[kind]:
             eye = np.eye(m.n)
-            k_inv = kernel.solve_linear(sol.k, eye)
+            k_inv = sol.k_inv
             worst_identity = max(
                 worst_identity,
                 kernel.inf_norm(sol.w - sol.g @ sol.w @ sol.r - k_inv),
@@ -195,9 +195,8 @@ def test_criterion_7_sign_and_structure(capsys, direct_solutions):
             if kind == "null":
                 sol = reference_solution(m, cls)
             pd = complete_perron_data(perron_data(m, cls), sol)
-            eye = np.eye(m.n)
-            p1 = float(pd.v_g @ kernel.solve_linear(sol.k, eye) @ pd.u_r)
-            p2 = float(pd.v_ghat @ kernel.solve_linear(sol.khat, eye) @ pd.u_rhat)
+            p1 = float(pd.v_g @ sol.k_inv @ pd.u_r)
+            p2 = float(pd.v_ghat @ sol.khat_inv @ pd.u_rhat)
             worst_pairing = max(worst_pairing, p1, p2)
             try:
                 phase_partition(sol, pd)
@@ -235,8 +234,7 @@ def test_criterion_9_khat_double_discrepancy(capsys, n1):
     hats = shifted_hats_nullrec(sol, pd, transform)
     gap = kernel.inf_norm(hats.khat_rank_one - hats.khat)
     factor_residual = matpoly.factorization_residual(
-        transform.shifted.poly,
-        matpoly.Factorization("z_inverse", hats.rhat, hats.khat, hats.ghat),
+        transform.shifted.reversed(), hats.rhat, hats.khat, hats.ghat
     )
     certs = check_identity_suite(n1, cls, sol, pd, transforms_of(n1, cls, pd))
     info = [c for c in certs if c.name == "double:id:Khat_d-compact"]

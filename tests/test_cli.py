@@ -440,6 +440,16 @@ class TestMain:
         path = write_scalar_model(tmp_path, (0.5, 0.6, 0.3))
         assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
 
+    def test_alternating_chain_exit_code(self, tmp_path, capsys):
+        # A_-1 = e_2 e_1^T, A_0 = 0, A_1 = e_1 e_2^T: stochastic and
+        # irreducible, but B(z) = [[-z, z^2], [1, -z]] has det B(z) = 0 for
+        # every z: a validation error, not a solver failure
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "a_minus": [0.0, 0.0, 1.0, 0.0],
+                                    "a_zero": [0.0] * 4, "a_plus": [0.0, 1.0, 0.0, 0.0]}))
+        assert cli.main(["solve", str(path), "--quiet"]) == cli.EXIT_VALIDATION
+        assert "det B(z) vanishes identically" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_levels_that_never_communicate_exit_code(self, tmp_path, capsys, n):
         # A_-1 = A_1 = 0 with a cyclic-permutation A_0 exited 4 ("matrix is
@@ -496,8 +506,8 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind, expected", [
-        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 8}),
-        ("null", {"cyclic_reduction": 4, "perron_data": 1, "new": 6, "det_b": 8}),
+        ("positive", {"cyclic_reduction": 4, "perron_data": 1, "det_b": 8}),
+        ("null", {"cyclic_reduction": 4, "perron_data": 1, "det_b": 8}),
     ])
     def test_each_quantity_computed_once(self, tmp_path, monkeypatch, kind, expected):
         # classify makes the class-matched shifted solve (right here, double
@@ -505,9 +515,10 @@ class TestMain:
         # gives Ghat (no direct run), classify's solve is the route of its
         # kind and the other two kinds are solved once each for the route
         # and its round trip, Perron data is computed once per triple (for the
-        # certificates: no shift route reads it), each triple builds B(z)
-        # once, and det B(z) is taken once per determinant point
-        from qbdshift import matpoly, model, solvers
+        # certificates: no shift route reads it), and det B(z) is taken once
+        # per determinant point, of the model only: validate probes B(z)
+        # with an inverse, and no shifted triple is probed
+        from qbdshift import model, solvers
 
         counts = dict.fromkeys(expected, 0)
 
@@ -522,12 +533,24 @@ class TestMain:
         monkeypatch.setattr(solvers, "cyclic_reduction",
                             counting("cyclic_reduction", solvers.cyclic_reduction))
         monkeypatch.setattr(model, "perron_data", counting("perron_data", model.perron_data))
-        monkeypatch.setattr(matpoly.QuadMatPoly, "new", classmethod(
-            counting("new", matpoly.QuadMatPoly.new.__func__)))
-        monkeypatch.setattr(matpoly.QuadMatPoly, "det_b",
-                            counting("det_b", matpoly.QuadMatPoly.det_b))
+        evaluated = []
+        real_b_of, real_det = model.QbdTriple.b_of, np.linalg.det
+
+        def b_of(triple, z):
+            evaluated.append(triple)
+            return real_b_of(triple, z)
+
+        def det(a):
+            counts["det_b"] += np.iscomplexobj(a)
+            return real_det(a)
+
+        monkeypatch.setattr(model.QbdTriple, "b_of", b_of)
+        monkeypatch.setattr(np.linalg, "det", det)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
         assert counts == expected
+        # one probe of validate, then the determinant points, on one triple
+        assert len(evaluated) == 1 + expected["det_b"]
+        assert all(triple is evaluated[0] for triple in evaluated)
 
     @pytest.mark.parametrize("kind, beyond_sweeps, bordered", [
         ("positive", 9, 6), ("transient", 9, 6), ("null", 6, 5),
@@ -752,31 +775,30 @@ class TestMain:
 
     @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
     def test_det_b_only_on_the_model(self, monkeypatch, kind):
-        # the suite takes det B(z) of the model at the DET_POINT_COUNT
-        # ROOT_POINTS and no determinant of a shifted pencil: det-identity
-        # reads coefficients
-        from qbdshift import matpoly, verify
+        # the suite evaluates B(z) of the model at the DET_POINT_COUNT
+        # ROOT_POINTS and no shifted pencil: det-identity reads coefficients
+        from qbdshift import model, verify
 
         triple, _ = cli.generate(kind, 8, 1)
         cls = classify(triple)
         sol = reference_solution(triple, cls)
         perron = complete_perron_data(perron_data(triple, cls), sol)
         transforms, routes = shift_routes(triple, cls, perron)
-        polys = []
-        real = matpoly.QuadMatPoly.det_b
+        evaluated = []
+        real = model.QbdTriple.b_of
 
-        def counted(poly, z):
-            polys.append(poly)
-            return real(poly, z)
+        def counted(self, z):
+            evaluated.append(self)
+            return real(self, z)
 
-        monkeypatch.setattr(matpoly.QuadMatPoly, "det_b", counted)
+        monkeypatch.setattr(model.QbdTriple, "b_of", counted)
         check_identity_suite(triple, cls, sol, perron, transforms, routes)
-        assert len(polys) == verify.DET_POINT_COUNT == 8
-        assert all(poly is triple.poly for poly in polys)
+        assert len(evaluated) == verify.DET_POINT_COUNT == 8
+        assert all(t is triple for t in evaluated)
 
     def test_det_calls_do_not_grow_with_n(self, tmp_path, monkeypatch):
         # only the fixed-count determinant points of the tiling certificate
-        # and the singularity probes call det
+        # and det K call det
         calls = []
         real_det = np.linalg.det
 

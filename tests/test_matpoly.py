@@ -8,6 +8,7 @@ import oracles
 import test_verify
 from oracles import solve_all
 from qbdshift import (
+    QbdTriple,
     classify,
     cli,
     compute_w,
@@ -19,8 +20,14 @@ from qbdshift import (
 )
 
 
-def scalar_poly(a_minus, a_zero, a_plus):
-    return matpoly.QuadMatPoly.from_triple([[a_minus]], [[a_zero]], [[a_plus]])
+def triple_of(a_minus, a_zero, a_plus):
+    """The unvalidated triple of three equal-shape blocks."""
+    blocks = [np.array(b, dtype=float) for b in (a_minus, a_zero, a_plus)]
+    return QbdTriple(blocks[0].shape[0], *blocks)
+
+
+def scalar_triple(a_minus, a_zero, a_plus):
+    return triple_of([[a_minus]], [[a_zero]], [[a_plus]])
 
 
 def unit_circle(count):
@@ -28,44 +35,42 @@ def unit_circle(count):
     return np.exp(2j * np.pi * np.arange(count) / count)
 
 
-def rounding_allowance(poly, fact):
+def rounding_allowance(triple, factors):
     """(n + 4) eps times the largest entry of the sum of the moduli of the
     terms that either evaluation of phi - factorization forms: an allowance
     for the rounding of both, which the coefficient bound does not cover."""
-    left, middle, right = (np.abs(m) for m in (fact.left, fact.middle, fact.right))
-    terms = (np.abs(poly.b_minus) + np.abs(poly.b_zero) + np.abs(poly.b_plus) + middle
-             + left @ middle + middle @ right + left @ middle @ right)
-    return (poly.n + 4) * np.finfo(float).eps * float(terms.max())
+    left, middle, right = (np.abs(m) for m in factors)
+    terms = (np.abs(triple.a_minus) + np.abs(triple.b_zero()) + np.abs(triple.a_plus)
+             + middle + left @ middle + middle @ right + left @ middle @ right)
+    return (triple.n + 4) * np.finfo(float).eps * float(terms.max())
 
 
 class TestEvalPhi:
     # phi(z) = z^-1 B(z)
     def test_p1_vanishes_at_one(self):
-        poly = scalar_poly(*oracles.P1)
-        assert poly.eval_b(1.0)[0, 0] == pytest.approx(0.0, abs=1e-15)
+        triple = scalar_triple(*oracles.P1)
+        assert triple.b_of(1.0)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_naive_oracle(self):
-        poly = matpoly.QuadMatPoly.from_triple(*oracles.E2)
+        triple = triple_of(*oracles.E2)
         for z in (1.0, -1.0, 0.5 + 0.25j):
             np.testing.assert_allclose(
-                poly.eval_b(z) / z, oracles.naive_phi(*oracles.E2, z), atol=1e-15
+                triple.b_of(z) / z, oracles.naive_phi(*oracles.E2, z), atol=1e-15
             )
 
     def test_unit_vector_annihilated_for_qbd(self, e2, n2):
         # B(1) e = 0 because the block sum is stochastic
         for m in (e2, n2):
-            np.testing.assert_allclose(m.poly.eval_b(1.0) @ np.ones(m.n), 0.0, atol=1e-14)
+            np.testing.assert_allclose(m.b_of(1.0) @ np.ones(m.n), 0.0, atol=1e-14)
 
     def test_n1_at_minus_one(self):
-        poly = scalar_poly(*oracles.N1)
-        assert poly.eval_b(-1.0)[0, 0] / -1.0 == pytest.approx(-1.6)
+        triple = scalar_triple(*oracles.N1)
+        assert triple.b_of(-1.0)[0, 0] / -1.0 == pytest.approx(-1.6)
 
     def test_reversed_flag(self):
         # the reversed triple's polynomial is z^2 B(1/z)
         p1 = validate(*[[[x]] for x in oracles.P1])
-        assert p1.reversed().poly.eval_b(2.0)[0, 0] == pytest.approx(
-            4.0 * p1.poly.eval_b(0.5)[0, 0]
-        )
+        assert p1.reversed().b_of(2.0)[0, 0] == pytest.approx(4.0 * p1.b_of(0.5)[0, 0])
 
 
 def solved_roots(model):
@@ -125,10 +130,6 @@ class TestRoots:
         assert abs(rs.values()[1] - 1.0) <= 1e-7
         assert abs(rs.values()[2] - 1.0) <= 1e-7
 
-    def test_identically_zero_det_rejected(self):
-        with pytest.raises(ValueError):
-            matpoly.QuadMatPoly.new(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-
 
 FLIP = [[0.0, 0.5], [0.5, 0.0]]
 
@@ -167,7 +168,7 @@ class TestRootsAgainstQz:
     @pytest.mark.parametrize("family, arg", QZ_MODELS)
     def test_within_root_match_tolerance(self, family, arg):
         model = qz_model(family, arg)
-        want = oracles.qz_roots(model.poly)
+        want = oracles.qz_roots(model)
         if family == "zero-up":
             # A_1 = 0: xi_{n+1} = inf has no Perron data, so no certified
             # solve; the direct solution's spectra still give the roots
@@ -257,48 +258,51 @@ class TestHCoefficients:
         for angle in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
             z = radius * np.exp(1j * angle)
             hz = sum(z**i * h[i] for i in range(-order, order + 1))
-            residual = m.poly.eval_b(z) / z @ hz - np.eye(m.n)
+            residual = m.b_of(z) / z @ hz - np.eye(m.n)
             assert np.max(np.abs(residual)) <= 1e-8
+
+
+def factorization_residual(triple, direction, factors):
+    """The package's residual of the factorization in z (`triple`) or in
+    z^-1 (the forward one of `triple.reversed()`)."""
+    if direction == "z_inverse":
+        triple = triple.reversed()
+    return matpoly.factorization_residual(triple, *factors)
 
 
 class TestFactorizationResidual:
     def test_p1_plain(self):
-        poly = scalar_poly(*oracles.P1)
-        fact = matpoly.Factorization("z", np.array([[0.6]]), np.array([[-0.5]]), np.array([[1.0]]))
-        assert matpoly.factorization_residual(poly, fact) <= 1e-14
+        triple = scalar_triple(*oracles.P1)
+        factors = (np.array([[0.6]]), np.array([[-0.5]]), np.array([[1.0]]))
+        assert matpoly.factorization_residual(triple, *factors) <= 1e-14
 
     def test_p1_reversed(self):
-        poly = scalar_poly(*oracles.P1)
-        fact = matpoly.Factorization(
-            "z_inverse", np.array([[1.0]]), np.array([[-0.5]]), np.array([[0.6]])
-        )
-        assert matpoly.factorization_residual(poly, fact) <= 1e-14
+        triple = scalar_triple(*oracles.P1)
+        factors = (np.array([[1.0]]), np.array([[-0.5]]), np.array([[0.6]]))
+        assert matpoly.factorization_residual(triple.reversed(), *factors) <= 1e-14
 
     def test_wrong_factor_detected(self):
-        poly = scalar_poly(*oracles.P1)
-        fact = matpoly.Factorization(
-            "z", np.array([[0.6]]), np.array([[-0.5]]), np.array([[0.5]])
-        )
-        assert matpoly.factorization_residual(poly, fact) >= 0.01
+        triple = scalar_triple(*oracles.P1)
+        factors = (np.array([[0.6]]), np.array([[-0.5]]), np.array([[0.5]]))
+        assert matpoly.factorization_residual(triple, *factors) >= 0.01
 
     def test_bound_covers_the_whole_circle(self):
         # |1 + z e^{-i pi/16}| peaks at 2 at z = e^{i pi/16}, halfway between
         # two of 16 equispaced samples, where it reads 2 cos(pi/32) = 1.9952
-        poly = matpoly.QuadMatPoly(np.zeros((1, 1)), np.ones((1, 1)),
-                                   np.array([[np.exp(-1j * np.pi / 16)]]))
+        # (B_0 = A_0 - I = 1)
+        triple = QbdTriple(1, np.zeros((1, 1)), np.full((1, 1), 2.0),
+                           np.array([[np.exp(-1j * np.pi / 16)]]))
         zero = np.zeros((1, 1))
-        fact = matpoly.Factorization("z", zero, zero, zero)
-        assert matpoly.factorization_residual(poly, fact) >= 2.0
+        assert matpoly.factorization_residual(triple, zero, zero, zero) >= 2.0
 
     @staticmethod
-    def assert_sandwiched(poly, fact, slack=0.0):
+    def assert_sandwiched(triple, direction, factors, slack=0.0):
         """The bound is at least the product oracle's maximum on a
         1024-point grid of the unit circle, and at most 3 times its
         maximum at 16 points (each coefficient is a discrete Fourier
         coefficient of the 16 values), both up to `slack`."""
-        args = (poly.b_minus, poly.b_zero, poly.b_plus, fact.left, fact.middle,
-                fact.right, fact.direction)
-        got = matpoly.factorization_residual(poly, fact)
+        args = (triple.a_minus, triple.b_zero(), triple.a_plus, *factors, direction)
+        got = factorization_residual(triple, direction, factors)
         fine = oracles.product_factorization_residual(*args, unit_circle(1024))
         coarse = oracles.product_factorization_residual(*args, unit_circle(16))
         assert fine <= got * (1.0 + 4 * np.finfo(float).eps) + slack
@@ -307,7 +311,8 @@ class TestFactorizationResidual:
     @pytest.mark.parametrize("direction", ["z", "z_inverse"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_product_oracle(self, direction, seed):
-        # random blocks and factors, odd seeds with zero rows and columns
+        # random blocks and factors, odd seeds with zero rows and columns;
+        # A_0 = B_0 + I
         rng = np.random.default_rng(seed)
         n = (1, 3, 8)[seed % 3]
         b_m, b_0, b_p, left, middle, right = (
@@ -318,34 +323,27 @@ class TestFactorizationResidual:
             left[dead, :] = 0.0
             right[:, dead] = 0.0
             b_p[dead, :] = 0.0
-        self.assert_sandwiched(matpoly.QuadMatPoly(b_m, b_0, b_p),
-                               matpoly.Factorization(direction, left, middle, right))
+        self.assert_sandwiched(QbdTriple(n, b_m, b_0 + np.eye(n), b_p), direction,
+                               (left, middle, right))
 
     def test_solved_factorizations_match_oracle(self, e2):
-        # B_-1 != B_1 here, so swapping them for phi(z^-1) is observable
+        # A_-1 != A_1 here, so reversing the triple for phi(z^-1) is observable
         sol = solve_all(e2, classify(e2))
-        poly = e2.poly
+        flip = {"z": "z_inverse", "z_inverse": "z"}
         for direction, factors in (("z", (sol.r, sol.k, sol.g)),
                                    ("z_inverse", (sol.rhat, sol.khat, sol.ghat))):
-            fact = matpoly.Factorization(direction, *factors)
-            assert matpoly.factorization_residual(poly, fact) <= 1e-14
-            other = matpoly.Factorization(
-                "z" if direction == "z_inverse" else "z_inverse", *factors
-            )
-            assert matpoly.factorization_residual(poly, other) >= 0.01
+            assert factorization_residual(e2, direction, factors) <= 1e-14
+            assert factorization_residual(e2, flip[direction], factors) >= 0.01
             bumped = factors[2].copy()
             bumped[0, 1] += 1e-6
-            wrong = matpoly.Factorization(direction, factors[0], factors[1], bumped)
-            assert matpoly.factorization_residual(poly, wrong) >= 1e-8
+            wrong = (factors[0], factors[1], bumped)
+            assert factorization_residual(e2, direction, wrong) >= 1e-8
             # at round-off, or where the bound is attained (real
             # coefficients aligned at z = 1 or -1), both sides read the
             # rounding of their own products
-            for checked in (fact, other, wrong):
-                self.assert_sandwiched(poly, checked, rounding_allowance(poly, checked))
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError):
-            matpoly.Factorization("sideways", np.eye(1), np.eye(1), np.eye(1))
+            for checked, fs in ((direction, factors), (flip[direction], factors),
+                                (direction, wrong)):
+                self.assert_sandwiched(e2, checked, fs, rounding_allowance(e2, fs))
 
 
 @pytest.fixture

@@ -58,6 +58,16 @@ class TestValidate:
         with pytest.raises(ValidationError, match="empty"):
             validate(empty, empty, empty)
 
+    def test_identically_zero_det_rejected(self):
+        # the alternating chain, B(z) = [[-z, z^2], [1, -z]], and its phase
+        # permutation: det B(z) = 0 for every z, though the blocks pass
+        # every other check; at the probe points the condition number of
+        # B(z) is above 3e16 while det B(z) is round-off, about 1e-16
+        blocks = ([[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]])
+        for p in (np.eye(2), np.eye(2)[[1, 0]]):
+            with pytest.raises(ValidationError, match="vanishes identically"):
+                validate(*(p @ np.array(b) @ p.T for b in blocks))
+
 
 class TestClassify:
     def test_p1(self, p1):
@@ -83,7 +93,7 @@ class TestClassify:
             t = cls.matched.transform
             assert t.kind is ShiftKind.DOUBLE
             assert t.xi_n == t.xi_n1 == 1.0
-            values = oracles.qz_roots(m.poly).values()
+            values = oracles.qz_roots(m).values()
             assert np.abs(values[m.n - 1:m.n + 1] - 1.0).max() <= 1e-7
 
     def test_t1(self, t1):
@@ -109,7 +119,7 @@ class TestClassify:
         expected_inside = {"positive": -1, "null": -1, "transient": 0}
         for kind, rows in small_bank.items():
             for m, cls in rows:
-                mods = np.abs(oracles.qz_roots(m.poly).finite)
+                mods = np.abs(oracles.qz_roots(m).finite)
                 inside = int(np.sum(mods < 1.0 - 1e-6))
                 on = int(np.sum(np.abs(mods - 1.0) <= 1e-6))
                 assert inside == m.n + expected_inside[kind], (kind, m.n)
@@ -207,8 +217,8 @@ class TestPerronData:
         # B(xi_n) u_G = 0 and v_R^T B(xi_{n+1}) = 0
         cls = classify(e2)
         pd = perron_data(e2, cls)
-        np.testing.assert_allclose(e2.poly.eval_b(cls.xi_n) @ pd.u_g, 0.0, atol=1e-10)
-        np.testing.assert_allclose(pd.v_r @ e2.poly.eval_b(cls.xi_n1), 0.0, atol=1e-10)
+        np.testing.assert_allclose(e2.b_of(cls.xi_n) @ pd.u_g, 0.0, atol=1e-10)
+        np.testing.assert_allclose(pd.v_r @ e2.b_of(cls.xi_n1), 0.0, atol=1e-10)
 
     def test_completion_gives_solution_perron_vectors(self, e2):
         cls = classify(e2)

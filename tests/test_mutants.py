@@ -103,7 +103,7 @@ def _wrong_root(model, cls, t):
     # the root next below xi_n moved to zero in place of xi_n
     if t.q is None:
         return t
-    xi_below = oracles.qz_roots(model.poly).values()[model.n - 2]
+    xi_below = oracles.qz_roots(model).values()[model.n - 2]
     return _rebuilt(model, t, t.q, t.s, xi_n=float(xi_below.real))
 
 
