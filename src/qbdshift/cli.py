@@ -34,7 +34,7 @@ import time
 import numpy as np
 import orjson
 
-from . import kernel, matpoly, model as model_mod, shift as shift_mod, solvers, verify
+from . import kernel, model as model_mod, shift as shift_mod, solvers, verify
 
 __all__ = [
     "EXIT_CERTIFICATE",
@@ -220,7 +220,7 @@ def solve_report(triple, meta=None):
             "xi_n1": cls.xi_n1,
         },
         # eig(G) + 1/eig(R), which spec:eig(G)+1/eig(R)=roots(B) certifies
-        "roots": _roots_payload(matpoly.RootSet.from_spectra(*reference.spectra)),
+        "roots": _roots_payload(reference.roots),
         "solution": _solution_payload(reference),
         "shift_route": {
             "kind": route.transform.kind.value,

@@ -215,11 +215,12 @@ def shifted_hats_nullrec(sol, perron, transform):
     """Closed-form hat solutions for a null-recurrent shifted problem.
 
     Needs the solution-side Perron vectors (complete_perron_data). The
-    rank-one updates use u_Rhat/v_Ghat rescaled to the pairings of the
-    relevant statement: v_Ghat^T u_G = 1 (right), v_R^T u_Rhat = 1
-    (left), and v_Ghat^T Khat^-1 u_Rhat = -1 (all kinds; for the double
-    shift only the product u_Rhat v_Ghat^T is constrained, which is all
-    the formulas consume).
+    core M = u_Rhat v_Ghat^T / (-v_Ghat^T Khat^-1 u_Rhat) gives the double
+    shift's Rhat_s = Rhat + M Khat^-1, Ghat_s = Ghat + Khat^-1 M and
+    Khat_rank_one = Khat - M. A one-sided shift adds its side's term:
+    right, u_G v_bar^T to Ghat_s and -(Khat u_G) v_bar^T to Khat_rank_one
+    (v_bar = v_Ghat paired by v_bar^T u_G = 1); left, u_bar v_R^T to
+    Rhat_s and -u_bar (v_R^T Khat) to Khat_rank_one (v_R^T u_bar = 1).
     """
     if transform.xi_n != transform.xi_n1:
         raise ValueError("closed-form null-recurrent hats need xi_n = xi_{n+1}")
@@ -234,61 +235,62 @@ def shifted_hats_nullrec(sol, perron, transform):
             f"v_Ghat^T Khat^-1 u_Rhat = {pairing:.3e} is not negative: "
             "sign property violated upstream"
         )
-    kind = transform.kind
-    if kind is ShiftKind.RIGHT:
+    u_core = u_rh / (-pairing)  # M = u_core v_Ghat^T, each product in O(n^2)
+    rhat_s = sol.rhat + np.outer(u_core, v_gh @ khat_inv)
+    ghat_s = sol.ghat + np.outer(khat_inv @ u_core, v_gh)
+    khat_rank_one = sol.khat - np.outer(u_core, v_gh)
+    if transform.s is None:
         v_bar = _paired(v_gh, perron.u_g, "v_Ghat^T u_G")
-        u_bar = u_rh / (-float(v_bar @ khat_inv @ u_rh))
-        rhat_s = sol.rhat + np.outer(u_bar, v_bar) @ khat_inv
-        ghat_s = sol.ghat + np.outer(perron.u_g + khat_inv @ u_bar, v_bar)
-        khat_rank_one = sol.khat - np.outer(u_bar + sol.khat @ perron.u_g, v_bar)
-    elif kind is ShiftKind.LEFT:
+        ghat_s = ghat_s + np.outer(perron.u_g, v_bar)
+        khat_rank_one = khat_rank_one - np.outer(sol.khat @ perron.u_g, v_bar)
+    if transform.q is None:
         u_bar = _paired(u_rh, perron.v_r, "v_R^T u_Rhat")
-        v_bar = v_gh / (-float(v_gh @ khat_inv @ u_bar))
-        rhat_s = sol.rhat + np.outer(u_bar, perron.v_r + v_bar @ khat_inv)
-        ghat_s = sol.ghat + khat_inv @ np.outer(u_bar, v_bar)
-        khat_rank_one = sol.khat - np.outer(u_bar, v_bar + perron.v_r @ sol.khat)
-    else:
-        rank_one = np.outer(u_rh, v_gh) / (-pairing)
-        rhat_s = sol.rhat + rank_one @ khat_inv
-        ghat_s = sol.ghat + khat_inv @ rank_one
-        khat_rank_one = sol.khat - rank_one
+        rhat_s = rhat_s + np.outer(u_bar, perron.v_r)
+        khat_rank_one = khat_rank_one - np.outer(u_bar, perron.v_r @ sol.khat)
     return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
-def shifted_hats_nonnull(sol, transform):
-    """Hat solutions of the shifted problem through W_s.
+def _require_margin(one_minus_val, what, pick):
+    """Refuse a transport step that scales det W by 1 - val, |1 - val|
+    under ADMISSIBILITY_MARGIN."""
+    if abs(one_minus_val) < ADMISSIBILITY_MARGIN:
+        raise ValueError(
+            f"inadmissible {what} = {1.0 - one_minus_val:.12g} is within "
+            f"{ADMISSIBILITY_MARGIN:g} of 1 (pick {pick})"
+        )
 
-    Right: W_r = W - xi_n Q W R, Ghat_r = W_r R W_r^-1,
-    Rhat_r = W_r^-1 (G - xi_n Q) W_r. Left: W_l = W - xi_{n+1}^-1 G W S,
-    Ghat_l = W_l (R - xi_{n+1}^-1 S) W_l^-1, Rhat_l = W_l^-1 G W_l.
-    The free vector must keep W_s nonsingular (admissibility margins
-    xi_n v^T Ghat u_G != 1, xi_{n+1}^-1 v_R^T Rhat w != 1); the default
-    vectors satisfy them automatically. The non-null double shift's
-    transport is not implemented.
+
+def shifted_hats_nonnull(sol, transform):
+    """Hat solutions of the shifted problem through W_s: Ghat_s = W_s R_s
+    W_s^-1 and Rhat_s = W_s^-1 G_s W_s.
+
+    A right step (q) takes W_r = W - xi_n Q W R and G_r = G - xi_n Q; a
+    left step (s) then takes W_s = W_r - xi_{n+1}^-1 G_r W_r S and R_s =
+    R - xi_{n+1}^-1 S. The double shift takes both: its triple is the left
+    shift of the right-shifted one. W_s stays nonsingular when xi_n v^T
+    Ghat u_G != 1 and xi_{n+1}^-1 v_R^T Rhat_r w != 1 (the default vectors
+    satisfy both). The second is read from W_s^-1 by Sherman-Morrison: W_s
+    = W_r - a v_R^T, a = xi_{n+1}^-1 G_r W_r w, gives 1 - val = 1 / (1 +
+    v_R^T W_s^-1 a).
     """
     if sol.w is None:
         raise ValueError("W is unavailable (null recurrent input)")
-    kind = transform.kind
-    if kind is ShiftKind.DOUBLE:
-        raise ValueError("no closed-form hats for a non-null double shift")
-    if kind is ShiftKind.RIGHT:
-        val = transform.xi_n * float(transform.v @ sol.ghat @ transform.u_g)
-        if abs(1.0 - val) < ADMISSIBILITY_MARGIN:
-            raise ValueError(
-                f"inadmissible v: xi_n v^T Ghat u_G = {val:.12g} is within "
-                f"{ADMISSIBILITY_MARGIN:g} of 1 (pick v = v_Ghat)"
-            )
-        w_s = sol.w - transform.xi_n * transform.q @ sol.w @ sol.r
-    else:
-        val = float(transform.v_r @ sol.rhat @ transform.w) / transform.xi_n1
-        if abs(1.0 - val) < ADMISSIBILITY_MARGIN:
-            raise ValueError(
-                f"inadmissible w: xi_n1^-1 v_R^T Rhat w = {val:.12g} is "
-                f"within {ADMISSIBILITY_MARGIN:g} of 1 (pick w = u_Rhat)"
-            )
-        w_s = sol.w - (1.0 / transform.xi_n1) * sol.g @ sol.w @ transform.s
     g_s, r_s = _rank_one_update(sol.g, sol.r, transform, -1)
-    ghat_s, rhat_s = solvers.hats_from_w(w_s, g_s, r_s)
+    # Q = u_G v^T and S = w v_R^T: each step is a rank-one update in O(n^2)
+    w_s = sol.w
+    if transform.q is not None:
+        val = transform.xi_n * float(transform.v @ sol.ghat @ transform.u_g)
+        _require_margin(1.0 - val, "v: xi_n v^T Ghat u_G", "v = v_Ghat")
+        w_s = w_s - np.outer(transform.u_g, transform.xi_n * (transform.v @ w_s @ sol.r))
+    if transform.s is not None:
+        a = (1.0 / transform.xi_n1) * (g_s @ (w_s @ transform.w))
+        w_s = w_s - np.outer(a, transform.v_r)
+    w_inv = kernel.inverse(w_s)
+    if transform.s is not None:
+        ratio = 1.0 + float(transform.v_r @ w_inv @ a)
+        _require_margin(1.0 / ratio if ratio else np.inf,
+                        "w: xi_n1^-1 v_R^T Rhat w", "w = u_Rhat")
+    ghat_s, rhat_s = solvers.hats_from_w(w_s, g_s, r_s, w_inv)
     return _shifted_hats(transform, ghat_s, rhat_s, w=w_s)
 
 
@@ -337,7 +339,7 @@ def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER
     b0 = shifted.b_zero()
     cr = solvers.cyclic_reduction(shifted.a_minus, b0, shifted.a_plus, tol=tol,
                                   max_iter=max_iter)
-    r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, nonneg=False, k_inv=cr.dh_inv)
+    r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, k_inv=cr.dh_inv)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
     g, r, res = recover_gr(

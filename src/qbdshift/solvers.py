@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import kernel
+from . import kernel, matpoly
 
 __all__ = [
     "CrOutcome",
@@ -41,7 +41,6 @@ __all__ = [
 
 CR_TOL = 1e-14
 CR_MAX_ITER = 64
-NEG_CLAMP = 1e-12
 # A root of B(z) this close to |z| = 1, and this far from z = 1, is on the
 # unit circle away from the unit root.
 UNIT_CIRCLE_TOL = 1e-6
@@ -137,15 +136,9 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
                      rate_estimate=float(rate))
 
 
-def derive_r_k(b_zero, b_plus, g, nonneg=True, k_inv=None):
+def derive_r_k(b_zero, b_plus, g, k_inv=None):
     """K = B_0 + B_1 G and R = -B_1 K^-1 refined once, R + (-B_1 - R K) K^-1,
-    from a solved G; `k_inv` is K^-1 if the caller has it (CrOutcome.dh_inv).
-
-    With nonneg=True (original, unshifted problems) entries of R below
-    -NEG_CLAMP raise and round-off negatives are clamped to zero; shifted
-    problems pass nonneg=False since their minimal solutions may be
-    genuinely signed.
-    """
+    from a solved G; `k_inv` is K^-1 if the caller has it (CrOutcome.dh_inv)."""
     b0 = np.asarray(b_zero, dtype=float)
     bp = np.asarray(b_plus, dtype=float)
     k = b0 + bp @ g
@@ -158,10 +151,6 @@ def derive_r_k(b_zero, b_plus, g, nonneg=True, k_inv=None):
         ) from exc
     r = -(bp @ k_inv)
     r = r + (-bp - r @ k) @ k_inv
-    if nonneg:
-        if np.min(r) < -NEG_CLAMP:
-            raise ValueError(f"R has an entry below -{NEG_CLAMP:g}: {np.min(r):.3e}")
-        r = np.maximum(r, 0.0)
     return r, k
 
 
@@ -178,9 +167,9 @@ def compute_w(g, k, r, radius_product, k_inv=None):
     return kernel.stein_solve(g, r, k_inv, radius_product)
 
 
-def hats_from_w(w, g, r):
-    """(Ghat, Rhat) = (W R W^-1, W^-1 G W); raises on singular W."""
-    w_inv = kernel.inverse(w)
+def hats_from_w(w, g, r, w_inv=None):
+    """(Ghat, Rhat) = (W R W^-1, W^-1 G W), W^-1 `w_inv` if given; raises on singular W."""
+    w_inv = kernel.inverse(w) if w_inv is None else w_inv
     return w @ r @ w_inv, w_inv @ g @ w
 
 
@@ -244,20 +233,28 @@ class SolutionSet:
     @functools.cached_property
     def spectra(self):
         """(eig(G), eig(R)), one eigensolve each: the roots of B(z) and the
-        certificates that check them read the same values.
+        certificates that check them read the same values."""
+        return self._spectra_and_roots[:2]
 
-        The roots of B(z) are eig(G) together with 1/eig(R), so the first
-        read warns on unit-circle roots away from z = 1, a sign of several
-        final classes.
-        """
+    @functools.cached_property
+    def roots(self):
+        """The RootSet of B(z), eig(G) with 1/eig(R): the report's roots and
+        the unit-circle warning read the same array."""
+        return self._spectra_and_roots[2]
+
+    @functools.cached_property
+    def _spectra_and_roots(self):
+        """(eig(G), eig(R), RootSet); the first read warns on unit-circle
+        roots away from z = 1, a sign of several final classes."""
         eig_g, eig_r = np.linalg.eigvals(self.g), np.linalg.eigvals(self.r)
-        roots = np.append(eig_g, 1.0 / eig_r[eig_r != 0])
-        extra = int(np.count_nonzero((np.abs(np.abs(roots) - 1.0) <= UNIT_CIRCLE_TOL)
-                                     & (np.abs(roots - 1.0) > UNIT_CIRCLE_TOL)))
+        roots = matpoly.RootSet.from_spectra(eig_g, eig_r)
+        z = roots.finite
+        extra = int(np.count_nonzero((np.abs(np.abs(z) - 1.0) <= UNIT_CIRCLE_TOL)
+                                     & (np.abs(z - 1.0) > UNIT_CIRCLE_TOL)))
         if extra:
             warnings.warn(f"{extra} unit-circle root(s) of B(z) away from z=1: the chain "
-                          "may have more than one final class", stacklevel=3)
-        return eig_g, eig_r
+                          "may have more than one final class", stacklevel=5)
+        return eig_g, eig_r, roots
 
     @functools.cached_property
     def radii(self):

@@ -346,8 +346,7 @@ def _transform_certs(model, cls, sol, perron, transform, route):
 
 def _hat_certs(sol, perron, transform, null, xi_amp):
     """The shifted hat checks of one kind; raises where the transport is
-    unavailable (inadmissible vector, exhausted conditioning, or the
-    non-null double shift, whose transport is not implemented)."""
+    unavailable (inadmissible vector or exhausted conditioning)."""
     kind = transform.kind.value
     shifted = transform.shifted
     certs = []

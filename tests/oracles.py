@@ -354,6 +354,17 @@ def minimal_solutions_mp(model, dps=50, max_sweeps=120):
 # the double unit root.
 CR_TOL_NULL = 1e-8
 STALL_RES_TOL = 1e-10
+# R and Rhat of an unshifted problem are nonnegative: an entry below
+# -NEG_CLAMP is an error, round-off negatives above it are set to zero.
+NEG_CLAMP = 1e-12
+
+
+def clamp_nonneg(r):
+    """`r` with round-off negatives set to zero; raises ValueError on an
+    entry below -NEG_CLAMP."""
+    if np.min(r) < -NEG_CLAMP:
+        raise ValueError(f"R has an entry below -{NEG_CLAMP:g}: {np.min(r):.3e}")
+    return np.maximum(r, 0.0)
 
 
 def solve_all(model, cls=None, tol=None, max_iter=None):
@@ -382,6 +393,7 @@ def solve_all(model, cls=None, tol=None, max_iter=None):
     rev = solvers.cyclic_reduction(bp, b0, bm, **cr_args)
     r, k = solvers.derive_r_k(b0, bp, fwd.g)
     rhat, khat = solvers.derive_r_k(b0, bm, rev.g)
+    r, rhat = clamp_nonneg(r), clamp_nonneg(rhat)
     return solvers.solution_set(model, fwd.g, r, rev.g, rhat, k, khat,
                                 {"G": fwd.iterations, "Ghat": rev.iterations}, null,
                                 "direct")

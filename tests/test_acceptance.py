@@ -129,7 +129,7 @@ def test_criterion_4_factorization_certificates(capsys, subset_suites):
     _criterion(
         capsys, 4, worst <= 1e-10,
         f"{count} factorization residuals (coefficient bounds over the whole unit "
-        f"circle): worst {worst:.2e}; {na} not applicable (non-null double hats)",
+        f"circle): worst {worst:.2e}; {na} not applicable (hat transport guards)",
     )
 
 

@@ -553,7 +553,7 @@ class TestMain:
         assert all(triple is evaluated[0] for triple in evaluated)
 
     @pytest.mark.parametrize("kind, beyond_sweeps, bordered", [
-        ("positive", 9, 6), ("transient", 9, 6), ("null", 6, 5),
+        ("positive", 10, 6), ("transient", 10, 6), ("null", 6, 5),
     ])
     def test_factorizations_per_certified_solve(self, monkeypatch, kind, beyond_sweeps,
                                                 bordered):
@@ -561,7 +561,8 @@ class TestMain:
         # bordered Perron solve. Beyond one inverse per cyclic-reduction
         # sweep: one Dh^-1 per cyclic reduction (4), which also gives R of
         # its route, K^-1 and Khat^-1, and off null recurrence W^-1 and the
-        # W_s^-1 of the right and left hat transports. Bordered solves:
+        # W_s^-1 of the right, left and double hat transports (the double
+        # transport's admissibility reads its W_s^-1). Bordered solves:
         # theta in classify, the vector at the non-unit root, and the four
         # solution-side vectors
         from qbdshift import solvers

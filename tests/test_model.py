@@ -13,7 +13,6 @@ from qbdshift import (
     reference_solution,
     validate,
 )
-from qbdshift import model as model_mod
 
 # Agreement required between the splitting roots of classify and the
 # spectral radii of the reference solution.

@@ -331,13 +331,34 @@ class TestNonNullHats:
             hats.w, sol.w - cls.xi_n * t.q @ sol.w @ sol.r, atol=1e-12
         )
 
-    def test_double_unsupported(self, e2):
-        cls = classify(e2)
-        sol = solve_all(e2, cls)
-        pd = complete_perron_data(perron_data(e2, cls), sol)
-        t = build_transform(e2, cls, pd, "double")
-        with pytest.raises(ValueError, match="double"):
-            shifted_hats_nonnull(sol, t)
+    @pytest.mark.parametrize("gamma", [0.5, 1e-4])
+    def test_double_is_right_then_left_step(self, gamma):
+        # the double shift is the left shift of the right-shifted triple
+        # and the right shift of the left-shifted one: its transported hats
+        # in either order are the minimal solutions that cyclic reduction
+        # finds on the reversed double-shifted triple (separated: the moved
+        # roots sit at 0 and infinity), to ~eps ||W|| (||W|| ~ 3e4 at
+        # gamma 1e-4)
+        for kind in ("positive", "transient"):
+            m, _ = cli.generate(kind, 4, 1, gamma=gamma)
+            cls = classify(m)
+            sol = reference_solution(m, cls)
+            pd = complete_perron_data(perron_data(m, cls), sol)
+            t = build_transform(m, cls, pd, "double")
+            sh = t.shifted
+            ghat_cr = solvers.cyclic_reduction(sh.a_plus, sh.b_zero(), sh.a_minus).g
+            rhat_cr, _ = solvers.derive_r_k(sh.b_zero(), sh.a_minus, ghat_cr)
+            hats = shifted_hats_nonnull(sol, t)
+            assert hats.w is not None and hats.khat_rank_one is None
+            # left step first: W_l = W - xi_{n+1}^-1 G W S, R_l = R -
+            # xi_{n+1}^-1 S, then the right step on (W_l, G, R_l)
+            w_l = sol.w - (1.0 / t.xi_n1) * sol.g @ sol.w @ t.s
+            r_d = sol.r - (1.0 / t.xi_n1) * t.s
+            w_d = w_l - t.xi_n * t.q @ w_l @ r_d
+            ghat_lr, rhat_lr = solvers.hats_from_w(w_d, sol.g - t.xi_n * t.q, r_d)
+            for ghat, rhat in ((hats.ghat, hats.rhat), (ghat_lr, rhat_lr)):
+                assert kernel.inf_norm(ghat - ghat_cr) <= 1e-10, (kind, gamma)
+                assert kernel.inf_norm(rhat - rhat_cr) <= 1e-10, (kind, gamma)
 
     def test_inadmissible_v_detected(self):
         # needs Ghat u_G not parallel to u_G, so an asymmetric instance
@@ -356,6 +377,31 @@ class TestNonNullHats:
         t = build_transform(m, cls, pd, "right", v=v_bad)
         with pytest.raises(ValueError, match="inadmissible"):
             shifted_hats_nonnull(sol, t)
+
+    def test_inadmissible_w_of_double_detected(self):
+        # the left step's margin is read on the right-shifted problem, from
+        # the double W_s^-1 (Sherman-Morrison): craft w with v_R^T w = 1 and
+        # xi_{n+1}^-1 v_R^T Rhat_r w = 1 - 1e-10, Rhat_r = W_r^-1 G_r W_r
+        from qbdshift import validate
+
+        m = validate(
+            [[0.4, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.3, 0.2]], [[0.2, 0.1], [0.1, 0.2]]
+        )
+        cls = classify(m)
+        sol = solve_all(m, cls)
+        pd = complete_perron_data(perron_data(m, cls), sol)
+        q = build_transform(m, cls, pd, "right").q
+        w_r = sol.w - cls.xi_n * q @ sol.w @ sol.r
+        rhat_r = np.linalg.solve(w_r, (sol.g - cls.xi_n * q) @ w_r)
+        system = np.vstack([pd.v_r, pd.v_r @ rhat_r])
+        for off, admissible in ((1e-10, False), (1e-6, True)):
+            w_bad = np.linalg.solve(system, np.array([1.0, cls.xi_n1 * (1.0 - off)]))
+            t = build_transform(m, cls, pd, "double", w=w_bad)
+            if admissible:  # ill-conditioned (||Ghat_s|| ~ 1e6), not refused
+                assert shifted_hats_nonnull(sol, t).w is not None
+            else:
+                with pytest.raises(ValueError, match="inadmissible w.*0.9999999999"):
+                    shifted_hats_nonnull(sol, t)
 
     def test_solves_shifted_hat_equations(self, small_bank):
         for kind in ("positive", "transient"):
@@ -403,7 +449,7 @@ class TestRoundTripsAndSurgery:
             route = solve_kind(m, cls, ShiftKind.DOUBLE)
             assert kernel.spectral_radius(route.cr.g) < 1.0 - 1e-6
             sh = route.transform.shifted
-            r_s, _ = solvers.derive_r_k(sh.b_zero(), sh.a_plus, route.cr.g, nonneg=False)
+            r_s, _ = solvers.derive_r_k(sh.b_zero(), sh.a_plus, route.cr.g)
             assert kernel.spectral_radius(r_s) < 1.0 - 1e-6
 
 
@@ -555,16 +601,6 @@ class TestShiftedSolutionsAggregate:
         hats = shifted_hats_nonnull(sol, t)
         assert hats.w is not None and hats.khat_rank_one is None
         assert max(hats.residuals.values()) <= 1e-10
-
-    def test_nonnull_double_has_no_hat_side(self, e2):
-        cls = classify(e2)
-        sol = solve_all(e2, cls)
-        pd = complete_perron_data(perron_data(e2, cls), sol)
-        t = build_transform(e2, cls, pd, "double")
-        with pytest.raises(ValueError, match="no closed-form"):
-            shifted_hats_nonnull(sol, t)
-        g_s, _, k_s = shifted_gr(sol, t)
-        assert g_s is not None and k_s is not None
 
 
 class TestFactorizationStrength:

@@ -148,13 +148,17 @@ class TestDeriveRK:
         with pytest.raises(kernel.SingularMatrixError, match="nonsingular M-matrix"):
             derive_r_k(b0, bp, np.array([[1.0]]))
 
-    def test_negative_entries_need_optout(self):
+    def test_signed_entries_kept(self):
+        # a shifted problem's R may be genuinely signed; the nonnegativity
+        # clamp of an unshifted problem lives in the direct-solve oracle
         b0 = np.array([[-0.5]])
         bp = np.array([[-0.25]])  # signed shifted coefficient
-        r, _ = derive_r_k(b0, bp, np.zeros((1, 1)), nonneg=False)
+        r, _ = derive_r_k(b0, bp, np.zeros((1, 1)))
         assert r[0, 0] == pytest.approx(-0.5)
         with pytest.raises(ValueError, match="below"):
-            derive_r_k(b0, bp, np.zeros((1, 1)))
+            oracles.clamp_nonneg(r)
+        np.testing.assert_array_equal(oracles.clamp_nonneg(np.array([[-1e-13, 0.5]])),
+                                      [[0.0, 0.5]])
 
 
 class TestHatPair:
