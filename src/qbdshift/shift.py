@@ -159,24 +159,22 @@ def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
     column of G and a zero row of A_1 a zero row of R; the update leaves
     round-off there, and those entries are set to exact zeros.
 
-    Returns (G, R, residual), residual = max(res_G, res_R) on the original
-    equations; a residual above res_tol means the shift was built from
+    Returns (G, R, residuals), the residuals {"G": ..., "R": ...} of the
+    original equations; one above res_tol means the shift was built from
     wrong xi or Perron data.
     """
     g, r = _rank_one_update(g_shifted, r_shifted, transform, 1)
     g = np.where(model.a_minus.any(axis=0), g, 0.0)
     r = np.where(model.a_plus.any(axis=1)[:, None], r, 0.0)
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    res = max(
-        solvers.residual_g(bm, b0, bp, g),
-        solvers.residual_r(bm, b0, bp, r),
-    )
+    residuals = {"G": solvers.residual_g(bm, b0, bp, g), "R": solvers.residual_r(bm, b0, bp, r)}
+    res = max(residuals.values())
     if res > res_tol:
         raise kernel.ConvergenceError(
             f"recovered solution misses the original equations by {res:.3e}",
             residual=res,
         )
-    return g, r, res
+    return g, r, residuals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,9 +202,10 @@ def _shifted_hats(transform, ghat_s, rhat_s, **extra):
     shifted = transform.shifted
     bm, b0, bp = shifted.a_minus, shifted.b_zero(), shifted.a_plus
     khat_s = b0 + bm @ ghat_s
+    # the hat equations are (1) and (2) of the reversed triple (B_1, B_0, B_-1)
     residuals = {
-        "Ghat_s": solvers.residual_ghat(bm, b0, bp, ghat_s),
-        "Rhat_s": solvers.residual_rhat(bm, b0, bp, rhat_s),
+        "Ghat_s": solvers.residual_g(bp, b0, bm, ghat_s),
+        "Rhat_s": solvers.residual_r(bp, b0, bm, rhat_s),
     }
     return ShiftedHats(ghat=ghat_s, rhat=rhat_s, khat=khat_s, residuals=residuals, **extra)
 
@@ -250,16 +249,6 @@ def shifted_hats_nullrec(sol, perron, transform):
     return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
-def _require_margin(one_minus_val, what, pick):
-    """Refuse a transport step that scales det W by 1 - val, |1 - val|
-    under ADMISSIBILITY_MARGIN."""
-    if abs(one_minus_val) < ADMISSIBILITY_MARGIN:
-        raise ValueError(
-            f"inadmissible {what} = {1.0 - one_minus_val:.12g} is within "
-            f"{ADMISSIBILITY_MARGIN:g} of 1 (pick {pick})"
-        )
-
-
 def shifted_hats_nonnull(sol, transform):
     """Hat solutions of the shifted problem through W_s: Ghat_s = W_s R_s
     W_s^-1 and Rhat_s = W_s^-1 G_s W_s.
@@ -275,12 +264,25 @@ def shifted_hats_nonnull(sol, transform):
     """
     if sol.w is None:
         raise ValueError("W is unavailable (null recurrent input)")
+
+    def require_margin(one_minus_val, what):
+        """Refuse a step that scales det W by 1 - val, |1 - val| under
+        ADMISSIBILITY_MARGIN. With the default vectors 1 - val is the
+        relative root gap, which the message gives beside it."""
+        if abs(one_minus_val) < ADMISSIBILITY_MARGIN:
+            raise ValueError(
+                f"inadmissible {what} = {1.0 - one_minus_val:.12g}: 1 - val = "
+                f"{one_minus_val:.3g} is under the margin {ADMISSIBILITY_MARGIN:g}; "
+                f"the relative root gap 1 - xi_n/xi_(n+1) is "
+                f"{1.0 - transform.xi_n / transform.xi_n1:.3g}"
+            )
+
     g_s, r_s = _rank_one_update(sol.g, sol.r, transform, -1)
     # Q = u_G v^T and S = w v_R^T: each step is a rank-one update in O(n^2)
     w_s = sol.w
     if transform.q is not None:
         val = transform.xi_n * float(transform.v @ sol.ghat @ transform.u_g)
-        _require_margin(1.0 - val, "v: xi_n v^T Ghat u_G", "v = v_Ghat")
+        require_margin(1.0 - val, "v: xi_n v^T Ghat u_G")
         w_s = w_s - np.outer(transform.u_g, transform.xi_n * (transform.v @ w_s @ sol.r))
     if transform.s is not None:
         a = (1.0 / transform.xi_n1) * (g_s @ (w_s @ transform.w))
@@ -288,8 +290,7 @@ def shifted_hats_nonnull(sol, transform):
     w_inv = kernel.inverse(w_s)
     if transform.s is not None:
         ratio = 1.0 + float(transform.v_r @ w_inv @ a)
-        _require_margin(1.0 / ratio if ratio else np.inf,
-                        "w: xi_n1^-1 v_R^T Rhat w", "w = u_Rhat")
+        require_margin(1.0 / ratio if ratio else np.inf, "w: xi_n1^-1 v_R^T Rhat w")
     ghat_s, rhat_s = solvers.hats_from_w(w_s, g_s, r_s, w_inv)
     return _shifted_hats(transform, ghat_s, rhat_s, w=w_s)
 
@@ -298,13 +299,18 @@ def shifted_hats_nonnull(sol, transform):
 class ShiftRoute:
     """Outcome of solve shifted + recover: the transform, the shifted
     problem's cyclic reduction (cr.g is G_s), the recovered (G, R) and
-    their residual max(res_G, res_R) on the original equations."""
+    their residuals {"G": ..., "R": ...} on the original equations."""
 
     transform: ShiftTransform
     cr: solvers.CrOutcome
     g: np.ndarray
     r: np.ndarray
-    recovery_residual: float
+    residuals: dict
+
+    @property
+    def recovery_residual(self):
+        """max(res_G, res_R)."""
+        return max(self.residuals.values())
 
 
 def pick_kind(cls):
@@ -342,10 +348,10 @@ def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER
     r_s, _ = solvers.derive_r_k(b0, shifted.a_plus, cr.g, k_inv=cr.dh_inv)
     # loose solve tolerances carry into the recovered residual; the guard
     # only needs to catch wrong transforms, which miss by O(1)
-    g, r, res = recover_gr(
+    g, r, residuals = recover_gr(
         cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(transform=transform, cr=cr, g=g, r=r, recovery_residual=res)
+    return ShiftRoute(transform=transform, cr=cr, g=g, r=r, residuals=residuals)
 
 
 def shift_routes(model, cls, perron):
@@ -368,7 +374,8 @@ def reference_solution(model, cls=None):
     forward shift kind: classify's class-matched shifted solve
     (`cls.matched`) gives (G, R), and the reversed model's
     (matched_transform on the reversed classification) gives (Ghat, Rhat),
-    both at CR_TOL and CR_MAX_ITER. The shifted problems keep an open
+    both at CR_TOL and CR_MAX_ITER, with the residuals each route
+    evaluated on recovery. The shifted problems keep an open
     spectral gap in every class, so the recovered set keeps its accuracy
     as the roots coalesce, where a direct solve loses it like eps over the
     gap.
@@ -379,9 +386,11 @@ def reference_solution(model, cls=None):
     rev_model = model.reversed()
     rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
     b0 = model.b_zero()
-    k = b0 + model.a_plus @ fwd.g
-    khat = b0 + model.a_minus @ rev.g
-    return solvers.solution_set(model, fwd.g, fwd.r, rev.g, rev.r, k, khat,
-                                {"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
-                                cls.kind is model_mod.Kind.NULL_RECURRENT,
-                                fwd.transform.kind.value)
+    return solvers.SolutionSet(
+        g=fwd.g, r=fwd.r, ghat=rev.g, rhat=rev.r,
+        k=b0 + model.a_plus @ fwd.g, khat=b0 + model.a_minus @ rev.g,
+        null=cls.kind is model_mod.Kind.NULL_RECURRENT, route=fwd.transform.kind.value,
+        iterations={"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
+        # the reversed model's (1) and (2) are this model's (3) and (4)
+        residuals={**fwd.residuals, "Ghat": rev.residuals["G"], "Rhat": rev.residuals["R"]},
+    )

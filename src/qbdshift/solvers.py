@@ -10,9 +10,11 @@ For coefficients (B_-1, B_0, B_1), B_0 = A_0 - I, the equations are
 Cyclic reduction is the one solver: each sweep squares the spectral
 ratio of the splitting roots, so convergence is quadratic whenever the
 n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
-(rate 1/2) exactly at null recurrence. Equation (3) is equation (1) for
-the reversed triple (B_1, B_0, B_-1), and (2) and (4) follow from (1) and
-(3) through K^-1, the inverse the reduction formed or one formed anew.
+(rate 1/2) exactly at null recurrence. Equations (3) and (4) are
+equations (1) and (2) of the reversed triple (B_1, B_0, B_-1), so the hat
+residuals are residual_g and residual_r of the reversed triple, and (2)
+and (4) follow from (1) and (3) through K^-1, the inverse the reduction
+formed or one formed anew.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ __all__ = [
     "derive_r_k",
     "hats_from_w",
     "residual_g",
-    "residual_ghat",
     "residual_r",
-    "residual_rhat",
-    "solution_set",
 ]
 
 CR_TOL = 1e-14
@@ -54,14 +53,6 @@ def residual_g(bm, b0, bp, x):
 
 def residual_r(bm, b0, bp, x):
     return kernel.inf_norm(x @ x @ bm + x @ b0 + bp)
-
-
-def residual_ghat(bm, b0, bp, x):
-    return kernel.inf_norm(bm @ x @ x + b0 @ x + bp)
-
-
-def residual_rhat(bm, b0, bp, x):
-    return kernel.inf_norm(bm + x @ b0 + x @ x @ bp)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +170,9 @@ class SolutionSet:
 
     `null` marks a null-recurrent model, where the W series diverges.
     `route` names the route that solved the set: the kind of the forward
-    shift ("right", "left", "double") for the certified set.
+    shift ("right", "left", "double") for the certified set. `residuals`
+    are the infinity-norm residuals of the four equations ("G", "R",
+    "Ghat", "Rhat") as that route evaluated them.
     """
 
     g: np.ndarray
@@ -267,19 +260,3 @@ class SolutionSet:
         eig_g, eig_r = self.spectra
         return (float(np.max(np.abs(eig_g))), float(np.max(np.abs(eig_r))),
                 kernel.spectral_radius(self.ghat), kernel.spectral_radius(self.rhat))
-
-
-def solution_set(model, g, r, ghat, rhat, k, khat, iterations, null, route):
-    """The SolutionSet of solved (G, R, Ghat, Rhat, K, Khat), whichever
-    route solved them (named by `route`), with the infinity-norm residuals
-    of the four equations. W is not computed here: `SolutionSet.w`
-    computes it on first read."""
-    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    residuals = {
-        "G": residual_g(bm, b0, bp, g),
-        "R": residual_r(bm, b0, bp, r),
-        "Ghat": residual_ghat(bm, b0, bp, ghat),
-        "Rhat": residual_rhat(bm, b0, bp, rhat),
-    }
-    return SolutionSet(g=g, r=r, ghat=ghat, rhat=rhat, k=k, khat=khat, null=null,
-                       route=route, iterations=iterations, residuals=residuals)

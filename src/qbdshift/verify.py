@@ -204,11 +204,15 @@ W_TOL_FLOORS = {"W:stein": IDENTITY_TOL, "W:inverse-identity": IDENTITY_TOL,
 def _base_certs(model, cls, sol, perron):
     bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
     g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
+    # the residuals are evaluated from the matrices judged, not read from
+    # sol.residuals, the solver's record, which a set altered with
+    # dataclasses.replace keeps; the hat equations are (1) and (2) of the
+    # reversed triple, as the reversed route evaluated them
     certs = [
         _cert("eq:G", solvers.residual_g(bm, b0, bp, g), EQ_TOL),
         _cert("eq:R", solvers.residual_r(bm, b0, bp, r), EQ_TOL),
-        _cert("eq:Ghat", solvers.residual_ghat(bm, b0, bp, ghat), EQ_TOL),
-        _cert("eq:Rhat", solvers.residual_rhat(bm, b0, bp, rhat), EQ_TOL),
+        _cert("eq:Ghat", solvers.residual_g(bp, b0, bm, ghat), EQ_TOL),
+        _cert("eq:Rhat", solvers.residual_r(bp, b0, bm, rhat), EQ_TOL),
         _cert("id:K-forms", kernel.inf_norm(k - (b0 + r @ bm)), IDENTITY_TOL),
         _cert("id:Khat-forms", kernel.inf_norm(khat - (b0 + rhat @ bp)), IDENTITY_TOL),
         _cert("id:A1=-RK", kernel.inf_norm(bp + r @ k), IDENTITY_TOL),

@@ -394,9 +394,15 @@ def solve_all(model, cls=None, tol=None, max_iter=None):
     r, k = solvers.derive_r_k(b0, bp, fwd.g)
     rhat, khat = solvers.derive_r_k(b0, bm, rev.g)
     r, rhat = clamp_nonneg(r), clamp_nonneg(rhat)
-    return solvers.solution_set(model, fwd.g, r, rev.g, rhat, k, khat,
-                                {"G": fwd.iterations, "Ghat": rev.iterations}, null,
-                                "direct")
+    # the hat equations are (1) and (2) of the reversed triple
+    residuals = {"G": solvers.residual_g(bm, b0, bp, fwd.g),
+                 "R": solvers.residual_r(bm, b0, bp, r),
+                 "Ghat": solvers.residual_g(bp, b0, bm, rev.g),
+                 "Rhat": solvers.residual_r(bp, b0, bm, rhat)}
+    return solvers.SolutionSet(g=fwd.g, r=r, ghat=rev.g, rhat=rhat, k=k, khat=khat,
+                               null=null, route="direct",
+                               iterations={"G": fwd.iterations, "Ghat": rev.iterations},
+                               residuals=residuals)
 
 
 def chordal_distance(x, y):

@@ -732,12 +732,12 @@ class TestMain:
     def test_k_and_khat_inverted_once(self, tmp_path, monkeypatch, kind):
         # W, its Stein certificate, the sign certificate, the M-matrix
         # checks of -K and -Khat and the null hats read one inverse each
-        from qbdshift import kernel, solvers
+        from qbdshift import kernel, shift
 
         path = tmp_path / "gen.json"
         assert cli.main(["gen", kind, "-n", "8", "--seed", "1", "--out", str(path)]) == 0
         sets, inverted = [], []
-        real_set, real_inverse = solvers.solution_set, kernel.inverse
+        real_set, real_inverse = shift.reference_solution, kernel.inverse
 
         def recorded_set(*args):
             sets.append(real_set(*args))
@@ -747,7 +747,7 @@ class TestMain:
             inverted.append(np.array(m))
             return real_inverse(m)
 
-        monkeypatch.setattr(solvers, "solution_set", recorded_set)
+        monkeypatch.setattr(shift, "reference_solution", recorded_set)
         monkeypatch.setattr(kernel, "inverse", recorded_inverse)
         assert cli.main(["solve", str(path), "--quiet"]) == 0
 

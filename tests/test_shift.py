@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import solve_kind
+from conftest import solve_kind, transforms_of
 from oracles import solve_all
 from qbdshift import (
     ShiftKind,
     build_transform,
+    check_identity_suite,
     classify,
     complete_perron_data,
     kernel,
@@ -495,6 +496,26 @@ class TestReferenceSolution:
         ref = reference_solution(e2)
         assert ref.route == "right"
         assert ref.w is not None
+
+    @pytest.mark.parametrize("n", [4, 32])
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_residuals_are_the_routes(self, kind, n):
+        # the set's residuals are the ones the two routes evaluated on
+        # recovery, and the eq:* certificates evaluate theirs again with the
+        # same function on the same blocks and matrix: equal bit for bit
+        model, _ = cli.generate(kind, n, 1)
+        cls = classify(model)
+        sol = reference_solution(model, cls)
+        rev_model = model.reversed()
+        rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
+        assert sol.residuals["G"] == cls.matched.residuals["G"]
+        assert sol.residuals["R"] == cls.matched.residuals["R"]
+        assert sol.residuals["Ghat"] == rev.residuals["G"]
+        assert sol.residuals["Rhat"] == rev.residuals["R"]
+        pd = complete_perron_data(perron_data(model, cls), sol)
+        certs = check_identity_suite(model, cls, sol, pd, transforms_of(model, cls, pd))
+        eq = {c.name[3:]: c.residual for c in certs if c.name.startswith("eq:")}
+        assert eq == sol.residuals
 
     # 2 eps: the shift pair's largest entry error over G, R, Ghat and Rhat
     # on these models is at most eps (2.2e-16); the direct solve misses by
