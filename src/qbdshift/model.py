@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import typing
 
@@ -66,7 +67,14 @@ class QbdTriple:
         return self.a_minus + z * self.a_zero + z * z * self.a_plus
 
     def b_zero(self):
-        return self.a_zero - np.eye(self.n)
+        """B_0 = A_0 - I, formed on first read and kept, read-only."""
+        return self._b_zero
+
+    @functools.cached_property
+    def _b_zero(self):
+        b0 = self.a_zero - np.eye(self.n)
+        b0.flags.writeable = False
+        return b0
 
     def b_of(self, z):
         """B(z) = A_-1 + z B_0 + z^2 A_1, the matrix polynomial of the

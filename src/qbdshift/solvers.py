@@ -10,7 +10,11 @@ For coefficients (B_-1, B_0, B_1), B_0 = A_0 - I, the equations are
 Cyclic reduction is the one solver: each sweep squares the spectral
 ratio of the splitting roots, so convergence is quadratic whenever the
 n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
-(rate 1/2) exactly at null recurrence. Equations (3) and (4) are
+(rate 1/2) exactly at null recurrence. The loop stops when an off-diagonal
+block falls to the tolerance or when the next sweep provably cannot change
+a bit of Dh, the block that gives G. On a double-shifted triple both
+blocks die quadratically, and that second test saves the last sweep.
+Equations (3) and (4) are
 equations (1) and (2) of the reversed triple (B_1, B_0, B_-1), so the hat
 residuals are residual_g and residual_r of the reversed triple, and (2)
 and (4) follow from (1) and (3) through K^-1, the inverse the reduction
@@ -45,6 +49,7 @@ CR_MAX_ITER = 64
 UNIT_CIRCLE_TOL = 1e-6
 # Why a null-recurrent solution set has no W (SolutionSet.w is None).
 NULL_W_REASON = "W series diverges at null recurrence"
+_EPS = float(np.finfo(float).eps)
 
 
 def residual_g(bm, b0, bp, x):
@@ -57,7 +62,11 @@ def residual_r(bm, b0, bp, x):
 
 @dataclasses.dataclass(frozen=True)
 class CrOutcome:
-    """Cyclic-reduction result, its convergence record and Dh^-1 (K^-1)."""
+    """Cyclic-reduction result, its convergence record and Dh^-1 (K^-1).
+
+    `converged` is True when the loop stopped on either of its tests: an
+    off-diagonal block at most `tol`, or a next sweep that could not change
+    a bit of Dh; False when it ran out of `max_iter` sweeps."""
 
     g: np.ndarray
     dh_inv: np.ndarray
@@ -76,6 +85,18 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     splitting side converged). Dh <- Dh - U D^-1 L tends to K = B_0 + B_1 G
     and gives G = -Dh^-1 B_-1; `dh_inv` keeps Dh^-1 for R = -B_1 K^-1.
 
+    The loop also stops, converged, when the next sweep cannot change a
+    bit of Dh. That sweep subtracts U D^-1 L, and Neumann's bound gives
+    ||U D^-1 L|| <= ||L|| ||U|| ||X|| / (1 - theta), where X is the D^-1
+    of the sweep just made and theta = ||X|| (||L X U|| + ||U X L||) is
+    taken on that sweep's blocks. The loop stops when theta < 1/2 and the
+    bound is under eps/16 min |Dh_ij|, half of what keeps the bits of
+    every entry; the three extra norms are taken only once ||L|| ||U|| <=
+    eps. Where both blocks die, as on a double-shifted triple, this saves
+    the last sweep; where one stays of order one, as on a one-sided shift
+    at null recurrence, it never fires, nor does it on a Dh with a zero
+    entry.
+
     G is accepted whenever its equation residual is at most res_tol
     (default max(tol, 1e-12)), converged or not; otherwise
     ConvergenceError is raised with that iterate attached. Unshifted
@@ -87,12 +108,14 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
     up = kernel.as_square(b_plus, "b_plus").copy()
     diag_hat = diag.copy()
 
-    def min_norm():
-        return min(kernel.inf_norm(low), kernel.inf_norm(up))
+    def norms():
+        return kernel.inf_norm(low), kernel.inf_norm(up)
 
-    first = last = min_norm()
+    n_low, n_up = norms()
+    first = last = min(n_low, n_up)
+    settled = False
     k = 0
-    while last > tol and k < max_iter:
+    while last > tol and not settled and k < max_iter:
         try:
             inv = kernel.inverse(diag)
         except kernel.SingularMatrixError as exc:
@@ -112,7 +135,19 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
         diag = diag - lxu - uxl
         diag_hat = diag_hat - uxl
         k += 1
-        last = min_norm()
+        n_low, n_up = norms()
+        last = min(n_low, n_up)
+        # The next sweep would subtract U D^-1 L from Dh, with D = X^-1 - lxu
+        # - uxl for X = `inv`, so ||D^-1|| <= ||X|| / (1 - theta) by Neumann's
+        # bound, theta = ||X|| (||lxu|| + ||uxl||) < 1. An entry a of Dh
+        # keeps its bits under an update below eps |a| / 8; stop when the
+        # bound is under half that at the smallest entry. The scalar
+        # pre-test skips the extra norms on sweeps far from it.
+        if last > tol and n_low * n_up <= _EPS:
+            x_norm = kernel.inf_norm(inv)
+            theta = x_norm * (kernel.inf_norm(lxu) + kernel.inf_norm(uxl))
+            settled = (theta < 0.5 and n_low * n_up * x_norm / (1.0 - theta)
+                       < _EPS / 16 * abs(diag_hat).min())
     blocks = [np.asarray(b, float) for b in (b_minus, b_zero, b_plus)]
     bound = res_tol if res_tol is not None else max(tol, 1e-12)
     dh_inv = kernel.inverse(diag_hat)
@@ -123,8 +158,8 @@ def cyclic_reduction(b_minus, b_zero, b_plus, tol=CR_TOL, max_iter=CR_MAX_ITER,
             f"cyclic reduction stalled after {k} sweeps (residual {res:.3e} > {bound:.1e})",
             iterations=k, residual=res, solution=g)
     rate = (last / first) ** (1.0 / max(k, 1)) if first > 0 else 0.0
-    return CrOutcome(g=g, dh_inv=dh_inv, iterations=k, converged=last <= tol, residual=res,
-                     rate_estimate=float(rate))
+    return CrOutcome(g=g, dh_inv=dh_inv, iterations=k, converged=last <= tol or settled,
+                     residual=res, rate_estimate=float(rate))
 
 
 def derive_r_k(b_zero, b_plus, g, k_inv=None):

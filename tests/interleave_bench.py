@@ -18,16 +18,19 @@ benchmark's `setup_s` does per model file), one certified solve
 solution operations (`shift.reference_solution(triple,
 model.classify(triple))`). Reads are timed on every model; probes are
 solved but their solves are not timed, and no operation that fails is
-timed; failures are counted.
+timed; failures are counted. The worker wraps `solvers.cyclic_reduction`
+and records the sweeps (`CrOutcome.iterations`) each timed solve and
+solution makes.
 
 Timings of one process drift with the machine's load; alternating rounds
 puts the two trees under the same drift, so their difference shows where
 back-to-back runs of `qbdbench/run.py` would not. The script prints, per
 operation, the median seconds of each side over every round, the
-relative change, and in how many rounds the change's median was the
-lower; then, per operation and side, the sum over models of each model's
-fastest time in the run, which load spikes leave alone; then the failed
-operations per round of each side. pytest does not collect this file.
+relative change, in how many rounds the change's median was the lower,
+and the mean cyclic-reduction sweeps per operation of each side; then,
+per operation and side, the sum over models of each model's fastest time
+in the run, which load spikes leave alone; then the failed operations
+per round of each side. pytest does not collect this file.
 """
 
 import json
@@ -49,10 +52,20 @@ OPS = ("read", "solve", "solution")
 
 def worker(src, workload, seed, work):
     """Serve rounds on stdin: each line "round" runs one and answers with
-    one JSON line {op: [[model, seconds], ...], "failed": count}; end of
-    input stops."""
+    one JSON line {op: [[model, seconds, sweeps], ...], "failed": count};
+    end of input stops."""
     sys.path.insert(0, src)
-    from qbdshift import cli, model, shift
+    from qbdshift import cli, model, shift, solvers
+
+    sweeps = [0]
+    reduce = solvers.cyclic_reduction
+
+    def counted(*args, **kwargs):
+        out = reduce(*args, **kwargs)
+        sweeps[0] += out.iterations
+        return out
+
+    solvers.cyclic_reduction = counted
 
     insts = workloads.instances(workload, int(seed))
     paths = [Path(work) / f"{inst.name}.json" for inst in insts]
@@ -71,8 +84,9 @@ def worker(src, workload, seed, work):
             except Exception:  # a failed operation is counted, not timed
                 times["failed"] += 1
             else:
-                times["read"].append((inst.name, time.perf_counter() - start))
+                times["read"].append((inst.name, time.perf_counter() - start, 0))
             report = str(path.with_suffix(".report.json"))
+            sweeps[0] = 0
             start = time.perf_counter()
             try:
                 code = cli.main(["solve", str(path), "--json", report, "--quiet"])
@@ -81,16 +95,18 @@ def worker(src, workload, seed, work):
             elapsed = time.perf_counter() - start
             times["failed"] += code != 0
             if code == 0 and not inst.probe:
-                times["solve"].append((inst.name, elapsed))
+                times["solve"].append((inst.name, elapsed, sweeps[0]))
             for _ in range(inst.solutions):
                 triple = triples[inst.name]
+                sweeps[0] = 0
                 start = time.perf_counter()
                 try:
                     shift.reference_solution(triple, model.classify(triple))
                 except Exception:  # a failed operation is counted, not timed
                     times["failed"] += 1
                     continue
-                times["solution"].append((inst.name, time.perf_counter() - start))
+                times["solution"].append((inst.name, time.perf_counter() - start,
+                                          sweeps[0]))
         return times
 
     one_round()
@@ -136,6 +152,7 @@ def main(argv):
     failed = [0, 0]
     round_medians = [{op: [] for op in OPS} for _ in sides]
     fastest = [{op: {} for op in OPS} for _ in sides]
+    sweeps = [{op: [] for op in OPS} for _ in sides]
     with tempfile.TemporaryDirectory() as tmp:
         procs = []
         for label, src in zip(("parent", "change"), sides):
@@ -147,11 +164,12 @@ def main(argv):
                     got = run_round(procs[side])
                     failed[side] += got["failed"]
                     for op in OPS:
-                        seconds = [t for _, t in got[op]]
+                        seconds = [t for _, t, _ in got[op]]
                         times[side][op] += seconds
+                        sweeps[side][op] += [k for _, _, k in got[op]]
                         if seconds:
                             round_medians[side][op].append(statistics.median(seconds))
-                        for name, t in got[op]:
+                        for name, t, _ in got[op]:
                             best = fastest[side][op]
                             best[name] = min(t, best.get(name, t))
         finally:
@@ -159,15 +177,18 @@ def main(argv):
                 proc.stdin.close()
                 proc.wait()
     print(f"{workload} seed {seed}: {rounds} alternating rounds per side")
-    print(f"{'op':10s} {'parent':>12s} {'change':>12s} {'change':>9s}  change lower")
+    print(f"{'op':10s} {'parent':>12s} {'change':>12s} {'change':>9s}  change lower"
+          f"  CR sweeps per op")
     for op in OPS:
         if not times[0][op] or not times[1][op]:
             print(f"{op:10s} no timed operations on one side")
             continue
         old, new = (statistics.median(t[op]) for t in times)
         wins = sum(b < a for a, b in zip(round_medians[0][op], round_medians[1][op]))
+        rounds_run = min(len(round_medians[0][op]), len(round_medians[1][op]))
+        old_k, new_k = (statistics.mean(k[op]) for k in sweeps)
         print(f"{op:10s} {old * 1e3:9.3f} ms {new * 1e3:9.3f} ms {new / old - 1.0:+8.1%}  "
-              f"{wins} of {min(len(round_medians[0][op]), len(round_medians[1][op]))} rounds")
+              f"{wins} of {rounds_run} rounds  {old_k:g} -> {new_k:g}")
     print("sum over models of each model's fastest time:")
     for op in OPS:
         old, new = (sum(f[op].values()) for f in fastest)

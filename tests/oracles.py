@@ -205,10 +205,11 @@ def product_factorization_residual(b_minus, b_zero, b_plus, left, middle, right,
 
 
 def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
-    """The cyclic-reduction sweep with each of its four triple products
+    """The plain cyclic-reduction loop, which stops only on min(||L||,
+    ||U||) <= tol or `max_iter`, with each of its four triple products
     formed on its own, eight matrix products per sweep, and the package's
     pivot inverse; G is solved with the refined inverse of Dh, as the
-    package solves it; returns (G, sweeps)."""
+    package solves it; returns (G, sweeps, Dh^-1)."""
     from qbdshift import kernel
 
     low, diag, up = (np.array(x, dtype=float) for x in (b_minus, b_zero, b_plus))
@@ -225,7 +226,8 @@ def cyclic_reduction_triple_products(b_minus, b_zero, b_plus, tol, max_iter):
         diag = diag - lxu - uxl
         diag_hat = diag_hat - uxl
         k += 1
-    return -(kernel.inverse(diag_hat) @ np.asarray(b_minus, dtype=float)), k
+    dh_inv = kernel.inverse(diag_hat)
+    return -(dh_inv @ np.asarray(b_minus, dtype=float)), k, dh_inv
 
 
 def qz_roots(triple):

@@ -23,6 +23,14 @@ class TestValidate:
     def test_p1_valid(self, p1):
         assert p1.n == 1
 
+    def test_b_zero_formed_once_and_read_only(self, e2):
+        b0 = e2.b_zero()
+        assert e2.b_zero() is b0
+        assert b0.tobytes() == (e2.a_zero - np.eye(e2.n)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            b0[0, 0] = 0.0
+        assert e2.reversed().b_zero() is not b0
+
     def test_row_sum_error(self):
         with pytest.raises(ValidationError, match="stochastic"):
             validate([[0.5]], [[0.6]], [[0.3]])
