@@ -54,7 +54,6 @@ from .verify import (
     Certificate,
     check_identity_suite,
     check_mmatrix,
-    check_sign_property,
 )
 
 __version__ = "0.1.0"

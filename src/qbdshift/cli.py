@@ -193,8 +193,10 @@ def _solution_payload(sol):
         "Rhat": _packed(sol.rhat),
         "W": None if w is None else _packed(w),
         "W_reason": reason,
-        "iterations": dict(sol.iterations),
-        "residuals": {k: float(v) for k, v in sol.residuals.items()},
+        "iterations": {"G": sol.fwd.cr.iterations, "Ghat": sol.rev.cr.iterations},
+        # the reversed triple's (1) and (2) are the model's (3) and (4)
+        "residuals": {**sol.fwd.residuals, "Ghat": sol.rev.residuals["G"],
+                      "Rhat": sol.rev.residuals["R"]},
     }
 
 

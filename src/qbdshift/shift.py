@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 import numpy as np
 
@@ -149,7 +150,7 @@ def shifted_gr(sol, transform):
     """Map original (G, R, K) to the shifted problem's minimal solutions:
     G_s = G - xi_n Q (right/double), R_s = R - xi_{n+1}^-1 S (left/double),
     K_s = K for every kind."""
-    return (*_rank_one_update(sol.g, sol.r, transform, -1), sol.k)
+    return (*_rank_one_update(sol.g, sol.r, transform, -1), sol.fwd.k)
 
 
 def recover_gr(g_shifted, r_shifted, transform, model, res_tol=RECOVER_RES_TOL):
@@ -225,7 +226,7 @@ def shifted_hats_nullrec(sol, perron, transform):
         raise ValueError("closed-form null-recurrent hats need xi_n = xi_{n+1}")
     if perron.v_ghat is None or perron.u_rhat is None:
         raise ValueError("solution-side Perron vectors missing; complete them first")
-    khat_inv = sol.khat_inv
+    khat, khat_inv = sol.rev.k, sol.rev.k_inv
     v_gh = perron.v_ghat
     u_rh = perron.u_rhat
     pairing = float(v_gh @ khat_inv @ u_rh)
@@ -237,15 +238,15 @@ def shifted_hats_nullrec(sol, perron, transform):
     u_core = u_rh / (-pairing)  # M = u_core v_Ghat^T, each product in O(n^2)
     rhat_s = sol.rhat + np.outer(u_core, v_gh @ khat_inv)
     ghat_s = sol.ghat + np.outer(khat_inv @ u_core, v_gh)
-    khat_rank_one = sol.khat - np.outer(u_core, v_gh)
+    khat_rank_one = khat - np.outer(u_core, v_gh)
     if transform.s is None:
         v_bar = _paired(v_gh, perron.u_g, "v_Ghat^T u_G")
         ghat_s = ghat_s + np.outer(perron.u_g, v_bar)
-        khat_rank_one = khat_rank_one - np.outer(sol.khat @ perron.u_g, v_bar)
+        khat_rank_one = khat_rank_one - np.outer(khat @ perron.u_g, v_bar)
     if transform.q is None:
         u_bar = _paired(u_rh, perron.v_r, "v_R^T u_Rhat")
         rhat_s = rhat_s + np.outer(u_bar, perron.v_r)
-        khat_rank_one = khat_rank_one - np.outer(u_bar, perron.v_r @ sol.khat)
+        khat_rank_one = khat_rank_one - np.outer(u_bar, perron.v_r @ khat)
     return _shifted_hats(transform, ghat_s, rhat_s, khat_rank_one=khat_rank_one)
 
 
@@ -298,19 +299,29 @@ def shifted_hats_nonnull(sol, transform):
 @dataclasses.dataclass(frozen=True)
 class ShiftRoute:
     """Outcome of solve shifted + recover: the transform, the shifted
-    problem's cyclic reduction (cr.g is G_s), the recovered (G, R) and
-    their residuals {"G": ..., "R": ...} on the original equations."""
+    problem's cyclic reduction (cr.g is G_s), the recovered (G, R), K =
+    B_0 + B_1 G and the residuals {"G": ..., "R": ...} of (1) and (2) of
+    the triple solved; on the reversed triple, Ghat, Rhat and Khat."""
 
     transform: ShiftTransform
     cr: solvers.CrOutcome
     g: np.ndarray
     r: np.ndarray
+    k: np.ndarray
     residuals: dict
 
     @property
     def recovery_residual(self):
         """max(res_G, res_R)."""
         return max(self.residuals.values())
+
+    @functools.cached_property
+    def k_inv(self):
+        """K^-1, formed on first read and kept: W, its Stein certificate,
+        the sign certificate, the M-matrix check of -K and the null hats
+        read the one inverse (-K^-1 is the inverse of -K bit for bit). A
+        SingularMatrixError is raised at every read."""
+        return kernel.inverse(self.k)
 
 
 def pick_kind(cls):
@@ -351,7 +362,8 @@ def solve_via(model, transform, tol=solvers.CR_TOL, max_iter=solvers.CR_MAX_ITER
     g, r, residuals = recover_gr(
         cr.g, r_s, transform, model, res_tol=max(RECOVER_RES_TOL, 10.0 * tol)
     )
-    return ShiftRoute(transform=transform, cr=cr, g=g, r=r, residuals=residuals)
+    return ShiftRoute(transform=transform, cr=cr, g=g, r=r,
+                      k=model.b_zero() + model.a_plus @ g, residuals=residuals)
 
 
 def shift_routes(model, cls, perron):
@@ -372,25 +384,17 @@ def shift_routes(model, cls, perron):
 def reference_solution(model, cls=None):
     """The certified SolutionSet of a model, named by `sol.route` after its
     forward shift kind: classify's class-matched shifted solve
-    (`cls.matched`) gives (G, R), and the reversed model's
-    (matched_transform on the reversed classification) gives (Ghat, Rhat),
-    both at CR_TOL and CR_MAX_ITER, with the residuals each route
-    evaluated on recovery. The shifted problems keep an open
+    (`cls.matched`) is its forward route, and the reversed model's
+    (matched_transform on the reversed classification) its reversed one,
+    both at CR_TOL and CR_MAX_ITER. The shifted problems keep an open
     spectral gap in every class, so the recovered set keeps its accuracy
     as the roots coalesce, where a direct solve loses it like eps over the
     gap.
     """
     if cls is None:
         cls = model_mod.classify(model)
-    fwd = cls.matched
     rev_model = model.reversed()
     rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
-    b0 = model.b_zero()
-    return solvers.SolutionSet(
-        g=fwd.g, r=fwd.r, ghat=rev.g, rhat=rev.r,
-        k=b0 + model.a_plus @ fwd.g, khat=b0 + model.a_minus @ rev.g,
-        null=cls.kind is model_mod.Kind.NULL_RECURRENT, route=fwd.transform.kind.value,
-        iterations={"G": fwd.cr.iterations, "Ghat": rev.cr.iterations},
-        # the reversed model's (1) and (2) are this model's (3) and (4)
-        residuals={**fwd.residuals, "Ghat": rev.residuals["G"], "Rhat": rev.residuals["R"]},
-    )
+    return solvers.SolutionSet(fwd=cls.matched, rev=rev,
+                               null=cls.kind is model_mod.Kind.NULL_RECURRENT,
+                               route=cls.matched.transform.kind.value)

@@ -14,22 +14,27 @@ n-th and (n+1)-th roots of B(z) are separated, and degrades to linear
 block falls to the tolerance or when the next sweep provably cannot change
 a bit of Dh, the block that gives G. On a double-shifted triple both
 blocks die quadratically, and that second test saves the last sweep.
-Equations (3) and (4) are
-equations (1) and (2) of the reversed triple (B_1, B_0, B_-1), so the hat
-residuals are residual_g and residual_r of the reversed triple, and (2)
-and (4) follow from (1) and (3) through K^-1, the inverse the reduction
-formed or one formed anew.
+Equations (3) and (4) are equations (1) and (2) of the reversed triple
+(B_1, B_0, B_-1), so a solution set is two routes of one type, one per
+side: the hat residuals are residual_g and residual_r of the reversed
+triple, Khat is its K, and (2) and (4) follow from (1) and (3) through
+K^-1, the inverse the reduction formed or one formed anew.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
+import typing
 import warnings
 
 import numpy as np
 
 from . import kernel, matpoly
+
+if typing.TYPE_CHECKING:
+    from .shift import ShiftRoute
 
 __all__ = [
     "CrOutcome",
@@ -201,25 +206,25 @@ def hats_from_w(w, g, r, w_inv=None):
 
 @dataclasses.dataclass(frozen=True)
 class SolutionSet:
-    """Minimal solutions with their coupling factors and solve metadata.
+    """Minimal solutions of the four equations as two routes
+    (shift.ShiftRoute), with solve metadata.
 
+    `fwd` solved (1) and (2), and holds G, R, K and their residuals; `rev`
+    solved the reversed triple, whose G, R and K are Ghat, Rhat and Khat.
     `null` marks a null-recurrent model, where the W series diverges.
     `route` names the route that solved the set: the kind of the forward
-    shift ("right", "left", "double") for the certified set. `residuals`
-    are the infinity-norm residuals of the four equations ("G", "R",
-    "Ghat", "Rhat") as that route evaluated them.
+    shift ("right", "left", "double") for the certified set.
     """
 
-    g: np.ndarray
-    r: np.ndarray
-    ghat: np.ndarray
-    rhat: np.ndarray
-    k: np.ndarray
-    khat: np.ndarray
+    fwd: ShiftRoute
+    rev: ShiftRoute
     null: bool
     route: str
-    iterations: dict
-    residuals: dict
+
+    g = property(operator.attrgetter("fwd.g"))
+    r = property(operator.attrgetter("fwd.r"))
+    ghat = property(operator.attrgetter("rev.g"))
+    rhat = property(operator.attrgetter("rev.r"))
 
     @functools.cached_property
     def w(self):
@@ -241,22 +246,9 @@ class SolutionSet:
             return None, None
         rho_g, rho_r, _, _ = self.radii
         try:
-            return compute_w(self.g, self.k, self.r, rho_g * rho_r, self.k_inv), None
+            return compute_w(self.g, self.fwd.k, self.r, rho_g * rho_r, self.fwd.k_inv), None
         except kernel.ConvergenceError as exc:
             return None, exc
-
-    @functools.cached_property
-    def k_inv(self):
-        """K^-1, formed on first read and kept: W, its Stein certificate,
-        the sign certificate and the M-matrix check of -K read the one
-        inverse (-K^-1 is the inverse of -K bit for bit). A
-        SingularMatrixError is raised at every read."""
-        return kernel.inverse(self.k)
-
-    @functools.cached_property
-    def khat_inv(self):
-        """Khat^-1, formed on first read and kept, as `k_inv` is."""
-        return kernel.inverse(self.khat)
 
     @functools.cached_property
     def spectra(self):

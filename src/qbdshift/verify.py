@@ -24,7 +24,6 @@ __all__ = [
     "Certificate",
     "check_identity_suite",
     "check_mmatrix",
-    "check_sign_property",
 ]
 
 EQ_TOL = 1e-11
@@ -99,22 +98,6 @@ def _mmatrix_cert(a, inverse, name):
     return _cert(f"mmatrix:{name}", violation, MMATRIX_TOL)
 
 
-def check_sign_property(sol, perron):
-    """Certify v_G^T K^-1 u_R < 0 and v_Ghat^T Khat^-1 u_Rhat < 0.
-
-    The certificate residual is the pairing itself; it passes when the
-    pairing is at least |SIGN_TOL| below zero, and the margin is the context.
-    """
-    if perron.v_g is None or perron.u_rhat is None:
-        raise ValueError("solution-side Perron vectors missing")
-    p1 = float(perron.v_g @ sol.k_inv @ perron.u_r)
-    p2 = float(perron.v_ghat @ sol.khat_inv @ perron.u_rhat)
-    return (
-        _cert("sign:v_G.K^-1.u_R", p1, SIGN_TOL, context=f"margin {-p1:.6g}"),
-        _cert("sign:v_Ghat.Khat^-1.u_Rhat", p2, SIGN_TOL, context=f"margin {-p2:.6g}"),
-    )
-
-
 def _projector_defect(p):
     """The larger of |trace(P) - 1| and ||P^2 - P|| / ||P||: an idempotent
     matrix of trace 1 is a rank-one projector u v^T with v^T u = 1."""
@@ -187,7 +170,7 @@ def _factor_roots_cert(model, sol):
     R is a root at infinity and drops out of the product as the degree of
     det B(z) falls."""
     eig_g, eig_r = sol.spectra
-    det_k = np.linalg.det(sol.k)
+    det_k = np.linalg.det(sol.fwd.k)
     worst = 0.0
     for z in ROOT_POINTS:
         db = complex(np.linalg.det(model.b_of(z)))
@@ -201,31 +184,44 @@ W_TOL_FLOORS = {"W:stein": IDENTITY_TOL, "W:inverse-identity": IDENTITY_TOL,
                 "W:Ghat-similarity": SPECTRAL_TOL, "W:Rhat-similarity": SPECTRAL_TOL}
 
 
-def _base_certs(model, cls, sol, perron):
-    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    g, r, ghat, rhat, k, khat = sol.g, sol.r, sol.ghat, sol.rhat, sol.k, sol.khat
-    # the residuals are evaluated from the matrices judged, not read from
-    # sol.residuals, the solver's record, which a set altered with
-    # dataclasses.replace keeps; the hat equations are (1) and (2) of the
-    # reversed triple, as the reversed route evaluated them
-    certs = [
+# each claim of `_side_certs` by its name on the reversed triple, whose G, R
+# and K are Ghat, Rhat and Khat of the model
+HAT_NAMES = {
+    "eq:G": "eq:Ghat", "eq:R": "eq:Rhat", "id:K-forms": "id:Khat-forms",
+    "id:A1=-RK": "id:A-1=-Rhat.Khat", "id:A-1=-KG": "id:A1=-Khat.Ghat",
+    "id:A1.G=R.A-1": "id:A-1.Ghat=Rhat.A1", "mmatrix:-K": "mmatrix:-Khat",
+    "sign:v_G.K^-1.u_R": "sign:v_Ghat.Khat^-1.u_Rhat", "factor:phi": "factor:phi-reversed"}
+
+
+def _side_certs(triple, route, v, u):
+    """The claims of (G, R, K) of `route` on `triple`: (1), (2), the two
+    forms of K, the coupling identities, -K an M-matrix, v^T K^-1 u at
+    least |SIGN_TOL| below zero (v, u the Perron vectors of G and R; the
+    margin is the context) and phi(z) = (I - zR) K (I - z^-1 G). Each is
+    evaluated from the matrices judged, not read from route.residuals,
+    which a route altered with dataclasses.replace keeps."""
+    bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
+    g, r, k = route.g, route.r, route.k
+    pairing = float(v @ route.k_inv @ u)
+    return [
         _cert("eq:G", solvers.residual_g(bm, b0, bp, g), EQ_TOL),
         _cert("eq:R", solvers.residual_r(bm, b0, bp, r), EQ_TOL),
-        _cert("eq:Ghat", solvers.residual_g(bp, b0, bm, ghat), EQ_TOL),
-        _cert("eq:Rhat", solvers.residual_r(bp, b0, bm, rhat), EQ_TOL),
         _cert("id:K-forms", kernel.inf_norm(k - (b0 + r @ bm)), IDENTITY_TOL),
-        _cert("id:Khat-forms", kernel.inf_norm(khat - (b0 + rhat @ bp)), IDENTITY_TOL),
         _cert("id:A1=-RK", kernel.inf_norm(bp + r @ k), IDENTITY_TOL),
-        _cert("id:A1=-Khat.Ghat", kernel.inf_norm(bp + khat @ ghat), IDENTITY_TOL),
         _cert("id:A-1=-KG", kernel.inf_norm(bm + k @ g), IDENTITY_TOL),
-        _cert("id:A-1=-Rhat.Khat", kernel.inf_norm(bm + rhat @ khat), IDENTITY_TOL),
         _cert("id:A1.G=R.A-1", kernel.inf_norm(bp @ g - r @ bm), IDENTITY_TOL),
-        _cert("id:A-1.Ghat=Rhat.A1", kernel.inf_norm(bm @ ghat - rhat @ bp), IDENTITY_TOL),
-        # the inverse of -K is -K^-1 bit for bit: the set's one inverse serves
-        _mmatrix_cert(-k, lambda: -sol.k_inv, "-K"),
-        _mmatrix_cert(-khat, lambda: -sol.khat_inv, "-Khat"),
+        # the inverse of -K is -K^-1 bit for bit: the route's one inverse serves
+        _mmatrix_cert(-k, lambda: -route.k_inv, "-K"),
+        _cert("sign:v_G.K^-1.u_R", pairing, SIGN_TOL, f"margin {-pairing:.6g}"),
+        _cert("factor:phi", matpoly.factorization_residual(triple, r, k, g), FACTOR_TOL),
     ]
-    certs.extend(check_sign_property(sol, perron))
+
+
+def _base_certs(model, cls, sol, perron):
+    # the hat claims are the forward claims of the reversed triple
+    certs = _side_certs(model, sol.fwd, perron.v_g, perron.u_r)
+    certs += [dataclasses.replace(c, name=HAT_NAMES[c.name]) for c in
+              _side_certs(model.reversed(), sol.rev, perron.v_ghat, perron.u_rhat)]
     # the radii the solution-side Perron vectors were solved at; rho(G) and
     # rho(R) from the spectra the root certificate reads
     rho_g, rho_r, rho_ghat, rho_rhat = sol.radii
@@ -246,11 +242,6 @@ def _base_certs(model, cls, sol, perron):
         _cert("spec:1/rho(R)=xi_n1", abs(1.0 / rho_r - cls.xi_n1), spec_tol)
     )
     certs.append(_factor_roots_cert(model, sol))
-    for name, triple, factors in (("factor:phi", model, (r, k, g)),
-                                  ("factor:phi-reversed", model.reversed(),
-                                   (rhat, khat, ghat))):
-        residual = matpoly.factorization_residual(triple, *factors)
-        certs.append(_cert(name, residual, FACTOR_TOL))
     try:
         w = sol.w
     except kernel.ConvergenceError as exc:
@@ -260,19 +251,20 @@ def _base_certs(model, cls, sol, perron):
                         for name, tol in W_TOL_FLOORS.items()]
     if w is None:
         return certs + [_na(name, solvers.NULL_W_REASON) for name in W_TOL_FLOORS]
+    g, r, k = sol.g, sol.r, sol.fwd.k
     eye = np.eye(model.n)
     w_inv = kernel.inverse(w)
     # ||W|| ~ 1/gap near null recurrence: absolute tolerances would
     # flag perfectly conditioned-relative solutions there
     w_scale = max(1.0, kernel.inf_norm(k) * kernel.inf_norm(w))
     certs.append(
-        _cert("W:stein", kernel.inf_norm(w - g @ w @ r - sol.k_inv),
+        _cert("W:stein", kernel.inf_norm(w - g @ w @ r - sol.fwd.k_inv),
               IDENTITY_TOL * w_scale)
     )
     certs.append(
         _cert(
             "W:inverse-identity",
-            kernel.inf_norm(k @ (eye - g @ ghat) @ w - eye),
+            kernel.inf_norm(k @ (eye - g @ sol.ghat) @ w - eye),
             IDENTITY_TOL * w_scale,
         )
     )
@@ -281,10 +273,10 @@ def _base_certs(model, cls, sol, perron):
     cond_w = kernel.inf_norm(w) * kernel.inf_norm(w_inv)
     sim_tol = max(SPECTRAL_TOL, 1e2 * np.finfo(float).eps * cond_w**2)
     certs.append(
-        _cert("W:Ghat-similarity", kernel.inf_norm(w @ r @ w_inv - ghat), sim_tol)
+        _cert("W:Ghat-similarity", kernel.inf_norm(w @ r @ w_inv - sol.ghat), sim_tol)
     )
     certs.append(
-        _cert("W:Rhat-similarity", kernel.inf_norm(w_inv @ g @ w - rhat), sim_tol)
+        _cert("W:Rhat-similarity", kernel.inf_norm(w_inv @ g @ w - sol.rhat), sim_tol)
     )
     return certs
 
@@ -318,7 +310,7 @@ def _transform_certs(model, cls, sol, perron, transform, route):
         _cert(f"{kind}:eq:R_s", solvers.residual_r(bm, b0, bp, r_s), id_tol),
         _cert(
             f"{kind}:id:K_s=K",
-            kernel.inf_norm((b0 + bp @ g_s) - sol.k),
+            kernel.inf_norm((b0 + bp @ g_s) - k_s),
             id_tol,
         ),
         _cert(f"{kind}:roots-surgery", max(brauer.values()), ROOT_MATCH_TOL),
@@ -434,16 +426,20 @@ def _roundtrip_cert(sol, kind, route, xi_amp):
 
 
 def check_identity_suite(model, cls, sol, perron, transforms, routes=None):
-    """Run every certificate on one instance: the coupling identities and
-    factorizations of the base problem, then for each shift kind the
-    surgery, transport and hat checks.
+    """Run every certificate on one instance: the claims of each side (the
+    hat side's are the forward claims of the reversed triple), the
+    spectral and W certificates that couple the sides, then for each shift
+    kind the surgery, transport and hat checks.
 
-    `perron` is the completed Perron data of `sol`; each kind is judged on
+    `perron` is the completed Perron data of `sol` (ValueError without
+    the solution-side vectors); each kind is judged on
     its transform from that data (free vectors v_Ghat and u_Rhat) in
     `transforms`, as shift_routes builds them. `routes` maps a kind to its
     route, or to the ConvergenceError its solve raised; a kind with a
     route gets a round-trip certificate. The suite solves nothing.
     """
+    if perron.v_g is None or perron.u_rhat is None:
+        raise ValueError("solution-side Perron vectors missing")
     routes = routes or {}
     certs = _base_certs(model, cls, sol, perron)
     for kind in shift_mod.ShiftKind:

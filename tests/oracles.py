@@ -382,7 +382,7 @@ def solve_all(model, cls=None, tol=None, max_iter=None):
     equation residual is below STALL_RES_TOL (forward accuracy is then
     ~1e-7; the shifted route recovers full accuracy).
     """
-    from qbdshift import model as model_mod, solvers
+    from qbdshift import model as model_mod, shift, solvers
 
     if cls is None:
         cls = model_mod.classify(model)
@@ -390,21 +390,20 @@ def solve_all(model, cls=None, tol=None, max_iter=None):
     cr_args = {"tol": tol if tol is not None else (CR_TOL_NULL if null else solvers.CR_TOL),
                "max_iter": max_iter if max_iter is not None else solvers.CR_MAX_ITER,
                "res_tol": STALL_RES_TOL if null else None}
-    bm, b0, bp = model.a_minus, model.b_zero(), model.a_plus
-    fwd = solvers.cyclic_reduction(bm, b0, bp, **cr_args)
-    rev = solvers.cyclic_reduction(bp, b0, bm, **cr_args)
-    r, k = solvers.derive_r_k(b0, bp, fwd.g)
-    rhat, khat = solvers.derive_r_k(b0, bm, rev.g)
-    r, rhat = clamp_nonneg(r), clamp_nonneg(rhat)
-    # the hat equations are (1) and (2) of the reversed triple
-    residuals = {"G": solvers.residual_g(bm, b0, bp, fwd.g),
-                 "R": solvers.residual_r(bm, b0, bp, r),
-                 "Ghat": solvers.residual_g(bp, b0, bm, rev.g),
-                 "Rhat": solvers.residual_r(bp, b0, bm, rhat)}
-    return solvers.SolutionSet(g=fwd.g, r=r, ghat=rev.g, rhat=rhat, k=k, khat=khat,
-                               null=null, route="direct",
-                               iterations={"G": fwd.iterations, "Ghat": rev.iterations},
-                               residuals=residuals)
+
+    def side(triple):
+        """One side as a route record with no transform; the reversed
+        triple's (1) and (2) are the model's (3) and (4)."""
+        bm, b0, bp = triple.a_minus, triple.b_zero(), triple.a_plus
+        cr = solvers.cyclic_reduction(bm, b0, bp, **cr_args)
+        r, k = solvers.derive_r_k(b0, bp, cr.g)
+        r = clamp_nonneg(r)
+        residuals = {"G": solvers.residual_g(bm, b0, bp, cr.g),
+                     "R": solvers.residual_r(bm, b0, bp, r)}
+        return shift.ShiftRoute(transform=None, cr=cr, g=cr.g, r=r, k=k, residuals=residuals)
+
+    return solvers.SolutionSet(fwd=side(model), rev=side(model.reversed()), null=null,
+                               route="direct")
 
 
 def chordal_distance(x, y):

@@ -61,12 +61,12 @@ def phase_partition(sol, perron, rtol=ZERO_PATTERN_RTOL):
     """
     if perron.u_r is None or perron.v_g is None:
         raise ValueError("solution-side Perron vectors missing")
-    n = sol.k.shape[0]
+    n = sol.fwd.k.shape[0]
     s1 = _nontrivial_block(sol.r, "R")
     sa = _nontrivial_block(sol.g, "G")
     u = perron.u_r
     v = perron.v_g
-    w = -(sol.k_inv @ u)
+    w = -(sol.fwd.k_inv @ u)
     supp_u, supp_w, supp_v = _support(u, rtol), _support(w, rtol), _support(v, rtol)
     if supp_u != s1:
         raise ValueError(f"support of u_R {sorted(supp_u)} != s1 {sorted(s1)}")

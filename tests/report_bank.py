@@ -18,7 +18,8 @@ for example of a commit and of its parent. The script
    model, and then the benchmark's solution operation,
    `shift.reference_solution(triple, model.classify(triple))`, in one fresh
    interpreter per side with one BLAS thread;
-3. prints the status differences: in exit code and stderr, in the
+3. prints the line count of each tree's Python files, then the status
+   differences: in exit code and stderr, in the
    certificate names of each report (matched by name: a name on one side
    only, or shared names in another order) and in the status and context
    of each shared name; then the value differences: in report fields
@@ -75,7 +76,8 @@ GAMMAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 # Runs in a fresh interpreter: argv is SRC BANK_DIR REPORT_DIR; prints one
 # JSON object {"solve": {model name: {"code", "stderr"}}, "solution": {model
-# name: {"route", "iterations"} or {"raised"}}} and writes the G, R, Ghat,
+# name: {"route", "iterations"} or {"raised"}}}, the sweeps read from the
+# set or from its two routes, and writes the G, R, Ghat,
 # Rhat of each solution set to REPORT_DIR/MODEL.npz. A traceback of a solve
 # is recorded as the code "raised" with the exception as stderr. Every
 # warning is shown, as in one process per model.
@@ -107,7 +109,10 @@ for path in sorted(Path(bank).glob("*.json")):
             continue
     np.savez(Path(reports) / f"{path.stem}.npz", G=sol.g, R=sol.r, Ghat=sol.ghat,
              Rhat=sol.rhat)
-    solutions[path.stem] = {"route": sol.route, "iterations": sol.iterations}
+    # a set of one route per side keeps the sweeps on its routes
+    iterations = (sol.iterations if hasattr(sol, "iterations")
+                  else {"G": sol.fwd.cr.iterations, "Ghat": sol.rev.cr.iterations})
+    solutions[path.stem] = {"route": sol.route, "iterations": iterations}
 print(json.dumps({"solve": out, "solution": solutions}))
 """
 
@@ -131,6 +136,11 @@ def bank_instances():
             m = getattr(patterned, family)(seed)
             out.append(workloads.Instance(f"{family}-{seed}", "", (m.a_minus, m.a_zero, m.a_plus)))
     return out
+
+
+def src_lines(src):
+    """The number of lines of the Python files under `src`."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.rglob("*.py"))
 
 
 def run_side(src, bank, reports):
@@ -327,6 +337,8 @@ def main(argv):
     codes = {}
     for outcome in old.values():
         codes[outcome["code"]] = codes.get(outcome["code"], 0) + 1
+    lines = [src_lines(src) for src in sides]
+    print(f"src/ lines: parent {lines[0]}, change {lines[1]} ({lines[1] - lines[0]:+d})")
     print(f"{len(instances)} models; parent exit codes "
           + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items(), key=str)))
     if dropped_direct:

@@ -78,7 +78,7 @@ def test_criterion_1_scalar_ground_truth(capsys, p1, n1, t1):
         pairs = [
             (sol.g, expected["g"]), (sol.r, expected["r"]),
             (sol.ghat, expected["ghat"]), (sol.rhat, expected["rhat"]),
-            (sol.k, expected["k"]), (sol.khat, expected["khat"]),
+            (sol.fwd.k, expected["k"]), (sol.rev.k, expected["khat"]),
         ]
         if not null:
             pairs.append((sol.w, expected["w"]))
@@ -91,7 +91,7 @@ def test_criterion_2_equation_residuals(capsys, direct_solutions):
     count = 0
     for rows in direct_solutions.values():
         for _, _, sol in rows:
-            worst = max(worst, max(sol.residuals.values()))
+            worst = max(worst, *sol.fwd.residuals.values(), *sol.rev.residuals.values())
             count += 1
     _criterion(
         capsys, 2, worst <= 1e-11,
@@ -166,11 +166,11 @@ def test_criterion_6_w_machinery(capsys, direct_solutions):
     for kind in ("positive", "transient"):
         for m, cls, sol in direct_solutions[kind]:
             eye = np.eye(m.n)
-            k_inv = sol.k_inv
+            k_inv = sol.fwd.k_inv
             worst_identity = max(
                 worst_identity,
                 kernel.inf_norm(sol.w - sol.g @ sol.w @ sol.r - k_inv),
-                kernel.inf_norm(sol.k @ (eye - sol.g @ sol.ghat) @ sol.w - eye),
+                kernel.inf_norm(sol.fwd.k @ (eye - sol.g @ sol.ghat) @ sol.w - eye),
             )
             ghat_w, rhat_w = solvers.hats_from_w(sol.w, sol.g, sol.r)
             worst_similarity = max(
@@ -195,8 +195,8 @@ def test_criterion_7_sign_and_structure(capsys, direct_solutions):
             if kind == "null":
                 sol = reference_solution(m, cls)
             pd = complete_perron_data(perron_data(m, cls), sol)
-            p1 = float(pd.v_g @ sol.k_inv @ pd.u_r)
-            p2 = float(pd.v_ghat @ sol.khat_inv @ pd.u_rhat)
+            p1 = float(pd.v_g @ sol.fwd.k_inv @ pd.u_r)
+            p2 = float(pd.v_ghat @ sol.rev.k_inv @ pd.u_rhat)
             worst_pairing = max(worst_pairing, p1, p2)
             try:
                 phase_partition(sol, pd)

@@ -755,7 +755,7 @@ class TestMain:
             return [any(np.array_equal(m, sign * s) for s in x for sign in (1, -1))
                     for m in inverted]
 
-        on_k, on_khat = inverts([s.k for s in sets]), inverts([s.khat for s in sets])
+        on_k, on_khat = inverts([s.fwd.k for s in sets]), inverts([s.rev.k for s in sets])
         # two inversions in all: the null model here has A_1 = A_-1, so
         # Khat = K and each inversion matches both
         assert sum(a or b for a, b in zip(on_k, on_khat)) == 2

@@ -229,7 +229,7 @@ class TestHCoefficients:
     # splitting roots: H_0 = W, H_-i = G^i W, H_i = W R^i
     def test_p1_values(self, p1):
         sol = solve_all(p1)
-        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
+        w = compute_w(sol.g, sol.fwd.k, sol.r, oracles.radius_product(sol.g, sol.r))
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
         assert (w @ sol.r)[0, 0] == pytest.approx(-3.0, abs=1e-12)
         assert (sol.g @ w)[0, 0] == pytest.approx(-5.0, abs=1e-12)
@@ -250,7 +250,7 @@ class TestHCoefficients:
         rho_r = kernel.spectral_radius(sol.r)
         radius = np.sqrt(rho_g / rho_r)  # geometric middle of (rho_g, 1/rho_r)
         order = 160
-        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
+        w = compute_w(sol.g, sol.fwd.k, sol.r, oracles.radius_product(sol.g, sol.r))
         h = {0: w}
         for i in range(1, order + 1):
             h[-i] = sol.g @ h[1 - i]
@@ -330,8 +330,8 @@ class TestFactorizationResidual:
         # A_-1 != A_1 here, so reversing the triple for phi(z^-1) is observable
         sol = solve_all(e2, classify(e2))
         flip = {"z": "z_inverse", "z_inverse": "z"}
-        for direction, factors in (("z", (sol.r, sol.k, sol.g)),
-                                   ("z_inverse", (sol.rhat, sol.khat, sol.ghat))):
+        for direction, factors in (("z", (sol.r, sol.fwd.k, sol.g)),
+                                   ("z_inverse", (sol.rhat, sol.rev.k, sol.ghat))):
             assert factorization_residual(e2, direction, factors) <= 1e-14
             assert factorization_residual(e2, flip[direction], factors) >= 0.01
             bumped = factors[2].copy()

@@ -53,11 +53,16 @@ SEED = 1
 NEAR_NULL_GAMMA = 1e-8
 
 
-def _bump(name):
+def _replaced(sol, side, **fields):
+    """`sol` with `fields` of its route `side` ("fwd" or "rev") replaced."""
+    return dataclasses.replace(sol, **{side: dataclasses.replace(getattr(sol, side), **fields)})
+
+
+def _bump(side, name):
     def corrupt(sol):
-        mat = getattr(sol, name).copy()
+        mat = getattr(getattr(sol, side), name).copy()
         mat[0, N - 1] += BUMP
-        return dataclasses.replace(sol, **{name: mat})
+        return _replaced(sol, side, **{name: mat})
     return corrupt
 
 
@@ -121,12 +126,18 @@ def _dropped_term(model, cls, t):
     return dataclasses.replace(t, shifted=QbdTriple(model.n, sh.a_minus, a_zero, sh.a_plus))
 
 
-def _mmatrix_breach(sol):
-    # -K with one positive off-diagonal entry: K[0, n-1] from its
-    # nonnegative value to -1e-6
-    k = sol.k.copy()
-    k[0, N - 1] = -BUMP
-    return dataclasses.replace(sol, k=k)
+def _mmatrix_breach(side):
+    # -K (-Khat on side "rev") with one positive off-diagonal entry:
+    # K[0, n-1] from its nonnegative value to -1e-6
+    def corrupt(sol):
+        k = getattr(sol, side).k.copy()
+        k[0, N - 1] = -BUMP
+        return _replaced(sol, side, k=k)
+    return corrupt
+
+
+def _transposed_k(side):
+    return lambda sol: _replaced(sol, side, k=getattr(sol, side).k.T.copy())
 
 
 def _bumped_w(sol):
@@ -139,17 +150,21 @@ def _bumped_w(sol):
     return out
 
 
+# the hat side's matrices are G, R and K of the reversed route, `sol.rev`
 SOLUTION_MUTANTS = {
-    "G+1e-6": _bump("g"),
-    "R+1e-6": _bump("r"),
-    "Ghat+1e-6": _bump("ghat"),
-    "Rhat+1e-6": _bump("rhat"),
+    "G+1e-6": _bump("fwd", "g"),
+    "R+1e-6": _bump("fwd", "r"),
+    "Ghat+1e-6": _bump("rev", "g"),
+    "Rhat+1e-6": _bump("rev", "r"),
     "W+1e-6": _bumped_w,
-    "K-transposed": lambda sol: dataclasses.replace(sol, k=sol.k.T.copy()),
-    "-K-offdiagonal>0": _mmatrix_breach,
+    "K-transposed": _transposed_k("fwd"),
+    "-K-offdiagonal>0": _mmatrix_breach("fwd"),
+    "Khat-transposed": _transposed_k("rev"),
+    "-Khat-offdiagonal>0": _mmatrix_breach("rev"),
 }
 PERRON_MUTANTS = {
     "v_G-negated": lambda perron: dataclasses.replace(perron, v_g=-perron.v_g),
+    "v_Ghat-negated": lambda perron: dataclasses.replace(perron, v_ghat=-perron.v_ghat),
 }
 SHIFT_MUTANTS = {
     "vTu=1+1e-6": _scaled_pairing,

@@ -22,7 +22,7 @@ from qbdshift import (
     shifted_hats_nullrec,
     solve_via,
 )
-from qbdshift import cli, solvers
+from qbdshift import cli, shift, solvers
 
 
 def prepared(model):
@@ -508,14 +508,26 @@ class TestReferenceSolution:
         sol = reference_solution(model, cls)
         rev_model = model.reversed()
         rev = solve_via(rev_model, matched_transform(rev_model, cls.reversed()))
-        assert sol.residuals["G"] == cls.matched.residuals["G"]
-        assert sol.residuals["R"] == cls.matched.residuals["R"]
-        assert sol.residuals["Ghat"] == rev.residuals["G"]
-        assert sol.residuals["Rhat"] == rev.residuals["R"]
+        assert sol.fwd.residuals["G"] == cls.matched.residuals["G"]
+        assert sol.fwd.residuals["R"] == cls.matched.residuals["R"]
+        assert sol.rev.residuals["G"] == rev.residuals["G"]
+        assert sol.rev.residuals["R"] == rev.residuals["R"]
         pd = complete_perron_data(perron_data(model, cls), sol)
         certs = check_identity_suite(model, cls, sol, pd, transforms_of(model, cls, pd))
         eq = {c.name[3:]: c.residual for c in certs if c.name.startswith("eq:")}
-        assert eq == sol.residuals
+        assert eq == {"G": sol.fwd.residuals["G"], "R": sol.fwd.residuals["R"],
+                      "Ghat": sol.rev.residuals["G"], "Rhat": sol.rev.residuals["R"]}
+
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_forward_route_is_classifys(self, kind):
+        # the set assembles nothing: its forward route is classify's matched
+        # solve, and its reversed one the reversed model's matched solve
+        model, _ = cli.generate(kind, 4, 1)
+        cls = classify(model)
+        sol = reference_solution(model, cls)
+        assert sol.fwd is cls.matched
+        assert sol.rev.transform.kind is shift.pick_kind(cls.reversed())
+        assert sol.route == sol.fwd.transform.kind.value
 
     # 2 eps: the shift pair's largest entry error over G, R, Ghat and Rhat
     # on these models is at most eps (2.2e-16); the direct solve misses by
@@ -580,9 +592,9 @@ class TestReferenceSolution:
         ("null", 0.5), ("positive", 1e-4), ("transient", 1e-4), ("positive", 0.5),
     ])
     def test_r_derived_once_per_solve(self, monkeypatch, kind, gamma):
-        # each route's solve derives its own R, and the reference's K and
-        # Khat are formed directly: one derivation, the reversed solve's,
-        # since the forward route is the one classify solved
+        # each route's solve derives its own R and forms its K directly:
+        # one derivation, the reversed solve's, since the forward route is
+        # the one classify solved; the reversed route's K is Khat
         calls = []
         real = solvers.derive_r_k
 
@@ -596,8 +608,8 @@ class TestReferenceSolution:
         sol = reference_solution(model, cls)
         assert len(calls) == 1
         b0 = model.b_zero()
-        np.testing.assert_array_equal(sol.k, b0 + model.a_plus @ sol.g)
-        np.testing.assert_array_equal(sol.khat, b0 + model.a_minus @ sol.ghat)
+        np.testing.assert_array_equal(sol.fwd.k, b0 + model.a_plus @ sol.g)
+        np.testing.assert_array_equal(sol.rev.k, b0 + model.a_minus @ sol.ghat)
 
 
 class TestShiftedSolutionsAggregate:

@@ -306,7 +306,7 @@ class TestSolveAllAgainstMpOracle:
 class TestComputeW:
     def test_p1(self, p1):
         sol = solve_all(p1)
-        w = compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
+        w = compute_w(sol.g, sol.fwd.k, sol.r, oracles.radius_product(sol.g, sol.r))
         assert w[0, 0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_t1(self, t1):
@@ -320,7 +320,7 @@ class TestComputeW:
     def test_null_recurrent_raises(self, n1):
         sol = reference_solution(n1)
         with pytest.raises(kernel.ConvergenceError, match="null"):
-            compute_w(sol.g, sol.k, sol.r, oracles.radius_product(sol.g, sol.r))
+            compute_w(sol.g, sol.fwd.k, sol.r, oracles.radius_product(sol.g, sol.r))
 
 
 class TestWhereWIsComputed:
@@ -412,7 +412,7 @@ class TestSolveAllProperties:
         for rows in small_bank.values():
             for m, cls in rows:
                 sol = solve_all(m, cls)
-                assert max(sol.residuals.values()) <= 1e-11
+                assert max(*sol.fwd.residuals.values(), *sol.rev.residuals.values()) <= 1e-11
 
     def test_minimal_solutions_nonnegative(self, small_bank):
         for rows in small_bank.values():
@@ -446,10 +446,10 @@ class TestSolveAllProperties:
         for kind in ("positive", "transient"):
             for m, cls in small_bank[kind][:3]:
                 sol = solve_all(m, cls)
-                k_inv = sol.k_inv
+                k_inv = sol.fwd.k_inv
                 assert kernel.inf_norm(sol.w - sol.g @ sol.w @ sol.r - k_inv) <= 1e-10
                 assert (
-                    kernel.inf_norm(sol.k @ (eye(m.n) - sol.g @ sol.ghat) @ sol.w - eye(m.n))
+                    kernel.inf_norm(sol.fwd.k @ (eye(m.n) - sol.g @ sol.ghat) @ sol.w - eye(m.n))
                     <= 1e-10
                 )
 

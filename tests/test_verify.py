@@ -14,7 +14,6 @@ from qbdshift import (
     build_transform,
     check_identity_suite,
     check_mmatrix,
-    check_sign_property,
     classify,
     complete_perron_data,
     perron_data,
@@ -62,16 +61,21 @@ class TestMMatrix:
         assert cert.residual == float("inf")
 
 
+def sign_certs(m, cls, sol, pd):
+    """The suite's two sign certificates, forward and hat, by name."""
+    by_name = {c.name: c for c in
+               check_identity_suite(m, cls, sol, pd, transforms_of(m, cls, pd))}
+    return by_name["sign:v_G.K^-1.u_R"], by_name["sign:v_Ghat.Khat^-1.u_Rhat"]
+
+
 class TestSignProperty:
     def test_p1_value(self, p1):
-        cls, sol, pd = solved(p1)
-        c1, c2 = check_sign_property(sol, pd)
+        c1, c2 = sign_certs(p1, *solved(p1))
         assert c1.passed and c2.passed
         assert c1.residual == pytest.approx(-2.0, abs=1e-10)
 
     def test_n1_value(self, n1):
-        cls, sol, pd = solved(n1)
-        c1, c2 = check_sign_property(sol, pd)
+        c1, c2 = sign_certs(n1, *solved(n1))
         assert c1.residual == pytest.approx(-2.5, abs=1e-9)
         assert c2.residual == pytest.approx(-2.5, abs=1e-9)
 
@@ -80,8 +84,14 @@ class TestSignProperty:
             for m, cls in rows:
                 sol = reference_solution(m, cls)
                 pd = complete_perron_data(perron_data(m, cls), sol)
-                for cert in check_sign_property(sol, pd):
+                for cert in sign_certs(m, cls, sol, pd):
                     assert cert.passed, cert
+
+    def test_suite_needs_the_solution_side_vectors(self, p1):
+        cls, sol, _ = solved(p1)
+        pd = perron_data(p1, cls)
+        with pytest.raises(ValueError, match="solution-side Perron vectors missing"):
+            check_identity_suite(p1, cls, sol, pd, transforms_of(p1, cls, pd))
 
 
 class TestPhasePartition:
@@ -151,7 +161,7 @@ class TestIdentitySuite:
     def test_corrupted_g_fails_multiple_certificates(self, e2):
         cls = classify(e2)
         sol = solve_all(e2, cls)
-        broken = dataclasses.replace(sol, g=sol.g + 0.01)
+        broken = dataclasses.replace(sol, fwd=dataclasses.replace(sol.fwd, g=sol.g + 0.01))
         pd = complete_perron_data(perron_data(e2, cls), broken)
         certs = check_identity_suite(e2, cls, broken, pd, transforms_of(e2, cls, pd))
         assert sum(c.status == "fail" for c in certs) >= 3
@@ -478,6 +488,27 @@ class TestCertificateNames:
         assert len(names) == 1, list(names.values())
         # some transports pass and some stop: the names held across both
         assert len(na_counts) > 1
+
+    # each claim of one side with its twin on the other, as reports name
+    # them: a typo in verify.HAT_NAMES fails here
+    SIDE_CLAIMS = [
+        ("eq:G", "eq:Ghat"), ("eq:R", "eq:Rhat"), ("id:K-forms", "id:Khat-forms"),
+        ("id:A1=-RK", "id:A-1=-Rhat.Khat"), ("id:A-1=-KG", "id:A1=-Khat.Ghat"),
+        ("id:A1.G=R.A-1", "id:A-1.Ghat=Rhat.A1"), ("mmatrix:-K", "mmatrix:-Khat"),
+        ("sign:v_G.K^-1.u_R", "sign:v_Ghat.Khat^-1.u_Rhat"),
+        ("factor:phi", "factor:phi-reversed"),
+    ]
+
+    @pytest.mark.parametrize("kind", ["positive", "null", "transient"])
+    def test_side_claims_keep_their_names(self, kind):
+        # the forward claims, then their hat twins in the same order
+        from qbdshift import cli
+
+        m, meta = cli.generate(kind, 4, 1)
+        names = [c["name"] for c in cli.solve_report(m, meta)["certificates"]]
+        side = [n for n in names
+                if not n.startswith(("spec:", "W:", "right:", "left:", "double:"))]
+        assert side == [f for f, _ in self.SIDE_CLAIMS] + [h for _, h in self.SIDE_CLAIMS]
 
 
 def test_null_spectral_certs_keep_strict_tolerance(n1):
